@@ -6,7 +6,7 @@ inside the surviving threads, returning the top-N answers with code examples
 and explanations.
 """
 
-from .antonyms import AntonymDictionary, antonyms_score, merge_lists
+from .antonyms import AntonymDictionary, merge_lists
 from .artifacts import build_artifacts, load_engine
 from .corpus import (RawPost, TagFilter, Thread, build_threads, load_dump,
                      preprocess, separate_code)

@@ -103,10 +103,6 @@ class AntonymQueryContext:
         return len(self.antonyms & set(candidate_bag))
 
 
-def antonyms_score(ctx: AntonymQueryContext, candidate_bag: Iterable[str]) -> int:
-    return ctx.score(candidate_bag)
-
-
 @dataclass
 class MergeStats:
     warnings: int = 0

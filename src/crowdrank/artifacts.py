@@ -39,6 +39,11 @@ def _bag_tokens(bag) -> list[str]:
 
 
 def thread_content_tokens(thread: Thread) -> list[str]:
+    """Words of a thread for idf.json and contents.txt, question code included.
+
+    `index.thread_document_bag` leaves question code out of BM25 and tf; the
+    BM25 and tf oracles in `perfbench/checks.py` assume this split.
+    """
     tokens = _bag_tokens(thread.question.title_bag)
     tokens += _bag_tokens(thread.question.body_bag)
     tokens += _bag_tokens(thread.question.code_bag)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .antonyms import MergeStats, merge_lists, save_dictionary
@@ -80,8 +81,9 @@ def cmd_build_index(args) -> int:
         print("warning: corpus produced an empty index", file=sys.stderr)
     print(f"threads indexed: {report.thread_count}")
     print(f"vocabulary size: {report.vocab_size}")
-    print(f"skipped lines: {report.load_stats.warnings}")
-    print(f"orphan answers: {report.build_stats.orphan_answers}")
+    for stage, stats in (("load", report.load_stats), ("build", report.build_stats)):
+        for name, value in asdict(stats).items():
+            print(f"{stage} {name.replace('_', ' ')}: {value}")
     print(f"seed: {args.seed}")
     return EXIT_OK
 
@@ -89,7 +91,7 @@ def cmd_build_index(args) -> int:
 def cmd_search(args) -> int:
     try:
         config = _config_from_args(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -26,19 +26,11 @@ DEFAULT_SEED = 42
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    model_kind: str = "fallback_hash"  # skipgram_words | sent2vec_titles | fallback_hash
     dim: int = DEFAULT_DIM
-    ngrams: int = 3
     seed: int = DEFAULT_SEED
 
     def to_json(self) -> dict:
-        return {"model_kind": self.model_kind, "dim": self.dim,
-                "ngrams": self.ngrams, "seed": self.seed}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EmbeddingConfig":
-        return cls(model_kind=obj["model_kind"], dim=int(obj["dim"]),
-                   ngrams=int(obj["ngrams"]), seed=int(obj["seed"]))
+        return {"dim": self.dim, "seed": self.seed}
 
 
 def fallback_embed(word: str, seed: int = DEFAULT_SEED, dim: int = DEFAULT_DIM) -> np.ndarray:
@@ -70,9 +62,6 @@ class EmbeddingStore:
             vec = fallback_embed(word, self.seed, self.dim)
             self.word_vecs[word] = vec
         return vec
-
-    def sentence_vector(self, question_id: int) -> np.ndarray | None:
-        return self.sentence_vecs.get(question_id)
 
 
 def load_word_vectors(path: str | Path, fallback: bool = False,
@@ -149,9 +138,6 @@ class IdfMap:
     def idf(self, word: str) -> float:
         return math.log10(self.doc_count / self.df.get(word, 1))
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.df
-
 
 def cosine(v1: np.ndarray, v2: np.ndarray) -> float:
     """Cosine similarity; 0.0 when either vector has zero norm."""
@@ -178,18 +164,6 @@ def sentence_embed(bag: Mapping[str, int], store: EmbeddingStore, idf_map: IdfMa
     if weight_sum == 0.0:
         return total
     return total / weight_sum
-
-
-def sentence_similarity(query_vec: np.ndarray, question_id: int, store: EmbeddingStore) -> float:
-    """Cosine between the query sentence vector and a stored title vector.
-
-    Missing title vectors score 0 so one absent entry cannot sink a search.
-    """
-    title_vec = store.sentence_vector(question_id)
-    if title_vec is None:
-        warnings.warn(f"no sentence vector for question {question_id}; scoring 0")
-        return 0.0
-    return cosine(query_vec, title_vec)
 
 
 def _sim_to_bag(word: str, target: Iterable[str], store: EmbeddingStore,

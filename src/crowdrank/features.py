@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .antonyms import POS_MODES
 from .embeddings import IdfMap
 
 THREAD_FEATURES = ("sentence", "asym_title", "asym_body", "tf",
@@ -59,16 +60,17 @@ class WeightConfig:
         self.validate()
 
     def validate(self) -> None:
-        missing = set(THREAD_FEATURES) - set(self.thread_weights)
-        if missing:
-            raise ValueError(f"missing thread weights: {sorted(missing)}")
-        missing = set(ANSWER_FEATURES) - set(self.answer_weights)
-        if missing:
-            raise ValueError(f"missing answer weights: {sorted(missing)}")
-        if any(w < 0 for w in self.thread_weights.values()):
-            raise ValueError("thread weights must be >= 0")
-        if any(w < 0 for w in self.answer_weights.values()):
-            raise ValueError("answer weights must be >= 0")
+        for kind, weights, names in (("thread", self.thread_weights, THREAD_FEATURES),
+                                     ("answer", self.answer_weights, ANSWER_FEATURES)):
+            missing = set(names) - set(weights)
+            if missing:
+                raise ValueError(f"missing {kind} weights: {sorted(missing)}")
+            unknown = set(weights) - set(names)
+            if unknown:
+                raise ValueError(f"unknown {kind} weights: {sorted(unknown)}; "
+                                 f"valid names: {', '.join(names)}")
+            if any(w < 0 for w in weights.values()):
+                raise ValueError(f"{kind} weights must be >= 0")
         if not (self.bm25_top >= self.stage1_keep >= self.stage2_keep > 0):
             raise ValueError("funnel thresholds must be positive and non-increasing")
         if self.answer_k <= 0:
@@ -77,6 +79,9 @@ class WeightConfig:
             raise ValueError("method_scale must be positive")
         if self.antonym_targets not in ANTONYM_TARGET_MODES:
             raise ValueError(f"bad antonym_targets {self.antonym_targets!r}")
+        if self.antonym_pos_mode not in POS_MODES:
+            raise ValueError(f"bad antonym_pos_mode {self.antonym_pos_mode!r}; "
+                             f"expected one of {', '.join(POS_MODES)}")
 
     @property
     def filter_threads(self) -> bool:
@@ -219,19 +224,17 @@ def final_score(fv: FeatureVector, weights: Mapping[str, float]) -> float:
 
 
 def normalize_and_fuse(raws: Sequence[dict[str, float]], weights: Mapping[str, float],
-                       ladder_features: frozenset[str] = frozenset({"question_score"}),
                        ) -> list[tuple[FeatureVector, float]]:
     """Min-max normalize each feature column over the candidate set and fuse.
 
-    Features named in ``ladder_features`` bypass min-max and go through the
-    question-score ladder instead.
+    The question score bypasses min-max and goes through its ladder instead.
     """
     if not raws:
         return []
     vectors = [FeatureVector(raw=dict(r)) for r in raws]
     for name in weights:
         column = [fv.raw[name] for fv in vectors]
-        if name in ladder_features:
+        if name == "question_score":
             normed = [question_score_value(int(v)) for v in column]
         else:
             normed = normalize_social(column)

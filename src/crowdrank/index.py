@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import Thread
+from .corpus import ProcessedPost, Thread
 
 INDEX_FORMAT = "crowdrank-index"
 INDEX_VERSION = 1
@@ -98,7 +98,12 @@ def bm25_search(index: InvertedIndex, query: Iterable[str], top_n: int) -> list[
 
 
 def thread_document_bag(thread: Thread) -> Counter:
-    """Indexed text of a thread: title + question body + answers' bodies + answers' code."""
+    """Indexed text of a thread: title + question body + answers' bodies + answers' code.
+
+    Question code is left out, although `artifacts.thread_content_tokens`
+    (idf.json, contents.txt) counts it: the BM25 and tf oracles in
+    `perfbench/checks.py` assume this split.
+    """
     bag = Counter(thread.question.title_bag)
     bag.update(thread.question.body_bag)
     for answer in thread.answers:
@@ -107,13 +112,16 @@ def thread_document_bag(thread: Thread) -> Counter:
     return bag
 
 
-def answer_document_bag(thread: Thread, answer_index: int) -> Counter:
-    """Indexed text of an answer: its body + code + parent title + parent body."""
-    answer = thread.answers[answer_index]
-    bag = Counter(answer.body_bag)
-    bag.update(answer.code_bag)
-    bag.update(thread.question.title_bag)
+def answer_document_bag(thread: Thread, answer: ProcessedPost) -> Counter:
+    """Indexed text of an answer: parent title + parent body + its body + its code.
+
+    The same bag is the target of the answer's tf-idf feature, whose float
+    sums follow this key order.
+    """
+    bag = Counter(thread.question.title_bag)
     bag.update(thread.question.body_bag)
+    bag.update(answer.body_bag)
+    bag.update(answer.code_bag)
     return bag
 
 
@@ -126,10 +134,8 @@ def build_thread_index(threads: Iterable[Thread], k: float = DEFAULT_K,
 def build_ephemeral_answer_index(threads: Iterable[Thread], k: float = DEFAULT_K,
                                  b: float = DEFAULT_B) -> InvertedIndex:
     """Per-query index over the retained answers of the surviving threads."""
-    docs: dict[int, Counter] = {}
-    for thread in threads:
-        for i in range(len(thread.answers)):
-            docs[thread.answers[i].id] = answer_document_bag(thread, i)
+    docs = {answer.id: answer_document_bag(thread, answer)
+            for thread in threads for answer in thread.answers}
     return build_index(docs, k=k, b=b)
 
 
@@ -144,9 +150,10 @@ def save_index(index: InvertedIndex, path: str | Path, meta: dict | None = None)
         "postings": {t: sorted(p) for t, p in index.postings.items()},
         "meta": meta or {},
     }
+    # One json.dumps string: json.dump on the handle runs the pure-Python encoder.
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_index(path: str | Path) -> InvertedIndex:

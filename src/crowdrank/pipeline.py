@@ -2,9 +2,10 @@
 
 The funnel: BM25 over the thread index (top 500), optional thread-level
 antonym filter, stage-1 fusion of the four similarity features (keep 250),
-stage-2 fusion of all seven thread features (keep 100), ephemeral BM25 over
-the surviving answers (top 150), optional answer-level antonym filter, then
-four-feature answer fusion and the top-N cut.
+stage-2 fusion of those same values plus the three social features (keep
+100), ephemeral BM25 over the surviving answers (top 150), optional
+answer-level antonym filter, then four-feature answer fusion and the top-N
+cut. All three fusions rank the same way (`_rank`).
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from . import features as ft
 from .antonyms import AntonymDictionary, AntonymQueryContext
 from .corpus import Thread, preprocess
 from .embeddings import EmbeddingStore, IdfMap, asym_score, cosine, sentence_embed
-from .index import (InvertedIndex, bm25_search,
-                    build_ephemeral_answer_index, build_thread_index)
+from .index import (InvertedIndex, answer_document_bag, bm25_search,
+                    build_ephemeral_answer_index, build_thread_index,
+                    thread_document_bag)
 
 
 @dataclass
@@ -50,14 +52,12 @@ class SearchResult:
         return [e.answer_id for e in self.entries]
 
 
-def _thread_antonym_bag(thread: Thread) -> set[str]:
-    return set(thread.question.title_bag) | set(thread.question.body_bag)
-
-
-def _answer_antonym_bag(thread: Thread, answer_idx: int) -> set[str]:
-    answer = thread.answers[answer_idx]
-    return (set(thread.question.title_bag) | set(answer.body_bag)
-            | set(answer.code_bag))
+def _rank(ids: list[int], raws: list[dict[str, float]], weights: dict[str, float],
+          keep: int) -> list[tuple[int, ft.FeatureVector, float]]:
+    """Fuse the candidates' raw features, sort by (-score, id), keep the first `keep`."""
+    fused = ft.normalize_and_fuse(raws, weights)
+    ranked = sorted(zip(ids, fused), key=lambda e: (-e[1][1], e[0]))
+    return [(i, fv, score) for i, (fv, score) in ranked[:keep]]
 
 
 class SearchEngine:
@@ -74,7 +74,6 @@ class SearchEngine:
         self.thread_index = thread_index or build_thread_index(self.threads.values())
         self.stopwords = stopwords
         self._ensure_sentence_vectors()
-        self._thread_cache: dict[int, dict] = {}
 
     def _ensure_sentence_vectors(self) -> None:
         # Title vectors not supplied by a sentence-vector file come from the
@@ -84,52 +83,24 @@ class SearchEngine:
                 self.store.sentence_vecs[thread_id] = sentence_embed(
                     thread.question.title_bag, self.store, self.idf_map)
 
-    def _thread_bags(self, thread_id: int) -> dict:
-        cached = self._thread_cache.get(thread_id)
-        if cached is None:
-            thread = self.threads[thread_id]
-            answers_body = Counter()
-            answers_code = Counter()
-            for answer in thread.answers:
-                answers_body.update(answer.body_bag)
-                answers_code.update(answer.code_bag)
-            body_plus_answers = Counter(thread.question.body_bag)
-            body_plus_answers.update(answers_body)
-            tf_bag = Counter(thread.question.title_bag)
-            tf_bag.update(body_plus_answers)
-            tf_bag.update(answers_code)
-            cached = {
-                "title": thread.question.title_bag,
-                "body_plus_answers": body_plus_answers,
-                "tf_bag": tf_bag,
-                "antonym": _thread_antonym_bag(thread),
-            }
-            self._thread_cache[thread_id] = cached
-        return cached
-
     def make_query_context(self, query: str, config: ft.WeightConfig) -> QueryContext:
         bag = preprocess(query, "query", self.stopwords)
         ctx = self.antonym_dict.context(set(bag), config.antonym_pos_mode)
         vec = sentence_embed(bag, self.store, self.idf_map)
         return QueryContext(raw_query=query, bag=bag, antonym_ctx=ctx, sentence_vec=vec)
 
-    def _thread_raw_features(self, qc: QueryContext, thread_id: int, stage: int,
-                             config: ft.WeightConfig) -> dict[str, float]:
-        thread = self.threads[thread_id]
-        bags = self._thread_bags(thread_id)
-        clamp = config.clamp_negative_cosine
-        raw = {
-            "sentence": cosine(qc.sentence_vec, self.store.sentence_vecs[thread_id]),
-            "asym_title": asym_score(qc.bag, bags["title"], self.store, self.idf_map, clamp),
-            "asym_body": asym_score(qc.bag, bags["body_plus_answers"], self.store,
-                                    self.idf_map, clamp),
-            "tf": ft.tf_score(qc.bag, bags["tf_bag"]),
+    def _similarity_features(self, qc: QueryContext, thread: Thread,
+                             clamp: bool) -> dict[str, float]:
+        """The four stage-1 features of one thread; stage 2 reuses them."""
+        question = thread.question
+        body = set(question.body_bag).union(*(a.body_bag for a in thread.answers))
+        return {
+            "sentence": cosine(qc.sentence_vec, self.store.sentence_vecs[question.id]),
+            "asym_title": asym_score(qc.bag, question.title_bag, self.store,
+                                     self.idf_map, clamp),
+            "asym_body": asym_score(qc.bag, body, self.store, self.idf_map, clamp),
+            "tf": ft.tf_score(qc.bag, thread_document_bag(thread)),
         }
-        if stage == 2:
-            raw["answer_count"] = float(thread.answer_count)
-            raw["total_answer_score"] = float(thread.total_answer_score)
-            raw["question_score"] = float(thread.question_score)
-        return raw
 
     def search(self, query: str, config: ft.WeightConfig | None = None,
                final_n: int | None = None) -> SearchResult:
@@ -143,91 +114,83 @@ class SearchEngine:
             diagnostics["empty_query"] = True
             return SearchResult(entries=[], diagnostics=diagnostics)
 
-        # Step 2: lexical thread retrieval
+        # Lexical thread retrieval, then the thread-level antonym filter
         hits = bm25_search(self.thread_index, qc.bag, config.bm25_top)
-        candidates = [doc_id for doc_id, _ in hits]
+        candidates = [self.threads[t] for t, _ in hits]
         counts["bm25_threads"] = len(candidates)
-
-        # Step 2b: thread-level antonym filter
         if config.filter_threads:
-            candidates = [t for t in candidates
-                          if qc.antonym_ctx.score(self._thread_bags(t)["antonym"]) == 0]
+            candidates = [t for t in candidates if qc.antonym_ctx.score(
+                t.question.title_bag.keys() | t.question.body_bag.keys()) == 0]
         counts["after_thread_filter"] = len(candidates)
 
-        # Stage 1: similarity features only
-        stage1_weights = {f: config.thread_weights[f] for f in ft.THREAD_SIMILARITY_FEATURES}
-        raws = [self._thread_raw_features(qc, t, 1, config) for t in candidates]
-        fused = ft.normalize_and_fuse(raws, stage1_weights)
-        ranked = sorted(zip(candidates, fused), key=lambda e: (-e[1][1], e[0]))
-        candidates = [t for t, _ in ranked[:config.stage1_keep]]
-        counts["stage1_kept"] = len(candidates)
+        # Stage 1: the four similarity features
+        clamp = config.clamp_negative_cosine
+        raws = [self._similarity_features(qc, t, clamp) for t in candidates]
+        weights = {f: config.thread_weights[f] for f in ft.THREAD_SIMILARITY_FEATURES}
+        stage1 = _rank([t.question.id for t in candidates], raws, weights,
+                       config.stage1_keep)
+        counts["stage1_kept"] = len(stage1)
 
-        # Stage 2: all seven thread features
-        raws = [self._thread_raw_features(qc, t, 2, config) for t in candidates]
-        fused = ft.normalize_and_fuse(raws, config.thread_weights)
-        ranked = sorted(zip(candidates, fused), key=lambda e: (-e[1][1], e[0]))
-        ranked = ranked[:config.stage2_keep]
-        thread_scores = {t: score for t, (_, score) in ranked}
-        counts["stage2_kept"] = len(ranked)
-        diagnostics["thread_features"] = {t: fv.raw for t, (fv, _) in ranked}
+        # Stage 2: the stage-1 values plus the three social features
+        raws = []
+        for thread_id, fv, _ in stage1:
+            thread = self.threads[thread_id]
+            raws.append(dict(fv.raw, answer_count=float(thread.answer_count),
+                             total_answer_score=float(thread.total_answer_score),
+                             question_score=float(thread.question_score)))
+        stage2 = _rank([t for t, _, _ in stage1], raws, config.thread_weights,
+                       config.stage2_keep)
+        counts["stage2_kept"] = len(stage2)
+        diagnostics["thread_features"] = {t: fv.raw for t, fv, _ in stage2}
+        thread_scores = {t: score for t, _, score in stage2}
 
-        # Steps 5-7: ephemeral answer index and lexical answer retrieval
-        surviving = [self.threads[t] for t, _ in ranked]
-        answer_meta: dict[int, tuple[int, int]] = {}  # answer_id -> (thread_id, idx)
-        for thread in surviving:
-            for i, answer in enumerate(thread.answers):
-                answer_meta[answer.id] = (thread.question.id, i)
-        answer_index = build_ephemeral_answer_index(surviving)
-        answer_hits = bm25_search(answer_index, qc.bag, config.answer_k)
-        answer_ids = [a for a, _ in answer_hits]
+        # Ephemeral answer index and lexical answer retrieval
+        surviving = [self.threads[t] for t, _, _ in stage2]
+        located = {a.id: (thread, a) for thread in surviving for a in thread.answers}
+        hits = bm25_search(build_ephemeral_answer_index(surviving), qc.bag, config.answer_k)
+        answer_ids = [a for a, _ in hits]
+        if not answer_ids and located:
+            # Every query term the answers hold is in all of them, so its idf
+            # is log10(N/N) = 0 (a single surviving answer is the usual case):
+            # the answer features alone rank the surviving answers.
+            answer_ids = list(located)[:config.answer_k]
+            diagnostics["answer_bm25_fallback"] = True
         counts["bm25_answers"] = len(answer_ids)
 
-        # Step 7b: answer-level antonym filter
+        # Answer-level antonym filter
         if config.filter_answers:
-            answer_ids = [a for a in answer_ids
-                          if qc.antonym_ctx.score(
-                              _answer_antonym_bag(self.threads[answer_meta[a][0]],
-                                                  answer_meta[a][1])) == 0]
+            kept = []
+            for a in answer_ids:
+                thread, answer = located[a]
+                words = (thread.question.title_bag.keys() | answer.body_bag.keys()
+                         | answer.code_bag.keys())
+                if qc.antonym_ctx.score(words) == 0:
+                    kept.append(a)
+            answer_ids = kept
         counts["after_answer_filter"] = len(answer_ids)
 
-        # Step 8: answer features
-        method_input = []
-        for a in answer_ids:
-            thread = self.threads[answer_meta[a][0]]
-            method_input.append((a, thread.answers[answer_meta[a][1]].code_text))
-        method_scores = ft.top_method_score(method_input, config.method_scale)
-
+        # Answer features, fusion and the final cut
+        method_scores = ft.top_method_score(
+            [(a, located[a][1].code_text) for a in answer_ids], config.method_scale)
         raws = []
         for a in answer_ids:
-            thread_id, idx = answer_meta[a]
-            thread = self.threads[thread_id]
-            answer = thread.answers[idx]
-            asym_bag = Counter(answer.body_bag)
-            asym_bag.update(thread.question.title_bag)
-            tfidf_bag = Counter(thread.question.title_bag)
-            tfidf_bag.update(thread.question.body_bag)
-            tfidf_bag.update(answer.body_bag)
-            tfidf_bag.update(answer.code_bag)
+            thread, answer = located[a]
+            words = answer.body_bag.keys() | thread.question.title_bag.keys()
             raws.append({
-                "asym": asym_score(qc.bag, asym_bag, self.store, self.idf_map,
-                                   config.clamp_negative_cosine),
-                "tfidf": ft.tfidf_score(qc.bag, tfidf_bag, self.idf_map),
+                "asym": asym_score(qc.bag, words, self.store, self.idf_map, clamp),
+                "tfidf": ft.tfidf_score(qc.bag, answer_document_bag(thread, answer),
+                                        self.idf_map),
                 "top_method": method_scores[a],
-                "thread_score": thread_scores[thread_id],
+                "thread_score": thread_scores[thread.question.id],
             })
-        fused = ft.normalize_and_fuse(raws, config.answer_weights)
-
-        # Step 9: final ranking and cut
-        final = sorted(zip(answer_ids, fused), key=lambda e: (-e[1][1], e[0]))
         entries = []
-        for a, (fv, score) in final[:max(final_n, 0)]:
-            thread_id, idx = answer_meta[a]
-            thread = self.threads[thread_id]
+        for a, fv, score in _rank(answer_ids, raws, config.answer_weights, max(final_n, 0)):
+            thread, answer = located[a]
             entries.append(ResultEntry(
                 answer_id=a,
-                thread_id=thread_id,
+                thread_id=thread.question.id,
                 score=score,
-                answer_body=thread.answers[idx].original_body,
+                answer_body=answer.original_body,
                 thread_title=thread.question.original_title,
                 features=fv,
             ))

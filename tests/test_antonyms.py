@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from crowdrank.antonyms import (AntonymQueryContext, MergeStats, antonyms_score,
+from crowdrank.antonyms import (AntonymQueryContext, MergeStats,
                                 default_dictionary, merge_lists, save_dictionary,
                                 suffix_pos_tags)
 
@@ -99,19 +99,19 @@ class TestAntonymContext:
 class TestAntonymsScore:
     def test_single_hit(self):
         ctx = AntonymQueryContext(antonyms=frozenset({"empty"}))
-        assert antonyms_score(ctx, {"empty", "array", "code"}) == 1
+        assert ctx.score({"empty", "array", "code"}) == 1
 
     def test_self_antonymous_zero(self):
         ctx = AntonymQueryContext(antonyms=frozenset({"empty"}), self_antonymous=True)
-        assert antonyms_score(ctx, {"empty"}) == 0
+        assert ctx.score({"empty"}) == 0
 
     def test_two_hits(self):
         ctx = AntonymQueryContext(antonyms=frozenset({"empty", "drain"}))
-        assert antonyms_score(ctx, {"empty", "drain", "other"}) == 2
+        assert ctx.score({"empty", "drain", "other"}) == 2
 
     @given(st.sets(st.sampled_from(["a", "b", "c", "d", "e"])),
            st.sets(st.sampled_from(["a", "b", "c", "d", "e"])))
     def test_monotone_and_bounded(self, small, extra):
         ctx = AntonymQueryContext(antonyms=frozenset({"a", "c", "e"}))
-        assert antonyms_score(ctx, small) <= antonyms_score(ctx, small | extra)
-        assert antonyms_score(ctx, small | extra) <= len(ctx.antonyms)
+        assert ctx.score(small) <= ctx.score(small | extra)
+        assert ctx.score(small | extra) <= len(ctx.antonyms)

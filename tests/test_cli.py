@@ -43,6 +43,24 @@ class TestBuildIndex:
         assert "threads indexed: 30" in out
         assert "vocabulary size:" in out
 
+    def test_report_prints_every_load_and_build_stat(self, tmp_path, capsys):
+        corpus = tmp_path / "dump.jsonl"
+        synth.write_jsonl(corpus, [
+            synth.question(1, "parse json", "how", 5),
+            synth.answer(2, 1, "use <code>parse(x)</code>", 3),
+            synth.answer(3, 1, "no code here", 3),
+            synth.question(4, "script", "how", 5, tags=("javascript",)),
+            synth.answer(5, 4, "use <code>f(x)</code>", 3),
+            synth.question(6, "negative", "how", -1),
+        ])
+        assert main(["build-index", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "idx")]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[2:10] == ["load warnings: 0", "load questions: 2", "load answers: 2",
+                             "load dropped questions: 1", "load dropped answers: 1",
+                             "build orphan answers: 0", "build dropped questions: 1",
+                             "build dropped answers: 1"]
+
 
 class TestSearch:
     def test_text_output(self, workspace, capsys):
@@ -82,6 +100,24 @@ class TestSearch:
                      "--index-dir", str(workspace["index"]),
                      "--config", str(config_path)])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("line, named", [
+        ("thread_weight.tff=0.3", "'tff'"),
+        ("antonym_pos_mode=XX", "'XX'"),
+        (None, "No such file"),
+    ])
+    def test_bad_config_file_is_a_usage_error(self, workspace, tmp_path, capsys,
+                                              line, named):
+        config_path = tmp_path / "weights.cfg"
+        if line is not None:
+            config_path.write_text(line + "\n")
+        code = main(["search", workspace["queries"][1],
+                     "--index-dir", str(workspace["index"]),
+                     "--config", str(config_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
 
 
 class TestEvaluate:

@@ -62,6 +62,17 @@ class TestWeightConfig:
         with pytest.raises(ValueError):
             WeightConfig.load(path)
 
+    @pytest.mark.parametrize("line, named", [
+        ("thread_weight.tff=0.3", "'tff'"),
+        ("answer_weight.asymm=1.0", "'asymm'"),
+        ("antonym_pos_mode=XX", "'XX'"),
+    ])
+    def test_load_rejects_unknown_feature_or_pos_mode(self, tmp_path, line, named):
+        path = tmp_path / "weights.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=named):
+            WeightConfig.load(path)
+
 
 class TestTfScore:
     def test_fixture(self):

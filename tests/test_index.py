@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import synth
+from crowdrank.artifacts import build_artifacts, load_engine
 from crowdrank.corpus import RawPost, build_threads
 from crowdrank.index import (InvertedIndex, answer_document_bag, bm25_search,
                              build_ephemeral_answer_index, build_index,
@@ -111,10 +112,30 @@ class TestDocumentBags:
         assert "readvalue" in bag        # answer code
 
     def test_answer_bag_includes_parent_question(self):
-        bag = answer_document_bag(self.thread(), 0)
+        thread = self.thread()
+        bag = answer_document_bag(thread, thread.answers[0])
         assert "jackson" in bag and "readvalue" in bag
         assert "parse" in bag            # parent title
         assert "question" in bag         # parent body
+
+    def test_question_code_counts_for_idf_but_not_for_bm25(self, tmp_path):
+        # "qonlyword" appears only in the question's code.
+        corpus = tmp_path / "dump.jsonl"
+        synth.write_jsonl(corpus, [
+            synth.question(1, "parse json", "see <code>qonlyword(x)</code>", 5),
+            synth.answer(2, 1, "use <code>mapper.read(json)</code>", 3),
+            synth.question(3, "format date", "how to format", 5),
+            synth.answer(4, 3, "use <code>fmt.format(d)</code>", 3),
+        ])
+        build_artifacts(corpus, tmp_path / "index")
+        engine = load_engine(tmp_path / "index")
+        thread = engine.threads[1]
+        assert "qonlyword" in thread.question.code_bag
+        assert "qonlyword" not in thread_document_bag(thread)
+        assert bm25_search(engine.thread_index, ["qonlyword"], 10) == []
+        assert engine.idf_map.df["qonlyword"] == 1
+        contents = (tmp_path / "index" / "contents.txt").read_text().splitlines()
+        assert "qonlyword" in contents[0].split()
 
     def test_ephemeral_index_covers_all_answers(self):
         thread = self.thread()

@@ -34,6 +34,7 @@ class TestSearch:
         for query_id, text in queries.items():
             result = engine.search(text, config)
             assert result.answer_ids()[0] == relevant[query_id]
+            assert "answer_bm25_fallback" not in result.diagnostics
 
     def test_stage_count_keys(self, planted):
         engine, queries, _ = planted
@@ -87,6 +88,41 @@ class TestSearch:
         assert entry.thread_title
         assert set(entry.features.normalized) == {"asym", "tfidf", "top_method",
                                                   "thread_score"}
+
+
+class TestAnswerBm25Fallback:
+    def test_single_surviving_answer_is_returned(self):
+        # One surviving answer: answer BM25 has N = df = 1, so idf = 0 for
+        # every query term and BM25 scores nothing.
+        engine = make_engine([
+            synth.question(10, "unzip archive", "how to unzip an archive", 5),
+            synth.answer(11, 10, "read each entry <code>archive.extract(dir)</code>", 3),
+            synth.question(20, "parse date string", "format a date", 5),
+            synth.answer(21, 20, "use a formatter <code>fmt.parse(s)</code>", 3),
+        ])
+        result = engine.search("unzip archive", configure_ablation("crar"))
+        assert result.answer_ids() == [11]
+        assert result.diagnostics["answer_bm25_fallback"] is True
+        counts = result.diagnostics["stage_counts"]
+        assert (counts["stage2_kept"], counts["bm25_answers"], counts["returned"]) == (1, 1, 1)
+
+    def test_fallback_keeps_thread_then_answer_order_up_to_answer_k(self):
+        # The query words are only in the two matching questions, so every
+        # surviving answer's document holds them.
+        engine = make_engine([
+            synth.question(30, "unzip archive", "how to unzip an archive", 5),
+            synth.question(40, "unzip archive files", "unzip archive please", 1),
+            synth.question(50, "parse date string", "format a date", 5),
+            *(synth.answer(aid, aid // 10 * 10, f"try <code>m{aid}(x)</code>", 2)
+              for aid in (31, 32, 41, 42, 51)),
+        ])
+        result = engine.search("unzip archive", WeightConfig(answer_k=3))
+        stage2_order = list(result.diagnostics["thread_features"])
+        assert sorted(stage2_order) == [30, 40]
+        expected = [a.id for t in stage2_order for a in engine.threads[t].answers][:3]
+        assert result.diagnostics["answer_bm25_fallback"] is True
+        assert result.diagnostics["stage_counts"]["bm25_answers"] == 3
+        assert sorted(result.answer_ids()) == sorted(expected)
 
 
 class TestAntonymFilter:
