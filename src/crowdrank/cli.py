@@ -128,7 +128,7 @@ def cmd_search(args) -> int:
 def cmd_evaluate(args) -> int:
     try:
         truth = GroundTruth.load(args.truth)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: bad ground-truth file: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
     baselines = args.baselines.split(",") if args.baselines else ["crar"]

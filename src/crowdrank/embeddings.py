@@ -166,53 +166,52 @@ def sentence_embed(bag: Mapping[str, int], store: EmbeddingStore, idf_map: IdfMa
     return total / weight_sum
 
 
-def _sim_to_bag(word: str, target: Iterable[str], store: EmbeddingStore,
-                clamp_negative: bool) -> float:
-    """max cosine between `word` and any word of `target`; identical word is 1."""
-    vec = store.word_vector(word)
-    if vec is None:
-        return 0.0
-    best = 0.0 if clamp_negative else -1.0
-    hit = False
-    for other in target:
-        if other == word:
-            return 1.0
-        ovec = store.word_vector(other)
-        if ovec is None:
-            continue
-        hit = True
-        sim = cosine(vec, ovec)
-        if clamp_negative and sim < 0.0:
-            sim = 0.0
-        best = max(best, sim)
-    return best if hit else 0.0
+def _unit_rows(vectors: list[np.ndarray]) -> np.ndarray:
+    """The vectors as rows scaled to unit norm; a zero vector stays zero."""
+    rows = np.array(vectors, dtype=np.float64)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return np.divide(rows, norms, out=rows, where=norms > 0.0)
+
+
+def _idf_mean(words: list[str], sims: np.ndarray, idf_map: IdfMap) -> float:
+    weights = np.array([idf_map.idf(word) for word in words])
+    return float((sims * weights).sum() / total) if (total := weights.sum()) else 0.0
+
+
+def _relevances(a: list[str], b: list[str], store: EmbeddingStore, idf_map: IdfMap,
+                clamp_negative: bool) -> tuple[float, float]:
+    """Relevance of `a` to `b` and of `b` to `a` (sorted, distinct words) from one matrix.
+
+    A word scores its best cosine, floored at 0 or -1, against the other side's
+    words that have a vector; an identical word scores exactly 1. A word with
+    no vector, or facing none, scores 0 but keeps its idf weight.
+    """
+    vecs_a, vecs_b = ([store.word_vector(word) for word in words] for words in (a, b))
+    rows, cols = ([i for i, v in enumerate(vecs) if v is not None] for vecs in (vecs_a, vecs_b))
+    best_a, best_b = np.zeros(len(a)), np.zeros(len(b))
+    if rows and cols:
+        sims = _unit_rows([vecs_a[i] for i in rows]) @ _unit_rows([vecs_b[j] for j in cols]).T
+        np.clip(sims, 0.0 if clamp_negative else -1.0, 1.0, out=sims)
+        col_of = {b[j]: c for c, j in enumerate(cols)}
+        for r, c in [(r, col_of[a[i]]) for r, i in enumerate(rows) if a[i] in col_of]:
+            sims[r, c] = 1.0
+        best_a[rows] = sims.max(axis=1)
+        best_b[cols] = sims.max(axis=0)
+    return _idf_mean(a, best_a, idf_map), _idf_mean(b, best_b, idf_map)
 
 
 def asym(query_bag: Iterable[str], target_bag: Iterable[str], store: EmbeddingStore,
          idf_map: IdfMap, clamp_negative: bool = True) -> float:
     """IDF-weighted mean of each query word's best embedding match in the target."""
-    query = set(query_bag)
-    target = set(target_bag)
-    if not query:
-        return 0.0
-    numerator = 0.0
-    denominator = 0.0
-    for word in sorted(query):
-        w = idf_map.idf(word)
-        numerator += _sim_to_bag(word, target, store, clamp_negative) * w
-        denominator += w
-    if denominator == 0.0:
-        return 0.0
-    return numerator / denominator
+    return _relevances(sorted(set(query_bag)), sorted(set(target_bag)), store, idf_map,
+                       clamp_negative)[0]
 
 
 def asym_score(bag_a: Iterable[str], bag_b: Iterable[str], store: EmbeddingStore,
                idf_map: IdfMap, clamp_negative: bool = True) -> float:
-    """Harmonic mean of the two directional relevance scores; symmetric by construction."""
-    a = set(bag_a)
-    b = set(bag_b)
-    forward = asym(a, b, store, idf_map, clamp_negative)
-    backward = asym(b, a, store, idf_map, clamp_negative)
+    """Harmonic mean of both directions; operands are ordered first, so a swap keeps the bits."""
+    a, b = sorted([sorted(set(bag_a)), sorted(set(bag_b))])
+    forward, backward = _relevances(a, b, store, idf_map, clamp_negative)
     if forward == 0.0 or backward == 0.0:
         return 0.0
     return 2.0 * forward * backward / (forward + backward)

@@ -30,13 +30,23 @@ class GroundTruth:
 
     @classmethod
     def load(cls, path: str | Path) -> "GroundTruth":
+        """Read a ground-truth file; ValueError names the first malformed line."""
         truth = cls()
-        for line in Path(path).read_text("utf-8").splitlines():
+        for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
             if not line.strip():
                 continue
             obj = json.loads(line)
-            truth.add(int(obj["query_id"]), str(obj["query_text"]),
-                      obj["relevant_answer_ids"])
+            if not (isinstance(obj, dict) and isinstance(obj.get("relevant_answer_ids"), list)):
+                raise ValueError(f"{path}:{lineno}: expected an object with a "
+                                 "relevant_answer_ids list")
+            try:
+                truth.add(int(obj["query_id"]), str(obj["query_text"]),
+                          obj["relevant_answer_ids"])
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad ground-truth entry: "
+                                 f"{type(exc).__name__} {exc}") from None
+        if not truth.entries:
+            raise ValueError(f"{path}: no ground-truth entries")
         return truth
 
 

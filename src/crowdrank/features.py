@@ -69,14 +69,17 @@ class WeightConfig:
             if unknown:
                 raise ValueError(f"unknown {kind} weights: {sorted(unknown)}; "
                                  f"valid names: {', '.join(names)}")
-            if any(w < 0 for w in weights.values()):
-                raise ValueError(f"{kind} weights must be >= 0")
+            for name, w in weights.items():
+                if not (math.isfinite(w) and w >= 0):
+                    raise ValueError(f"{kind} weight {name!r} must be finite and >= 0, "
+                                     f"got {w!r}")
         if not (self.bm25_top >= self.stage1_keep >= self.stage2_keep > 0):
             raise ValueError("funnel thresholds must be positive and non-increasing")
         if self.answer_k <= 0:
             raise ValueError("answer_k must be positive")
-        if self.method_scale <= 0:
-            raise ValueError("method_scale must be positive")
+        if not (math.isfinite(self.method_scale) and self.method_scale > 0):
+            raise ValueError("method_scale must be finite and positive, "
+                             f"got {self.method_scale!r}")
         if self.antonym_targets not in ANTONYM_TARGET_MODES:
             raise ValueError(f"bad antonym_targets {self.antonym_targets!r}")
         if self.antonym_pos_mode not in POS_MODES:
@@ -163,7 +166,8 @@ def tfidf_score(bag_q: Mapping[str, int], bag_a: Mapping[str, int], idf_map: Idf
         return 0.0
     wq = {w: c * idf_map.idf(w) for w, c in bag_q.items()}
     wa = {w: c * idf_map.idf(w) for w, c in bag_a.items()}
-    dot = sum(wq[w] * wa[w] for w in wq.keys() & wa.keys())
+    # Query order, not set order: the float sum must not depend on the hash seed.
+    dot = sum(wq[w] * wa[w] for w in wq if w in wa)
     norm_q = math.sqrt(sum(v * v for v in wq.values()))
     norm_a = math.sqrt(sum(v * v for v in wa.values()))
     if norm_q == 0.0 or norm_a == 0.0:

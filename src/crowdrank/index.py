@@ -34,7 +34,8 @@ class IndexStats:
 
 
 class InvertedIndex:
-    """postings: term -> [(doc_id, tf)] sorted by doc_id; doc_len: id -> |T|."""
+    """postings: term -> [(doc_id, tf)] in the order documents were added
+    (`build_index` adds them by ascending doc_id); doc_len: id -> |T|."""
 
     def __init__(self, k: float = DEFAULT_K, b: float = DEFAULT_B):
         self.postings: dict[str, list[tuple[int, int]]] = {}
@@ -55,10 +56,6 @@ class InvertedIndex:
         self._total_len += length
         self.stats.avgdl = self._total_len / self.stats.n_docs
 
-    def finalize(self) -> None:
-        for plist in self.postings.values():
-            plist.sort(key=lambda e: e[0])
-
 
 def build_index(docs: Mapping[int, Mapping[str, int]], k: float = DEFAULT_K,
                 b: float = DEFAULT_B) -> InvertedIndex:
@@ -66,7 +63,6 @@ def build_index(docs: Mapping[int, Mapping[str, int]], k: float = DEFAULT_K,
     index = InvertedIndex(k=k, b=b)
     for doc_id in sorted(docs):
         index.add_document(doc_id, docs[doc_id])
-    index.finalize()
     return index
 
 

@@ -31,6 +31,9 @@ class QueryContext:
     bag: Counter
     antonym_ctx: AntonymQueryContext
     sentence_vec: np.ndarray
+    # Query words outside the corpus vocabulary and the word cache: their
+    # fallback vectors serve one search only.
+    novel_words: list[str]
 
 
 @dataclass
@@ -85,9 +88,11 @@ class SearchEngine:
 
     def make_query_context(self, query: str, config: ft.WeightConfig) -> QueryContext:
         bag = preprocess(query, "query", self.stopwords)
+        novel = [w for w in bag if w not in self.idf_map.df and w not in self.store.word_vecs]
         ctx = self.antonym_dict.context(set(bag), config.antonym_pos_mode)
         vec = sentence_embed(bag, self.store, self.idf_map)
-        return QueryContext(raw_query=query, bag=bag, antonym_ctx=ctx, sentence_vec=vec)
+        return QueryContext(raw_query=query, bag=bag, antonym_ctx=ctx, sentence_vec=vec,
+                            novel_words=novel)
 
     def _similarity_features(self, qc: QueryContext, thread: Thread,
                              clamp: bool) -> dict[str, float]:
@@ -106,10 +111,19 @@ class SearchEngine:
                final_n: int | None = None) -> SearchResult:
         config = config or ft.WeightConfig()
         final_n = config.final_n if final_n is None else final_n
+        qc = self.make_query_context(query, config)
+        try:
+            return self._funnel(qc, config, final_n)
+        finally:
+            # The store cached the novel words' fallback vectors for this
+            # search; dropping them keeps the cache within the corpus vocabulary.
+            for word in qc.novel_words:
+                self.store.word_vecs.pop(word, None)
+
+    def _funnel(self, qc: QueryContext, config: ft.WeightConfig,
+                final_n: int) -> SearchResult:
         diagnostics: dict = {"stage_counts": {}}
         counts = diagnostics["stage_counts"]
-
-        qc = self.make_query_context(query, config)
         if not qc.bag:
             diagnostics["empty_query"] = True
             return SearchResult(entries=[], diagnostics=diagnostics)

@@ -1,9 +1,22 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import synth
 from crowdrank.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
+from crowdrank.features import WeightConfig
+
+# Text a file can hold: any code point but the surrogates.
+TEXT_ST = st.text(st.characters(exclude_categories=("Cs",)), max_size=30)
+CONFIG_VALUE_ST = st.one_of(
+    TEXT_ST,
+    st.floats().map(repr),
+    st.integers(-3, 600).map(str),
+    st.sampled_from(["true", "false", "NN", "VB", "NN_VB", "TR", "ANS", "TR_ANS"]))
+CONFIG_LINE_ST = st.one_of(
+    TEXT_ST,
+    st.tuples(st.sampled_from(sorted(WeightConfig().to_flat())), CONFIG_VALUE_ST).map("=".join))
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +117,8 @@ class TestSearch:
     @pytest.mark.parametrize("line, named", [
         ("thread_weight.tff=0.3", "'tff'"),
         ("antonym_pos_mode=XX", "'XX'"),
+        ("thread_weight.sentence=nan", "'sentence'"),
+        ("answer_weight.asym=inf", "'asym'"),
         (None, "No such file"),
     ])
     def test_bad_config_file_is_a_usage_error(self, workspace, tmp_path, capsys,
@@ -118,6 +133,21 @@ class TestSearch:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err
+
+
+class TestSearchProperties:
+    """Any query and any config file: a result or one error, never a traceback."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(query=TEXT_ST, planted=st.booleans(), lines=st.lists(CONFIG_LINE_ST, max_size=6))
+    def test_exit_code_is_0_1_or_2(self, workspace, query, planted, lines):
+        if planted:  # words that fill the funnel
+            query = f"{workspace['queries'][1]} {query}"
+        config_path = workspace["root"] / "property.cfg"
+        config_path.write_text("\n".join(lines) + "\n", "utf-8")
+        code = main(["search", "--index-dir", str(workspace["index"]),
+                     "--config", str(config_path), "--json", "--", query])
+        assert code in (EXIT_OK, EXIT_DATA_ERROR, EXIT_USAGE)
 
 
 class TestEvaluate:
@@ -143,6 +173,26 @@ class TestEvaluate:
         code = main(["evaluate", "--index-dir", str(workspace["index"]),
                      "--truth", str(workspace["truth"]), "--baselines", "wat"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("text, named", [
+        (None, "No such file"),
+        ('{"query_id": 1, "query_text": "q", "relevant_answer_ids": 5}', ":1:"),
+        ('{"query_id": 1, "query_text": "q", "relevant_answer_ids": [1]}\n[1, 2]', ":2:"),
+        ('{"query_id": 1, "relevant_answer_ids": [1]}', "query_text"),
+        ('{"query_id": 1, "query_text": "q", "relevant_answer_ids": [null]}', ":1:"),
+        ("\n", "no ground-truth entries"),
+    ])
+    def test_malformed_truth_file_is_a_data_error(self, workspace, tmp_path, capsys,
+                                                  text, named):
+        truth = tmp_path / "truth.jsonl"
+        if text is not None:
+            truth.write_text(text + "\n")
+        code = main(["evaluate", "--index-dir", str(workspace["index"]),
+                     "--truth", str(truth), "-o", str(tmp_path / "report.csv")])
+        assert code == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert len(err.splitlines()) == 1
 
 
 class TestMergeAntonyms:

@@ -203,3 +203,58 @@ class TestAsym:
         g = asym(b, a, store, idf)
         expected = 2.0 * f * g / (f + g)
         assert asym_score(a, b, store, idf) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.fixture()
+    def sparse_store(self, store):
+        # No fallback: w8-w11 have no vector, w7 has a zero vector.
+        sparse = EmbeddingStore(dim=16, fallback=False)
+        sparse.word_vecs = {f"w{i}": store.word_vector(f"w{i}") for i in range(7)}
+        sparse.word_vecs["w7"] = np.zeros(16)
+        return sparse
+
+    @pytest.mark.parametrize("q, t", [
+        ({"w1", "w8"}, {"w2", "w9"}),         # words with no vector on both sides
+        ({"w8", "w1"}, {"w8", "w3"}),         # identical word with no vector
+        ({"w7", "w2"}, {"w7", "w4"}),         # identical zero vector scores 1
+        ({"w7", "w5"}, {"w1", "w6"}),         # zero vector faces real ones
+        ({"w0", "w3"}, {"w7"}),               # only a zero vector to match
+        ({"w2", "w4"}, {"w9", "w10", "w11"}), # no target vector at all
+        ({"w10", "w11"}, {"w1", "w2"}),       # no query vector at all
+    ])
+    def test_missing_and_zero_vectors_match_oracle(self, sparse_store, idf, q, t):
+        vectors = {w: list(v) for w, v in sparse_store.word_vecs.items()}
+        forward = synth.asym_oracle(q, t, vectors, idf.idf)
+        backward = synth.asym_oracle(t, q, vectors, idf.idf)
+        assert asym(q, t, sparse_store, idf) == pytest.approx(forward, abs=1e-12)
+        expected = 2.0 * forward * backward / (forward + backward) if forward and backward else 0.0
+        assert asym_score(q, t, sparse_store, idf) == pytest.approx(expected, abs=1e-12)
+        assert asym_score(t, q, sparse_store, idf) == asym_score(q, t, sparse_store, idf)
+
+    def test_unclamped_negative_cosines(self):
+        # cos(a,b) = -0.28, cos(d,b) = -0.96; idf(a) = 1, idf(d) = 2.
+        store = EmbeddingStore(dim=2, fallback=False)
+        store.word_vecs = {"a": np.array([1.0, 0.0]), "d": np.array([0.0, 2.0]),
+                           "b": np.array([-0.28, -0.96])}
+        idf = IdfMap({"a": 10, "d": 1, "b": 10}, 100)
+        forward = (-0.28 * 1.0 - 0.96 * 2.0) / 3.0
+        backward = -0.28  # b's best match is a
+        assert asym({"a", "d"}, {"b"}, store, idf, clamp_negative=False) == pytest.approx(
+            forward, abs=1e-12)
+        assert asym({"b"}, {"a", "d"}, store, idf, clamp_negative=False) == pytest.approx(
+            backward, abs=1e-12)
+        assert asym_score({"a", "d"}, {"b"}, store, idf, clamp_negative=False) == pytest.approx(
+            2.0 * forward * backward / (forward + backward), abs=1e-12)
+        assert asym({"a", "d"}, {"b"}, store, idf) == 0.0
+
+    def test_unclamped_without_target_vectors_is_zero(self):
+        store = EmbeddingStore(dim=2, fallback=False)
+        store.word_vecs = {"a": np.array([1.0, 0.0])}
+        idf = IdfMap({"a": 10}, 100)
+        assert asym({"a"}, {"ghost"}, store, idf, clamp_negative=False) == 0.0
+        assert asym({"a", "ghost"}, {"ghost"}, store, idf, clamp_negative=False) == 0.0
+        assert asym({"a"}, set(), store, idf, clamp_negative=False) == 0.0
+        assert asym_score({"a"}, {"ghost"}, store, idf, clamp_negative=False) == 0.0
+
+    def test_returns_python_floats(self, store, idf):
+        assert type(asym({"w1"}, {"w2", "w3"}, store, idf)) is float
+        assert type(asym_score({"w1", "w4"}, {"w2", "w3"}, store, idf)) is float

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import crowdrank
 import synth
 from crowdrank.embeddings import IdfMap
 from crowdrank.features import (ANSWER_FEATURES, THREAD_FEATURES, FeatureVector,
@@ -66,6 +71,11 @@ class TestWeightConfig:
         ("thread_weight.tff=0.3", "'tff'"),
         ("answer_weight.asymm=1.0", "'asymm'"),
         ("antonym_pos_mode=XX", "'XX'"),
+        ("thread_weight.sentence=nan", "'sentence'"),
+        ("answer_weight.asym=inf", "'asym'"),
+        ("thread_weight.tf=-inf", "'tf'"),
+        ("method_scale=nan", "method_scale"),
+        ("method_scale=inf", "method_scale"),
     ])
     def test_load_rejects_unknown_feature_or_pos_mode(self, tmp_path, line, named):
         path = tmp_path / "weights.cfg"
@@ -107,6 +117,21 @@ class TestTfidfScore:
         idf = IdfMap({f"w{i}": i + 1 for i in range(10)}, 50)
         assert tfidf_score(q, t, idf) == pytest.approx(
             synth.tfidf_oracle(q, t, idf.idf), abs=1e-9)
+
+    def test_bits_do_not_depend_on_the_hash_seed(self):
+        script = ("from crowdrank.embeddings import IdfMap\n"
+                  "from crowdrank.features import tfidf_score\n"
+                  "words = [f'w{i}' for i in range(200)]\n"
+                  "idf = IdfMap({w: i * 37 % 991 + 1 for i, w in enumerate(words)}, 1000)\n"
+                  "q = {w: i * 13 % 29 + 1 for i, w in enumerate(words)}\n"
+                  "a = {w: i * 7 % 23 + 1 for i, w in enumerate(words)}\n"
+                  "print(repr(tfidf_score(q, a, idf)))\n")
+        src = str(Path(crowdrank.__file__).parent.parent)
+        outputs = {subprocess.run([sys.executable, "-c", script], check=True, text=True,
+                                  capture_output=True,
+                                  env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src),
+                                  ).stdout for seed in range(4)}
+        assert len(outputs) == 1
 
 
 class TestQuestionScoreLadder:

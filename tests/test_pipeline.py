@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import synth
+from crowdrank import embeddings
 from crowdrank.antonyms import default_dictionary
 from crowdrank.artifacts import build_idf
 from crowdrank.corpus import RawPost, build_threads
@@ -88,6 +90,38 @@ class TestSearch:
         assert entry.thread_title
         assert set(entry.features.normalized) == {"asym", "tfidf", "top_method",
                                                   "thread_score"}
+
+
+class TestWordCache:
+    def test_novel_query_words_leave_the_cache(self, planted):
+        engine, queries, _ = planted
+        engine.search(queries[1], WeightConfig())
+        size = len(engine.store.word_vecs)
+        for i in range(20):
+            engine.search(f"{queries[1]} novelword{i}", WeightConfig())
+        assert len(engine.store.word_vecs) == size
+        assert set(engine.store.word_vecs) <= set(engine.idf_map.df)
+
+    def test_novel_query_word_is_embedded_once_per_search(self, planted, monkeypatch):
+        engine, queries, _ = planted
+        calls = []
+        original = embeddings.fallback_embed
+        monkeypatch.setattr(embeddings, "fallback_embed",
+                            lambda word, *args: calls.append(word) or original(word, *args))
+        for _ in range(2):
+            engine.search(f"{queries[1]} novelword", WeightConfig())
+        novel = [w for w in calls if w not in engine.idf_map.df]
+        assert len(novel) == 2 and len(set(novel)) == 1
+
+    def test_loaded_vectors_outside_the_corpus_stay(self, planted):
+        engine, queries, _ = planted
+        vec = np.ones(engine.store.dim)
+        engine.store.word_vecs["outsider"] = vec
+        try:
+            engine.search(f"{queries[1]} outsider", WeightConfig())
+            assert engine.store.word_vecs["outsider"] is vec
+        finally:
+            del engine.store.word_vecs["outsider"]
 
 
 class TestAnswerBm25Fallback:
