@@ -126,6 +126,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.k < 1:
+        print(f"error: -k must be at least 1, got {args.k}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         truth = GroundTruth.load(args.truth)
     except (OSError, ValueError) as exc:

@@ -15,8 +15,9 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -125,6 +126,8 @@ class IdfMap:
             raise ValueError("doc_count must be positive")
         self.df = dict(df)
         self.doc_count = doc_count
+        self._idf = {word: math.log10(doc_count / count) for word, count in self.df.items()}
+        self._unseen = math.log10(doc_count / 1)
 
     @classmethod
     def from_documents(cls, documents: Iterable[Iterable[str]]) -> "IdfMap":
@@ -136,7 +139,7 @@ class IdfMap:
         return cls(df, max(n, 1))
 
     def idf(self, word: str) -> float:
-        return math.log10(self.doc_count / self.df.get(word, 1))
+        return self._idf.get(word, self._unseen)
 
 
 def cosine(v1: np.ndarray, v2: np.ndarray) -> float:
@@ -166,52 +169,159 @@ def sentence_embed(bag: Mapping[str, int], store: EmbeddingStore, idf_map: IdfMa
     return total / weight_sum
 
 
-def _unit_rows(vectors: list[np.ndarray]) -> np.ndarray:
-    """The vectors as rows scaled to unit norm; a zero vector stays zero."""
-    rows = np.array(vectors, dtype=np.float64)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    return np.divide(rows, norms, out=rows, where=norms > 0.0)
+class WordMatrix:
+    """Sorted distinct words with their idf and unit-norm vectors, one row each.
 
-
-def _idf_mean(words: list[str], sims: np.ndarray, idf_map: IdfMap) -> float:
-    weights = np.array([idf_map.idf(word) for word in words])
-    return float((sims * weights).sum() / total) if (total := weights.sum()) else 0.0
-
-
-def _relevances(a: list[str], b: list[str], store: EmbeddingStore, idf_map: IdfMap,
-                clamp_negative: bool) -> tuple[float, float]:
-    """Relevance of `a` to `b` and of `b` to `a` (sorted, distinct words) from one matrix.
-
-    A word scores its best cosine, floored at 0 or -1, against the other side's
-    words that have a vector; an identical word scores exactly 1. A word with
-    no vector, or facing none, scores 0 but keeps its idf weight.
+    Rows are looked up in the store on first use (`fill`): a zero vector
+    stays a zero row, and a word the store has no vector for is left out of
+    `has_vector`. The asym kernel takes one matrix as its rows (the query)
+    and one as its columns (a target bag, or the whole corpus vocabulary).
     """
-    vecs_a, vecs_b = ([store.word_vector(word) for word in words] for words in (a, b))
-    rows, cols = ([i for i, v in enumerate(vecs) if v is not None] for vecs in (vecs_a, vecs_b))
-    best_a, best_b = np.zeros(len(a)), np.zeros(len(b))
-    if rows and cols:
-        sims = _unit_rows([vecs_a[i] for i in rows]) @ _unit_rows([vecs_b[j] for j in cols]).T
-        np.clip(sims, 0.0 if clamp_negative else -1.0, 1.0, out=sims)
-        col_of = {b[j]: c for c, j in enumerate(cols)}
-        for r, c in [(r, col_of[a[i]]) for r, i in enumerate(rows) if a[i] in col_of]:
-            sims[r, c] = 1.0
-        best_a[rows] = sims.max(axis=1)
-        best_b[cols] = sims.max(axis=0)
-    return _idf_mean(a, best_a, idf_map), _idf_mean(b, best_b, idf_map)
+
+    def __init__(self, words: list[str], store: EmbeddingStore, idf_map: IdfMap):
+        self.words = words
+        self.index = {word: i for i, word in enumerate(words)}
+        self.store = store
+        self.idf = np.array([idf_map.idf(word) for word in words], dtype=np.float64)
+        self.unit = np.zeros((len(words), store.dim))
+        self.has_vector = np.zeros(len(words), dtype=bool)
+        self._looked_up = np.zeros(len(words), dtype=bool)
+
+    @classmethod
+    def of(cls, words: Iterable[str], store: EmbeddingStore, idf_map: IdfMap) -> "WordMatrix":
+        """The distinct words, sorted, with every row looked up."""
+        matrix = cls(sorted(set(words)), store, idf_map)
+        matrix.fill(np.arange(len(matrix.words)))
+        return matrix
+
+    def fill(self, ids: np.ndarray) -> None:
+        """Look up the rows of `ids` that have not been looked up yet."""
+        new = ids[~self._looked_up[ids]]
+        if not new.size:
+            return
+        new = np.unique(new)
+        vecs = [self.store.word_vector(self.words[i]) for i in new.tolist()]
+        ok = np.array([v is not None for v in vecs], dtype=bool)
+        if ok.any():
+            rows = np.array([v for v in vecs if v is not None], dtype=np.float64)
+            norms = np.linalg.norm(rows, axis=1, keepdims=True)
+            self.unit[new[ok]] = np.divide(rows, norms, out=rows, where=norms > 0.0)
+        self.has_vector[new] = ok
+        self._looked_up[new] = True
+
+    def segments(self, docs: Sequence[Sequence[Collection[str]]],
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Each doc's distinct word ids, sorted, as one flat array and offsets.
+
+        A doc is a list of word collections (a title bag, or a body bag and
+        its answers' bags); doc `s` holds ids `flat[ptr[s]:ptr[s + 1]]`.
+        The rows of those ids are looked up.
+        """
+        lengths = [sum(map(len, parts)) for parts in docs]
+        words = chain.from_iterable(chain.from_iterable(docs))
+        try:
+            ids = np.fromiter(map(self.index.__getitem__, words), dtype=np.int64,
+                              count=sum(lengths))
+        except KeyError as exc:
+            raise ValueError(f"word {exc.args[0]!r} is not in the idf vocabulary") from None
+        size = len(self.words)
+        # A sort and a neighbour test: np.unique hashes first, which is slower here.
+        keys = np.sort(np.repeat(np.arange(len(docs), dtype=np.int64), lengths) * size + ids)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        ptr = np.searchsorted(keys, np.arange(len(docs) + 1, dtype=np.int64) * size)
+        flat = keys % size
+        self.fill(flat)
+        return flat, ptr
+
+
+def _segment_max(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Maximum of each segment of `values`; -inf for an empty segment."""
+    out = np.full(len(ptr) - 1, -np.inf)
+    nonempty = ptr[1:] > ptr[:-1]
+    if nonempty.any():
+        out[nonempty] = np.maximum.reduceat(values, ptr[:-1][nonempty])
+    return out
+
+
+def _weighted_means(best: np.ndarray, weights: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Weighted mean of `best` over each segment; 0 for no weight.
+
+    The numerator and the denominator are summed by one reduction in one
+    order, so a segment whose `best` values are all 1 gives exactly 1.
+    """
+    out = np.zeros(len(ptr) - 1)
+    nonempty = ptr[1:] > ptr[:-1]
+    if nonempty.any():
+        num, den = np.add.reduceat(np.stack([best * weights, weights]), ptr[:-1][nonempty],
+                                   axis=1)
+        out[nonempty] = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+    return out
+
+
+def asym_relevances(rows: WordMatrix, cols: WordMatrix, row_cols: np.ndarray,
+                    flat: np.ndarray, ptr: np.ndarray,
+                    clamp_negative: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Relevance of the row words to each segment of column words, and back.
+
+    Segment `s` is the sorted distinct column ids `flat[ptr[s]:ptr[s + 1]]`;
+    `row_cols[r]` is the column of row word `r`, or -1. A word scores its
+    best cosine, floored at 0 or -1, against the other side's words that
+    have a vector; an identical word scores exactly 1. A word with no
+    vector, or facing none, scores 0 but keeps its idf weight. Each
+    direction is an idf-weighted mean in word order.
+    """
+    # Only the columns a segment holds enter the product, so a call costs what
+    # the segments hold, not the size of `cols`; `local` renumbers them, and
+    # its extra last entry keeps a row_cols of -1 at -1.
+    used = np.flatnonzero(np.bincount(flat, minlength=len(cols.words)))
+    local = np.full(len(cols.words) + 1, -1)
+    local[used] = np.arange(len(used))
+    col_idf, flat, row_cols = cols.idf[flat], local[flat], local[row_cols]
+    sims = rows.unit @ cols.unit[used].T
+    np.clip(sims, 0.0 if clamp_negative else -1.0, 1.0, out=sims)
+    same = row_cols >= 0
+    sims[same, row_cols[same]] = 1.0
+    sims[~rows.has_vector] = -np.inf
+    sims[:, ~cols.has_vector[used]] = -np.inf
+    # One row at a time keeps the gathered block at len(flat) values.
+    n_rows, n_segments = len(rows.words), len(ptr) - 1
+    forward = np.array([_segment_max(row[flat], ptr) for row in sims]).reshape(
+        n_rows, n_segments)
+    backward = sims.max(axis=0, initial=-np.inf)[flat]
+    forward[forward == -np.inf] = 0.0
+    backward[backward == -np.inf] = 0.0
+    return (_weighted_means(forward.T.ravel(), np.tile(rows.idf, n_segments),
+                            np.arange(n_segments + 1) * n_rows),
+            _weighted_means(backward, col_idf, ptr))
+
+
+def asym_scores(rows: WordMatrix, cols: WordMatrix, row_cols: np.ndarray, flat: np.ndarray,
+                ptr: np.ndarray, clamp_negative: bool) -> list[float]:
+    """Harmonic mean of both `asym_relevances` directions for each segment."""
+    forward, backward = asym_relevances(rows, cols, row_cols, flat, ptr, clamp_negative)
+    scores = np.zeros_like(forward)
+    np.divide(2.0 * forward * backward, forward + backward, out=scores,
+              where=(forward != 0.0) & (backward != 0.0))
+    return scores.tolist()
+
+
+def _pair(a: Iterable[str], b: Iterable[str], store: EmbeddingStore, idf_map: IdfMap,
+          ) -> tuple[WordMatrix, WordMatrix, np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel operands for `a` against `b` as a single segment."""
+    rows, cols = WordMatrix.of(a, store, idf_map), WordMatrix.of(b, store, idf_map)
+    row_cols = np.array([cols.index.get(word, -1) for word in rows.words], dtype=np.intp)
+    return rows, cols, row_cols, np.arange(len(cols.words)), np.array([0, len(cols.words)])
 
 
 def asym(query_bag: Iterable[str], target_bag: Iterable[str], store: EmbeddingStore,
          idf_map: IdfMap, clamp_negative: bool = True) -> float:
     """IDF-weighted mean of each query word's best embedding match in the target."""
-    return _relevances(sorted(set(query_bag)), sorted(set(target_bag)), store, idf_map,
-                       clamp_negative)[0]
+    forward, _ = asym_relevances(*_pair(query_bag, target_bag, store, idf_map), clamp_negative)
+    return forward.tolist()[0]
 
 
 def asym_score(bag_a: Iterable[str], bag_b: Iterable[str], store: EmbeddingStore,
                idf_map: IdfMap, clamp_negative: bool = True) -> float:
     """Harmonic mean of both directions; operands are ordered first, so a swap keeps the bits."""
     a, b = sorted([sorted(set(bag_a)), sorted(set(bag_b))])
-    forward, backward = _relevances(a, b, store, idf_map, clamp_negative)
-    if forward == 0.0 or backward == 0.0:
-        return 0.0
-    return 2.0 * forward * backward / (forward + backward)
+    return asym_scores(*_pair(a, b, store, idf_map), clamp_negative)[0]

@@ -35,7 +35,10 @@ class GroundTruth:
         for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not (isinstance(obj, dict) and isinstance(obj.get("relevant_answer_ids"), list)):
                 raise ValueError(f"{path}:{lineno}: expected an object with a "
                                  "relevant_answer_ids list")
@@ -73,6 +76,8 @@ class MetricsReport:
 
 def query_metrics(ranked: Sequence[int], relevant: frozenset[int], k: float) -> QueryMetrics:
     """Metrics for one ranking; k may be math.inf for uncut evaluation."""
+    if not k >= 1:
+        raise ValueError(f"metric cutoff k must be at least 1 (or math.inf), got {k!r}")
     top = list(ranked) if math.isinf(k) else list(ranked[:int(k)])
     hit = 0.0
     rr = 0.0

@@ -73,6 +73,10 @@ class WeightConfig:
                 if not (math.isfinite(w) and w >= 0):
                     raise ValueError(f"{kind} weight {name!r} must be finite and >= 0, "
                                      f"got {w!r}")
+            # A fused score is at most the sum of its weights.
+            if not math.isfinite(total := sum(weights.values())):
+                raise ValueError(f"{kind} weights sum to {total!r}; the fused score "
+                                 "must stay finite")
         if not (self.bm25_top >= self.stage1_keep >= self.stage2_keep > 0):
             raise ValueError("funnel thresholds must be positive and non-increasing")
         if self.answer_k <= 0:

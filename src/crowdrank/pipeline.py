@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
 from . import features as ft
 from .antonyms import AntonymDictionary, AntonymQueryContext
 from .corpus import Thread, preprocess
-from .embeddings import EmbeddingStore, IdfMap, asym_score, cosine, sentence_embed
+from .embeddings import EmbeddingStore, IdfMap, WordMatrix, asym_scores, cosine, sentence_embed
 from .index import (InvertedIndex, answer_document_bag, bm25_search,
                     build_ephemeral_answer_index, build_thread_index,
                     thread_document_bag)
@@ -31,6 +31,9 @@ class QueryContext:
     bag: Counter
     antonym_ctx: AntonymQueryContext
     sentence_vec: np.ndarray
+    # The query words as kernel rows, and their ids in the engine vocabulary (-1: none).
+    words: WordMatrix
+    vocab_ids: np.ndarray
     # Query words outside the corpus vocabulary and the word cache: their
     # fallback vectors serve one search only.
     novel_words: list[str]
@@ -76,6 +79,9 @@ class SearchEngine:
         self.antonym_dict = antonym_dict
         self.thread_index = thread_index or build_thread_index(self.threads.values())
         self.stopwords = stopwords
+        # Every thread word, sorted, so sorted ids are sorted words; the rows
+        # fill as searches meet the words.
+        self.vocab = WordMatrix(sorted(idf_map.df), store, idf_map)
         self._ensure_sentence_vectors()
 
     def _ensure_sentence_vectors(self) -> None:
@@ -91,21 +97,29 @@ class SearchEngine:
         novel = [w for w in bag if w not in self.idf_map.df and w not in self.store.word_vecs]
         ctx = self.antonym_dict.context(set(bag), config.antonym_pos_mode)
         vec = sentence_embed(bag, self.store, self.idf_map)
+        words = WordMatrix.of(bag, self.store, self.idf_map)
+        vocab_ids = np.array([self.vocab.index.get(w, -1) for w in words.words], dtype=np.intp)
         return QueryContext(raw_query=query, bag=bag, antonym_ctx=ctx, sentence_vec=vec,
-                            novel_words=novel)
+                            words=words, vocab_ids=vocab_ids, novel_words=novel)
 
-    def _similarity_features(self, qc: QueryContext, thread: Thread,
-                             clamp: bool) -> dict[str, float]:
-        """The four stage-1 features of one thread; stage 2 reuses them."""
-        question = thread.question
-        body = set(question.body_bag).union(*(a.body_bag for a in thread.answers))
-        return {
-            "sentence": cosine(qc.sentence_vec, self.store.sentence_vecs[question.id]),
-            "asym_title": asym_score(qc.bag, question.title_bag, self.store,
-                                     self.idf_map, clamp),
-            "asym_body": asym_score(qc.bag, body, self.store, self.idf_map, clamp),
-            "tf": ft.tf_score(qc.bag, thread_document_bag(thread)),
-        }
+    def _asym(self, qc: QueryContext, docs: list[list[Collection[str]]],
+              clamp: bool) -> list[float]:
+        """`asym_score` of the query against each doc (a list of word collections)."""
+        flat, ptr = self.vocab.segments(docs)
+        return asym_scores(qc.words, self.vocab, qc.vocab_ids, flat, ptr, clamp)
+
+    def _similarity_features(self, qc: QueryContext, threads: list[Thread],
+                             clamp: bool) -> list[dict[str, float]]:
+        """The four stage-1 features of each thread; stage 2 reuses them."""
+        titles = self._asym(qc, [[t.question.title_bag] for t in threads], clamp)
+        bodies = self._asym(qc, [[t.question.body_bag, *(a.body_bag for a in t.answers)]
+                                 for t in threads], clamp)
+        return [{
+            "sentence": cosine(qc.sentence_vec, self.store.sentence_vecs[t.question.id]),
+            "asym_title": title,
+            "asym_body": body,
+            "tf": ft.tf_score(qc.bag, thread_document_bag(t)),
+        } for t, title, body in zip(threads, titles, bodies)]
 
     def search(self, query: str, config: ft.WeightConfig | None = None,
                final_n: int | None = None) -> SearchResult:
@@ -139,7 +153,7 @@ class SearchEngine:
 
         # Stage 1: the four similarity features
         clamp = config.clamp_negative_cosine
-        raws = [self._similarity_features(qc, t, clamp) for t in candidates]
+        raws = self._similarity_features(qc, candidates, clamp)
         weights = {f: config.thread_weights[f] for f in ft.THREAD_SIMILARITY_FEATURES}
         stage1 = _rank([t.question.id for t in candidates], raws, weights,
                        config.stage1_keep)
@@ -186,12 +200,13 @@ class SearchEngine:
         # Answer features, fusion and the final cut
         method_scores = ft.top_method_score(
             [(a, located[a][1].code_text) for a in answer_ids], config.method_scale)
+        asyms = self._asym(qc, [[located[a][1].body_bag, located[a][0].question.title_bag]
+                                for a in answer_ids], clamp)
         raws = []
-        for a in answer_ids:
+        for a, asym in zip(answer_ids, asyms):
             thread, answer = located[a]
-            words = answer.body_bag.keys() | thread.question.title_bag.keys()
             raws.append({
-                "asym": asym_score(qc.bag, words, self.store, self.idf_map, clamp),
+                "asym": asym,
                 "tfidf": ft.tfidf_score(qc.bag, answer_document_bag(thread, answer),
                                         self.idf_map),
                 "top_method": method_scores[a],

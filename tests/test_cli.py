@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -119,6 +121,7 @@ class TestSearch:
         ("antonym_pos_mode=XX", "'XX'"),
         ("thread_weight.sentence=nan", "'sentence'"),
         ("answer_weight.asym=inf", "'asym'"),
+        ("answer_weight.asym=1e308\nanswer_weight.tfidf=1e308", "answer weights"),
         (None, "No such file"),
     ])
     def test_bad_config_file_is_a_usage_error(self, workspace, tmp_path, capsys,
@@ -135,6 +138,10 @@ class TestSearch:
         assert "Traceback" not in err
 
 
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
 class TestSearchProperties:
     """Any query and any config file: a result or one error, never a traceback."""
 
@@ -145,9 +152,13 @@ class TestSearchProperties:
             query = f"{workspace['queries'][1]} {query}"
         config_path = workspace["root"] / "property.cfg"
         config_path.write_text("\n".join(lines) + "\n", "utf-8")
-        code = main(["search", "--index-dir", str(workspace["index"]),
-                     "--config", str(config_path), "--json", "--", query])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["search", "--index-dir", str(workspace["index"]),
+                         "--config", str(config_path), "--json", "--", query])
         assert code in (EXIT_OK, EXIT_DATA_ERROR, EXIT_USAGE)
+        for line in out.getvalue().splitlines():  # strict JSON: no NaN or Infinity
+            json.loads(line, parse_constant=_reject_constant)
 
 
 class TestEvaluate:
@@ -181,6 +192,7 @@ class TestEvaluate:
         ('{"query_id": 1, "relevant_answer_ids": [1]}', "query_text"),
         ('{"query_id": 1, "query_text": "q", "relevant_answer_ids": [null]}', ":1:"),
         ("\n", "no ground-truth entries"),
+        ('{"query_id": 1, "query_text": "q", "relevant_answer_ids": [1]}\n{not json', ":2:"),
     ])
     def test_malformed_truth_file_is_a_data_error(self, workspace, tmp_path, capsys,
                                                   text, named):
@@ -193,6 +205,18 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert len(err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_cutoff_below_one_is_a_usage_error(self, workspace, tmp_path, capsys, k):
+        code = main(["evaluate", "--index-dir", str(workspace["index"]),
+                     "--truth", str(workspace["truth"]), "-k", k,
+                     "-o", str(tmp_path / "report.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and k in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "report.csv").exists()
 
 
 class TestMergeAntonyms:

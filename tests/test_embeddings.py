@@ -112,6 +112,12 @@ class TestIdfMap:
         idf = IdfMap({"seen": 10}, 1000)
         assert idf.idf("never") == pytest.approx(3.0, abs=1e-12)
 
+    def test_lookup_keeps_the_formula_bits(self):
+        df = {f"w{i}": i * 37 % 991 + 1 for i in range(200)}
+        idf = IdfMap(df, 1000)
+        assert all(idf.idf(w) == math.log10(1000 / d) for w, d in df.items())
+        assert idf.idf("never") == math.log10(1000 / 1)
+
     def test_from_documents_uses_distinct_words(self):
         idf = IdfMap.from_documents([["a", "a", "b"], ["b"]])
         assert idf.df == {"a": 1, "b": 2}

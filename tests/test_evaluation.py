@@ -81,6 +81,12 @@ class TestQueryMetrics:
         assert values == sorted(values)
 
 
+    @pytest.mark.parametrize("k", [0, -1, 0.5, math.nan])
+    def test_cutoff_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="at least 1"):
+            query_metrics([1, 2], frozenset({2}), k)
+
+
 class TestEvaluate:
     def truth(self):
         truth = GroundTruth()

@@ -76,6 +76,8 @@ class TestWeightConfig:
         ("thread_weight.tf=-inf", "'tf'"),
         ("method_scale=nan", "method_scale"),
         ("method_scale=inf", "method_scale"),
+        ("answer_weight.asym=1e308\nanswer_weight.tfidf=1e308", "answer weights"),
+        ("thread_weight.tf=1.5e308\nthread_weight.sentence=1.5e308", "thread weights"),
     ])
     def test_load_rejects_unknown_feature_or_pos_mode(self, tmp_path, line, named):
         path = tmp_path / "weights.cfg"

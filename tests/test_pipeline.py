@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import crowdrank
 import synth
 from crowdrank import embeddings
 from crowdrank.antonyms import default_dictionary
-from crowdrank.artifacts import build_idf
-from crowdrank.corpus import RawPost, build_threads
-from crowdrank.embeddings import EmbeddingStore
+from crowdrank.artifacts import build_artifacts, build_idf, load_engine
+from crowdrank.corpus import RawPost, build_threads, preprocess
+from crowdrank.embeddings import (EmbeddingStore, IdfMap, asym_score, fallback_embed,
+                                  save_vectors)
 from crowdrank.features import SOCIAL_FEATURES, THREAD_FEATURES, WeightConfig
 from crowdrank.pipeline import BASELINE_NAMES, SearchEngine, configure_ablation
 
@@ -122,6 +129,94 @@ class TestWordCache:
             assert engine.store.word_vecs["outsider"] is vec
         finally:
             del engine.store.word_vecs["outsider"]
+
+
+@pytest.fixture(scope="module")
+def sparse_vectors(tmp_path_factory):
+    """The planted corpus behind a word-vector file that lacks every third
+    corpus word and gives one query word a zero vector."""
+    root = tmp_path_factory.mktemp("sparse")
+    posts, queries, _ = synth.planted_corpus(n_threads=40, n_queries=4)
+    synth.write_jsonl(root / "dump.jsonl", posts)
+    build_artifacts(root / "dump.jsonl", root / "index")
+    words = sorted(load_engine(root / "index").idf_map.df)
+    vectors = {w: fallback_embed(w) for i, w in enumerate(words) if i % 3}
+    vectors["q1beta"] = np.zeros(embeddings.DEFAULT_DIM)
+    save_vectors(vectors, embeddings.DEFAULT_DIM, root / "words.vec")
+    engine = load_engine(root / "index", word_vectors=root / "words.vec")
+    assert not engine.store.fallback and set(words) - set(engine.store.word_vecs)
+    return engine, queries
+
+
+class TestVocabularyKernel:
+    """The engine's batched asym features equal per-pair `asym_score`."""
+
+    @staticmethod
+    def check_against_pairs(engine, queries, config):
+        clamp = config.clamp_negative_cosine
+        checked = 0
+        for text in queries.values():
+            result = engine.search(text, config)
+            bag = preprocess(text, "query")
+            for thread_id, raw in result.diagnostics["thread_features"].items():
+                question = engine.threads[thread_id].question
+                body = set(question.body_bag).union(
+                    *(a.body_bag for a in engine.threads[thread_id].answers))
+                for name, target in (("asym_title", question.title_bag), ("asym_body", body)):
+                    want = asym_score(bag, target, engine.store, engine.idf_map, clamp)
+                    assert raw[name] == pytest.approx(want, abs=1e-12)
+                    checked += 1
+            for entry in result.entries:
+                thread = engine.threads[entry.thread_id]
+                answer = next(a for a in thread.answers if a.id == entry.answer_id)
+                target = answer.body_bag.keys() | thread.question.title_bag.keys()
+                want = asym_score(bag, target, engine.store, engine.idf_map, clamp)
+                assert entry.features.raw["asym"] == pytest.approx(want, abs=1e-12)
+                checked += 1
+        assert checked > 50
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_planted_corpus(self, planted, clamp):
+        engine, queries, _ = planted
+        self.check_against_pairs(engine, queries, WeightConfig(clamp_negative_cosine=clamp))
+
+    def test_missing_and_zero_word_vectors(self, sparse_vectors):
+        engine, queries = sparse_vectors
+        self.check_against_pairs(engine, queries, WeightConfig())
+
+    def test_thread_word_outside_the_idf_map_is_named(self):
+        posts, queries, _ = synth.planted_corpus(n_threads=10, n_queries=2)
+        threads = build_threads([RawPost.from_json(o) for o in posts])
+        engine = SearchEngine(threads, EmbeddingStore(fallback=True),
+                              IdfMap({"q0alpha": 1}, len(threads)), default_dictionary())
+        with pytest.raises(ValueError, match="not in the idf vocabulary"):
+            engine.search(queries[1], WeightConfig())
+
+    def test_results_do_not_depend_on_the_hash_seed(self):
+        script = ("import synth\n"
+                  "from crowdrank.antonyms import default_dictionary\n"
+                  "from crowdrank.artifacts import build_idf\n"
+                  "from crowdrank.corpus import RawPost, build_threads\n"
+                  "from crowdrank.embeddings import EmbeddingStore\n"
+                  "from crowdrank.features import WeightConfig\n"
+                  "from crowdrank.pipeline import SearchEngine\n"
+                  "posts, queries, _ = synth.planted_corpus(n_threads=40, n_queries=4)\n"
+                  "threads = build_threads([RawPost.from_json(o) for o in posts])\n"
+                  "engine = SearchEngine(threads, EmbeddingStore(fallback=True),\n"
+                  "                      build_idf(threads), default_dictionary())\n"
+                  "for clamp in (True, False):\n"
+                  "    for text in queries.values():\n"
+                  "        r = engine.search(text, WeightConfig(clamp_negative_cosine=clamp))\n"
+                  "        print(repr([(e.answer_id, e.score, e.features.raw)\n"
+                  "                    for e in r.entries]))\n"
+                  "        print(repr(r.diagnostics))\n")
+        path = os.pathsep.join([str(Path(crowdrank.__file__).parent.parent),
+                                str(Path(synth.__file__).parent)])
+        outputs = {subprocess.run([sys.executable, "-c", script], check=True, text=True,
+                                  capture_output=True,
+                                  env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path),
+                                  ).stdout for seed in (0, 1)}
+        assert len(outputs) == 1
 
 
 class TestAnswerBm25Fallback:
