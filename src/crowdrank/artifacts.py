@@ -3,7 +3,8 @@
 ``build_artifacts`` turns a JSONL dump into an index directory:
 
     threads.jsonl   versioned thread store
-    index.json      persistent thread inverted index
+    index.json      persistent thread inverted index (version 2: postings, doc
+                    lengths and each thread's sum of squared term frequencies)
     idf.json        document frequencies + doc count (IDF derives from these)
     titles.txt      preprocessed question titles, one per line
     contents.txt    one preprocessed thread per line (title+body+code of Q&A)

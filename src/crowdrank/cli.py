@@ -15,7 +15,8 @@ from .antonyms import MergeStats, merge_lists, save_dictionary
 from .artifacts import build_artifacts, load_engine
 from .corpus import TagFilter, load_stopwords
 from .embeddings import DEFAULT_SEED, EmbeddingConfig
-from .evaluation import GroundTruth, run_ablation_grid, write_report_csv
+from .evaluation import (GroundTruth, run_ablation_grid, write_per_query_csv,
+                         write_report_csv)
 from .features import WeightConfig
 from .pipeline import BASELINE_NAMES, configure_ablation
 
@@ -153,6 +154,9 @@ def cmd_evaluate(args) -> int:
         print(f"{name}: hit={report.hit:.4f} mrr={report.mrr:.4f} "
               f"map={report.map:.4f} mr={report.mr:.4f}")
     print(f"report written to {args.output} (K={args.k}, seed={args.seed})")
+    if args.per_query:
+        write_per_query_csv(rows, args.per_query)
+        print(f"per-query metrics written to {args.per_query}")
     return EXIT_OK
 
 
@@ -205,6 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--top", type=int, default=10,
                    help="answers requested per query (default: %(default)s)")
     p.add_argument("-o", "--output", default="report.csv", help="CSV report path")
+    p.add_argument("--per-query", metavar="CSV",
+                   help="also write hit, rr, ap and recall per (baseline, query_id)")
     _add_common_engine_flags(p)
     p.set_defaults(func=cmd_evaluate)
     return parser

@@ -1,7 +1,8 @@
 """Hit@K, MRR@K, MAP@K, MR@K against a ground-truth file, plus the ablation grid.
 
 Ground truth is JSONL: {"query_id", "query_text", "relevant_answer_ids": [...]}
-one object per line. Reports serialize to CSV with one row per baseline.
+one object per line. Reports serialize to CSV with one row per baseline, and
+per-query metrics with one row per (baseline, query_id).
 """
 
 from __future__ import annotations
@@ -144,3 +145,14 @@ def write_report_csv(rows: Sequence[tuple[str, MetricsReport]], path: str | Path
         for name, report in rows:
             writer.writerow([name, f"{report.hit:.6f}", f"{report.mrr:.6f}",
                              f"{report.map:.6f}", f"{report.mr:.6f}"])
+
+
+def write_per_query_csv(rows: Sequence[tuple[str, MetricsReport]], path: str | Path) -> None:
+    """One row per (baseline, query_id), in that sorted order."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["baseline", "query_id", "hit", "rr", "ap", "recall"])
+        for name, report in sorted(rows, key=lambda r: r[0]):
+            for query_id, m in sorted(report.per_query.items()):
+                writer.writerow([name, query_id, f"{m.hit:.6f}", f"{m.rr:.6f}",
+                                 f"{m.ap:.6f}", f"{m.recall:.6f}"])

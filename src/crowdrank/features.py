@@ -154,14 +154,19 @@ class FeatureVector:
     normalized: dict[str, float] = field(default_factory=dict)
 
 
+def tf_cosine(dot: int, sumsq_q: int, sumsq_t: int) -> float:
+    """Cosine of two term-frequency vectors from their integer dot product and
+    sums of squared counts; 0 if either vector is zero."""
+    if not sumsq_q or not sumsq_t:
+        return 0.0
+    return dot / (math.sqrt(sumsq_q) * math.sqrt(sumsq_t))
+
+
 def tf_score(bag_q: Mapping[str, int], bag_t: Mapping[str, int]) -> float:
     """Cosine of raw term-frequency vectors; 0 if either bag is empty."""
-    if not bag_q or not bag_t:
-        return 0.0
     dot = sum(bag_q[w] * bag_t[w] for w in bag_q.keys() & bag_t.keys())
-    norm_q = math.sqrt(sum(c * c for c in bag_q.values()))
-    norm_t = math.sqrt(sum(c * c for c in bag_t.values()))
-    return dot / (norm_q * norm_t)
+    return tf_cosine(dot, sum(c * c for c in bag_q.values()),
+                     sum(c * c for c in bag_t.values()))
 
 
 def tfidf_score(bag_q: Mapping[str, int], bag_a: Mapping[str, int], idf_map: IdfMap) -> float:

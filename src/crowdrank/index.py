@@ -1,7 +1,9 @@
 """From-scratch inverted index with BM25 scoring.
 
-The thread index is built offline and persisted with a versioned header; the
-answer index is rebuilt per query over the surviving threads' answers and
+The thread index is built offline and persisted with a versioned header;
+`index.json` version 2 also stores each document's sum of squared term
+frequencies, the norm of the `tf` feature. The answer index is rebuilt per
+query over the surviving threads' answers, holds only the query's terms and
 never touches disk. IDF inside BM25 is log10(N/df), the same definition the
 rest of the scoring stack uses.
 """
@@ -18,7 +20,7 @@ from typing import Iterable, Mapping
 from .corpus import ProcessedPost, Thread
 
 INDEX_FORMAT = "crowdrank-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 DEFAULT_K = 1.2
 DEFAULT_B = 0.9
@@ -35,11 +37,14 @@ class IndexStats:
 
 class InvertedIndex:
     """postings: term -> [(doc_id, tf)] in the order documents were added
-    (`build_index` adds them by ascending doc_id); doc_len: id -> |T|."""
+    (`build_index` adds them by ascending doc_id); doc_len: id -> |T|;
+    doc_sumsq: id -> sum of tf**2 over the document's terms (`add_document`
+    fills it; the query-term answer index leaves it empty)."""
 
     def __init__(self, k: float = DEFAULT_K, b: float = DEFAULT_B):
         self.postings: dict[str, list[tuple[int, int]]] = {}
         self.doc_len: dict[int, int] = {}
+        self.doc_sumsq: dict[int, int] = {}
         self.stats = IndexStats(k=k, b=b)
         self._total_len = 0
 
@@ -48,13 +53,24 @@ class InvertedIndex:
             raise ValueError(f"duplicate doc_id {doc_id}")
         length = sum(bag.values())
         self.doc_len[doc_id] = length
+        sumsq = 0
         for term, tf in bag.items():
             plist = self.postings.setdefault(term, [])
             plist.append((doc_id, tf))
             self.stats.df[term] = len(plist)
+            sumsq += tf * tf
+        self.doc_sumsq[doc_id] = sumsq
         self.stats.n_docs += 1
         self._total_len += length
         self.stats.avgdl = self._total_len / self.stats.n_docs
+
+    def _count_stats(self) -> None:
+        """N, df and avgdl from `doc_len` and `postings` filled directly."""
+        self.stats.n_docs = len(self.doc_len)
+        self.stats.df = {t: len(p) for t, p in self.postings.items()}
+        self._total_len = sum(self.doc_len.values())
+        if self.stats.n_docs:
+            self.stats.avgdl = self._total_len / self.stats.n_docs
 
 
 def build_index(docs: Mapping[int, Mapping[str, int]], k: float = DEFAULT_K,
@@ -127,12 +143,30 @@ def build_thread_index(threads: Iterable[Thread], k: float = DEFAULT_K,
     return build_index(docs, k=k, b=b)
 
 
-def build_ephemeral_answer_index(threads: Iterable[Thread], k: float = DEFAULT_K,
-                                 b: float = DEFAULT_B) -> InvertedIndex:
-    """Per-query index over the retained answers of the surviving threads."""
-    docs = {answer.id: answer_document_bag(thread, answer)
-            for thread in threads for answer in thread.answers}
-    return build_index(docs, k=k, b=b)
+def build_ephemeral_answer_index(threads: Iterable[Thread], terms: Iterable[str],
+                                 k: float = DEFAULT_K, b: float = DEFAULT_B) -> InvertedIndex:
+    """Per-query index over the retained answers of the surviving threads.
+
+    An answer's document is its `answer_document_bag`, but only the postings
+    of `terms` are kept. N, the doc lengths and avgdl cover whole documents,
+    so `bm25_search` with a query made of `terms` scores exactly as over the
+    full index.
+    """
+    terms = sorted(set(terms))
+    index = InvertedIndex(k=k, b=b)
+    for thread in threads:
+        title, body = thread.question.title_bag, thread.question.body_bag
+        question_len = sum(title.values()) + sum(body.values())
+        question_tfs = [title.get(t, 0) + body.get(t, 0) for t in terms]
+        for answer in thread.answers:
+            index.doc_len[answer.id] = (question_len + sum(answer.body_bag.values())
+                                        + sum(answer.code_bag.values()))
+            for term, question_tf in zip(terms, question_tfs):
+                tf = question_tf + answer.body_bag.get(term, 0) + answer.code_bag.get(term, 0)
+                if tf:
+                    index.postings.setdefault(term, []).append((answer.id, tf))
+    index._count_stats()
+    return index
 
 
 def save_index(index: InvertedIndex, path: str | Path, meta: dict | None = None) -> None:
@@ -143,6 +177,7 @@ def save_index(index: InvertedIndex, path: str | Path, meta: dict | None = None)
         "k": index.stats.k,
         "b": index.stats.b,
         "doc_len": {str(d): l for d, l in sorted(index.doc_len.items())},
+        "doc_sumsq": {str(d): s for d, s in sorted(index.doc_sumsq.items())},
         "postings": {t: sorted(p) for t, p in index.postings.items()},
         "meta": meta or {},
     }
@@ -153,19 +188,28 @@ def save_index(index: InvertedIndex, path: str | Path, meta: dict | None = None)
 
 
 def load_index(path: str | Path) -> InvertedIndex:
+    """Read `save_index` output; ValueError says what is wrong with the file."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != INDEX_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
         raise ValueError(f"not an index file: {path}")
-    if payload.get("version") != INDEX_VERSION:
-        raise ValueError(f"unsupported index version {payload.get('version')}")
-    index = InvertedIndex(k=payload["k"], b=payload["b"])
-    index.doc_len = {int(d): int(l) for d, l in payload["doc_len"].items()}
-    index.postings = {t: [(int(d), int(tf)) for d, tf in p]
-                      for t, p in payload["postings"].items()}
-    index.stats.n_docs = len(index.doc_len)
-    index.stats.df = {t: len(p) for t, p in index.postings.items()}
-    index._total_len = sum(index.doc_len.values())
-    if index.stats.n_docs:
-        index.stats.avgdl = index._total_len / index.stats.n_docs
+    version = payload.get("version")
+    if version != INDEX_VERSION:
+        raise ValueError(f"{path}: unsupported index version {version!r} (this program "
+                         f"reads version {INDEX_VERSION}); rerun `crowdrank build-index`")
+    missing = [key for key in ("k", "b", "doc_len", "doc_sumsq", "postings")
+               if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: index file lacks {', '.join(missing)}")
+    try:
+        index = InvertedIndex(k=float(payload["k"]), b=float(payload["b"]))
+        index.doc_len = {int(d): int(l) for d, l in payload["doc_len"].items()}
+        index.doc_sumsq = {int(d): int(s) for d, s in payload["doc_sumsq"].items()}
+        index.postings = {t: [(int(d), int(tf)) for d, tf in p]
+                          for t, p in payload["postings"].items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed index file: {exc}") from None
+    if index.doc_sumsq.keys() != index.doc_len.keys():
+        raise ValueError(f"{path}: doc_sumsq and doc_len name different documents")
+    index._count_stats()
     return index

@@ -3,9 +3,10 @@
 The funnel: BM25 over the thread index (top 500), optional thread-level
 antonym filter, stage-1 fusion of the four similarity features (keep 250),
 stage-2 fusion of those same values plus the three social features (keep
-100), ephemeral BM25 over the surviving answers (top 150), optional
-answer-level antonym filter, then four-feature answer fusion and the top-N
-cut. All three fusions rank the same way (`_rank`).
+100), ephemeral BM25 over the surviving answers, indexed on the query's
+terms only (top 150), optional answer-level antonym filter, then
+four-feature answer fusion and the top-N cut. All three fusions rank the
+same way (`_rank`).
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .antonyms import AntonymDictionary, AntonymQueryContext
 from .corpus import Thread, preprocess
 from .embeddings import EmbeddingStore, IdfMap, WordMatrix, asym_scores, cosine, sentence_embed
 from .index import (InvertedIndex, answer_document_bag, bm25_search,
-                    build_ephemeral_answer_index, build_thread_index,
-                    thread_document_bag)
+                    build_ephemeral_answer_index, build_thread_index)
 
 
 @dataclass
@@ -108,6 +108,22 @@ class SearchEngine:
         flat, ptr = self.vocab.segments(docs)
         return asym_scores(qc.words, self.vocab, qc.vocab_ids, flat, ptr, clamp)
 
+    def _tf(self, qc: QueryContext, threads: list[Thread]) -> list[float]:
+        """`tf_score` of the query against each thread's indexed document.
+
+        The dot products come from the query terms' postings, the document
+        norms from the sums of squares the thread index stores.
+        """
+        dots = dict.fromkeys((t.question.id for t in threads), 0)
+        for term, count in qc.bag.items():
+            for doc_id, tf in self.thread_index.postings.get(term, ()):
+                if doc_id in dots:
+                    dots[doc_id] += count * tf
+        sumsq_q = sum(c * c for c in qc.bag.values())
+        sumsq = self.thread_index.doc_sumsq
+        return [ft.tf_cosine(dots[t.question.id], sumsq_q, sumsq[t.question.id])
+                for t in threads]
+
     def _similarity_features(self, qc: QueryContext, threads: list[Thread],
                              clamp: bool) -> list[dict[str, float]]:
         """The four stage-1 features of each thread; stage 2 reuses them."""
@@ -118,8 +134,8 @@ class SearchEngine:
             "sentence": cosine(qc.sentence_vec, self.store.sentence_vecs[t.question.id]),
             "asym_title": title,
             "asym_body": body,
-            "tf": ft.tf_score(qc.bag, thread_document_bag(t)),
-        } for t, title, body in zip(threads, titles, bodies)]
+            "tf": tf,
+        } for t, title, body, tf in zip(threads, titles, bodies, self._tf(qc, threads))]
 
     def search(self, query: str, config: ft.WeightConfig | None = None,
                final_n: int | None = None) -> SearchResult:
@@ -175,7 +191,8 @@ class SearchEngine:
         # Ephemeral answer index and lexical answer retrieval
         surviving = [self.threads[t] for t, _, _ in stage2]
         located = {a.id: (thread, a) for thread in surviving for a in thread.answers}
-        hits = bm25_search(build_ephemeral_answer_index(surviving), qc.bag, config.answer_k)
+        hits = bm25_search(build_ephemeral_answer_index(surviving, qc.bag), qc.bag,
+                           config.answer_k)
         answer_ids = [a for a, _ in hits]
         if not answer_ids and located:
             # Every query term the answers hold is in all of them, so its idf

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,7 +162,51 @@ class TestSearchProperties:
             json.loads(line, parse_constant=_reject_constant)
 
 
+@pytest.mark.parametrize("payload, named", [
+    ({"format": "crowdrank-index", "version": 1}, "build-index"),
+    (None, "build-index"),  # a complete version-1 file
+    ({"format": "crowdrank-index", "version": 2}, "lacks k, b, doc_len, doc_sumsq, postings"),
+    ({"format": "crowdrank-index", "version": 2, "k": 1.2, "b": 0.9, "doc_len": {},
+      "postings": {}}, "lacks doc_sumsq"),
+])
+@pytest.mark.parametrize("command", ["search", "evaluate"])
+def test_bad_index_file_is_one_error_line(workspace, tmp_path, capsys, payload, named,
+                                          command):
+    index_dir = tmp_path / "index"
+    shutil.copytree(workspace["index"], index_dir)
+    if payload is None:
+        payload = json.loads((index_dir / "index.json").read_text())
+        payload["version"] = 1
+        del payload["doc_sumsq"]
+    (index_dir / "index.json").write_text(json.dumps(payload))
+    args = (["search", workspace["queries"][1]] if command == "search"
+            else ["evaluate", "--truth", str(workspace["truth"]),
+                  "-o", str(tmp_path / "report.csv")])
+    assert main(args + ["--index-dir", str(index_dir)]) == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert len(err.splitlines()) == 1
+
+
 class TestEvaluate:
+    def test_per_query_csv(self, workspace, tmp_path, capsys):
+        per_query = tmp_path / "per_query.csv"
+        code = main(["evaluate", "--index-dir", str(workspace["index"]),
+                     "--truth", str(workspace["truth"]), "--baselines",
+                     "crar,answer-top-method", "-k", "5", "-o", str(tmp_path / "report.csv"),
+                     "--per-query", str(per_query)])
+        assert code == EXIT_OK
+        # answer-top-method ranks each planted answer 10th, past the cutoff.
+        assert per_query.read_text() == (
+            "baseline,query_id,hit,rr,ap,recall\n"
+            "answer-top-method,1,0.000000,0.000000,0.000000,0.000000\n"
+            "answer-top-method,2,0.000000,0.000000,0.000000,0.000000\n"
+            "answer-top-method,3,0.000000,0.000000,0.000000,0.000000\n"
+            "crar,1,1.000000,1.000000,1.000000,1.000000\n"
+            "crar,2,1.000000,1.000000,1.000000,1.000000\n"
+            "crar,3,1.000000,1.000000,1.000000,1.000000\n")
+        assert f"per-query metrics written to {per_query}" in capsys.readouterr().out
+
     def test_report_csv(self, workspace, tmp_path, capsys):
         out_csv = tmp_path / "report.csv"
         code = main(["evaluate", "--index-dir", str(workspace["index"]),

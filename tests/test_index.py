@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -139,8 +141,10 @@ class TestDocumentBags:
 
     def test_ephemeral_index_covers_all_answers(self):
         thread = self.thread()
-        index = build_ephemeral_answer_index([thread])
+        index = build_ephemeral_answer_index([thread], ["jackson", "absent"])
         assert set(index.doc_len) == {2}
+        assert index.doc_len[2] == sum(answer_document_bag(thread, thread.answers[0]).values())
+        assert index.postings == {"jackson": [(2, 1)]}
         thread_index = build_thread_index([thread])
         assert set(thread_index.doc_len) == {1}
 
@@ -152,6 +156,7 @@ class TestPersistence:
         loaded = load_index(path)
         assert loaded.postings == small_index.postings
         assert loaded.doc_len == small_index.doc_len
+        assert loaded.doc_sumsq == small_index.doc_sumsq == {1: 5, 2: 10, 3: 1}
         assert loaded.stats.df == small_index.stats.df
         assert loaded.stats.avgdl == pytest.approx(small_index.stats.avgdl)
         query = ["parse", "xml"]
@@ -163,8 +168,55 @@ class TestPersistence:
         save_index(small_index, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_thread_index_stores_each_threads_sum_of_squares(self, tmp_path):
+        posts, _, _ = synth.planted_corpus(n_threads=30, n_queries=3)
+        threads = build_threads([RawPost.from_json(o) for o in posts])
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_index(build_thread_index(threads), p1)
+        save_index(build_thread_index(threads), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        stored = load_index(p1).doc_sumsq
+        assert stored == {t.question.id: sum(tf * tf for tf in thread_document_bag(t).values())
+                          for t in threads}
+
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "other", "version": 1}')
         with pytest.raises(ValueError):
+            load_index(path)
+
+    @pytest.mark.parametrize("key", ["k", "b", "doc_len", "doc_sumsq", "postings"])
+    def test_missing_key_is_named(self, small_index, tmp_path, key):
+        path = tmp_path / "index.json"
+        save_index(small_index, path)
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"lacks {key}$"):
+            load_index(path)
+
+    @pytest.mark.parametrize("payload", [
+        {"format": "crowdrank-index", "version": 1},
+        {"format": "crowdrank-index", "version": 1, "k": 1.2, "b": 0.9,
+         "doc_len": {"1": 2}, "postings": {"a": [[1, 2]]}, "meta": {}},
+    ])
+    def test_version_1_says_to_rebuild(self, tmp_path, payload):
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="rerun `crowdrank build-index`"):
+            load_index(path)
+
+    @pytest.mark.parametrize("change", [
+        {"doc_len": [1, 2]},
+        {"postings": {"parse": [[1]]}},
+        {"k": "fast"},
+        {"doc_sumsq": {"1": 5}},
+    ])
+    def test_malformed_fields_are_a_value_error(self, small_index, tmp_path, change):
+        path = tmp_path / "index.json"
+        save_index(small_index, path)
+        payload = json.loads(path.read_text())
+        payload.update(change)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_index(path)

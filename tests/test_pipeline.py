@@ -14,7 +14,9 @@ from crowdrank.artifacts import build_artifacts, build_idf, load_engine
 from crowdrank.corpus import RawPost, build_threads, preprocess
 from crowdrank.embeddings import (EmbeddingStore, IdfMap, asym_score, fallback_embed,
                                   save_vectors)
-from crowdrank.features import SOCIAL_FEATURES, THREAD_FEATURES, WeightConfig
+from crowdrank.features import SOCIAL_FEATURES, THREAD_FEATURES, WeightConfig, tf_score
+from crowdrank.index import (answer_document_bag, bm25_search, build_ephemeral_answer_index,
+                             build_index, thread_document_bag)
 from crowdrank.pipeline import BASELINE_NAMES, SearchEngine, configure_ablation
 
 
@@ -217,6 +219,69 @@ class TestVocabularyKernel:
                                   env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path),
                                   ).stdout for seed in (0, 1)}
         assert len(outputs) == 1
+
+
+def multi_answer_threads():
+    return build_threads([RawPost.from_json(o) for o in [
+        synth.question(30, "unzip archive", "how to unzip an archive", 5),
+        synth.question(40, "unzip archive files", "unzip archive please", 1),
+        synth.question(50, "parse date string", "format a date", 5),
+        *(synth.answer(aid, aid // 10 * 10, f"unzip with <code>m{aid}(archive)</code>"
+                       if aid % 2 else f"try <code>m{aid}(x)</code>", 2)
+          for aid in (31, 32, 33, 41, 42, 51, 52)),
+    ]])
+
+
+class TestLexicalFeatures:
+    """tf from the thread postings and the query-term answer index give the
+    bits of the per-thread and per-answer bags they replace."""
+
+    @pytest.mark.parametrize("engine_fixture", ["planted", "sparse_vectors"])
+    def test_tf_of_every_stage1_candidate_matches_tf_score(self, request, engine_fixture):
+        engine, queries = request.getfixturevalue(engine_fixture)[:2]
+        # No cut: every stage-1 candidate reaches the thread features.
+        config = WeightConfig(stage1_keep=500, stage2_keep=500)
+        checked = 0
+        for text in queries.values():
+            result = engine.search(text, config)
+            bag = preprocess(text, "query")
+            features = result.diagnostics["thread_features"]
+            assert len(features) == result.diagnostics["stage_counts"]["bm25_threads"]
+            for thread_id, raw in features.items():
+                want = tf_score(bag, thread_document_bag(engine.threads[thread_id]))
+                assert repr(raw["tf"]) == repr(want)
+                checked += 1
+        assert checked > 20
+
+    @pytest.mark.parametrize("case", ["planted", "multi_answer", "single_answer",
+                                      "term_in_no_answer", "no_threads"])
+    def test_answer_index_matches_the_full_bag_index(self, planted, case):
+        engine, queries, _ = planted
+        queries = list(queries.values())
+        threads = list(engine.threads.values())
+        if case == "multi_answer":
+            threads, queries = multi_answer_threads(), ["unzip archive", "archive date"]
+        elif case == "single_answer":
+            threads, queries = threads[:1], [" ".join(threads[0].question.title_bag)]
+        elif case == "term_in_no_answer":
+            queries = [f"{q} zzznowhere" for q in queries]
+        elif case == "no_threads":
+            threads = []
+        for text in queries:
+            query = preprocess(text, "query")
+            index = build_ephemeral_answer_index(threads, query)
+            full = build_index({a.id: answer_document_bag(t, a)
+                                for t in threads for a in t.answers})
+            assert set(index.postings) <= set(query)
+            assert repr((sorted(index.doc_len.items()), index.stats.n_docs,
+                         index.stats.avgdl)) == repr(
+                (sorted(full.doc_len.items()), full.stats.n_docs, full.stats.avgdl))
+            hits = bm25_search(index, query, 150)
+            assert repr(hits) == repr(bm25_search(full, query, 150))
+            if case in ("single_answer", "no_threads"):
+                assert hits == []  # N = df (or N = 0): nothing is scored
+            else:
+                assert hits and "zzznowhere" not in index.postings
 
 
 class TestAnswerBm25Fallback:
