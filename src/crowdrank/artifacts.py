@@ -2,15 +2,19 @@
 
 ``build_artifacts`` turns a JSONL dump into an index directory:
 
-    threads.jsonl   versioned thread store
-    index.json      persistent thread inverted index (version 2: postings, doc
-                    lengths and each thread's sum of squared term frequencies)
-    idf.json        document frequencies + doc count (IDF derives from these)
-    titles.txt      preprocessed question titles, one per line
-    contents.txt    one preprocessed thread per line (title+body+code of Q&A)
-    meta.json       format version, embedding config, corpus stats
+    threads.jsonl       versioned thread store
+    index.header.json   thread index header: format version, BM25 k and b
+    index.*.npy         thread index arrays (`index.INDEX_ARRAYS`): the sorted
+                        terms, postings in CSR form (indptr, document rows,
+                        tfs) and per thread its id, length and sum of squared
+                        term frequencies
+    idf.json            document frequencies + doc count (IDF derives from these)
+    titles.txt          preprocessed question titles, one per line
+    contents.txt        one preprocessed thread per line (title+body+code of Q&A)
+    meta.json           format version, embedding config, corpus stats
 
-``load_engine`` validates the version tags and assembles a SearchEngine.
+``load_engine`` validates the version tags and assembles a SearchEngine; a
+damaged meta.json, idf.json or thread index file is a ValueError that names it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 
 from .antonyms import AntonymDictionary, default_dictionary, merge_lists
 from .corpus import (BuildStats, LoadStats, TagFilter, Thread, build_threads,
-                     load_dump, load_threads, save_threads,
+                     load_dump, load_threads, read_json_object, save_threads,
                      PREPROCESS_VERSION)
 from .embeddings import (DEFAULT_DIM, DEFAULT_SEED, EmbeddingConfig, EmbeddingStore,
                          IdfMap, load_sentence_vectors, load_word_vectors)
@@ -81,8 +85,9 @@ def build_artifacts(corpus_path: str | Path, out_dir: str | Path,
 
     save_threads(threads, out / "threads.jsonl")
     index = build_thread_index(threads)
-    save_index(index, out / "index.json",
-               meta={"preprocess_version": PREPROCESS_VERSION})
+    save_index(index, out, meta={"preprocess_version": PREPROCESS_VERSION})
+    # The JSON index of earlier versions is replaced, not kept beside the arrays.
+    (out / "index.json").unlink(missing_ok=True)
 
     idf = build_idf(threads) if threads else IdfMap({}, 1)
     idf_payload = {"format": "crowdrank-idf", "version": 1,
@@ -111,11 +116,21 @@ def build_artifacts(corpus_path: str | Path, out_dir: str | Path,
                        load_stats=load_stats, build_stats=build_stats)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def load_idf(path: str | Path) -> IdfMap:
-    payload = json.loads(Path(path).read_text("utf-8"))
+    """Read idf.json; ValueError names the file when it is not a valid one."""
+    payload = read_json_object(path)
     if payload.get("format") != "crowdrank-idf" or payload.get("version") != 1:
         raise ValueError(f"not a supported idf file: {path}")
-    return IdfMap(payload["df"], payload["doc_count"])
+    df, doc_count = payload.get("df"), payload.get("doc_count")
+    if not isinstance(df, dict) or not all(map(_is_count, df.values())):
+        raise ValueError(f"{path}: df must be an object of positive integer counts")
+    if not _is_count(doc_count):
+        raise ValueError(f"{path}: doc_count must be a positive integer, got {doc_count!r}")
+    return IdfMap(df, doc_count)
 
 
 def load_engine(index_dir: str | Path,
@@ -125,20 +140,24 @@ def load_engine(index_dir: str | Path,
                 stopwords: frozenset[str] | None = None,
                 seed: int = DEFAULT_SEED) -> SearchEngine:
     root = Path(index_dir)
-    meta = json.loads((root / "meta.json").read_text("utf-8"))
+    meta_path = root / "meta.json"
+    meta = read_json_object(meta_path)
     if meta.get("format") != META_FORMAT or meta.get("version") != META_VERSION:
         raise ValueError(f"unsupported index directory format in {root}")
     if meta.get("preprocess_version") != PREPROCESS_VERSION:
         raise ValueError("index was built with an incompatible preprocessing version")
+    embedding = meta.get("embedding", {})
+    dim = embedding.get("dim", DEFAULT_DIM) if isinstance(embedding, dict) else None
+    if not _is_count(dim):
+        raise ValueError(f"{meta_path}: embedding dim must be a positive integer, got {dim!r}")
 
     threads = load_threads(root / "threads.jsonl")
-    thread_index = load_index(root / "index.json")
+    thread_index = load_index(root)
     idf = load_idf(root / "idf.json")
 
     if word_vectors is not None:
         store = load_word_vectors(word_vectors, fallback=False, seed=seed)
     else:
-        dim = meta.get("embedding", {}).get("dim", DEFAULT_DIM)
         store = EmbeddingStore(dim=dim, fallback=True, seed=seed)
     if sentence_vectors is not None:
         load_sentence_vectors(sentence_vectors, store)

@@ -329,6 +329,17 @@ def save_threads(threads: list[Thread], path: str | Path) -> None:
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n")
 
 
+def read_json_object(path: str | Path) -> dict:
+    """One JSON object from a file; ValueError, naming the file, for other content."""
+    try:
+        payload = json.loads(Path(path).read_text("utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return payload
+
+
 def load_threads(path: str | Path) -> list[Thread]:
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())

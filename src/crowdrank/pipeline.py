@@ -22,7 +22,7 @@ from .antonyms import AntonymDictionary, AntonymQueryContext
 from .corpus import Thread, preprocess
 from .embeddings import EmbeddingStore, IdfMap, WordMatrix, asym_scores, cosine, sentence_embed
 from .index import (InvertedIndex, answer_document_bag, bm25_search,
-                    build_ephemeral_answer_index, build_thread_index)
+                    build_ephemeral_answer_index, build_thread_index, gather)
 
 
 @dataclass
@@ -112,17 +112,19 @@ class SearchEngine:
         """`tf_score` of the query against each thread's indexed document.
 
         The dot products come from the query terms' postings, the document
-        norms from the sums of squares the thread index stores.
+        norms from the sums of squares the thread index stores. A dot product
+        is a sum of integers, exact in float64 below 2**53.
         """
-        dots = dict.fromkeys((t.question.id for t in threads), 0)
-        for term, count in qc.bag.items():
-            for doc_id, tf in self.thread_index.postings.get(term, ()):
-                if doc_id in dots:
-                    dots[doc_id] += count * tf
+        index = self.thread_index
+        spans = index.spans(qc.bag)
+        counts = np.repeat(np.array(list(qc.bag.values()), dtype=np.int64),
+                           [hi - lo for lo, hi in spans])
+        dots = np.bincount(gather(index.rows, spans), weights=gather(index.tfs, spans) * counts,
+                           minlength=index.stats.n_docs)
+        rows = np.searchsorted(index.doc_ids, [t.question.id for t in threads])
         sumsq_q = sum(c * c for c in qc.bag.values())
-        sumsq = self.thread_index.doc_sumsq
-        return [ft.tf_cosine(dots[t.question.id], sumsq_q, sumsq[t.question.id])
-                for t in threads]
+        return [ft.tf_cosine(dot, sumsq_q, sumsq)
+                for dot, sumsq in zip(dots[rows].tolist(), index.doc_sumsq[rows].tolist())]
 
     def _similarity_features(self, qc: QueryContext, threads: list[Thread],
                              clamp: bool) -> list[dict[str, float]]:

@@ -21,8 +21,10 @@ from crowdrank.features import (WeightConfig, question_score_value, tf_score,
 from crowdrank.index import bm25_search, build_index
 from crowdrank.pipeline import configure_ablation
 
-ARTIFACT_FILES = ("threads.jsonl", "index.json", "idf.json",
-                  "titles.txt", "contents.txt", "meta.json")
+ARTIFACT_FILES = ("threads.jsonl", "idf.json", "titles.txt", "contents.txt", "meta.json",
+                  "index.header.json", "index.terms.npy", "index.term_ptr.npy",
+                  "index.indptr.npy", "index.rows.npy", "index.tfs.npy",
+                  "index.doc_ids.npy", "index.doc_len.npy", "index.doc_sumsq.npy")
 
 
 def build_engine(tmp_path_factory, posts, label):
@@ -188,6 +190,8 @@ def test_criterion_7_determinism(tmp_path_factory):
     synth.write_jsonl(corpus, posts)
     build_artifacts(corpus, root / "a")
     build_artifacts(corpus, root / "b")
+    for side in ("a", "b"):
+        assert sorted(p.name for p in (root / side).iterdir()) == sorted(ARTIFACT_FILES)
     for name in ARTIFACT_FILES:
         assert (root / "a" / name).read_bytes() == (root / "b" / name).read_bytes()
 

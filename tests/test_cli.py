@@ -3,12 +3,14 @@ import io
 import json
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import synth
 from crowdrank.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
 from crowdrank.features import WeightConfig
+from crowdrank.index import INDEX_ARRAYS, INDEX_HEADER, index_file, load_index
 
 # Text a file can hold: any code point but the surrogates.
 TEXT_ST = st.text(st.characters(exclude_categories=("Cs",)), max_size=30)
@@ -41,9 +43,20 @@ def workspace(tmp_path_factory):
 
 class TestBuildIndex:
     def test_artifacts_written(self, workspace):
-        for name in ("threads.jsonl", "index.json", "idf.json", "titles.txt",
-                     "contents.txt", "meta.json"):
-            assert (workspace["index"] / name).exists()
+        assert sorted(p.name for p in workspace["index"].iterdir()) == sorted([
+            "threads.jsonl", "idf.json", "titles.txt", "contents.txt", "meta.json",
+            "index.header.json", "index.terms.npy", "index.term_ptr.npy",
+            "index.indptr.npy", "index.rows.npy", "index.tfs.npy", "index.doc_ids.npy",
+            "index.doc_len.npy", "index.doc_sumsq.npy"])
+        assert not (workspace["index"] / "index.json").exists()
+
+    def test_rebuild_replaces_a_json_index(self, workspace, tmp_path):
+        out = tmp_path / "idx"
+        shutil.copytree(workspace["index"], out)
+        (out / "index.json").write_text('{"format": "crowdrank-index", "version": 2}')
+        assert main(["build-index", "--corpus", str(workspace["corpus"]),
+                     "--out", str(out)]) == EXIT_OK
+        assert not (out / "index.json").exists()
 
     def test_missing_corpus(self, tmp_path, capsys):
         code = main(["build-index", "--corpus", str(tmp_path / "nope.jsonl"),
@@ -162,23 +175,89 @@ class TestSearchProperties:
             json.loads(line, parse_constant=_reject_constant)
 
 
-@pytest.mark.parametrize("payload, named", [
-    ({"format": "crowdrank-index", "version": 1}, "build-index"),
-    (None, "build-index"),  # a complete version-1 file
-    ({"format": "crowdrank-index", "version": 2}, "lacks k, b, doc_len, doc_sumsq, postings"),
-    ({"format": "crowdrank-index", "version": 2, "k": 1.2, "b": 0.9, "doc_len": {},
-      "postings": {}}, "lacks doc_sumsq"),
-])
+def _json_index_only(index_dir, payload):
+    """Leave the directory as builds before the arrays left it: index.json alone."""
+    for name in INDEX_ARRAYS:
+        index_file(index_dir, name).unlink()
+    (index_dir / INDEX_HEADER).unlink()
+    (index_dir / "index.json").write_text(json.dumps(payload))
+
+
+def _complete_json_index(index_dir):
+    """A complete version-2 index.json of the directory's own index."""
+    index = load_index(index_dir)
+    return {"format": "crowdrank-index", "version": 2, "k": 1.2, "b": 0.9, "meta": {},
+            "doc_len": {str(d): n for d, n in zip(index.doc_ids.tolist(),
+                                                  index.doc_len.tolist())},
+            "doc_sumsq": {str(d): n for d, n in zip(index.doc_ids.tolist(),
+                                                    index.doc_sumsq.tolist())},
+            "postings": {t: index.postings(t) for t in index.terms}}
+
+
+def _edit_json(name, edit):
+    def damage(index_dir):
+        path = index_dir / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return damage
+
+
+def _save_array(name, edit):
+    def damage(index_dir):
+        path = index_file(index_dir, name)
+        array = edit(np.load(path))
+        with open(path, "wb") as fh:
+            np.save(fh, array)
+    return damage
+
+
+def _without(key):
+    def edit(payload):
+        del payload[key]
+        return payload
+    return edit
+
+
+BAD_INDEX_DIRS = {
+    # damage(index_dir), then what the one error line must name
+    "json-index-v1": (lambda d: _json_index_only(d, {"format": "crowdrank-index", "version": 1}),
+                      "index.json: an index of an older format; rerun `crowdrank build-index`"),
+    "json-index-v2": (lambda d: _json_index_only(d, _complete_json_index(d)),
+                      "index.json: an index of an older format; rerun `crowdrank build-index`"),
+    "header-version-2": (_edit_json(INDEX_HEADER, lambda h: dict(h, version=2)),
+                         "rerun `crowdrank build-index`"),
+    "header-lacks-k": (_edit_json(INDEX_HEADER, _without("k")), INDEX_HEADER),
+    "idf-lacks-df": (_edit_json("idf.json", _without("df")), "idf.json: df"),
+    "idf-not-an-object": (_edit_json("idf.json", lambda _: [1]),
+                          "idf.json: not a JSON object"),
+    "meta-not-an-object": (_edit_json("meta.json", lambda _: [1]),
+                           "meta.json: not a JSON object"),
+    "meta-embedding-not-an-object": (_edit_json("meta.json", lambda m: dict(m, embedding=[1])),
+                                     "meta.json: embedding dim"),
+    "array-missing": (lambda d: index_file(d, "rows").unlink(), "index.rows.npy: missing"),
+    "array-needs-pickle": (_save_array("doc_ids", lambda a: a.astype(object)),
+                           "index.doc_ids.npy: not a readable .npy array"),
+    "array-wrong-dtype": (_save_array("tfs", lambda a: a.astype(np.float64)),
+                          "index.tfs.npy: holds a 1-d float64 array"),
+    "array-wrong-ndim": (_save_array("doc_len", lambda a: a[None, :]),
+                         "index.doc_len.npy: holds a 2-d int64 array"),
+    "indptr-not-monotone": (_save_array("indptr", lambda a: np.where(
+        np.arange(len(a)) == 1, a[-1], a)), "index.indptr.npy: offsets do not run"),
+    "indptr-short-of-postings": (_save_array("indptr", lambda a: np.append(a[:-1], a[-1] - 1)),
+                                 "index.indptr.npy: offsets do not run"),
+    "row-out-of-range": (_save_array("rows", lambda a: np.append(a[:-1], 10 ** 6).astype(
+        np.int32)), "index.rows.npy: a document row is outside"),
+    "term-count-off": (_save_array("indptr", lambda a: np.append(a, a[-1])),
+                       "index.indptr.npy: term count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INDEX_DIRS))
 @pytest.mark.parametrize("command", ["search", "evaluate"])
-def test_bad_index_file_is_one_error_line(workspace, tmp_path, capsys, payload, named,
-                                          command):
+def test_bad_index_file_is_one_error_line(workspace, tmp_path, capsys, case, command):
+    damage, named = BAD_INDEX_DIRS[case]
     index_dir = tmp_path / "index"
     shutil.copytree(workspace["index"], index_dir)
-    if payload is None:
-        payload = json.loads((index_dir / "index.json").read_text())
-        payload["version"] = 1
-        del payload["doc_sumsq"]
-    (index_dir / "index.json").write_text(json.dumps(payload))
+    damage(index_dir)
     args = (["search", workspace["queries"][1]] if command == "search"
             else ["evaluate", "--truth", str(workspace["truth"]),
                   "-o", str(tmp_path / "report.csv")])

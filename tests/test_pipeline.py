@@ -20,6 +20,11 @@ from crowdrank.index import (answer_document_bag, bm25_search, build_ephemeral_a
 from crowdrank.pipeline import BASELINE_NAMES, SearchEngine, configure_ablation
 
 
+def doc_lengths(index):
+    """(doc_id, length) of every document of an index, by doc_id."""
+    return sorted(zip(index.doc_ids.tolist(), index.doc_len.tolist()))
+
+
 def make_engine(posts):
     threads = build_threads([RawPost.from_json(o) for o in posts])
     return SearchEngine(threads, EmbeddingStore(fallback=True),
@@ -272,16 +277,17 @@ class TestLexicalFeatures:
             index = build_ephemeral_answer_index(threads, query)
             full = build_index({a.id: answer_document_bag(t, a)
                                 for t in threads for a in t.answers})
-            assert set(index.postings) <= set(query)
-            assert repr((sorted(index.doc_len.items()), index.stats.n_docs,
-                         index.stats.avgdl)) == repr(
-                (sorted(full.doc_len.items()), full.stats.n_docs, full.stats.avgdl))
+            assert set(index.terms) <= set(query)
+            for term in query:
+                assert index.postings(term) == full.postings(term)
+            assert repr((doc_lengths(index), index.stats.n_docs, index.stats.avgdl)) == repr(
+                (doc_lengths(full), full.stats.n_docs, full.stats.avgdl))
             hits = bm25_search(index, query, 150)
             assert repr(hits) == repr(bm25_search(full, query, 150))
             if case in ("single_answer", "no_threads"):
                 assert hits == []  # N = df (or N = 0): nothing is scored
             else:
-                assert hits and "zzznowhere" not in index.postings
+                assert hits and "zzznowhere" not in index.terms
 
 
 class TestAnswerBm25Fallback:
