@@ -89,7 +89,17 @@ def cmd_build_index(args) -> int:
     return EXIT_OK
 
 
+def _below_one(flag: str, value: int | None) -> bool:
+    """Print the usage error for a count flag below 1, and say whether it was."""
+    if value is None or value >= 1:
+        return False
+    print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+    return True
+
+
 def cmd_search(args) -> int:
+    if _below_one("-n", args.top):
+        return EXIT_USAGE
     try:
         config = _config_from_args(args)
     except (OSError, ValueError) as exc:
@@ -127,8 +137,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.k < 1:
-        print(f"error: -k must be at least 1, got {args.k}", file=sys.stderr)
+    if _below_one("-k", args.k) or _below_one("-n", args.top):
         return EXIT_USAGE
     try:
         truth = GroundTruth.load(args.truth)
@@ -191,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", default="crar",
                    help="baseline configuration name (default: %(default)s)")
     p.add_argument("--config", help="weight configuration file (overrides --baseline)")
-    p.add_argument("-n", "--top", type=int, default=10,
-                   help="number of answers to return (default: %(default)s)")
+    p.add_argument("-n", "--top", type=int,
+                   help="number of answers to return (default: the config's final_n, 10)")
     p.add_argument("--json", action="store_true", help="emit JSONL instead of text")
     p.add_argument("--explain", action="store_true",
                    help="include per-feature diagnostics")
@@ -206,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baselines", default="",
                    help="comma-separated baseline names (default: crar)")
     p.add_argument("-k", type=int, default=10, help="metric cutoff (default: %(default)s)")
-    p.add_argument("-n", "--top", type=int, default=10,
-                   help="answers requested per query (default: %(default)s)")
+    p.add_argument("-n", "--top", type=int,
+                   help="answers requested per query (default: the preset's final_n, 10)")
     p.add_argument("-o", "--output", default="report.csv", help="CSV report path")
     p.add_argument("--per-query", metavar="CSV",
                    help="also write hit, rr, ap and recall per (baseline, query_id)")

@@ -341,17 +341,26 @@ def read_json_object(path: str | Path) -> dict:
 
 
 def load_threads(path: str | Path) -> list[Thread]:
+    """The thread store; ValueError, naming `path:lineno`, for a damaged line."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != THREAD_STORE_FORMAT:
+        try:
+            header = json.loads(fh.readline())
+            fmt, version = header.get("format"), header.get("version")
+        except (AttributeError, ValueError) as exc:
+            raise ValueError(f"{path}:1: not a thread store header ({exc})") from None
+        if fmt != THREAD_STORE_FORMAT:
             raise ValueError(f"not a thread store: {path}")
-        if header.get("version") != THREAD_STORE_VERSION:
-            raise ValueError(f"unsupported thread store version {header.get('version')}")
-        threads = []
-        for line in fh:
-            obj = json.loads(line)
-            threads.append(Thread(
-                question=_post_from_json(obj["question"]),
-                answers=[_post_from_json(a) for a in obj["answers"]],
-            ))
+        if version != THREAD_STORE_VERSION:
+            raise ValueError(f"unsupported thread store version {version}")
+        threads, lineno = [], 1
+        try:
+            for lineno, line in enumerate(fh, 2):
+                obj = json.loads(line)
+                threads.append(Thread(
+                    question=_post_from_json(obj["question"]),
+                    answers=[_post_from_json(a) for a in obj["answers"]],
+                ))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: not a thread "
+                             f"({type(exc).__name__}: {exc})") from None
     return threads

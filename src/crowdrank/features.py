@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -81,6 +81,8 @@ class WeightConfig:
             raise ValueError("funnel thresholds must be positive and non-increasing")
         if self.answer_k <= 0:
             raise ValueError("answer_k must be positive")
+        if self.final_n < 1:
+            raise ValueError(f"final_n must be at least 1, got {self.final_n!r}")
         if not (math.isfinite(self.method_scale) and self.method_scale > 0):
             raise ValueError("method_scale must be finite and positive, "
                              f"got {self.method_scale!r}")
@@ -99,20 +101,10 @@ class WeightConfig:
         return self.antonym_enabled and self.antonym_targets in ("ANS", "TR_ANS")
 
     def to_flat(self) -> dict[str, str]:
-        flat = {f"thread_weight.{k}": repr(v) for k, v in self.thread_weights.items()}
-        flat.update({f"answer_weight.{k}": repr(v) for k, v in self.answer_weights.items()})
-        flat.update({
-            "bm25_top": str(self.bm25_top),
-            "stage1_keep": str(self.stage1_keep),
-            "stage2_keep": str(self.stage2_keep),
-            "answer_k": str(self.answer_k),
-            "final_n": str(self.final_n),
-            "antonym_enabled": str(self.antonym_enabled).lower(),
-            "antonym_pos_mode": self.antonym_pos_mode,
-            "antonym_targets": self.antonym_targets,
-            "method_scale": repr(self.method_scale),
-            "clamp_negative_cosine": str(self.clamp_negative_cosine).lower(),
-        })
+        flat = {f"{prefix}.{k}": repr(v) for prefix, attr in _WEIGHT_KEYS.items()
+                for k, v in getattr(self, attr).items()}
+        flat.update({name: _FORMAT.get(kind, str)(getattr(self, name))
+                     for name, kind in _SCALAR_FIELDS.items()})
         return flat
 
     def save(self, path: str | Path) -> None:
@@ -130,22 +122,24 @@ class WeightConfig:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
             key, value = key.strip(), value.strip()
-            if key.startswith("thread_weight."):
-                config.thread_weights[key.removeprefix("thread_weight.")] = float(value)
-            elif key.startswith("answer_weight."):
-                config.answer_weights[key.removeprefix("answer_weight.")] = float(value)
-            elif key in ("bm25_top", "stage1_keep", "stage2_keep", "answer_k", "final_n"):
-                setattr(config, key, int(value))
-            elif key == "method_scale":
-                config.method_scale = float(value)
-            elif key in ("antonym_enabled", "clamp_negative_cosine"):
-                setattr(config, key, value.lower() == "true")
-            elif key in ("antonym_pos_mode", "antonym_targets"):
-                setattr(config, key, value)
+            prefix, dot, feature = key.partition(".")
+            if dot and prefix in _WEIGHT_KEYS:
+                getattr(config, _WEIGHT_KEYS[prefix])[feature] = float(value)
+            elif key in _SCALAR_FIELDS:
+                setattr(config, key, _PARSE[_SCALAR_FIELDS[key]](value))
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         config.validate()
         return config
+
+
+# The config file's keys: `<prefix>.<feature>` for each weight, and one per
+# scalar field, read and written by the type of its default.
+_WEIGHT_KEYS = {"thread_weight": "thread_weights", "answer_weight": "answer_weights"}
+_SCALAR_FIELDS = {f.name: type(f.default) for f in fields(WeightConfig)
+                  if f.default is not MISSING}
+_FORMAT = {bool: lambda v: str(v).lower(), float: repr}
+_PARSE = {bool: lambda v: v.lower() == "true", int: int, float: float, str: str}
 
 
 @dataclass

@@ -181,16 +181,17 @@ def thread_document_bag(thread: Thread) -> Counter:
     return bag
 
 
-def answer_document_bag(thread: Thread, answer: ProcessedPost) -> Counter:
-    """Indexed text of an answer: parent title + parent body + its body + its code.
+def answer_document_parts(thread: Thread, answer: ProcessedPost) -> tuple[Counter, ...]:
+    """The bags of an answer's indexed text: parent title, parent body, its
+    body, its code. Tf-idf float sums follow this order."""
+    return thread.question.title_bag, thread.question.body_bag, answer.body_bag, answer.code_bag
 
-    The same bag is the target of the answer's tf-idf feature, whose float
-    sums follow this key order.
-    """
-    bag = Counter(thread.question.title_bag)
-    bag.update(thread.question.body_bag)
-    bag.update(answer.body_bag)
-    bag.update(answer.code_bag)
+
+def answer_document_bag(thread: Thread, answer: ProcessedPost) -> Counter:
+    """Indexed text of an answer, the target of its tf-idf feature."""
+    bag = Counter()
+    for part in answer_document_parts(thread, answer):
+        bag.update(part)
     return bag
 
 
@@ -210,17 +211,18 @@ def build_ephemeral_answer_index(threads: Iterable[Thread], terms: Iterable[str]
     full index.
     """
     terms = sorted(set(terms))
-    answers = []  # (answer id, answer, question length, the question's tf of each term)
+    answers = []  # (answer id, its body and code, question length, the question's tf of each term)
     for thread in threads:
-        title, body = thread.question.title_bag, thread.question.body_bag
-        question_len = sum(title.values()) + sum(body.values())
-        question_tfs = [title.get(t, 0) + body.get(t, 0) for t in terms]
+        question_tfs = None
         for answer in thread.answers:
-            answers.append((answer.id, answer, question_len, question_tfs))
+            title, question_body, body, code = answer_document_parts(thread, answer)
+            if question_tfs is None:  # the same for every answer of the thread
+                question_len = sum(title.values()) + sum(question_body.values())
+                question_tfs = [title.get(t, 0) + question_body.get(t, 0) for t in terms]
+            answers.append((answer.id, body, code, question_len, question_tfs))
     answers.sort(key=itemgetter(0))
     doc_len, rows, tfs = [], [[] for _ in terms], [[] for _ in terms]
-    for row, (_, answer, question_len, question_tfs) in enumerate(answers):
-        body, code = answer.body_bag, answer.code_bag
+    for row, (_, body, code, question_len, question_tfs) in enumerate(answers):
         doc_len.append(question_len + sum(body.values()) + sum(code.values()))
         for term, question_tf, term_rows, term_tfs in zip(terms, question_tfs, rows, tfs):
             tf = question_tf + body.get(term, 0) + code.get(term, 0)

@@ -250,91 +250,53 @@ def _canon(name: str) -> str:
     return name.strip().lower().replace(" ", "-").replace("_", "-")
 
 
-def _social_only(enabled: set[str]) -> ft.WeightConfig:
-    config = ft.WeightConfig()
-    for feature in ft.SOCIAL_FEATURES:
-        if feature not in enabled:
-            config.thread_weights[feature] = 0.0
-    return config
-
-
-def _antonym(pos_mode: str, targets: str) -> ft.WeightConfig:
-    config = ft.WeightConfig()
-    config.antonym_enabled = True
-    config.antonym_pos_mode = pos_mode
-    config.antonym_targets = targets
-    return config
-
-
-def _crar() -> ft.WeightConfig:
-    return _antonym("NN", "ANS")
-
-
-def _crar_without(feature: str, kind: str) -> ft.WeightConfig:
-    config = _crar()
-    weights = config.thread_weights if kind == "thread" else config.answer_weights
-    weights[feature] = 0.0
-    return config
-
-
-def _thread_isolated(feature: str) -> ft.WeightConfig:
-    config = ft.WeightConfig()
-    for name in ft.THREAD_FEATURES:
-        if name != feature:
-            config.thread_weights[name] = 0.0
-    return config
-
-
-def _answer_isolated(feature: str) -> ft.WeightConfig:
-    config = ft.WeightConfig()
-    for name in ft.ANSWER_FEATURES:
-        if name != feature:
-            config.answer_weights[name] = 0.0
-    return config
-
-
+_CRAR = ("NN", "ANS")
 _SOCIAL_CODES = {"tas": "total_answer_score", "qs": "question_score", "ac": "answer_count"}
+_FEATURE_CODES = {
+    "thread": {"tf": "tf", "sent2vec": "sentence", "asym-title": "asym_title",
+               "asym-body": "asym_body"},
+    "answer": {"tfidf": "tfidf", "asym": "asym", "thread-score": "thread_score",
+               "top-method": "top_method"},
+}
 
 
-def _baseline_builders() -> dict:
-    builders = {
-        "template": ft.WeightConfig,
-        "template-without-sf": lambda: _social_only(set()),
-        "crar": _crar,
-        "crar-without-tf": lambda: _crar_without("tf", "thread"),
-        "crar-without-sent2vec": lambda: _crar_without("sentence", "thread"),
-        "crar-without-asym-title": lambda: _crar_without("asym_title", "thread"),
-        "crar-without-asym-body": lambda: _crar_without("asym_body", "thread"),
-        "crar-without-tfidf": lambda: _crar_without("tfidf", "answer"),
-        "crar-without-asym": lambda: _crar_without("asym", "answer"),
-        "crar-without-thread-score": lambda: _crar_without("thread_score", "answer"),
-        "crar-without-top-method": lambda: _crar_without("top_method", "answer"),
-        "thread-tf": lambda: _thread_isolated("tf"),
-        "thread-sent2vec": lambda: _thread_isolated("sentence"),
-        "thread-asym-title": lambda: _thread_isolated("asym_title"),
-        "thread-asym-body": lambda: _thread_isolated("asym_body"),
-        "answer-tfidf": lambda: _answer_isolated("tfidf"),
-        "answer-asym": lambda: _answer_isolated("asym"),
-        "answer-thread-score": lambda: _answer_isolated("thread_score"),
-        "answer-top-method": lambda: _answer_isolated("top_method"),
+def _preset_table() -> dict[str, tuple[frozenset[str], tuple[str, str] | None]]:
+    """Each preset: the features whose weight is 0, and the antonym filter's
+    (pos mode, targets), or None for no filter."""
+    table = {
+        "template": (frozenset(), None),
+        "template-without-sf": (frozenset(ft.SOCIAL_FEATURES), None),
+        "crar": (frozenset(), _CRAR),
     }
     # Template-SF-<combo>: only the named social features stay on.
-    combos = ["tas", "qs", "ac", "tas-ac", "qs-tas", "qs-ac", "tas-qs", "ac-tas", "ac-qs"]
-    for combo in combos:
-        enabled = {_SOCIAL_CODES[c] for c in combo.split("-")}
-        builders[f"template-sf-{combo}"] = (lambda e=enabled: _social_only(e))
-    # Template-Ant-<POS>-<targets>
+    for combo in ("tas", "qs", "ac", "tas-ac", "qs-tas", "qs-ac", "tas-qs", "ac-tas", "ac-qs"):
+        table[f"template-sf-{combo}"] = (
+            frozenset(ft.SOCIAL_FEATURES) - {_SOCIAL_CODES[c] for c in combo.split("-")}, None)
     for pos in ("nn", "vb", "nn-vb"):
         for target in ("tr", "ans", "tr-ans"):
-            builders[f"template-ant-{pos}-{target}"] = (
-                lambda p=pos, t=target: _antonym(p.replace("-", "_").upper(),
-                                                 t.replace("-", "_").upper()))
-    return builders
+            table[f"template-ant-{pos}-{target}"] = (frozenset(), (
+                pos.replace("-", "_").upper(), target.replace("-", "_").upper()))
+    # CRAR without one feature, and one kind's features with only that one on.
+    for kind, names in (("thread", ft.THREAD_FEATURES), ("answer", ft.ANSWER_FEATURES)):
+        for code, feature in _FEATURE_CODES[kind].items():
+            table[f"crar-without-{code}"] = (frozenset({feature}), _CRAR)
+            table[f"{kind}-{code}"] = (frozenset(names) - {feature}, None)
+    return table
 
 
-_BUILDERS = _baseline_builders()
+def _preset(zero: frozenset[str], antonyms: tuple[str, str] | None) -> ft.WeightConfig:
+    config = ft.WeightConfig()
+    for weights in (config.thread_weights, config.answer_weights):
+        for feature in weights.keys() & zero:
+            weights[feature] = 0.0
+    if antonyms:
+        config.antonym_enabled = True
+        config.antonym_pos_mode, config.antonym_targets = antonyms
+    return config
 
-BASELINE_NAMES = tuple(sorted(_BUILDERS))
+
+_PRESETS = _preset_table()
+BASELINE_NAMES = tuple(sorted(_PRESETS))
 
 
 def configure_ablation(name: str) -> ft.WeightConfig:
@@ -342,8 +304,8 @@ def configure_ablation(name: str) -> ft.WeightConfig:
 
     Raises ValueError listing the valid names when the baseline is unknown.
     """
-    builder = _BUILDERS.get(_canon(name))
-    if builder is None:
+    preset = _PRESETS.get(_canon(name))
+    if preset is None:
         raise ValueError(f"unknown baseline {name!r}; valid names: "
                          + ", ".join(BASELINE_NAMES))
-    return builder()
+    return _preset(*preset)

@@ -130,12 +130,33 @@ class TestSearch:
                      "--config", str(config_path)])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("top, returned", [(None, 2), ("3", 3)])
+    def test_config_final_n_applies_unless_n_is_given(self, workspace, tmp_path, capsys,
+                                                      top, returned):
+        config_path = tmp_path / "weights.cfg"
+        WeightConfig(final_n=2).save(config_path)
+        args = ["search", workspace["queries"][1], "--index-dir", str(workspace["index"]),
+                "--config", str(config_path), "--json"]
+        assert main(args + (["-n", top] if top else [])) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == returned
+
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_top_below_one_is_a_usage_error(self, workspace, capsys, top):
+        code = main(["search", workspace["queries"][1], "--index-dir", str(workspace["index"]),
+                     "-n", top])
+        assert code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and top in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("line, named", [
         ("thread_weight.tff=0.3", "'tff'"),
         ("antonym_pos_mode=XX", "'XX'"),
         ("thread_weight.sentence=nan", "'sentence'"),
         ("answer_weight.asym=inf", "'asym'"),
         ("answer_weight.asym=1e308\nanswer_weight.tfidf=1e308", "answer weights"),
+        ("final_n=-5", "final_n"),
         (None, "No such file"),
     ])
     def test_bad_config_file_is_a_usage_error(self, workspace, tmp_path, capsys,
@@ -210,6 +231,15 @@ def _save_array(name, edit):
     return damage
 
 
+def _thread_store_line(lineno, text):
+    def damage(index_dir):
+        path = index_dir / "threads.jsonl"
+        lines = path.read_text("utf-8").splitlines()
+        lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+    return damage
+
+
 def _without(key):
     def edit(payload):
         del payload[key]
@@ -248,6 +278,9 @@ BAD_INDEX_DIRS = {
         np.int32)), "index.rows.npy: a document row is outside"),
     "term-count-off": (_save_array("indptr", lambda a: np.append(a, a[-1])),
                        "index.indptr.npy: term count"),
+    "threads-header-not-an-object": (_thread_store_line(1, "[1]"), "threads.jsonl:1:"),
+    "thread-lacks-id": (_thread_store_line(3, '{"question": {}}'), "threads.jsonl:3:"),
+    "thread-not-json": (_thread_store_line(2, "{not json"), "threads.jsonl:2:"),
 }
 
 
@@ -330,6 +363,16 @@ class TestEvaluate:
         assert err.startswith("error: ") and named in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_top_below_one_is_a_usage_error(self, workspace, tmp_path, capsys, top):
+        code = main(["evaluate", "--index-dir", str(workspace["index"]),
+                     "--truth", str(workspace["truth"]), "-n", top,
+                     "-o", str(tmp_path / "report.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: -n") and top in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_cutoff_below_one_is_a_usage_error(self, workspace, tmp_path, capsys, k):

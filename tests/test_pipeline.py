@@ -350,6 +350,54 @@ class TestAntonymFilter:
         assert counts["after_thread_filter"] == counts["bm25_threads"]
 
 
+# Every preset as built before the presets became one table: the features
+# whose weight is 0, and (antonym_enabled, antonym_pos_mode, antonym_targets).
+PRESETS = {
+    "answer-asym": (("tfidf", "top_method", "thread_score"), (False, "NN", "ANS")),
+    "answer-tfidf": (("asym", "top_method", "thread_score"), (False, "NN", "ANS")),
+    "answer-thread-score": (("asym", "tfidf", "top_method"), (False, "NN", "ANS")),
+    "answer-top-method": (("asym", "tfidf", "thread_score"), (False, "NN", "ANS")),
+    "crar": ((), (True, "NN", "ANS")),
+    "crar-without-asym": (("asym",), (True, "NN", "ANS")),
+    "crar-without-asym-body": (("asym_body",), (True, "NN", "ANS")),
+    "crar-without-asym-title": (("asym_title",), (True, "NN", "ANS")),
+    "crar-without-sent2vec": (("sentence",), (True, "NN", "ANS")),
+    "crar-without-tf": (("tf",), (True, "NN", "ANS")),
+    "crar-without-tfidf": (("tfidf",), (True, "NN", "ANS")),
+    "crar-without-thread-score": (("thread_score",), (True, "NN", "ANS")),
+    "crar-without-top-method": (("top_method",), (True, "NN", "ANS")),
+    "template": ((), (False, "NN", "ANS")),
+    "template-ant-nn-ans": ((), (True, "NN", "ANS")),
+    "template-ant-nn-tr": ((), (True, "NN", "TR")),
+    "template-ant-nn-tr-ans": ((), (True, "NN", "TR_ANS")),
+    "template-ant-nn-vb-ans": ((), (True, "NN_VB", "ANS")),
+    "template-ant-nn-vb-tr": ((), (True, "NN_VB", "TR")),
+    "template-ant-nn-vb-tr-ans": ((), (True, "NN_VB", "TR_ANS")),
+    "template-ant-vb-ans": ((), (True, "VB", "ANS")),
+    "template-ant-vb-tr": ((), (True, "VB", "TR")),
+    "template-ant-vb-tr-ans": ((), (True, "VB", "TR_ANS")),
+    "template-sf-ac": (("total_answer_score", "question_score"), (False, "NN", "ANS")),
+    "template-sf-ac-qs": (("total_answer_score",), (False, "NN", "ANS")),
+    "template-sf-ac-tas": (("question_score",), (False, "NN", "ANS")),
+    "template-sf-qs": (("answer_count", "total_answer_score"), (False, "NN", "ANS")),
+    "template-sf-qs-ac": (("total_answer_score",), (False, "NN", "ANS")),
+    "template-sf-qs-tas": (("answer_count",), (False, "NN", "ANS")),
+    "template-sf-tas": (("answer_count", "question_score"), (False, "NN", "ANS")),
+    "template-sf-tas-ac": (("question_score",), (False, "NN", "ANS")),
+    "template-sf-tas-qs": (("answer_count",), (False, "NN", "ANS")),
+    "template-without-sf": (("answer_count", "total_answer_score", "question_score"),
+                            (False, "NN", "ANS")),
+    "thread-asym-body": (("sentence", "asym_title", "tf", "answer_count",
+                          "total_answer_score", "question_score"), (False, "NN", "ANS")),
+    "thread-asym-title": (("sentence", "asym_body", "tf", "answer_count",
+                           "total_answer_score", "question_score"), (False, "NN", "ANS")),
+    "thread-sent2vec": (("asym_title", "asym_body", "tf", "answer_count",
+                         "total_answer_score", "question_score"), (False, "NN", "ANS")),
+    "thread-tf": (("sentence", "asym_title", "asym_body", "answer_count",
+                   "total_answer_score", "question_score"), (False, "NN", "ANS")),
+}
+
+
 class TestConfigureAblation:
     def test_canonical_names(self):
         for name in ("CRAR Without TF", "crar-without-tf", "crar_without_tf"):
@@ -404,6 +452,25 @@ class TestConfigureAblation:
         config = configure_ablation("Answer-Top-Method")
         assert config.answer_weights["top_method"] > 0
         assert sum(1 for w in config.answer_weights.values() if w) == 1
+
+    def test_every_preset_matches_the_parent(self, tmp_path):
+        assert BASELINE_NAMES == tuple(sorted(PRESETS))
+        default = WeightConfig()
+        path = tmp_path / "preset.cfg"
+        for name, (zero, antonyms) in PRESETS.items():
+            config = configure_ablation(name)
+            expected = WeightConfig(antonym_enabled=antonyms[0], antonym_pos_mode=antonyms[1],
+                                    antonym_targets=antonyms[2])
+            for weights in (expected.thread_weights, expected.answer_weights):
+                for feature in weights:
+                    if feature in zero:
+                        weights[feature] = 0.0
+            assert config == expected, name
+            # Key order too: the fused score sums the weights in this order.
+            assert list(config.thread_weights) == list(default.thread_weights), name
+            assert list(config.answer_weights) == list(default.answer_weights), name
+            config.save(path)
+            assert WeightConfig.load(path) == config, name
 
     def test_all_names_buildable(self):
         for name in BASELINE_NAMES:
