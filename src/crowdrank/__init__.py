@@ -12,8 +12,7 @@ from .corpus import (RawPost, TagFilter, Thread, build_threads, load_dump,
                      preprocess, separate_code)
 from .embeddings import EmbeddingStore, IdfMap, asym, asym_score, cosine, fallback_embed
 from .evaluation import GroundTruth, MetricsReport, evaluate, run_ablation_grid
-from .features import (WeightConfig, final_score, question_score_value,
-                       tf_score, tfidf_score, top_method_score)
+from .features import WeightConfig, question_score_value, tf_score, tfidf_score, top_method_score
 from .index import InvertedIndex, bm25_search, build_index
 from .pipeline import BASELINE_NAMES, SearchEngine, SearchResult, configure_ablation
 

@@ -342,9 +342,9 @@ def read_json_object(path: str | Path) -> dict:
 
 def load_threads(path: str | Path) -> list[Thread]:
     """The thread store; ValueError, naming `path:lineno`, for a damaged line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
-            header = json.loads(fh.readline())
+            header = json.loads(fh.readline().decode("utf-8"))
             fmt, version = header.get("format"), header.get("version")
         except (AttributeError, ValueError) as exc:
             raise ValueError(f"{path}:1: not a thread store header ({exc})") from None
@@ -355,7 +355,7 @@ def load_threads(path: str | Path) -> list[Thread]:
         threads, lineno = [], 1
         try:
             for lineno, line in enumerate(fh, 2):
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
                 threads.append(Thread(
                     question=_post_from_json(obj["question"]),
                     answers=[_post_from_json(a) for a in obj["answers"]],

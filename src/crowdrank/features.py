@@ -15,6 +15,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .antonyms import POS_MODES
 from .embeddings import IdfMap
 
@@ -123,12 +125,16 @@ class WeightConfig:
             key, value = line.split("=", 1)
             key, value = key.strip(), value.strip()
             prefix, dot, feature = key.partition(".")
-            if dot and prefix in _WEIGHT_KEYS:
-                getattr(config, _WEIGHT_KEYS[prefix])[feature] = float(value)
-            elif key in _SCALAR_FIELDS:
-                setattr(config, key, _PARSE[_SCALAR_FIELDS[key]](value))
-            else:
+            weights = dot and _WEIGHT_KEYS.get(prefix)
+            if not weights and key not in _SCALAR_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                if weights:
+                    getattr(config, weights)[feature] = float(value)
+                else:
+                    setattr(config, key, _PARSE[_SCALAR_FIELDS[key]](value))
+            except (KeyError, ValueError) as exc:  # KeyError: a bool other than true/false
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
         config.validate()
         return config
 
@@ -139,7 +145,8 @@ _WEIGHT_KEYS = {"thread_weight": "thread_weights", "answer_weight": "answer_weig
 _SCALAR_FIELDS = {f.name: type(f.default) for f in fields(WeightConfig)
                   if f.default is not MISSING}
 _FORMAT = {bool: lambda v: str(v).lower(), float: repr}
-_PARSE = {bool: lambda v: v.lower() == "true", int: int, float: float, str: str}
+_PARSE = {bool: lambda v: {"true": True, "false": False}[v.lower()],
+          int: int, float: float, str: str}
 
 
 @dataclass
@@ -186,16 +193,6 @@ def question_score_value(score: int) -> float:
     return 1.0
 
 
-def normalize_social(values: Sequence[float]) -> list[float]:
-    """Min-max over the candidate set; an all-equal column maps to 1.0."""
-    if not values:
-        return []
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        return [1.0] * len(values)
-    return [(v - lo) / (hi - lo) for v in values]
-
-
 def extract_methods(code_text: str) -> list[str]:
     """Method-call identifiers in raw code, language keywords excluded."""
     return [m for m in METHOD_CALL_RE.findall(code_text) if m not in METHOD_KEYWORDS]
@@ -222,29 +219,27 @@ def top_method_score(answers: Sequence[tuple[int, str]], scale: float = 10.0) ->
             for answer_id, methods in per_answer.items()}
 
 
-def final_score(fv: FeatureVector, weights: Mapping[str, float]) -> float:
-    """Weighted sum of normalized feature scores."""
-    try:
-        return sum(fv.normalized[name] * w for name, w in weights.items())
-    except KeyError as exc:
-        raise ValueError(f"feature {exc.args[0]!r} missing from normalized vector") from None
-
-
-def normalize_and_fuse(raws: Sequence[dict[str, float]], weights: Mapping[str, float],
-                       ) -> list[tuple[FeatureVector, float]]:
-    """Min-max normalize each feature column over the candidate set and fuse.
+def normalize_and_fuse(table: Mapping[str, np.ndarray], weights: Mapping[str, float],
+                       ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Min-max normalize each weighted column of a feature table, a row per
+    candidate (an all-equal column maps to 1.0), and fuse them: returns the
+    normalized columns and their weighted sum, added in ``weights`` order.
 
     The question score bypasses min-max and goes through its ladder instead.
     """
-    if not raws:
-        return []
-    vectors = [FeatureVector(raw=dict(r)) for r in raws]
-    for name in weights:
-        column = [fv.raw[name] for fv in vectors]
+    n = len(next(iter(table.values()), ()))
+    normalized, fused = {}, np.zeros(n)
+    for name, w in weights.items():
+        if name not in table:
+            raise ValueError(f"feature {name!r} missing from the feature table")
+        column = table[name]
+        values = column.tolist()  # builtin min/max beat numpy's on short columns
         if name == "question_score":
-            normed = [question_score_value(int(v)) for v in column]
+            normed = np.array([question_score_value(int(v)) for v in values])
+        elif values and (lo := min(values)) != (hi := max(values)):
+            normed = (column - lo) / (hi - lo)
         else:
-            normed = normalize_social(column)
-        for fv, value in zip(vectors, normed):
-            fv.normalized[name] = value
-    return [(fv, final_score(fv, weights)) for fv in vectors]
+            normed = np.ones(n)
+        normalized[name] = normed
+        fused += normed * w
+    return normalized, fused

@@ -5,8 +5,8 @@ antonym filter, stage-1 fusion of the four similarity features (keep 250),
 stage-2 fusion of those same values plus the three social features (keep
 100), ephemeral BM25 over the surviving answers, indexed on the query's
 terms only (top 150), optional answer-level antonym filter, then
-four-feature answer fusion and the top-N cut. All three fusions rank the
-same way (`_rank`).
+four-feature answer fusion and the top-N cut. Each stage ranks one feature
+table (a column per feature, rows in the order of an ids array) by `_rank`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .index import (InvertedIndex, answer_document_bag, bm25_search,
 
 @dataclass
 class QueryContext:
-    raw_query: str
     bag: Counter
     antonym_ctx: AntonymQueryContext
     sentence_vec: np.ndarray
@@ -58,12 +57,18 @@ class SearchResult:
         return [e.answer_id for e in self.entries]
 
 
-def _rank(ids: list[int], raws: list[dict[str, float]], weights: dict[str, float],
-          keep: int) -> list[tuple[int, ft.FeatureVector, float]]:
-    """Fuse the candidates' raw features, sort by (-score, id), keep the first `keep`."""
-    fused = ft.normalize_and_fuse(raws, weights)
-    ranked = sorted(zip(ids, fused), key=lambda e: (-e[1][1], e[0]))
-    return [(i, fv, score) for i, (fv, score) in ranked[:keep]]
+def _rank(ids: np.ndarray, table: dict[str, np.ndarray], weights: dict[str, float],
+          keep: int) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
+    """Fuse a feature table: the first `keep` positions by (-score, id), the
+    normalized table and the fused scores."""
+    normalized, fused = ft.normalize_and_fuse(table, weights)
+    return np.lexsort((ids, -fused))[:keep], normalized, fused
+
+
+def _rows(table: dict[str, np.ndarray], positions: np.ndarray) -> list[dict[str, float]]:
+    """The table's rows at `positions`, as dicts of plain floats."""
+    columns = {name: column[positions].tolist() for name, column in table.items()}
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 class SearchEngine:
@@ -99,7 +104,7 @@ class SearchEngine:
         vec = sentence_embed(bag, self.store, self.idf_map)
         words = WordMatrix.of(bag, self.store, self.idf_map)
         vocab_ids = np.array([self.vocab.index.get(w, -1) for w in words.words], dtype=np.intp)
-        return QueryContext(raw_query=query, bag=bag, antonym_ctx=ctx, sentence_vec=vec,
+        return QueryContext(bag=bag, antonym_ctx=ctx, sentence_vec=vec,
                             words=words, vocab_ids=vocab_ids, novel_words=novel)
 
     def _asym(self, qc: QueryContext, docs: list[list[Collection[str]]],
@@ -127,17 +132,18 @@ class SearchEngine:
                 for dot, sumsq in zip(dots[rows].tolist(), index.doc_sumsq[rows].tolist())]
 
     def _similarity_features(self, qc: QueryContext, threads: list[Thread],
-                             clamp: bool) -> list[dict[str, float]]:
-        """The four stage-1 features of each thread; stage 2 reuses them."""
+                             clamp: bool) -> dict[str, np.ndarray]:
+        """The four stage-1 feature columns; stage 2 reuses them."""
         titles = self._asym(qc, [[t.question.title_bag] for t in threads], clamp)
         bodies = self._asym(qc, [[t.question.body_bag, *(a.body_bag for a in t.answers)]
                                  for t in threads], clamp)
-        return [{
-            "sentence": cosine(qc.sentence_vec, self.store.sentence_vecs[t.question.id]),
-            "asym_title": title,
-            "asym_body": body,
-            "tf": tf,
-        } for t, title, body, tf in zip(threads, titles, bodies, self._tf(qc, threads))]
+        return {
+            "sentence": np.array([cosine(qc.sentence_vec, self.store.sentence_vecs[t.question.id])
+                                  for t in threads]),
+            "asym_title": np.array(titles),
+            "asym_body": np.array(bodies),
+            "tf": np.array(self._tf(qc, threads)),
+        }
 
     def search(self, query: str, config: ft.WeightConfig | None = None,
                final_n: int | None = None) -> SearchResult:
@@ -171,27 +177,25 @@ class SearchEngine:
 
         # Stage 1: the four similarity features
         clamp = config.clamp_negative_cosine
-        raws = self._similarity_features(qc, candidates, clamp)
+        ids = np.array([t.question.id for t in candidates], dtype=np.int64)
+        table = self._similarity_features(qc, candidates, clamp)
         weights = {f: config.thread_weights[f] for f in ft.THREAD_SIMILARITY_FEATURES}
-        stage1 = _rank([t.question.id for t in candidates], raws, weights,
-                       config.stage1_keep)
-        counts["stage1_kept"] = len(stage1)
+        kept, _, _ = _rank(ids, table, weights, config.stage1_keep)
+        counts["stage1_kept"] = len(kept)
 
         # Stage 2: the stage-1 values plus the three social features
-        raws = []
-        for thread_id, fv, _ in stage1:
-            thread = self.threads[thread_id]
-            raws.append(dict(fv.raw, answer_count=float(thread.answer_count),
-                             total_answer_score=float(thread.total_answer_score),
-                             question_score=float(thread.question_score)))
-        stage2 = _rank([t for t, _, _ in stage1], raws, config.thread_weights,
-                       config.stage2_keep)
-        counts["stage2_kept"] = len(stage2)
-        diagnostics["thread_features"] = {t: fv.raw for t, fv, _ in stage2}
-        thread_scores = {t: score for t, _, score in stage2}
+        ids = ids[kept]
+        threads = [self.threads[t] for t in ids.tolist()]
+        table = {name: column[kept] for name, column in table.items()}
+        for name in ft.SOCIAL_FEATURES:  # each is a Thread property of that name
+            table[name] = np.array([getattr(t, name) for t in threads], dtype=float)
+        kept, _, fused = _rank(ids, table, config.thread_weights, config.stage2_keep)
+        counts["stage2_kept"] = len(kept)
+        diagnostics["thread_features"] = dict(zip(ids[kept].tolist(), _rows(table, kept)))
+        thread_scores = dict(zip(ids[kept].tolist(), fused[kept].tolist()))
 
         # Ephemeral answer index and lexical answer retrieval
-        surviving = [self.threads[t] for t, _, _ in stage2]
+        surviving = [threads[i] for i in kept.tolist()]
         located = {a.id: (thread, a) for thread in surviving for a in thread.answers}
         hits = bm25_search(build_ephemeral_answer_index(surviving, qc.bag), qc.bag,
                            config.answer_k)
@@ -221,18 +225,19 @@ class SearchEngine:
             [(a, located[a][1].code_text) for a in answer_ids], config.method_scale)
         asyms = self._asym(qc, [[located[a][1].body_bag, located[a][0].question.title_bag]
                                 for a in answer_ids], clamp)
-        raws = []
-        for a, asym in zip(answer_ids, asyms):
-            thread, answer = located[a]
-            raws.append({
-                "asym": asym,
-                "tfidf": ft.tfidf_score(qc.bag, answer_document_bag(thread, answer),
-                                        self.idf_map),
-                "top_method": method_scores[a],
-                "thread_score": thread_scores[thread.question.id],
-            })
+        table = {
+            "asym": np.array(asyms),
+            "tfidf": np.array([ft.tfidf_score(qc.bag, answer_document_bag(*located[a]),
+                                              self.idf_map) for a in answer_ids]),
+            "top_method": np.array([method_scores[a] for a in answer_ids]),
+            "thread_score": np.array([thread_scores[located[a][0].question.id]
+                                      for a in answer_ids]),
+        }
+        ids = np.array(answer_ids, dtype=np.int64)
+        kept, normalized, fused = _rank(ids, table, config.answer_weights, max(final_n, 0))
         entries = []
-        for a, fv, score in _rank(answer_ids, raws, config.answer_weights, max(final_n, 0)):
+        for a, score, raw, norm in zip(ids[kept].tolist(), fused[kept].tolist(),
+                                       _rows(table, kept), _rows(normalized, kept)):
             thread, answer = located[a]
             entries.append(ResultEntry(
                 answer_id=a,
@@ -240,7 +245,7 @@ class SearchEngine:
                 score=score,
                 answer_body=answer.original_body,
                 thread_title=thread.question.original_title,
-                features=fv,
+                features=ft.FeatureVector(raw=raw, normalized=norm),
             ))
         counts["returned"] = len(entries)
         return SearchResult(entries=entries, diagnostics=diagnostics)

@@ -157,6 +157,9 @@ class TestSearch:
         ("answer_weight.asym=inf", "'asym'"),
         ("answer_weight.asym=1e308\nanswer_weight.tfidf=1e308", "answer weights"),
         ("final_n=-5", "final_n"),
+        ("antonym_enabled=yes", "weights.cfg:1: bad value for 'antonym_enabled'"),
+        ("bm25_top=abc", "weights.cfg:1: bad value for 'bm25_top'"),
+        ("thread_weight.tf=x", "weights.cfg:1: bad value for 'thread_weight.tf'"),
         (None, "No such file"),
     ])
     def test_bad_config_file_is_a_usage_error(self, workspace, tmp_path, capsys,
@@ -171,6 +174,7 @@ class TestSearch:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
 
 def _reject_constant(name):
@@ -231,12 +235,12 @@ def _save_array(name, edit):
     return damage
 
 
-def _thread_store_line(lineno, text):
+def _thread_store_line(lineno, data):
     def damage(index_dir):
         path = index_dir / "threads.jsonl"
-        lines = path.read_text("utf-8").splitlines()
-        lines[lineno - 1] = text
-        path.write_text("\n".join(lines) + "\n", "utf-8")
+        lines = path.read_bytes().split(b"\n")
+        lines[lineno - 1] = data
+        path.write_bytes(b"\n".join(lines))
     return damage
 
 
@@ -278,9 +282,10 @@ BAD_INDEX_DIRS = {
         np.int32)), "index.rows.npy: a document row is outside"),
     "term-count-off": (_save_array("indptr", lambda a: np.append(a, a[-1])),
                        "index.indptr.npy: term count"),
-    "threads-header-not-an-object": (_thread_store_line(1, "[1]"), "threads.jsonl:1:"),
-    "thread-lacks-id": (_thread_store_line(3, '{"question": {}}'), "threads.jsonl:3:"),
-    "thread-not-json": (_thread_store_line(2, "{not json"), "threads.jsonl:2:"),
+    "threads-header-not-an-object": (_thread_store_line(1, b"[1]"), "threads.jsonl:1:"),
+    "thread-lacks-id": (_thread_store_line(3, b'{"question": {}}'), "threads.jsonl:3:"),
+    "thread-not-json": (_thread_store_line(2, b"{not json"), "threads.jsonl:2:"),
+    "thread-not-utf-8": (_thread_store_line(3, b"\xff\xfe"), "threads.jsonl:3:"),
 }
 
 

@@ -5,17 +5,16 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import crowdrank
 import synth
 from crowdrank.embeddings import IdfMap
-from crowdrank.features import (ANSWER_FEATURES, THREAD_FEATURES, FeatureVector,
-                                WeightConfig, extract_methods, final_score,
-                                normalize_and_fuse, normalize_social,
-                                question_score_value, tf_score, tfidf_score,
-                                top_method_score)
+from crowdrank.features import (ANSWER_FEATURES, THREAD_FEATURES, WeightConfig,
+                                extract_methods, normalize_and_fuse, question_score_value,
+                                tf_score, tfidf_score, top_method_score)
 
 BAG_ST = st.dictionaries(st.sampled_from([f"w{i}" for i in range(10)]),
                          st.integers(min_value=1, max_value=5), max_size=8)
@@ -154,14 +153,23 @@ class TestQuestionScoreLadder:
 
 
 class TestNormalizeSocial:
+    """Min-max of the social columns, over the candidate set."""
+
     def test_min_max(self):
-        assert normalize_social([2.0, 4.0, 6.0]) == [0.0, 0.5, 1.0]
+        normalized, _ = normalize_and_fuse({"answer_count": np.array([2.0, 4.0, 6.0])},
+                                           {"answer_count": 1.0})
+        assert normalized["answer_count"].tolist() == [0.0, 0.5, 1.0]
 
     def test_all_equal_maps_to_one(self):
-        assert normalize_social([3.0, 3.0]) == [1.0, 1.0]
+        normalized, fused = normalize_and_fuse({"total_answer_score": np.array([3.0, 3.0])},
+                                               {"total_answer_score": 0.5})
+        assert normalized["total_answer_score"].tolist() == [1.0, 1.0]
+        assert fused.tolist() == [0.5, 0.5]
 
     def test_empty(self):
-        assert normalize_social([]) == []
+        normalized, fused = normalize_and_fuse({"answer_count": np.array([])},
+                                               {"answer_count": 1.0})
+        assert normalized["answer_count"].tolist() == [] and fused.tolist() == []
 
 
 class TestExtractMethods:
@@ -208,34 +216,39 @@ class TestTopMethodScore:
 
 class TestFusion:
     def test_final_score_weighted_sum(self):
-        fv = FeatureVector(raw={}, normalized={"a": 0.5, "b": 1.0})
-        assert final_score(fv, {"a": 2.0, "b": 0.5}) == pytest.approx(1.5)
+        # The fused (final) score is the weighted sum of the normalized columns.
+        table = {"a": np.array([0.0, 0.5, 1.0]), "b": np.array([1.0, 0.0, 1.0])}
+        _, fused = normalize_and_fuse(table, {"a": 2.0, "b": 0.5})
+        assert fused.tolist() == [0.5, 1.0, 2.5]
 
     def test_missing_feature_rejected(self):
-        fv = FeatureVector(raw={}, normalized={"a": 0.5})
-        with pytest.raises(ValueError):
-            final_score(fv, {"a": 1.0, "b": 1.0})
+        with pytest.raises(ValueError, match="'b'"):
+            normalize_and_fuse({"a": np.array([0.5])}, {"a": 1.0, "b": 1.0})
 
     def test_normalize_and_fuse_min_max(self):
-        raws = [{"f": 2.0}, {"f": 4.0}, {"f": 6.0}]
-        fused = normalize_and_fuse(raws, {"f": 0.5})
-        assert [fv.normalized["f"] for fv, _ in fused] == [0.0, 0.5, 1.0]
-        assert [score for _, score in fused] == [0.0, 0.25, 0.5]
+        # Only the weighted columns are normalized, in weights order.
+        table = {"g": np.array([9.0, 0.0, 9.0]), "f": np.array([2.0, 4.0, 6.0])}
+        normalized, fused = normalize_and_fuse(table, {"f": 0.5})
+        assert list(normalized) == ["f"]
+        assert normalized["f"].tolist() == [0.0, 0.5, 1.0]
+        assert fused.tolist() == [0.0, 0.25, 0.5]
+        assert table["f"].tolist() == [2.0, 4.0, 6.0]
 
     def test_ladder_feature_bypasses_min_max(self):
-        raws = [{"question_score": 1.0}, {"question_score": 600.0}]
-        fused = normalize_and_fuse(raws, {"question_score": 1.0})
-        assert [score for _, score in fused] == [0.1, 1.0]
+        table = {"question_score": np.array([1.0, 600.0])}
+        normalized, fused = normalize_and_fuse(table, {"question_score": 1.0})
+        assert normalized["question_score"].tolist() == [0.1, 1.0]
+        assert fused.tolist() == [0.1, 1.0]
 
     def test_empty_candidates(self):
-        assert normalize_and_fuse([], {"f": 1.0}) == []
+        normalized, fused = normalize_and_fuse({"f": np.array([])}, {"f": 1.0})
+        assert normalized["f"].tolist() == [] and fused.tolist() == []
 
-    @given(st.lists(st.dictionaries(st.sampled_from(["x", "y"]),
-                                    st.floats(0, 100), min_size=2, max_size=2),
-                    min_size=1, max_size=10))
-    def test_scores_bounded_by_weight_sum(self, raws):
-        fused = normalize_and_fuse(raws, {"x": 0.5, "y": 0.25})
-        for _, score in fused:
+    @given(st.lists(st.tuples(st.floats(0, 100), st.floats(0, 100)), min_size=1, max_size=10))
+    def test_scores_bounded_by_weight_sum(self, rows):
+        table = {"x": np.array([x for x, _ in rows]), "y": np.array([y for _, y in rows])}
+        _, fused = normalize_and_fuse(table, {"x": 0.5, "y": 0.25})
+        for score in fused.tolist():
             assert -1e-9 <= score <= 0.75 + 1e-9
 
 

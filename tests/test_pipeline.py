@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import crowdrank
 import synth
@@ -14,10 +15,11 @@ from crowdrank.artifacts import build_artifacts, build_idf, load_engine
 from crowdrank.corpus import RawPost, build_threads, preprocess
 from crowdrank.embeddings import (EmbeddingStore, IdfMap, asym_score, fallback_embed,
                                   save_vectors)
-from crowdrank.features import SOCIAL_FEATURES, THREAD_FEATURES, WeightConfig, tf_score
+from crowdrank.features import (SOCIAL_FEATURES, THREAD_FEATURES, WeightConfig,
+                                question_score_value, tf_score)
 from crowdrank.index import (answer_document_bag, bm25_search, build_ephemeral_answer_index,
                              build_index, thread_document_bag)
-from crowdrank.pipeline import BASELINE_NAMES, SearchEngine, configure_ablation
+from crowdrank.pipeline import BASELINE_NAMES, SearchEngine, _rank, configure_ablation
 
 
 def doc_lengths(index):
@@ -476,3 +478,59 @@ class TestConfigureAblation:
         for name in BASELINE_NAMES:
             config = configure_ablation(name)
             config.validate()
+
+
+def reference_rank(ids, rows, weights, keep):
+    """Per-candidate fusion in plain Python: (id, score) of the first `keep`."""
+    normed = {}
+    for name in weights:
+        column = [row[name] for row in rows]
+        if name == "question_score":
+            normed[name] = [question_score_value(int(v)) for v in column]
+        else:
+            lo, hi = min(column, default=0.0), max(column, default=0.0)
+            normed[name] = [1.0 if hi == lo else (v - lo) / (hi - lo) for v in column]
+    scores = []
+    for i in range(len(rows)):
+        # Added left to right: from Python 3.12 on, `sum` of floats compensates.
+        score = 0.0
+        for name, w in weights.items():
+            score += normed[name][i] * w
+        scores.append(score)
+    return sorted(zip(ids, scores), key=lambda e: (-e[1], e[0]))[:keep]
+
+
+# Few distinct values, so that ties and all-equal columns are common.
+FEATURE_VALUE_ST = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                             st.floats(-100, 100))
+QUESTION_SCORE_ST = st.one_of(st.sampled_from([0.0, 5.0, 50.0]),
+                              st.integers(-10, 800).map(float))
+
+
+@st.composite
+def feature_tables(draw):
+    ids = draw(st.lists(st.integers(0, 40), max_size=12, unique=True))
+    rows = []
+    for _ in ids:
+        rows.append({name: draw(QUESTION_SCORE_ST if name == "question_score"
+                                else FEATURE_VALUE_ST) for name in THREAD_FEATURES})
+    if rows and draw(st.booleans()):
+        name = draw(st.sampled_from(THREAD_FEATURES))
+        for row in rows:
+            row[name] = rows[0][name]
+    names = draw(st.permutations(THREAD_FEATURES))
+    weights = {name: draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 10)))
+               for name in names}
+    return ids, rows, weights, draw(st.integers(0, 14))
+
+
+@given(feature_tables())
+def test_rank_matches_per_candidate_reference(case):
+    ids, rows, weights, keep = case
+    table = {name: np.array([row[name] for row in rows], dtype=float)
+             for name in THREAD_FEATURES}
+    ids_array = np.array(ids, dtype=np.int64)
+    positions, _, fused = _rank(ids_array, table, weights, keep)
+    got = list(zip(ids_array[positions].tolist(), map(repr, fused[positions].tolist())))
+    expected = [(i, repr(score)) for i, score in reference_rank(ids, rows, weights, keep)]
+    assert got == expected
