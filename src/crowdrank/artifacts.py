@@ -8,13 +8,21 @@
                         terms, postings in CSR form (indptr, document rows,
                         tfs) and per thread its id, length and sum of squared
                         term frequencies
+    docs.*.npy          thread document store (`documents.DOCS_ARRAYS`): each
+                        thread's title and question body and each answer's
+                        body and code as term ids (over the sorted idf.json
+                        words) and counts in CSR form, and per answer its id,
+                        its thread's row, its tf-idf norm and its method calls
     idf.json            document frequencies + doc count (IDF derives from these)
-    titles.txt          preprocessed question titles, one per line
-    contents.txt        one preprocessed thread per line (title+body+code of Q&A)
     meta.json           format version, embedding config, corpus stats
 
 ``load_engine`` validates the version tags and assembles a SearchEngine; a
-damaged meta.json, idf.json or thread index file is a ValueError that names it.
+damaged meta.json, idf.json, thread index or document store file is a
+ValueError that names it. ``export_text`` writes the preprocessed text of an
+index directory for training an external embedder:
+
+    titles.txt          preprocessed question titles, one per line
+    contents.txt        one preprocessed thread per line (title+body+code of Q&A)
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .antonyms import AntonymDictionary, default_dictionary, merge_lists
 from .corpus import (BuildStats, LoadStats, TagFilter, Thread, build_threads,
                      load_dump, load_threads, read_json_object, save_threads,
                      PREPROCESS_VERSION)
+from .documents import build_documents, docs_file, load_documents, save_documents
 from .embeddings import (DEFAULT_DIM, DEFAULT_SEED, EmbeddingConfig, EmbeddingStore,
                          IdfMap, load_sentence_vectors, load_word_vectors)
 from .index import build_thread_index, load_index, save_index
@@ -95,12 +104,7 @@ def build_artifacts(corpus_path: str | Path, out_dir: str | Path,
                    "df": {w: idf.df[w] for w in sorted(idf.df)}}
     (out / "idf.json").write_text(
         json.dumps(idf_payload, sort_keys=True, separators=(",", ":")) + "\n", "utf-8")
-
-    ordered = sorted(threads, key=lambda t: t.question.id)
-    titles = [" ".join(_bag_tokens(t.question.title_bag)) for t in ordered]
-    contents = [" ".join(thread_content_tokens(t)) for t in ordered]
-    (out / "titles.txt").write_text("\n".join(titles) + ("\n" if titles else ""), "utf-8")
-    (out / "contents.txt").write_text("\n".join(contents) + ("\n" if contents else ""), "utf-8")
+    save_documents(build_documents(threads, idf), out)
 
     meta = {
         "format": META_FORMAT,
@@ -114,6 +118,19 @@ def build_artifacts(corpus_path: str | Path, out_dir: str | Path,
 
     return BuildReport(thread_count=len(threads), vocab_size=len(idf.df),
                        load_stats=load_stats, build_stats=build_stats)
+
+
+def export_text(index_dir: str | Path, out_dir: str | Path) -> int:
+    """Write titles.txt and contents.txt of an index directory's threads into
+    `out_dir`, by ascending question id; returns the thread count."""
+    ordered = sorted(load_threads(Path(index_dir) / "threads.jsonl"), key=lambda t: t.question.id)
+    titles = [" ".join(_bag_tokens(t.question.title_bag)) for t in ordered]
+    contents = [" ".join(thread_content_tokens(t)) for t in ordered]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "titles.txt").write_text("\n".join(titles) + ("\n" if titles else ""), "utf-8")
+    (out / "contents.txt").write_text("\n".join(contents) + ("\n" if contents else ""), "utf-8")
+    return len(ordered)
 
 
 def _is_count(value) -> bool:
@@ -154,6 +171,15 @@ def load_engine(index_dir: str | Path,
     threads = load_threads(root / "threads.jsonl")
     thread_index = load_index(root)
     idf = load_idf(root / "idf.json")
+    docs = load_documents(root, len(idf.df))
+    if docs.n_threads != thread_index.stats.n_docs:
+        raise ValueError(f"{docs_file(root, 'title_ptr')}: {docs.n_threads} threads, but the "
+                         f"thread index holds {thread_index.stats.n_docs}; rerun "
+                         f"`crowdrank build-index`")
+    answer_ids = [a.id for t in sorted(threads, key=lambda t: t.question.id) for a in t.answers]
+    if docs.answer_ids.tolist() != answer_ids:
+        raise ValueError(f"{docs_file(root, 'answer_ids')}: the answers differ from those of "
+                         f"threads.jsonl; rerun `crowdrank build-index`")
 
     if word_vectors is not None:
         store = load_word_vectors(word_vectors, fallback=False, seed=seed)
@@ -168,4 +194,4 @@ def load_engine(index_dir: str | Path,
         antonym_dict = default_dictionary()
 
     return SearchEngine(threads, store, idf, antonym_dict,
-                        thread_index=thread_index, stopwords=stopwords)
+                        thread_index=thread_index, stopwords=stopwords, docs=docs)

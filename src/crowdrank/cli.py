@@ -1,4 +1,4 @@
-"""Command-line surface: merge-antonyms, build-index, search, evaluate.
+"""Command-line surface: merge-antonyms, build-index, search, evaluate, export-text.
 
 Exit codes: 0 success, 1 data/fatal error, 2 usage error.
 """
@@ -12,7 +12,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .antonyms import MergeStats, merge_lists, save_dictionary
-from .artifacts import build_artifacts, load_engine
+from .artifacts import build_artifacts, export_text, load_engine
 from .corpus import TagFilter, load_stopwords
 from .embeddings import DEFAULT_SEED, EmbeddingConfig
 from .evaluation import (GroundTruth, run_ablation_grid, write_per_query_csv,
@@ -169,6 +169,16 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def cmd_export_text(args) -> int:
+    try:
+        count = export_text(args.index_dir, args.out_dir)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA_ERROR
+    print(f"wrote titles.txt and contents.txt of {count} threads to {args.out_dir}")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crowdrank",
@@ -222,6 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write hit, rr, ap and recall per (baseline, query_id)")
     _add_common_engine_flags(p)
     p.set_defaults(func=cmd_evaluate)
+
+    p = sub.add_parser("export-text",
+                       help="write an index's preprocessed titles and threads as text files")
+    p.add_argument("index_dir", help="index directory made by build-index")
+    p.add_argument("out_dir", help="directory for titles.txt and contents.txt")
+    p.set_defaults(func=cmd_export_text)
     return parser
 
 

@@ -15,9 +15,8 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -153,20 +152,52 @@ def cosine(v1: np.ndarray, v2: np.ndarray) -> float:
     return float(np.dot(v1, v2) / (n1 * n2))
 
 
+def sentence_vectors(words: Sequence[str], idf: np.ndarray, ptr: np.ndarray, ids: np.ndarray,
+                     counts: np.ndarray, store: EmbeddingStore) -> np.ndarray:
+    """The built-in sentence embedder over many bags at once, a row per bag.
+
+    Bag `s` holds the words `words[i]` for the ids `i` in `ids[ptr[s]:ptr[s + 1]]`,
+    with their counts; `idf[i]` is the idf of `words[i]`. A row is the
+    IDF*count-weighted mean of the bag's word vectors, added in bag order;
+    words the store has no vector for are left out, and a bag with no
+    weight gets the zero vector.
+    """
+    dim = store.dim
+    used = np.flatnonzero(np.bincount(ids, minlength=len(words)))
+    row_of = np.zeros(len(words), dtype=np.intp)
+    row_of[used] = np.arange(len(used))
+    # A row per used word: its vector and a last column of 1, so that one sum
+    # over a bag adds the weighted vectors and the weights in the same order.
+    # A word with no vector keeps a zero row.
+    table = np.zeros((len(used), dim + 1))
+    for row, i in enumerate(used.tolist()):
+        vec = store.word_vector(words[i])
+        if vec is not None:
+            table[row, :dim] = vec
+            table[row, dim] = 1.0
+    weights = counts * idf[ids]
+    out = np.zeros((len(ptr) - 1, dim))
+    # Blocks of bags bound the memory; within a block, word j of every bag
+    # that has one, for j = 0, 1, ..., so each bag's sum runs in bag order.
+    for lo in range(0, len(out), 256):
+        bounds = ptr[lo:lo + 257]
+        lengths = np.diff(bounds)
+        sums = np.zeros((len(lengths), dim + 1))
+        for j in range(int(lengths.max(initial=0))):
+            bags = np.flatnonzero(lengths > j)
+            entries = bounds[bags] + j
+            sums[bags] += weights[entries, None] * table[row_of[ids[entries]]]
+        total, weight_sum = sums[:, :dim], sums[:, dim:]
+        np.divide(total, weight_sum, out=out[lo:lo + len(lengths)], where=weight_sum != 0.0)
+    return out
+
+
 def sentence_embed(bag: Mapping[str, int], store: EmbeddingStore, idf_map: IdfMap) -> np.ndarray:
     """Built-in sentence embedder: IDF-weighted mean of word vectors."""
-    total = np.zeros(store.dim)
-    weight_sum = 0.0
-    for word, count in bag.items():
-        vec = store.word_vector(word)
-        if vec is None:
-            continue
-        w = idf_map.idf(word) * count
-        total += w * vec
-        weight_sum += w
-    if weight_sum == 0.0:
-        return total
-    return total / weight_sum
+    words = list(bag)
+    return sentence_vectors(words, np.array([idf_map.idf(w) for w in words], dtype=np.float64),
+                            np.array([0, len(words)]), np.arange(len(words)),
+                            np.array(list(bag.values()), dtype=np.int64), store)[0]
 
 
 class WordMatrix:
@@ -208,30 +239,6 @@ class WordMatrix:
             self.unit[new[ok]] = np.divide(rows, norms, out=rows, where=norms > 0.0)
         self.has_vector[new] = ok
         self._looked_up[new] = True
-
-    def segments(self, docs: Sequence[Sequence[Collection[str]]],
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Each doc's distinct word ids, sorted, as one flat array and offsets.
-
-        A doc is a list of word collections (a title bag, or a body bag and
-        its answers' bags); doc `s` holds ids `flat[ptr[s]:ptr[s + 1]]`.
-        The rows of those ids are looked up.
-        """
-        lengths = [sum(map(len, parts)) for parts in docs]
-        words = chain.from_iterable(chain.from_iterable(docs))
-        try:
-            ids = np.fromiter(map(self.index.__getitem__, words), dtype=np.int64,
-                              count=sum(lengths))
-        except KeyError as exc:
-            raise ValueError(f"word {exc.args[0]!r} is not in the idf vocabulary") from None
-        size = len(self.words)
-        # A sort and a neighbour test: np.unique hashes first, which is slower here.
-        keys = np.sort(np.repeat(np.arange(len(docs), dtype=np.int64), lengths) * size + ids)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        ptr = np.searchsorted(keys, np.arange(len(docs) + 1, dtype=np.int64) * size)
-        flat = keys % size
-        self.fill(flat)
-        return flat, ptr
 
 
 def _segment_max(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:

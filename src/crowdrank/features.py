@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -33,8 +33,9 @@ QUESTION_SCORE_LADDER = (
 
 ANTONYM_TARGET_MODES = ("TR", "ANS", "TR_ANS")
 
-# identifier, optionally preceded by a dotted receiver chain, followed by "("
-METHOD_CALL_RE = re.compile(r"(?:\b[A-Za-z_]\w*\s*\.\s*)*\b([A-Za-z_]\w*)\s*\(")
+# An identifier followed by "(": the method of a call, whether or not a
+# dotted receiver chain precedes it (a receiver is followed by ".", not "(").
+METHOD_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 METHOD_KEYWORDS = frozenset({"if", "for", "while", "switch", "catch", "return", "new"})
 
 
@@ -170,19 +171,36 @@ def tf_score(bag_q: Mapping[str, int], bag_t: Mapping[str, int]) -> float:
                      sum(c * c for c in bag_t.values()))
 
 
+def tfidf_norms(counts: np.ndarray, idfs: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Norm of the TF*IDF vector of each segment: segment `s` holds the term
+    counts and idfs at positions `ptr[s]:ptr[s + 1]`; an empty one is 0."""
+    weights = counts * idfs
+    sums = np.zeros(len(ptr) - 1)
+    nonempty = ptr[1:] > ptr[:-1]
+    if nonempty.any():
+        sums[nonempty] = np.add.reduceat(weights * weights, ptr[:-1][nonempty])
+    return np.sqrt(sums)
+
+
+def tfidf_cosine(dot: float, norm_q: float, norm_a: float) -> float:
+    """Cosine of two TF*IDF vectors from their dot product and norms; 0 if
+    either vector has no weight."""
+    if norm_q == 0.0 or norm_a == 0.0:
+        return 0.0
+    return dot / (norm_q * norm_a)
+
+
 def tfidf_score(bag_q: Mapping[str, int], bag_a: Mapping[str, int], idf_map: IdfMap) -> float:
     """Cosine of TF*IDF-weighted vectors; 0 if either side has no weight."""
     if not bag_q or not bag_a:
         return 0.0
-    wq = {w: c * idf_map.idf(w) for w, c in bag_q.items()}
-    wa = {w: c * idf_map.idf(w) for w, c in bag_a.items()}
+    idf = idf_map.idf
     # Query order, not set order: the float sum must not depend on the hash seed.
-    dot = sum(wq[w] * wa[w] for w in wq if w in wa)
-    norm_q = math.sqrt(sum(v * v for v in wq.values()))
-    norm_a = math.sqrt(sum(v * v for v in wa.values()))
-    if norm_q == 0.0 or norm_a == 0.0:
-        return 0.0
-    return dot / (norm_q * norm_a)
+    dot = sum(c * idf(w) * (bag_a[w] * idf(w)) for w, c in bag_q.items() if w in bag_a)
+    norm_q, norm_a = (tfidf_norms(np.array(list(bag.values()), dtype=float),
+                                  np.array([idf(w) for w in bag]), np.array([0, len(bag)]))[0]
+                      for bag in (bag_q, bag_a))
+    return tfidf_cosine(dot, norm_q, norm_a)
 
 
 def question_score_value(score: int) -> float:
@@ -198,25 +216,39 @@ def extract_methods(code_text: str) -> list[str]:
     return [m for m in METHOD_CALL_RE.findall(code_text) if m not in METHOD_KEYWORDS]
 
 
+def top_method_scores(method_ids: np.ndarray, ptr: np.ndarray, scale: float) -> np.ndarray:
+    """Score each segment of method ids by the single most frequent method.
+
+    Segment `s` is one answer's method calls, `method_ids[ptr[s]:ptr[s + 1]]`,
+    with repeats. The method m called most often over all segments (on a tie,
+    the smallest id) gives log2(f_m)/scale to each segment that calls it, 0
+    to the rest.
+    """
+    scores = np.zeros(len(ptr) - 1)
+    if not len(method_ids):
+        return scores
+    freq = np.bincount(method_ids)
+    top = int(freq.argmax())  # the first maximum
+    segment = np.repeat(np.arange(len(scores)), np.diff(ptr))
+    scores[segment[method_ids == top]] = math.log2(int(freq[top])) / scale
+    return scores
+
+
 def top_method_score(answers: Sequence[tuple[int, str]], scale: float = 10.0) -> dict[int, float]:
     """Score answers by the single globally most frequent method call.
 
     ``answers`` is (answer_id, raw code text). Answers containing the top
     method m get log2(f_m)/scale, the rest 0. Frequency ties break on the
-    lexicographically smallest method name.
+    lexicographically smallest method name: ids follow the sorted names.
     """
-    per_answer: dict[int, set[str]] = {}
-    freq: Counter = Counter()
-    for answer_id, code_text in answers:
-        methods = extract_methods(code_text)
-        per_answer[answer_id] = set(methods)
-        freq.update(methods)
-    if not freq:
-        return {answer_id: 0.0 for answer_id, _ in answers}
-    top = min(freq, key=lambda m: (-freq[m], m))
-    value = math.log2(freq[top]) / scale
-    return {answer_id: (value if top in methods else 0.0)
-            for answer_id, methods in per_answer.items()}
+    methods = [extract_methods(code_text) for _, code_text in answers]
+    names = sorted(set(chain.from_iterable(methods)))
+    method_id = dict(zip(names, range(len(names))))
+    ids = np.array([method_id[m] for calls in methods for m in calls], dtype=np.intp)
+    ptr = np.zeros(len(methods) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, methods), dtype=np.int64, count=len(methods)), out=ptr[1:])
+    return dict(zip([answer_id for answer_id, _ in answers],
+                    top_method_scores(ids, ptr, scale).tolist()))
 
 
 def normalize_and_fuse(table: Mapping[str, np.ndarray], weights: Mapping[str, float],

@@ -12,10 +12,12 @@ The thread index is built offline and saved as fixed-dtype `.npy` arrays
 (INDEX_ARRAYS) beside a small versioned header (INDEX_HEADER), so a load
 parses no JSON beyond the header; `load_index` checks the arrays' dtypes,
 shapes and offsets and names the file at fault. The answer index is built
-per query over the surviving threads' answers, holds only the query's terms
-and never touches disk. Each index computes every posting's BM25 term once
-(`InvertedIndex.impacts`), and one `bm25_search` scores both. IDF inside
-BM25 is log10(N/df), the same definition the rest of the scoring stack uses.
+per query over the surviving threads' answers from their counts of the
+query's terms, which `documents.DocumentStore` gathers from its term-id
+arrays; it holds only those terms and never touches disk. Each index
+computes every posting's BM25 term once (`InvertedIndex.impacts`), and one
+`bm25_search` scores both. IDF inside BM25 is log10(N/df), the same
+definition the rest of the scoring stack uses.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ProcessedPost, Thread, read_json_object
+from .corpus import Thread, read_json_object
 
 INDEX_FORMAT = "crowdrank-index"
 INDEX_VERSION = 3
@@ -181,73 +183,64 @@ def thread_document_bag(thread: Thread) -> Counter:
     return bag
 
 
-def answer_document_parts(thread: Thread, answer: ProcessedPost) -> tuple[Counter, ...]:
-    """The bags of an answer's indexed text: parent title, parent body, its
-    body, its code. Tf-idf float sums follow this order."""
-    return thread.question.title_bag, thread.question.body_bag, answer.body_bag, answer.code_bag
-
-
-def answer_document_bag(thread: Thread, answer: ProcessedPost) -> Counter:
-    """Indexed text of an answer, the target of its tf-idf feature."""
-    bag = Counter()
-    for part in answer_document_parts(thread, answer):
-        bag.update(part)
-    return bag
-
-
 def build_thread_index(threads: Iterable[Thread], k: float = DEFAULT_K,
                        b: float = DEFAULT_B) -> InvertedIndex:
     docs = {t.question.id: thread_document_bag(t) for t in threads}
     return build_index(docs, k=k, b=b)
 
 
-def build_ephemeral_answer_index(threads: Iterable[Thread], terms: Iterable[str],
-                                 k: float = DEFAULT_K, b: float = DEFAULT_B) -> InvertedIndex:
+def build_ephemeral_answer_index(terms: Sequence[str], counts: np.ndarray, doc_ids: np.ndarray,
+                                 doc_len: np.ndarray, k: float = DEFAULT_K,
+                                 b: float = DEFAULT_B) -> InvertedIndex:
     """Per-query index over the retained answers of the surviving threads.
 
-    An answer's document is its `answer_document_bag`, but only the postings
-    of `terms` are kept. N, the doc lengths and avgdl cover whole documents,
-    so `bm25_search` with a query made of `terms` scores exactly as over the
-    full index.
+    Row r of `counts` holds answer `doc_ids[r]`'s count of each of `terms`
+    (a column each, in sorted order), as `DocumentStore.term_counts` gathers
+    them; `doc_len` holds the answers' whole lengths. Only the postings of
+    `terms` are kept, but N, the doc lengths and avgdl cover whole
+    documents, so `bm25_search` with a query made of `terms` scores exactly
+    as over the full index. Rows are indexed by ascending answer id.
     """
-    terms = sorted(set(terms))
-    answers = []  # (answer id, its body and code, question length, the question's tf of each term)
-    for thread in threads:
-        question_tfs = None
-        for answer in thread.answers:
-            title, question_body, body, code = answer_document_parts(thread, answer)
-            if question_tfs is None:  # the same for every answer of the thread
-                question_len = sum(title.values()) + sum(question_body.values())
-                question_tfs = [title.get(t, 0) + question_body.get(t, 0) for t in terms]
-            answers.append((answer.id, body, code, question_len, question_tfs))
-    answers.sort(key=itemgetter(0))
-    doc_len, rows, tfs = [], [[] for _ in terms], [[] for _ in terms]
-    for row, (_, body, code, question_len, question_tfs) in enumerate(answers):
-        doc_len.append(question_len + sum(body.values()) + sum(code.values()))
-        for term, question_tf, term_rows, term_tfs in zip(terms, question_tfs, rows, tfs):
-            tf = question_tf + body.get(term, 0) + code.get(term, 0)
-            if tf:
-                term_rows.append(row)
-                term_tfs.append(tf)
-    held = [j for j, term_rows in enumerate(rows) if term_rows]
+    order = np.argsort(doc_ids, kind="stable")
+    held = np.flatnonzero(counts.any(axis=0))
+    tfs = counts[order][:, held].T  # a row per held term
+    term_rows, rows = np.nonzero(tfs)
     indptr = np.zeros(len(held) + 1, dtype=np.int64)
-    np.cumsum([len(rows[j]) for j in held], out=indptr[1:])
-    return InvertedIndex([terms[j] for j in held], indptr,
-                         np.array([r for j in held for r in rows[j]], dtype=np.int32),
-                         np.array([tf for j in held for tf in tfs[j]], dtype=np.int32),
-                         np.array([a[0] for a in answers], dtype=np.int64),
-                         np.array(doc_len, dtype=np.int64), None, k, b)
+    np.cumsum(np.bincount(term_rows, minlength=len(held)), out=indptr[1:])
+    return InvertedIndex([terms[j] for j in held.tolist()], indptr, rows.astype(np.int32),
+                         tfs[term_rows, rows].astype(np.int32), doc_ids[order].astype(np.int64),
+                         doc_len[order].astype(np.int64), None, k, b)
+
+
+def encode_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Strings as their UTF-8 bytes back to back, and the offsets of each."""
+    encoded = [s.encode("utf-8") for s in strings]
+    ptr = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)), out=ptr[1:])
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), ptr
+
+
+def decode_strings(data: np.ndarray, ptr: np.ndarray, data_fault: Callable[[str], ValueError],
+                   ptr_fault: Callable[[str], ValueError], noun: str) -> list[str]:
+    """`encode_strings` output of sorted distinct strings, back to strings; the
+    faults make the error of bad offsets and of bad bytes or order."""
+    if not len(ptr) or not _is_pointer(ptr, len(data)):
+        raise ptr_fault(f"{noun} offsets do not cover the {noun} bytes")
+    raw, bounds = data.tobytes(), ptr.tolist()
+    try:
+        strings = [raw[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
+    except UnicodeDecodeError as exc:
+        raise data_fault(f"a {noun} is not UTF-8: {exc}") from None
+    if any(s1 >= s2 for s1, s2 in zip(strings, strings[1:])):
+        raise data_fault(f"{noun}s are not sorted and distinct")
+    return strings
 
 
 def save_index(index: InvertedIndex, directory: str | Path, meta: dict | None = None) -> None:
     """Write a `build_index` index into `directory` as INDEX_ARRAYS `.npy` files
     and an INDEX_HEADER; fixed dtypes keep the bytes deterministic."""
-    encoded = [term.encode("utf-8") for term in index.terms]
-    term_ptr = np.zeros(len(encoded) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)),
-              out=term_ptr[1:])
-    arrays = {"terms": np.frombuffer(b"".join(encoded), dtype=np.uint8),
-              "term_ptr": term_ptr, "indptr": index.indptr, "rows": index.rows,
+    terms, term_ptr = encode_strings(index.terms)
+    arrays = {"terms": terms, "term_ptr": term_ptr, "indptr": index.indptr, "rows": index.rows,
               "tfs": index.tfs, "doc_ids": index.doc_ids, "doc_len": index.doc_len,
               "doc_sumsq": index.doc_sumsq}
     for name, dtype in INDEX_ARRAYS.items():
@@ -308,15 +301,8 @@ def load_index(directory: str | Path) -> InvertedIndex:
     def fault(name: str, what: str) -> ValueError:
         return ValueError(f"{index_file(directory, name)}: {what}")
 
-    if not len(a["term_ptr"]) or not _is_pointer(a["term_ptr"], len(a["terms"])):
-        raise fault("term_ptr", "term offsets do not cover the term bytes")
-    data, ptr = a["terms"].tobytes(), a["term_ptr"].tolist()
-    try:
-        terms = [data[lo:hi].decode("utf-8") for lo, hi in zip(ptr, ptr[1:])]
-    except UnicodeDecodeError as exc:
-        raise fault("terms", f"a term is not UTF-8: {exc}") from None
-    if any(t1 >= t2 for t1, t2 in zip(terms, terms[1:])):
-        raise fault("terms", "terms are not sorted and distinct")
+    terms = decode_strings(a["terms"], a["term_ptr"], partial(fault, "terms"),
+                           partial(fault, "term_ptr"), "term")
     indptr, rows = a["indptr"], a["rows"]
     if len(indptr) != len(terms) + 1:
         raise fault("indptr", f"term count {len(terms)} does not match {len(indptr)} offsets")

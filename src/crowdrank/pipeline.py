@@ -13,16 +13,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from . import features as ft
 from .antonyms import AntonymDictionary, AntonymQueryContext
 from .corpus import Thread, preprocess
-from .embeddings import EmbeddingStore, IdfMap, WordMatrix, asym_scores, cosine, sentence_embed
-from .index import (InvertedIndex, answer_document_bag, bm25_search,
-                    build_ephemeral_answer_index, build_thread_index, gather)
+from .documents import DocumentStore, build_documents
+from .embeddings import (EmbeddingStore, IdfMap, WordMatrix, asym_scores, sentence_embed,
+                         sentence_vectors)
+from .index import InvertedIndex, bm25_search, build_thread_index, gather
 
 
 @dataclass
@@ -77,7 +78,8 @@ class SearchEngine:
     def __init__(self, threads: Iterable[Thread], store: EmbeddingStore,
                  idf_map: IdfMap, antonym_dict: AntonymDictionary,
                  thread_index: InvertedIndex | None = None,
-                 stopwords: frozenset[str] | None = None):
+                 stopwords: frozenset[str] | None = None,
+                 docs: DocumentStore | None = None):
         self.threads = {t.question.id: t for t in threads}
         self.store = store
         self.idf_map = idf_map
@@ -87,15 +89,25 @@ class SearchEngine:
         # Every thread word, sorted, so sorted ids are sorted words; the rows
         # fill as searches meet the words.
         self.vocab = WordMatrix(sorted(idf_map.df), store, idf_map)
-        self._ensure_sentence_vectors()
+        # The threads' text parts as ids of those words, in thread index row order.
+        self.docs = docs or build_documents(self.threads.values(), idf_map)
+        self.title_vecs = self._title_vectors()
+        self.title_norms = np.sqrt(np.einsum("ij,ij->i", self.title_vecs, self.title_vecs))
 
-    def _ensure_sentence_vectors(self) -> None:
-        # Title vectors not supplied by a sentence-vector file come from the
-        # built-in IDF-weighted-mean embedder.
-        for thread_id, thread in self.threads.items():
-            if thread_id not in self.store.sentence_vecs:
-                self.store.sentence_vecs[thread_id] = sentence_embed(
-                    thread.question.title_bag, self.store, self.idf_map)
+    def _title_vectors(self) -> np.ndarray:
+        """Each thread's title vector, a row per thread: the store's sentence
+        vector when it holds one (from a sentence-vector file), else the
+        built-in IDF-weighted mean, which then fills the store."""
+        title = self.docs.parts["title"]
+        vecs = sentence_vectors(self.vocab.words, self.vocab.idf, title.ptr, title.ids,
+                                title.counts, self.store)
+        for row, thread_id in enumerate(self.thread_index.doc_ids.tolist()):
+            given = self.store.sentence_vecs.get(thread_id)
+            if given is None:
+                self.store.sentence_vecs[thread_id] = vecs[row]
+            else:
+                vecs[row] = given
+        return vecs
 
     def make_query_context(self, query: str, config: ft.WeightConfig) -> QueryContext:
         bag = preprocess(query, "query", self.stopwords)
@@ -107,14 +119,24 @@ class SearchEngine:
         return QueryContext(bag=bag, antonym_ctx=ctx, sentence_vec=vec,
                             words=words, vocab_ids=vocab_ids, novel_words=novel)
 
-    def _asym(self, qc: QueryContext, docs: list[list[Collection[str]]],
-              clamp: bool) -> list[float]:
-        """`asym_score` of the query against each doc (a list of word collections)."""
-        flat, ptr = self.vocab.segments(docs)
-        return asym_scores(qc.words, self.vocab, qc.vocab_ids, flat, ptr, clamp)
+    def _asym(self, qc: QueryContext, segments: tuple[np.ndarray, np.ndarray],
+              clamp: bool) -> np.ndarray:
+        """`asym_score` of the query against each segment of vocabulary ids."""
+        flat, ptr = segments
+        self.vocab.fill(flat)
+        return np.array(asym_scores(qc.words, self.vocab, qc.vocab_ids, flat, ptr, clamp))
 
-    def _tf(self, qc: QueryContext, threads: list[Thread]) -> list[float]:
-        """`tf_score` of the query against each thread's indexed document.
+    def _sentence(self, qc: QueryContext, rows: np.ndarray) -> np.ndarray:
+        """`cosine` of the query's sentence vector and each thread's title vector;
+        0 where either has zero norm."""
+        norm_q = np.linalg.norm(qc.sentence_vec)
+        norms = self.title_norms[rows] * norm_q
+        out = np.zeros(len(rows))
+        np.divide(self.title_vecs[rows] @ qc.sentence_vec, norms, out=out, where=norms != 0.0)
+        return out
+
+    def _tf(self, qc: QueryContext, rows: np.ndarray) -> np.ndarray:
+        """`tf_score` of the query against each thread row's indexed document.
 
         The dot products come from the query terms' postings, the document
         norms from the sums of squares the thread index stores. A dot product
@@ -126,24 +148,31 @@ class SearchEngine:
                            [hi - lo for lo, hi in spans])
         dots = np.bincount(gather(index.rows, spans), weights=gather(index.tfs, spans) * counts,
                            minlength=index.stats.n_docs)
-        rows = np.searchsorted(index.doc_ids, [t.question.id for t in threads])
         sumsq_q = sum(c * c for c in qc.bag.values())
-        return [ft.tf_cosine(dot, sumsq_q, sumsq)
-                for dot, sumsq in zip(dots[rows].tolist(), index.doc_sumsq[rows].tolist())]
+        return np.array([ft.tf_cosine(dot, sumsq_q, sumsq) for dot, sumsq
+                         in zip(dots[rows].tolist(), index.doc_sumsq[rows].tolist())])
 
-    def _similarity_features(self, qc: QueryContext, threads: list[Thread],
+    def _similarity_features(self, qc: QueryContext, rows: np.ndarray,
                              clamp: bool) -> dict[str, np.ndarray]:
-        """The four stage-1 feature columns; stage 2 reuses them."""
-        titles = self._asym(qc, [[t.question.title_bag] for t in threads], clamp)
-        bodies = self._asym(qc, [[t.question.body_bag, *(a.body_bag for a in t.answers)]
-                                 for t in threads], clamp)
+        """The four stage-1 feature columns of the thread rows; stage 2 reuses them."""
         return {
-            "sentence": np.array([cosine(qc.sentence_vec, self.store.sentence_vecs[t.question.id])
-                                  for t in threads]),
-            "asym_title": np.array(titles),
-            "asym_body": np.array(bodies),
-            "tf": np.array(self._tf(qc, threads)),
+            "sentence": self._sentence(qc, rows),
+            "asym_title": self._asym(qc, self.docs.title_segments(rows), clamp),
+            "asym_body": self._asym(qc, self.docs.body_segments(rows), clamp),
+            "tf": self._tf(qc, rows),
         }
+
+    def _tfidf(self, qc: QueryContext, counts: np.ndarray, held: np.ndarray,
+               answer_rows: np.ndarray) -> np.ndarray:
+        """`tfidf_score` of the query against each answer's indexed text, from
+        its counts of the query words `held` in the vocabulary (a row per
+        answer) and its stored norm."""
+        words = qc.words
+        counts_q = np.array([qc.bag[w] for w in words.words], dtype=np.int64)
+        norm_q = ft.tfidf_norms(counts_q, words.idf, np.array([0, len(counts_q)]))[0]
+        dots = (counts * words.idf[held]) @ (counts_q * words.idf)[held]
+        return np.array([ft.tfidf_cosine(dot, norm_q, norm) for dot, norm
+                         in zip(dots.tolist(), self.docs.tfidf_norm[answer_rows].tolist())])
 
     def search(self, query: str, config: ft.WeightConfig | None = None,
                final_n: int | None = None) -> SearchResult:
@@ -178,13 +207,14 @@ class SearchEngine:
         # Stage 1: the four similarity features
         clamp = config.clamp_negative_cosine
         ids = np.array([t.question.id for t in candidates], dtype=np.int64)
-        table = self._similarity_features(qc, candidates, clamp)
+        rows = np.searchsorted(self.thread_index.doc_ids, ids)
+        table = self._similarity_features(qc, rows, clamp)
         weights = {f: config.thread_weights[f] for f in ft.THREAD_SIMILARITY_FEATURES}
         kept, _, _ = _rank(ids, table, weights, config.stage1_keep)
         counts["stage1_kept"] = len(kept)
 
         # Stage 2: the stage-1 values plus the three social features
-        ids = ids[kept]
+        ids, rows = ids[kept], rows[kept]
         threads = [self.threads[t] for t in ids.tolist()]
         table = {name: column[kept] for name, column in table.items()}
         for name in ft.SOCIAL_FEATURES:  # each is a Thread property of that name
@@ -194,11 +224,16 @@ class SearchEngine:
         diagnostics["thread_features"] = dict(zip(ids[kept].tolist(), _rows(table, kept)))
         thread_scores = dict(zip(ids[kept].tolist(), fused[kept].tolist()))
 
-        # Ephemeral answer index and lexical answer retrieval
-        surviving = [threads[i] for i in kept.tolist()]
-        located = {a.id: (thread, a) for thread in surviving for a in thread.answers}
-        hits = bm25_search(build_ephemeral_answer_index(surviving, qc.bag), qc.bag,
-                           config.answer_k)
+        # Ephemeral answer index over the query's vocabulary terms, and
+        # lexical answer retrieval
+        held = qc.vocab_ids >= 0
+        answer_rows, term_counts, index = self.docs.answer_index(
+            rows[kept], [w for w, h in zip(qc.words.words, held.tolist()) if h],
+            qc.vocab_ids[held])
+        pairs = [(threads[i], a) for i in kept.tolist() for a in threads[i].answers]
+        # answer id -> (thread, answer, position in answer_rows)
+        located = {a.id: (thread, a, i) for i, (thread, a) in enumerate(pairs)}
+        hits = bm25_search(index, qc.bag, config.answer_k)
         answer_ids = [a for a, _ in hits]
         if not answer_ids and located:
             # Every query term the answers hold is in all of them, so its idf
@@ -212,7 +247,7 @@ class SearchEngine:
         if config.filter_answers:
             kept = []
             for a in answer_ids:
-                thread, answer = located[a]
+                thread, answer, _ = located[a]
                 words = (thread.question.title_bag.keys() | answer.body_bag.keys()
                          | answer.code_bag.keys())
                 if qc.antonym_ctx.score(words) == 0:
@@ -221,15 +256,12 @@ class SearchEngine:
         counts["after_answer_filter"] = len(answer_ids)
 
         # Answer features, fusion and the final cut
-        method_scores = ft.top_method_score(
-            [(a, located[a][1].code_text) for a in answer_ids], config.method_scale)
-        asyms = self._asym(qc, [[located[a][1].body_bag, located[a][0].question.title_bag]
-                                for a in answer_ids], clamp)
+        positions = np.array([located[a][2] for a in answer_ids], dtype=np.intp)
+        rows = answer_rows[positions]
         table = {
-            "asym": np.array(asyms),
-            "tfidf": np.array([ft.tfidf_score(qc.bag, answer_document_bag(*located[a]),
-                                              self.idf_map) for a in answer_ids]),
-            "top_method": np.array([method_scores[a] for a in answer_ids]),
+            "asym": self._asym(qc, self.docs.answer_segments(rows), clamp),
+            "tfidf": self._tfidf(qc, term_counts[positions], held, rows),
+            "top_method": ft.top_method_scores(*self.docs.methods(rows), config.method_scale),
             "thread_score": np.array([thread_scores[located[a][0].question.id]
                                       for a in answer_ids]),
         }
@@ -238,7 +270,7 @@ class SearchEngine:
         entries = []
         for a, score, raw, norm in zip(ids[kept].tolist(), fused[kept].tolist(),
                                        _rows(table, kept), _rows(normalized, kept)):
-            thread, answer = located[a]
+            thread, answer, _ = located[a]
             entries.append(ResultEntry(
                 answer_id=a,
                 thread_id=thread.question.id,

@@ -127,6 +127,55 @@ def antonym_corpus():
 
 
 # ---------------------------------------------------------------------------
+# bag-walking references of the document store's gathers
+
+
+def answer_document_bag(thread, answer):
+    """Indexed text of an answer: parent title, parent body, its body, its code."""
+    bag = Counter(thread.question.title_bag)
+    for part in (thread.question.body_bag, answer.body_bag, answer.code_bag):
+        bag.update(part)
+    return bag
+
+
+def segments_reference(docs, vocab):
+    """Each doc's distinct word ids, sorted, as a flat list and offsets; a doc
+    is a list of word bags, `vocab` the sorted vocabulary."""
+    word_id = {w: i for i, w in enumerate(vocab)}
+    flat, ptr = [], [0]
+    for parts in docs:
+        flat += sorted({word_id[w] for bag in parts for w in bag})
+        ptr.append(len(flat))
+    return flat, ptr
+
+
+def answer_index_reference(threads, terms):
+    """(doc ids, doc lengths, N, avgdl, postings) of the answer BM25 index over
+    the threads' answers, in ascending answer id, holding only `terms`."""
+    docs = {a.id: answer_document_bag(t, a) for t in threads for a in t.answers}
+    doc_ids = sorted(docs)
+    doc_len = [sum(docs[d].values()) for d in doc_ids]
+    postings = {}
+    for term in sorted(set(terms)):
+        plist = [(d, docs[d][term]) for d in doc_ids if docs[d].get(term, 0)]
+        if plist:
+            postings[term] = plist
+    avgdl = sum(doc_len) / len(doc_ids) if doc_ids else 0.0
+    return doc_ids, doc_len, len(doc_ids), avgdl, postings
+
+
+def top_method_reference(code_texts, extract, scale=10.0):
+    """Each answer's top-method score: log2(f)/scale if its code calls the
+    method called most often over all of them (ties: the smallest name)."""
+    per_answer = [extract(code) for code in code_texts]
+    freq = Counter(m for methods in per_answer for m in methods)
+    if not freq:
+        return [0.0] * len(code_texts)
+    top = min(freq, key=lambda m: (-freq[m], m))
+    return [math.log2(freq[top]) / scale if top in methods else 0.0 for methods in per_answer]
+
+
+# ---------------------------------------------------------------------------
 # oracles
 
 

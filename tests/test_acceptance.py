@@ -14,6 +14,7 @@ import pytest
 import synth
 from crowdrank.antonyms import default_dictionary
 from crowdrank.artifacts import build_artifacts, load_engine
+from crowdrank.documents import DOCS_ARRAYS
 from crowdrank.embeddings import EmbeddingStore, IdfMap, asym, asym_score
 from crowdrank.evaluation import GroundTruth, query_metrics, run_baseline
 from crowdrank.features import (WeightConfig, question_score_value, tf_score,
@@ -21,10 +22,11 @@ from crowdrank.features import (WeightConfig, question_score_value, tf_score,
 from crowdrank.index import bm25_search, build_index
 from crowdrank.pipeline import configure_ablation
 
-ARTIFACT_FILES = ("threads.jsonl", "idf.json", "titles.txt", "contents.txt", "meta.json",
+ARTIFACT_FILES = ("threads.jsonl", "idf.json", "meta.json",
                   "index.header.json", "index.terms.npy", "index.term_ptr.npy",
                   "index.indptr.npy", "index.rows.npy", "index.tfs.npy",
-                  "index.doc_ids.npy", "index.doc_len.npy", "index.doc_sumsq.npy")
+                  "index.doc_ids.npy", "index.doc_len.npy", "index.doc_sumsq.npy",
+                  *(f"docs.{name}.npy" for name in DOCS_ARRAYS))
 
 
 def build_engine(tmp_path_factory, posts, label):

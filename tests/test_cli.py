@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import synth
 from crowdrank.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
+from crowdrank.documents import DOCS_ARRAYS, docs_file
 from crowdrank.features import WeightConfig
 from crowdrank.index import INDEX_ARRAYS, INDEX_HEADER, index_file, load_index
 
@@ -44,10 +45,11 @@ def workspace(tmp_path_factory):
 class TestBuildIndex:
     def test_artifacts_written(self, workspace):
         assert sorted(p.name for p in workspace["index"].iterdir()) == sorted([
-            "threads.jsonl", "idf.json", "titles.txt", "contents.txt", "meta.json",
+            "threads.jsonl", "idf.json", "meta.json",
             "index.header.json", "index.terms.npy", "index.term_ptr.npy",
             "index.indptr.npy", "index.rows.npy", "index.tfs.npy", "index.doc_ids.npy",
-            "index.doc_len.npy", "index.doc_sumsq.npy"])
+            "index.doc_len.npy", "index.doc_sumsq.npy",
+            *(f"docs.{name}.npy" for name in DOCS_ARRAYS)])
         assert not (workspace["index"] / "index.json").exists()
 
     def test_rebuild_replaces_a_json_index(self, workspace, tmp_path):
@@ -226,13 +228,21 @@ def _edit_json(name, edit):
     return damage
 
 
-def _save_array(name, edit):
+def _save_array(name, edit, file=index_file):
     def damage(index_dir):
-        path = index_file(index_dir, name)
+        path = file(index_dir, name)
         array = edit(np.load(path))
         with open(path, "wb") as fh:
             np.save(fh, array)
     return damage
+
+
+def _set(position, value):
+    def edit(array):
+        array = array.copy()
+        array[position] = value
+        return array
+    return edit
 
 
 def _thread_store_line(lineno, data):
@@ -286,6 +296,30 @@ BAD_INDEX_DIRS = {
     "thread-lacks-id": (_thread_store_line(3, b'{"question": {}}'), "threads.jsonl:3:"),
     "thread-not-json": (_thread_store_line(2, b"{not json"), "threads.jsonl:2:"),
     "thread-not-utf-8": (_thread_store_line(3, b"\xff\xfe"), "threads.jsonl:3:"),
+    "docs-missing": (lambda d: docs_file(d, "code_ids").unlink(), "docs.code_ids.npy: missing"),
+    "docs-wrong-dtype": (_save_array("title_counts", lambda a: a.astype(np.int64), docs_file),
+                         "docs.title_counts.npy: holds a 1-d int64 array"),
+    "docs-wrong-ndim": (_save_array("tfidf_norm", lambda a: a[None, :], docs_file),
+                        "docs.tfidf_norm.npy: holds a 2-d float64 array"),
+    "docs-offsets-short": (_save_array("body_ptr", _set(-1, 0), docs_file),
+                           "docs.body_ptr.npy: offsets do not cover"),
+    "docs-offsets-empty": (_save_array("title_ptr", lambda a: a[:0], docs_file),
+                           "docs.title_ptr.npy: offsets do not cover"),
+    "docs-id-beyond-vocab": (_save_array("answer_body_ids", _set(-1, 10 ** 6), docs_file),
+                             "docs.answer_body_ids.npy: a term id is outside"),
+    "docs-ids-not-ascending": (_save_array("body_ids", lambda a: np.append(a[1::-1], a[2:]),
+                                           docs_file),
+                               "docs.body_ids.npy: a row's term ids are not ascending"),
+    "docs-count-below-1": (_save_array("code_counts", _set(0, 0), docs_file),
+                           "docs.code_counts.npy: a count is below 1"),
+    "docs-norm-not-finite": (_save_array("tfidf_norm", _set(0, np.nan), docs_file),
+                             "docs.tfidf_norm.npy: not"),
+    "docs-method-out-of-range": (_save_array("method_ids", _set(-1, 10 ** 6), docs_file),
+                                 "docs.method_ids.npy: a method id is outside"),
+    "docs-thread-row-out-of-range": (_save_array("answer_thread", _set(-1, 10 ** 6), docs_file),
+                                     "docs.answer_thread.npy: a thread row is outside"),
+    "docs-answers-differ": (_save_array("answer_ids", _set(0, 7), docs_file),
+                            "docs.answer_ids.npy: the answers differ from those of threads.jsonl"),
 }
 
 
@@ -405,3 +439,34 @@ class TestMergeAntonyms:
         code = main(["merge-antonyms", str(tmp_path / "nope.tsv"),
                      "-o", str(tmp_path / "out.tsv")])
         assert code == EXIT_USAGE
+
+
+class TestExportText:
+    def test_writes_each_threads_preprocessed_text(self, tmp_path, capsys):
+        corpus = tmp_path / "dump.jsonl"
+        # Thread 3 sorts first by id; "qonlyword" is only in thread 5's
+        # question code, which contents.txt holds although BM25 does not.
+        synth.write_jsonl(corpus, [
+            synth.question(5, "Parse JSON json", "see <code>qonlyword(x)</code>", 5),
+            synth.answer(6, 5, "use jackson <code>mapper.read(json)</code>", 3),
+            synth.question(3, "format date", "how to format", 5),
+            synth.answer(4, 3, "use <code>fmt.format(d)</code>", 3),
+        ])
+        assert main(["build-index", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "index")]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "text"
+        assert main(["export-text", str(tmp_path / "index"), str(out)]) == EXIT_OK
+        assert f"of 2 threads to {out}" in capsys.readouterr().out
+        assert (out / "titles.txt").read_bytes() == b"date format\njson json parse\n"
+        assert (out / "contents.txt").read_bytes() == (
+            b"date format format use fmt format\n"
+            b"json json parse see qonlyword jackson use json mapper read\n")
+
+    def test_missing_index_is_one_error_line(self, tmp_path, capsys):
+        code = main(["export-text", str(tmp_path / "void"), str(tmp_path / "text")])
+        assert code == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "threads.jsonl" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "text").exists()

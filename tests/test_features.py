@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -7,14 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import crowdrank
 import synth
 from crowdrank.embeddings import IdfMap
-from crowdrank.features import (ANSWER_FEATURES, THREAD_FEATURES, WeightConfig,
-                                extract_methods, normalize_and_fuse, question_score_value,
-                                tf_score, tfidf_score, top_method_score)
+from crowdrank.features import (ANSWER_FEATURES, METHOD_KEYWORDS, THREAD_FEATURES,
+                                WeightConfig, extract_methods, normalize_and_fuse,
+                                question_score_value, tf_score, tfidf_score, top_method_score)
 
 BAG_ST = st.dictionaries(st.sampled_from([f"w{i}" for i in range(10)]),
                          st.integers(min_value=1, max_value=5), max_size=8)
@@ -185,6 +186,15 @@ class TestExtractMethods:
 
     def test_no_calls(self):
         assert extract_methods("int x = 3;") == []
+
+    @settings(max_examples=500)
+    @given(st.text(st.sampled_from("aZ_9é٣ .()\n\t"), max_size=24))
+    def test_same_calls_as_the_receiver_chain_pattern(self, code):
+        # The pattern with an explicit optional receiver chain, which the
+        # plain "identifier followed by (" pattern replaced.
+        chain = re.compile(r"(?:\b[A-Za-z_]\w*\s*\.\s*)*\b([A-Za-z_]\w*)\s*\(")
+        assert extract_methods(code) == [m for m in chain.findall(code)
+                                         if m not in METHOD_KEYWORDS]
 
 
 class TestTopMethodScore:

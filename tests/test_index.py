@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import synth
-from crowdrank.artifacts import build_artifacts, load_engine
+from crowdrank.artifacts import build_artifacts, build_idf, load_engine
 from crowdrank.corpus import RawPost, build_threads
-from crowdrank.index import (INDEX_ARRAYS, INDEX_HEADER, answer_document_bag, bm25_search,
-                             build_ephemeral_answer_index, build_index,
+from crowdrank.documents import build_documents
+from crowdrank.index import (INDEX_ARRAYS, INDEX_HEADER, bm25_search, build_index,
                              build_thread_index, index_file, load_index, save_index,
                              thread_document_bag)
 
@@ -190,10 +190,12 @@ class TestDocumentBags:
 
     def test_answer_bag_includes_parent_question(self):
         thread = self.thread()
-        bag = answer_document_bag(thread, thread.answers[0])
-        assert "jackson" in bag and "readvalue" in bag
-        assert "parse" in bag            # parent title
-        assert "question" in bag         # parent body
+        idf = build_idf([thread])
+        words = ["jackson", "readvalue", "parse", "question"]
+        counts = build_documents([thread], idf).term_counts(
+            np.array([0]), np.array([sorted(idf.df).index(w) for w in words]))
+        # answer body, answer code, parent title, parent body
+        assert counts.tolist() == [[1, 1, 1, 1]]
 
     def test_question_code_counts_for_idf_but_not_for_bm25(self, tmp_path):
         # "qonlyword" appears only in the question's code.
@@ -211,14 +213,21 @@ class TestDocumentBags:
         assert "qonlyword" not in thread_document_bag(thread)
         assert bm25_search(engine.thread_index, ["qonlyword"], 10) == []
         assert engine.idf_map.df["qonlyword"] == 1
-        contents = (tmp_path / "index" / "contents.txt").read_text().splitlines()
-        assert "qonlyword" in contents[0].split()
 
     def test_ephemeral_index_covers_all_answers(self):
         thread = self.thread()
-        index = build_ephemeral_answer_index([thread], ["jackson", "absent"])
+        other = build_threads([
+            RawPost(id=5, post_kind="question", score=5, title="zebra", body_html="stripes"),
+            RawPost(id=6, post_kind="answer", score=3, parent_id=5,
+                    body_html="<code>zebra.run()</code>")])[0]
+        idf = build_idf([thread, other])
+        vocab = sorted(idf.df)
+        # "zebra" is a vocabulary word that no answer of thread 1 holds.
+        _, _, index = build_documents([thread, other], idf).answer_index(
+            np.array([0]), ["jackson", "zebra"],
+            np.array([vocab.index("jackson"), vocab.index("zebra")]))
         assert doc_values(index, "doc_len") == {
-            2: sum(answer_document_bag(thread, thread.answers[0]).values())}
+            2: sum(synth.answer_document_bag(thread, thread.answers[0]).values())}
         assert index.terms == ["jackson"]
         assert index.postings("jackson") == [(2, 1)]
         thread_index = build_thread_index([thread])

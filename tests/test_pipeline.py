@@ -17,14 +17,25 @@ from crowdrank.embeddings import (EmbeddingStore, IdfMap, asym_score, fallback_e
                                   save_vectors)
 from crowdrank.features import (SOCIAL_FEATURES, THREAD_FEATURES, WeightConfig,
                                 question_score_value, tf_score)
-from crowdrank.index import (answer_document_bag, bm25_search, build_ephemeral_answer_index,
-                             build_index, thread_document_bag)
+from crowdrank.documents import build_documents
+from crowdrank.index import bm25_search, build_index, thread_document_bag
 from crowdrank.pipeline import BASELINE_NAMES, SearchEngine, _rank, configure_ablation
 
 
 def doc_lengths(index):
     """(doc_id, length) of every document of an index, by doc_id."""
     return sorted(zip(index.doc_ids.tolist(), index.doc_len.tolist()))
+
+
+def store_answer_index(threads, query):
+    """The answer index of all the threads' answers, gathered from their
+    document store, on the query words the store's vocabulary holds."""
+    idf = build_idf(threads) if threads else IdfMap({}, 1)
+    vocab = sorted(idf.df)
+    terms = sorted(w for w in set(query) if w in idf.df)
+    docs = build_documents(threads, idf)
+    return docs.answer_index(np.arange(docs.n_threads), terms,
+                             np.array([vocab.index(t) for t in terms], dtype=np.intp))[2]
 
 
 def make_engine(posts):
@@ -194,12 +205,13 @@ class TestVocabularyKernel:
         self.check_against_pairs(engine, queries, WeightConfig())
 
     def test_thread_word_outside_the_idf_map_is_named(self):
-        posts, queries, _ = synth.planted_corpus(n_threads=10, n_queries=2)
+        posts, _, _ = synth.planted_corpus(n_threads=10, n_queries=2)
         threads = build_threads([RawPost.from_json(o) for o in posts])
-        engine = SearchEngine(threads, EmbeddingStore(fallback=True),
-                              IdfMap({"q0alpha": 1}, len(threads)), default_dictionary())
+        # The engine's document store maps every thread word to its id, so
+        # the error comes before any search.
         with pytest.raises(ValueError, match="not in the idf vocabulary"):
-            engine.search(queries[1], WeightConfig())
+            SearchEngine(threads, EmbeddingStore(fallback=True),
+                         IdfMap({"q0alpha": 1}, len(threads)), default_dictionary())
 
     def test_results_do_not_depend_on_the_hash_seed(self):
         script = ("import synth\n"
@@ -276,8 +288,8 @@ class TestLexicalFeatures:
             threads = []
         for text in queries:
             query = preprocess(text, "query")
-            index = build_ephemeral_answer_index(threads, query)
-            full = build_index({a.id: answer_document_bag(t, a)
+            index = store_answer_index(threads, query)
+            full = build_index({a.id: synth.answer_document_bag(t, a)
                                 for t in threads for a in t.answers})
             assert set(index.terms) <= set(query)
             for term in query:
