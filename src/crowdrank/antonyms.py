@@ -13,6 +13,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
+from .corpus import read_text
+
 POS_MODES = ("NN", "VB", "NN_VB")
 
 _VERB_SUFFIXES = ("ing", "ize", "ify")
@@ -113,7 +115,7 @@ def merge_lists(paths: Iterable[str | Path], stats: MergeStats | None = None) ->
     stats = stats if stats is not None else MergeStats()
     entries: dict[str, AntonymEntry] = {}
     for path in paths:
-        for line in Path(path).read_text("utf-8").splitlines():
+        for line in read_text(path).splitlines():
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue

@@ -3,11 +3,6 @@
 ``build_artifacts`` turns a JSONL dump into an index directory:
 
     threads.jsonl       versioned thread store
-    index.header.json   thread index header: format version, BM25 k and b
-    index.*.npy         thread index arrays (`index.INDEX_ARRAYS`): the sorted
-                        terms, postings in CSR form (indptr, document rows,
-                        tfs) and per thread its id, length and sum of squared
-                        term frequencies
     docs.*.npy          thread document store (`documents.DOCS_ARRAYS`): each
                         thread's title and question body and each answer's
                         body and code as term ids (over the sorted idf.json
@@ -16,9 +11,11 @@
     idf.json            document frequencies + doc count (IDF derives from these)
     meta.json           format version, embedding config, corpus stats
 
-``load_engine`` validates the version tags and assembles a SearchEngine; a
-damaged meta.json, idf.json, thread index or document store file is a
-ValueError that names it. ``export_text`` writes the preprocessed text of an
+``load_engine`` validates the version tags and assembles a SearchEngine,
+which makes the thread BM25 index from the document store; a damaged
+meta.json, idf.json, threads.jsonl or document store file is a ValueError
+that names it. A directory without the store (built before it) fails on its
+first missing array. ``export_text`` writes the preprocessed text of an
 index directory for training an external embedder:
 
     titles.txt          preprocessed question titles, one per line
@@ -38,7 +35,6 @@ from .corpus import (BuildStats, LoadStats, TagFilter, Thread, build_threads,
 from .documents import build_documents, docs_file, load_documents, save_documents
 from .embeddings import (DEFAULT_DIM, DEFAULT_SEED, EmbeddingConfig, EmbeddingStore,
                          IdfMap, load_sentence_vectors, load_word_vectors)
-from .index import build_thread_index, load_index, save_index
 from .pipeline import SearchEngine
 
 META_FORMAT = "crowdrank-meta"
@@ -55,8 +51,9 @@ def _bag_tokens(bag) -> list[str]:
 def thread_content_tokens(thread: Thread) -> list[str]:
     """Words of a thread for idf.json and contents.txt, question code included.
 
-    `index.thread_document_bag` leaves question code out of BM25 and tf; the
-    BM25 and tf oracles in `perfbench/checks.py` assume this split.
+    The thread's indexed text (BM25 and tf) is its parts
+    `documents.THREAD_PARTS + ANSWER_PARTS`, which leave question code out;
+    the BM25 and tf oracles in `perfbench/checks.py` assume this split.
     """
     tokens = _bag_tokens(thread.question.title_bag)
     tokens += _bag_tokens(thread.question.body_bag)
@@ -93,10 +90,10 @@ def build_artifacts(corpus_path: str | Path, out_dir: str | Path,
     threads = build_threads(posts, stopwords, build_stats)
 
     save_threads(threads, out / "threads.jsonl")
-    index = build_thread_index(threads)
-    save_index(index, out, meta={"preprocess_version": PREPROCESS_VERSION})
-    # The JSON index of earlier versions is replaced, not kept beside the arrays.
-    (out / "index.json").unlink(missing_ok=True)
+    # Earlier versions wrote the thread index beside the store; a rebuild in
+    # place removes those files, which nothing reads.
+    for stale in [out / "index.json", out / "index.header.json", *out.glob("index.*.npy")]:
+        stale.unlink(missing_ok=True)
 
     idf = build_idf(threads) if threads else IdfMap({}, 1)
     idf_payload = {"format": "crowdrank-idf", "version": 1,
@@ -160,7 +157,8 @@ def load_engine(index_dir: str | Path,
     meta_path = root / "meta.json"
     meta = read_json_object(meta_path)
     if meta.get("format") != META_FORMAT or meta.get("version") != META_VERSION:
-        raise ValueError(f"unsupported index directory format in {root}")
+        raise ValueError(f"{meta_path}: unsupported index directory format; "
+                         f"rerun `crowdrank build-index`")
     if meta.get("preprocess_version") != PREPROCESS_VERSION:
         raise ValueError("index was built with an incompatible preprocessing version")
     embedding = meta.get("embedding", {})
@@ -169,13 +167,11 @@ def load_engine(index_dir: str | Path,
         raise ValueError(f"{meta_path}: embedding dim must be a positive integer, got {dim!r}")
 
     threads = load_threads(root / "threads.jsonl")
-    thread_index = load_index(root)
     idf = load_idf(root / "idf.json")
     docs = load_documents(root, len(idf.df))
-    if docs.n_threads != thread_index.stats.n_docs:
-        raise ValueError(f"{docs_file(root, 'title_ptr')}: {docs.n_threads} threads, but the "
-                         f"thread index holds {thread_index.stats.n_docs}; rerun "
-                         f"`crowdrank build-index`")
+    if docs.n_threads != len(threads):
+        raise ValueError(f"{docs_file(root, 'title_ptr')}: {docs.n_threads} threads, but "
+                         f"threads.jsonl holds {len(threads)}; rerun `crowdrank build-index`")
     answer_ids = [a.id for t in sorted(threads, key=lambda t: t.question.id) for a in t.answers]
     if docs.answer_ids.tolist() != answer_ids:
         raise ValueError(f"{docs_file(root, 'answer_ids')}: the answers differ from those of "
@@ -193,5 +189,4 @@ def load_engine(index_dir: str | Path,
     else:
         antonym_dict = default_dictionary()
 
-    return SearchEngine(threads, store, idf, antonym_dict,
-                        thread_index=thread_index, stopwords=stopwords, docs=docs)
+    return SearchEngine(threads, store, idf, antonym_dict, stopwords=stopwords, docs=docs)

@@ -14,7 +14,7 @@ from pathlib import Path
 from .antonyms import MergeStats, merge_lists, save_dictionary
 from .artifacts import build_artifacts, export_text, load_engine
 from .corpus import TagFilter, load_stopwords
-from .embeddings import DEFAULT_SEED, EmbeddingConfig
+from .embeddings import DEFAULT_SEED
 from .evaluation import (GroundTruth, run_ablation_grid, write_per_query_csv,
                          write_report_csv)
 from .features import WeightConfig
@@ -59,10 +59,14 @@ def cmd_merge_antonyms(args) -> int:
             print(f"error: no such file: {path}", file=sys.stderr)
             return EXIT_USAGE
     stats = MergeStats()
-    dictionary = merge_lists(args.inputs, stats)
+    try:
+        dictionary = merge_lists(args.inputs, stats)
+        save_dictionary(dictionary, args.output)
+    except (OSError, ValueError) as exc:  # each names its file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA_ERROR
     if not dictionary.entries:
         print("warning: merged dictionary is empty", file=sys.stderr)
-    save_dictionary(dictionary, args.output)
     print(f"wrote {len(dictionary)} entries to {args.output}"
           f" ({stats.warnings} lines skipped)")
     return EXIT_OK
@@ -70,11 +74,14 @@ def cmd_merge_antonyms(args) -> int:
 
 def cmd_build_index(args) -> int:
     tag_filter = TagFilter(require=tuple(args.require_tag), forbid=tuple(args.forbid_tag))
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else None
-    config = EmbeddingConfig(seed=args.seed)
+    try:
+        stopwords = load_stopwords(args.stopwords) if args.stopwords else None
+    except (OSError, ValueError) as exc:  # each names the file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA_ERROR
     try:
         report = build_artifacts(args.corpus, args.out, tag_filter=tag_filter,
-                                 stopwords=stopwords, embedding_config=config)
+                                 stopwords=stopwords)
     except OSError as exc:
         print(f"error: cannot read corpus: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
@@ -85,7 +92,6 @@ def cmd_build_index(args) -> int:
     for stage, stats in (("load", report.load_stats), ("build", report.build_stats)):
         for name, value in asdict(stats).items():
             print(f"{stage} {name.replace('_', ' ')}: {value}")
-    print(f"seed: {args.seed}")
     return EXIT_OK
 
 
@@ -201,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid-tag", action="append", default=None,
                    help="question must not carry this tag (default: javascript)")
     p.add_argument("--stopwords", help="stopword list file (default: bundled)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("search", help="run one query against a built index")

@@ -38,8 +38,16 @@ def default_stopwords() -> frozenset[str]:
     return _stopwords_cache
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file; ValueError, naming the file, for other bytes."""
+    try:
+        return Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
+
+
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    return _parse_stopwords(Path(path).read_text("utf-8"))
+    return _parse_stopwords(read_text(path))
 
 
 def _parse_stopwords(text: str) -> frozenset[str]:

@@ -2,37 +2,36 @@
 
 Each text part of a thread (its title and its question body) and of an
 answer (its body and its code) is held in compressed sparse row (CSR) form,
-the layout of the thread index's postings: row r holds the distinct term ids
+the layout of an index's postings: row r holds the distinct term ids
 `ids[ptr[r]:ptr[r + 1]]`, ascending, and their counts beside them. Term ids
 index the sorted idf.json words, the same ids as `SearchEngine.vocab`.
-Thread rows follow the thread index's rows (ascending question id); answer
-rows follow the threads, each thread's answers in its own order. Per answer
-the store also holds its id, its thread's row, the norm of its tf-idf
-vector and its method-call ids (`features.extract_methods`, with repeats)
-over a sorted method vocabulary.
+Thread rows follow ascending question id; answer rows follow the threads,
+each thread's answers in its own order. Per answer the store also holds its
+id, its thread's row, the norm of its tf-idf vector and its method-call ids
+(`features.extract_methods`, with repeats) over a sorted method vocabulary.
 
 `build_documents` writes the arrays from `Thread`s; `build-index` saves them
 as fixed-dtype `.npy` files (DOCS_ARRAYS), and `load_documents` checks them
-and names the file at fault. A search gathers rows of these arrays for its
-candidates: the asym segments, the answer index's term counts, tf-idf and
-top-method all read them, not the threads' word bags.
+and names the file at fault. The store is the only text index on disk: the
+thread BM25 index is its transpose, made at load (`thread_index`). A search
+gathers rows of these arrays for its candidates: the asym segments, the
+answer index's term counts, tf-idf and top-method all read them, not the
+threads' word bags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Thread
 from .embeddings import IdfMap
 from .features import extract_methods, tfidf_norms
-from .index import (InvertedIndex, _is_pointer, _read_array, build_ephemeral_answer_index,
-                    decode_strings, encode_strings)
+from .index import InvertedIndex, assemble_index, build_ephemeral_answer_index
 
 THREAD_PARTS = ("title", "body")
 ANSWER_PARTS = ("answer_body", "code")
@@ -102,6 +101,18 @@ class DocumentStore:
         # question body, its own body and code.
         self.answer_len = (lengths["title"][answer_thread] + lengths["body"][answer_thread]
                            + lengths["answer_body"] + lengths["code"])
+
+    def thread_index(self, words: Sequence[str], doc_ids: np.ndarray) -> InvertedIndex:
+        """The thread BM25 index: a document per thread row, question id
+        `doc_ids[row]`, of its THREAD_PARTS and its answers' ANSWER_PARTS (the
+        question's code is not indexed); `words` is the sorted vocabulary."""
+        parts = [self.parts[name] for name in THREAD_PARTS + ANSWER_PARTS]
+        threads = np.arange(self.n_threads, dtype=np.int32)
+        owners = [threads] * len(THREAD_PARTS) + [self.answer_thread] * len(ANSWER_PARTS)
+        rows = np.concatenate([np.repeat(owner, np.diff(part.ptr))
+                               for owner, part in zip(owners, parts)])
+        return assemble_index(words, rows, np.concatenate([part.ids for part in parts]),
+                              np.concatenate([part.counts for part in parts]), doc_ids)
 
     def answer_rows(self, thread_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The answer rows of the threads, thread after thread, and the offsets
@@ -265,6 +276,51 @@ def build_documents(threads: Iterable[Thread], idf_map: IdfMap) -> DocumentStore
                          len(words))
 
 
+def encode_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Strings as their UTF-8 bytes back to back, and the offsets of each."""
+    encoded = [s.encode("utf-8") for s in strings]
+    ptr = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)), out=ptr[1:])
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), ptr
+
+
+def decode_strings(data: np.ndarray, ptr: np.ndarray,
+                   fault: Callable[[str, str], ValueError]) -> list[str]:
+    """The method names of `encode_strings` output, sorted and distinct;
+    `fault(array name, what)` makes the error of bad offsets, bytes or order."""
+    if not len(ptr) or not _is_pointer(ptr, len(data)):
+        raise fault("method_name_ptr", "method name offsets do not cover the method name bytes")
+    raw, bounds = data.tobytes(), ptr.tolist()
+    try:
+        strings = [raw[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
+    except UnicodeDecodeError as exc:
+        raise fault("method_names", f"a method name is not UTF-8: {exc}") from None
+    if any(s1 >= s2 for s1, s2 in zip(strings, strings[1:])):
+        raise fault("method_names", "method names are not sorted and distinct")
+    return strings
+
+
+def _read_array(path: Path, dtype) -> np.ndarray:
+    """One `.npy` array; numpy's `.npy` reader (`np.load` calls it for a `.npy`
+    file) refuses a zip or a pickle, which `np.load` would open."""
+    try:
+        with open(path, "rb") as fh:
+            array = np.lib.format.read_array(fh, allow_pickle=False)
+    except FileNotFoundError:
+        raise ValueError(f"{path}: missing; rerun `crowdrank build-index`") from None
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: not a readable .npy array: {exc}") from None
+    if array.dtype != np.dtype(dtype) or array.ndim != 1:
+        raise ValueError(f"{path}: holds a {array.ndim}-d {array.dtype} array, "
+                         f"not a 1-d {np.dtype(dtype)} one")
+    return array
+
+
+def _is_pointer(ptr: np.ndarray, end: int) -> bool:
+    """An offsets array: starts at 0, never decreases, ends at `end`."""
+    return ptr[0] == 0 and ptr[-1] == end and not np.any(ptr[1:] < ptr[:-1])
+
+
 def save_documents(docs: DocumentStore, directory: str | Path) -> None:
     """Write the store into `directory` as DOCS_ARRAYS `.npy` files; fixed
     dtypes keep the bytes deterministic."""
@@ -321,8 +377,7 @@ def load_documents(directory: str | Path, vocab_size: int) -> DocumentStore:
     norms = a["tfidf_norm"]
     if len(norms) != n_answers or not np.all(np.isfinite(norms)) or np.any(norms < 0):
         raise fault("tfidf_norm", f"not {n_answers} finite norms of at least 0")
-    names = decode_strings(a["method_names"], a["method_name_ptr"], partial(fault, "method_names"),
-                           partial(fault, "method_name_ptr"), "method name")
+    names = decode_strings(a["method_names"], a["method_name_ptr"], fault)
     method_ptr, method_ids = a["method_ptr"], a["method_ids"]
     if len(method_ptr) != n_answers + 1 or not _is_pointer(method_ptr, len(method_ids)):
         raise fault("method_ptr", f"offsets do not cover the {len(method_ids)} method ids in "

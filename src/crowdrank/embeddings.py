@@ -27,10 +27,9 @@ DEFAULT_SEED = 42
 @dataclass(frozen=True)
 class EmbeddingConfig:
     dim: int = DEFAULT_DIM
-    seed: int = DEFAULT_SEED
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "seed": self.seed}
+        return {"dim": self.dim}
 
 
 def fallback_embed(word: str, seed: int = DEFAULT_SEED, dim: int = DEFAULT_DIM) -> np.ndarray:

@@ -8,63 +8,34 @@ document rows (ascending) and the term frequencies. Row r is the document
 `doc_ids[r]` (ascending), of length `doc_len[r]`, and with the sum of
 squared term frequencies `doc_sumsq[r]`, the norm of the `tf` feature.
 
-The thread index is built offline and saved as fixed-dtype `.npy` arrays
-(INDEX_ARRAYS) beside a small versioned header (INDEX_HEADER), so a load
-parses no JSON beyond the header; `load_index` checks the arrays' dtypes,
-shapes and offsets and names the file at fault. The answer index is built
-per query over the surviving threads' answers from their counts of the
-query's terms, which `documents.DocumentStore` gathers from its term-id
-arrays; it holds only those terms and never touches disk. Each index
-computes every posting's BM25 term once (`InvertedIndex.impacts`), and one
-`bm25_search` scores both. IDF inside BM25 is log10(N/df), the same
-definition the rest of the scoring stack uses.
+No index is kept on disk. The thread index is the inverted file of the
+forward store `documents.DocumentStore`, made at load by
+`DocumentStore.thread_index`; it and `build_index` (from word bags) share
+one assembly from (row, term id, count) entries, `assemble_index`. The
+answer index is built per query over the surviving threads' answers from
+their counts of the query's terms, which the store gathers; it holds only
+those terms. Each index computes every posting's BM25 term once
+(`InvertedIndex.impacts`), and one `bm25_search` scores both. IDF inside
+BM25 is log10(N/df), the same definition the rest of the scoring stack uses.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Thread, read_json_object
-
-INDEX_FORMAT = "crowdrank-index"
-INDEX_VERSION = 3
-
-DEFAULT_K = 1.2
-DEFAULT_B = 0.9
-
-# The saved thread index: a header and one array per file, by dtype.
-INDEX_HEADER = "index.header.json"
-INDEX_ARRAYS = {
-    "terms": np.uint8,       # the sorted terms' UTF-8 bytes, back to back
-    "term_ptr": np.int64,    # terms[i] is bytes term_ptr[i]:term_ptr[i+1]
-    "indptr": np.int64,
-    "rows": np.int32,
-    "tfs": np.int32,
-    "doc_ids": np.int64,
-    "doc_len": np.int64,
-    "doc_sumsq": np.int64,
-}
-
-
-def index_file(directory: str | Path, name: str) -> Path:
-    """Path of one saved index array (a key of INDEX_ARRAYS)."""
-    return Path(directory) / f"index.{name}.npy"
+# The BM25 term-frequency saturation and length normalization.
+BM25_K = 1.2
+BM25_B = 0.9
 
 
 @dataclass
 class IndexStats:
     n_docs: int = 0
     avgdl: float = 0.0
-    k: float = DEFAULT_K
-    b: float = DEFAULT_B
 
 
 class InvertedIndex:
@@ -73,7 +44,7 @@ class InvertedIndex:
 
     def __init__(self, terms: list[str], indptr: np.ndarray, rows: np.ndarray,
                  tfs: np.ndarray, doc_ids: np.ndarray, doc_len: np.ndarray,
-                 doc_sumsq: np.ndarray | None, k: float = DEFAULT_K, b: float = DEFAULT_B):
+                 doc_sumsq: np.ndarray | None):
         self.terms = terms
         self.indptr = indptr
         self.rows = rows
@@ -83,15 +54,25 @@ class InvertedIndex:
         self.doc_sumsq = doc_sumsq
         n_docs = len(doc_ids)
         avgdl = int(doc_len.sum()) / n_docs if n_docs else 0.0
-        self.stats = IndexStats(n_docs=n_docs, avgdl=avgdl, k=k, b=b)
+        self.stats = IndexStats(n_docs=n_docs, avgdl=avgdl)
         # term -> its postings' (start, end)
         bounds = indptr.tolist()
         self._spans = dict(zip(terms, zip(bounds, bounds[1:])))
-        # Each posting's BM25 term, in the expression order of a loop over
-        # the postings, so a score sums the same floats as that loop.
+        # Each posting's BM25 term, idf * tf * (k + 1) / (tf + k * (1 - b +
+        # b * dl / avgdl)), with the operations of a loop over the postings,
+        # so a score sums the same floats as that loop; in place, so a load
+        # holds two posting-sized float arrays, not five.
         dfs = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-        idf = np.repeat([math.log10(n_docs / df) if df else 0.0 for df in dfs], dfs)
-        self.impacts = idf * tfs * (k + 1.0) / (tfs + k * (1.0 - b + b * doc_len[rows] / avgdl))
+        k, b = BM25_K, BM25_B
+        norm = doc_len[rows] * b
+        norm /= avgdl
+        norm += 1.0 - b
+        norm *= k
+        norm += tfs
+        self.impacts = np.repeat([math.log10(n_docs / df) if df else 0.0 for df in dfs], dfs)
+        self.impacts *= tfs
+        self.impacts *= k + 1.0
+        self.impacts /= norm
 
     def spans(self, terms: Iterable[str]) -> list[tuple[int, int]]:
         """(start, end) of each term's postings; (0, 0) for a term no document holds."""
@@ -108,37 +89,61 @@ def gather(values: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
     return np.concatenate([values[lo:hi] for lo, hi in spans] or [values[:0]])
 
 
-def build_index(docs: Mapping[int, Mapping[str, int]], k: float = DEFAULT_K,
-                b: float = DEFAULT_B) -> InvertedIndex:
+def assemble_index(terms: Sequence[str], rows: np.ndarray, term_ids: np.ndarray,
+                   counts: np.ndarray, doc_ids: np.ndarray) -> InvertedIndex:
+    """The index of (document row, term id, count) entries, in any order.
+    `term_ids` index the sorted `terms`, and row r is the document `doc_ids[r]`
+    (ascending). The counts of equal (term, row) entries are summed, and
+    terms no entry holds are left out."""
+    n_docs = len(doc_ids)
+    # Each entry as one int64, (term, row) above its count, so that a plain
+    # sort orders them; this holds while terms x documents x the largest count
+    # stays below 2**63. In-place arithmetic and `del` bound the memory.
+    shift = int(counts.max(initial=0)).bit_length()
+    keys = term_ids.astype(np.int64)
+    keys *= n_docs
+    keys += rows
+    keys <<= shift
+    keys |= counts
+    keys.sort()
+    sums = keys & ((1 << shift) - 1)
+    keys >>= shift
+    np.cumsum(sums, out=sums)
+    # The last entry of each (term, row) holds the running sum of its counts.
+    last = np.flatnonzero(np.append(keys[1:] != keys[:-1], len(keys) > 0))
+    sums, keys = sums[last], keys[last]
+    del last
+    tfs = np.diff(sums, prepend=0)
+    del sums
+    dfs = np.bincount(keys // max(n_docs, 1), minlength=len(terms))
+    keys %= max(n_docs, 1)
+    posting_rows = keys.astype(np.int32)
+    del keys
+    held = np.flatnonzero(dfs)
+    indptr = np.zeros(len(held) + 1, dtype=np.int64)
+    np.cumsum(dfs[held], out=indptr[1:])
+    # Sums of integers, exact in float64 below 2**53.
+    doc_len, doc_sumsq = (np.bincount(posting_rows, weights=w, minlength=n_docs).astype(np.int64)
+                          for w in (tfs, tfs * tfs))
+    return InvertedIndex([terms[i] for i in held.tolist()], indptr, posting_rows,
+                         tfs.astype(np.int32), doc_ids, doc_len, doc_sumsq)
+
+
+def build_index(docs: Mapping[int, Mapping[str, int]]) -> InvertedIndex:
     """Index a doc_id -> bag mapping. An empty mapping yields a valid empty index."""
     doc_ids = sorted(docs)
     bags = [docs[d] for d in doc_ids]
     flat_terms = [term for bag in bags for term in bag]
-    flat_tfs = np.fromiter((tf for bag in bags for tf in bag.values()), dtype=np.int64,
-                           count=len(flat_terms))
-    sizes = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
     terms = sorted(set(flat_terms))
     term_id = dict(zip(terms, range(len(terms))))
-    term_ids = np.fromiter(map(term_id.__getitem__, flat_terms), dtype=np.intp,
-                           count=len(flat_terms))
-    indptr = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(term_ids, minlength=len(terms)), out=indptr[1:])
-    # The entries are listed by ascending row; a stable sort keeps them so
-    # within each term.
-    order = np.argsort(term_ids, kind="stable")
-    rows = np.repeat(np.arange(len(bags), dtype=np.int32), sizes)
-    bounds = np.zeros(len(bags) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=bounds[1:])
-
-    def per_doc(values: np.ndarray) -> np.ndarray:
-        """Each document's sum of `values`, which are listed like the entries."""
-        sums = np.zeros(len(values) + 1, dtype=np.int64)
-        np.cumsum(values, out=sums[1:])
-        return sums[bounds[1:]] - sums[bounds[:-1]]
-
-    return InvertedIndex(terms, indptr, rows[order], flat_tfs[order].astype(np.int32),
-                         np.array(doc_ids, dtype=np.int64), per_doc(flat_tfs),
-                         per_doc(flat_tfs * flat_tfs), k, b)
+    sizes = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
+    return assemble_index(
+        terms, np.repeat(np.arange(len(bags)), sizes),
+        np.fromiter(map(term_id.__getitem__, flat_terms), dtype=np.int64,
+                    count=len(flat_terms)),
+        np.fromiter((tf for bag in bags for tf in bag.values()), dtype=np.int64,
+                    count=len(flat_terms)),
+        np.array(doc_ids, dtype=np.int64))
 
 
 def bm25_search(index: InvertedIndex, query: Iterable[str], top_n: int) -> list[tuple[int, float]]:
@@ -168,30 +173,8 @@ def bm25_search(index: InvertedIndex, query: Iterable[str], top_n: int) -> list[
     return list(zip(index.doc_ids[top].tolist(), scores[top].tolist()))
 
 
-def thread_document_bag(thread: Thread) -> Counter:
-    """Indexed text of a thread: title + question body + answers' bodies + answers' code.
-
-    Question code is left out, although `artifacts.thread_content_tokens`
-    (idf.json, contents.txt) counts it: the BM25 and tf oracles in
-    `perfbench/checks.py` assume this split.
-    """
-    bag = Counter(thread.question.title_bag)
-    bag.update(thread.question.body_bag)
-    for answer in thread.answers:
-        bag.update(answer.body_bag)
-        bag.update(answer.code_bag)
-    return bag
-
-
-def build_thread_index(threads: Iterable[Thread], k: float = DEFAULT_K,
-                       b: float = DEFAULT_B) -> InvertedIndex:
-    docs = {t.question.id: thread_document_bag(t) for t in threads}
-    return build_index(docs, k=k, b=b)
-
-
 def build_ephemeral_answer_index(terms: Sequence[str], counts: np.ndarray, doc_ids: np.ndarray,
-                                 doc_len: np.ndarray, k: float = DEFAULT_K,
-                                 b: float = DEFAULT_B) -> InvertedIndex:
+                                 doc_len: np.ndarray) -> InvertedIndex:
     """Per-query index over the retained answers of the surviving threads.
 
     Row r of `counts` holds answer `doc_ids[r]`'s count of each of `terms`
@@ -209,118 +192,4 @@ def build_ephemeral_answer_index(terms: Sequence[str], counts: np.ndarray, doc_i
     np.cumsum(np.bincount(term_rows, minlength=len(held)), out=indptr[1:])
     return InvertedIndex([terms[j] for j in held.tolist()], indptr, rows.astype(np.int32),
                          tfs[term_rows, rows].astype(np.int32), doc_ids[order].astype(np.int64),
-                         doc_len[order].astype(np.int64), None, k, b)
-
-
-def encode_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Strings as their UTF-8 bytes back to back, and the offsets of each."""
-    encoded = [s.encode("utf-8") for s in strings]
-    ptr = np.zeros(len(encoded) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)), out=ptr[1:])
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), ptr
-
-
-def decode_strings(data: np.ndarray, ptr: np.ndarray, data_fault: Callable[[str], ValueError],
-                   ptr_fault: Callable[[str], ValueError], noun: str) -> list[str]:
-    """`encode_strings` output of sorted distinct strings, back to strings; the
-    faults make the error of bad offsets and of bad bytes or order."""
-    if not len(ptr) or not _is_pointer(ptr, len(data)):
-        raise ptr_fault(f"{noun} offsets do not cover the {noun} bytes")
-    raw, bounds = data.tobytes(), ptr.tolist()
-    try:
-        strings = [raw[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
-    except UnicodeDecodeError as exc:
-        raise data_fault(f"a {noun} is not UTF-8: {exc}") from None
-    if any(s1 >= s2 for s1, s2 in zip(strings, strings[1:])):
-        raise data_fault(f"{noun}s are not sorted and distinct")
-    return strings
-
-
-def save_index(index: InvertedIndex, directory: str | Path, meta: dict | None = None) -> None:
-    """Write a `build_index` index into `directory` as INDEX_ARRAYS `.npy` files
-    and an INDEX_HEADER; fixed dtypes keep the bytes deterministic."""
-    terms, term_ptr = encode_strings(index.terms)
-    arrays = {"terms": terms, "term_ptr": term_ptr, "indptr": index.indptr, "rows": index.rows,
-              "tfs": index.tfs, "doc_ids": index.doc_ids, "doc_len": index.doc_len,
-              "doc_sumsq": index.doc_sumsq}
-    for name, dtype in INDEX_ARRAYS.items():
-        with open(index_file(directory, name), "wb") as fh:
-            np.save(fh, np.asarray(arrays[name], dtype=dtype), allow_pickle=False)
-    header = {"format": INDEX_FORMAT, "version": INDEX_VERSION,
-              "k": index.stats.k, "b": index.stats.b, "meta": meta or {}}
-    (Path(directory) / INDEX_HEADER).write_text(
-        json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n", "utf-8")
-
-
-def _read_array(path: Path, dtype) -> np.ndarray:
-    """One `.npy` array; numpy's `.npy` reader (`np.load` calls it for a `.npy`
-    file) refuses a zip or a pickle, which `np.load` would open."""
-    try:
-        with open(path, "rb") as fh:
-            array = np.lib.format.read_array(fh, allow_pickle=False)
-    except FileNotFoundError:
-        raise ValueError(f"{path}: missing; rerun `crowdrank build-index`") from None
-    except (ValueError, EOFError) as exc:
-        raise ValueError(f"{path}: not a readable .npy array: {exc}") from None
-    if array.dtype != np.dtype(dtype) or array.ndim != 1:
-        raise ValueError(f"{path}: holds a {array.ndim}-d {array.dtype} array, "
-                         f"not a 1-d {np.dtype(dtype)} one")
-    return array
-
-
-def _is_pointer(ptr: np.ndarray, end: int) -> bool:
-    """An offsets array: starts at 0, never decreases, ends at `end`."""
-    return ptr[0] == 0 and ptr[-1] == end and not np.any(ptr[1:] < ptr[:-1])
-
-
-def load_index(directory: str | Path) -> InvertedIndex:
-    """Read `save_index` output; ValueError names the file at fault."""
-    directory = Path(directory)
-    header_path = directory / INDEX_HEADER
-    if not header_path.is_file() and (directory / "index.json").is_file():
-        raise ValueError(f"{directory / 'index.json'}: an index of an older format; "
-                         f"rerun `crowdrank build-index`")
-    try:
-        header = read_json_object(header_path)
-    except FileNotFoundError:
-        raise ValueError(f"{header_path}: missing; rerun `crowdrank build-index`") from None
-    if header.get("format") != INDEX_FORMAT:
-        raise ValueError(f"{header_path}: not an index header")
-    version = header.get("version")
-    if version != INDEX_VERSION:
-        raise ValueError(f"{header_path}: unsupported index version {version!r} (this program "
-                         f"reads version {INDEX_VERSION}); rerun `crowdrank build-index`")
-    params = [header.get(key) for key in ("k", "b")]
-    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p)
-               for p in params):
-        raise ValueError(f"{header_path}: k and b must be finite numbers, got {params}")
-
-    a = {name: _read_array(index_file(directory, name), dtype)
-         for name, dtype in INDEX_ARRAYS.items()}
-
-    def fault(name: str, what: str) -> ValueError:
-        return ValueError(f"{index_file(directory, name)}: {what}")
-
-    terms = decode_strings(a["terms"], a["term_ptr"], partial(fault, "terms"),
-                           partial(fault, "term_ptr"), "term")
-    indptr, rows = a["indptr"], a["rows"]
-    if len(indptr) != len(terms) + 1:
-        raise fault("indptr", f"term count {len(terms)} does not match {len(indptr)} offsets")
-    if not _is_pointer(indptr, len(rows)):
-        raise fault("indptr", f"offsets do not run from 0 up to the {len(rows)} postings")
-    if len(a["tfs"]) != len(rows):
-        raise fault("tfs", f"{len(a['tfs'])} tfs for {len(rows)} postings")
-    doc_ids = a["doc_ids"]
-    if np.any(doc_ids[1:] <= doc_ids[:-1]):
-        raise fault("doc_ids", "doc ids are not ascending and distinct")
-    for name in ("doc_len", "doc_sumsq"):
-        if len(a[name]) != len(doc_ids):
-            raise fault(name, f"{len(a[name])} values for {len(doc_ids)} documents")
-    if len(rows) and (rows.min() < 0 or rows.max() >= len(doc_ids)):
-        raise fault("rows", f"a document row is outside 0..{len(doc_ids) - 1}")
-    term_start = np.zeros(len(rows), dtype=bool)
-    term_start[indptr[:-1][indptr[:-1] < len(rows)]] = True
-    if np.any((rows[1:] <= rows[:-1]) & ~term_start[1:]):
-        raise fault("rows", "a term's document rows are not ascending and distinct")
-    return InvertedIndex(terms, indptr, rows, a["tfs"], doc_ids, a["doc_len"],
-                         a["doc_sumsq"], k=float(params[0]), b=float(params[1]))
+                         doc_len[order].astype(np.int64), None)

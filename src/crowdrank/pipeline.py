@@ -23,7 +23,7 @@ from .corpus import Thread, preprocess
 from .documents import DocumentStore, build_documents
 from .embeddings import (EmbeddingStore, IdfMap, WordMatrix, asym_scores, sentence_embed,
                          sentence_vectors)
-from .index import InvertedIndex, bm25_search, build_thread_index, gather
+from .index import bm25_search, gather
 
 
 @dataclass
@@ -77,20 +77,21 @@ class SearchEngine:
 
     def __init__(self, threads: Iterable[Thread], store: EmbeddingStore,
                  idf_map: IdfMap, antonym_dict: AntonymDictionary,
-                 thread_index: InvertedIndex | None = None,
                  stopwords: frozenset[str] | None = None,
                  docs: DocumentStore | None = None):
         self.threads = {t.question.id: t for t in threads}
         self.store = store
         self.idf_map = idf_map
         self.antonym_dict = antonym_dict
-        self.thread_index = thread_index or build_thread_index(self.threads.values())
         self.stopwords = stopwords
         # Every thread word, sorted, so sorted ids are sorted words; the rows
         # fill as searches meet the words.
         self.vocab = WordMatrix(sorted(idf_map.df), store, idf_map)
-        # The threads' text parts as ids of those words, in thread index row order.
+        # The threads' text parts as ids of those words, a row per thread by
+        # ascending question id, and their BM25 index with the same rows.
         self.docs = docs or build_documents(self.threads.values(), idf_map)
+        self.thread_index = self.docs.thread_index(
+            self.vocab.words, np.array(sorted(self.threads), dtype=np.int64))
         self.title_vecs = self._title_vectors()
         self.title_norms = np.sqrt(np.einsum("ij,ij->i", self.title_vecs, self.title_vecs))
 

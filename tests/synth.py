@@ -12,6 +12,8 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
+
 WORDS = [f"w{i:03d}term" for i in range(400)]
 
 
@@ -128,6 +130,29 @@ def antonym_corpus():
 
 # ---------------------------------------------------------------------------
 # bag-walking references of the document store's gathers
+
+
+def thread_document_bag(thread):
+    """Indexed text of a thread: title, question body, answers' bodies and
+    answers' code. Question code is left out (it counts for idf only)."""
+    bag = Counter(thread.question.title_bag)
+    bag.update(thread.question.body_bag)
+    for answer in thread.answers:
+        bag.update(answer.body_bag)
+        bag.update(answer.code_bag)
+    return bag
+
+
+INDEX_ARRAYS = ("indptr", "rows", "tfs", "doc_ids", "doc_len", "doc_sumsq", "impacts")
+
+
+def index_differences(got, want):
+    """The names of the arrays (and `terms`) in which two InvertedIndexes
+    differ, by `np.array_equal` and dtype."""
+    names = [] if got.terms == want.terms else ["terms"]
+    return names + [name for name in INDEX_ARRAYS
+                    if not np.array_equal(getattr(got, name), getattr(want, name))
+                    or getattr(got, name).dtype != getattr(want, name).dtype]
 
 
 def answer_document_bag(thread, answer):

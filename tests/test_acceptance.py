@@ -23,9 +23,6 @@ from crowdrank.index import bm25_search, build_index
 from crowdrank.pipeline import configure_ablation
 
 ARTIFACT_FILES = ("threads.jsonl", "idf.json", "meta.json",
-                  "index.header.json", "index.terms.npy", "index.term_ptr.npy",
-                  "index.indptr.npy", "index.rows.npy", "index.tfs.npy",
-                  "index.doc_ids.npy", "index.doc_len.npy", "index.doc_sumsq.npy",
                   *(f"docs.{name}.npy" for name in DOCS_ARRAYS))
 
 

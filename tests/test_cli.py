@@ -11,7 +11,6 @@ import synth
 from crowdrank.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
 from crowdrank.documents import DOCS_ARRAYS, docs_file
 from crowdrank.features import WeightConfig
-from crowdrank.index import INDEX_ARRAYS, INDEX_HEADER, index_file, load_index
 
 # Text a file can hold: any code point but the surrogates.
 TEXT_ST = st.text(st.characters(exclude_categories=("Cs",)), max_size=30)
@@ -42,23 +41,76 @@ def workspace(tmp_path_factory):
             "index": index_dir, "queries": queries, "relevant": relevant}
 
 
+def _add_stale_index_files(index_dir):
+    """The thread index files that earlier builds wrote beside the store."""
+    (index_dir / "index.json").write_text('{"format": "crowdrank-index", "version": 2}')
+    (index_dir / "index.header.json").write_text('{"format": "crowdrank-index", "version": 3}')
+    for name in ("terms", "indptr", "rows", "tfs", "doc_ids"):
+        (index_dir / f"index.{name}.npy").write_bytes(b"not an array")
+
+
+def _search_outputs(workspace, capsys, index_dir=None):
+    """The --json lines of every planted query searched in the index directory."""
+    lines = []
+    for query in workspace["queries"].values():
+        assert main(["search", query, "--index-dir", str(index_dir or workspace["index"]),
+                     "--json", "--explain"]) == EXIT_OK
+        lines += capsys.readouterr().out.splitlines()
+    assert lines
+    return lines
+
+
 class TestBuildIndex:
     def test_artifacts_written(self, workspace):
         assert sorted(p.name for p in workspace["index"].iterdir()) == sorted([
             "threads.jsonl", "idf.json", "meta.json",
-            "index.header.json", "index.terms.npy", "index.term_ptr.npy",
-            "index.indptr.npy", "index.rows.npy", "index.tfs.npy", "index.doc_ids.npy",
-            "index.doc_len.npy", "index.doc_sumsq.npy",
             *(f"docs.{name}.npy" for name in DOCS_ARRAYS)])
-        assert not (workspace["index"] / "index.json").exists()
 
-    def test_rebuild_replaces_a_json_index(self, workspace, tmp_path):
+    def test_rebuild_in_place_leaves_no_index_files(self, workspace, tmp_path):
         out = tmp_path / "idx"
         shutil.copytree(workspace["index"], out)
-        (out / "index.json").write_text('{"format": "crowdrank-index", "version": 2}')
+        _add_stale_index_files(out)
         assert main(["build-index", "--corpus", str(workspace["corpus"]),
                      "--out", str(out)]) == EXIT_OK
-        assert not (out / "index.json").exists()
+        assert not list(out.glob("index.*"))
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            p.name for p in workspace["index"].iterdir())
+
+    def test_stale_index_files_are_not_read(self, workspace, tmp_path, capsys):
+        out = tmp_path / "idx"
+        shutil.copytree(workspace["index"], out)
+        _add_stale_index_files(out)
+        assert _search_outputs(workspace, capsys, out) == _search_outputs(workspace, capsys)
+
+    def test_seed_is_not_a_build_option(self, workspace, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build-index", "--corpus", str(workspace["corpus"]),
+                  "--out", str(tmp_path / "idx"), "--seed", "7"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+    def test_meta_with_a_seed_still_loads(self, workspace, tmp_path, capsys):
+        out = tmp_path / "idx"
+        shutil.copytree(workspace["index"], out)
+        meta = json.loads((out / "meta.json").read_text())
+        meta["embedding"]["seed"] = 7
+        (out / "meta.json").write_text(json.dumps(meta))
+        assert _search_outputs(workspace, capsys, out) == _search_outputs(workspace, capsys)
+
+    @pytest.mark.parametrize("content, named", [
+        (None, "No such file or directory: '{path}'"),
+        (b"\xff\xfe stop", "{path}: not UTF-8"),
+    ])
+    def test_bad_stopword_file_is_one_error_line(self, workspace, tmp_path, capsys, content,
+                                                 named):
+        path = tmp_path / "stop.txt"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["build-index", "--corpus", str(workspace["corpus"]),
+                     "--out", str(tmp_path / "idx"), "--stopwords", str(path)]) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named.format(path=path) in err
+        assert len(err.splitlines()) == 1
 
     def test_missing_corpus(self, tmp_path, capsys):
         code = main(["build-index", "--corpus", str(tmp_path / "nope.jsonl"),
@@ -87,7 +139,7 @@ class TestBuildIndex:
         assert main(["build-index", "--corpus", str(corpus),
                      "--out", str(tmp_path / "idx")]) == EXIT_OK
         out = capsys.readouterr().out.splitlines()
-        assert out[2:10] == ["load warnings: 0", "load questions: 2", "load answers: 2",
+        assert out[2:] == ["load warnings: 0", "load questions: 2", "load answers: 2",
                              "load dropped questions: 1", "load dropped answers: 1",
                              "build orphan answers: 0", "build dropped questions: 1",
                              "build dropped answers: 1"]
@@ -202,23 +254,19 @@ class TestSearchProperties:
             json.loads(line, parse_constant=_reject_constant)
 
 
-def _json_index_only(index_dir, payload):
-    """Leave the directory as builds before the arrays left it: index.json alone."""
-    for name in INDEX_ARRAYS:
-        index_file(index_dir, name).unlink()
-    (index_dir / INDEX_HEADER).unlink()
-    (index_dir / "index.json").write_text(json.dumps(payload))
+def _json_index_only(payload):
+    """Leave the directory as builds before the document store left it:
+    index.json beside threads.jsonl, idf.json and meta.json."""
+    def damage(index_dir):
+        for path in index_dir.glob("docs.*.npy"):
+            path.unlink()
+        (index_dir / "index.json").write_text(json.dumps(payload))
+    return damage
 
 
-def _complete_json_index(index_dir):
-    """A complete version-2 index.json of the directory's own index."""
-    index = load_index(index_dir)
-    return {"format": "crowdrank-index", "version": 2, "k": 1.2, "b": 0.9, "meta": {},
-            "doc_len": {str(d): n for d, n in zip(index.doc_ids.tolist(),
-                                                  index.doc_len.tolist())},
-            "doc_sumsq": {str(d): n for d, n in zip(index.doc_ids.tolist(),
-                                                    index.doc_sumsq.tolist())},
-            "postings": {t: index.postings(t) for t in index.terms}}
+def _drop_last_thread(index_dir):
+    path = index_dir / "threads.jsonl"
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-1]))
 
 
 def _edit_json(name, edit):
@@ -228,9 +276,9 @@ def _edit_json(name, edit):
     return damage
 
 
-def _save_array(name, edit, file=index_file):
+def _save_array(name, edit):
     def damage(index_dir):
-        path = file(index_dir, name)
+        path = docs_file(index_dir, name)
         array = edit(np.load(path))
         with open(path, "wb") as fh:
             np.save(fh, array)
@@ -263,13 +311,13 @@ def _without(key):
 
 BAD_INDEX_DIRS = {
     # damage(index_dir), then what the one error line must name
-    "json-index-v1": (lambda d: _json_index_only(d, {"format": "crowdrank-index", "version": 1}),
-                      "index.json: an index of an older format; rerun `crowdrank build-index`"),
-    "json-index-v2": (lambda d: _json_index_only(d, _complete_json_index(d)),
-                      "index.json: an index of an older format; rerun `crowdrank build-index`"),
-    "header-version-2": (_edit_json(INDEX_HEADER, lambda h: dict(h, version=2)),
-                         "rerun `crowdrank build-index`"),
-    "header-lacks-k": (_edit_json(INDEX_HEADER, _without("k")), INDEX_HEADER),
+    "json-index-v1": (_json_index_only({"format": "crowdrank-index", "version": 1}),
+                      "docs.title_ptr.npy: missing; rerun `crowdrank build-index`"),
+    "json-index-v2": (_json_index_only({"format": "crowdrank-index", "version": 2}),
+                      "docs.title_ptr.npy: missing; rerun `crowdrank build-index`"),
+    "header-version-2": (_edit_json("meta.json", lambda m: dict(m, version=2)),
+                         "meta.json: unsupported index directory format; rerun "
+                         "`crowdrank build-index`"),
     "idf-lacks-df": (_edit_json("idf.json", _without("df")), "idf.json: df"),
     "idf-not-an-object": (_edit_json("idf.json", lambda _: [1]),
                           "idf.json: not a JSON object"),
@@ -277,48 +325,56 @@ BAD_INDEX_DIRS = {
                            "meta.json: not a JSON object"),
     "meta-embedding-not-an-object": (_edit_json("meta.json", lambda m: dict(m, embedding=[1])),
                                      "meta.json: embedding dim"),
-    "array-missing": (lambda d: index_file(d, "rows").unlink(), "index.rows.npy: missing"),
-    "array-needs-pickle": (_save_array("doc_ids", lambda a: a.astype(object)),
-                           "index.doc_ids.npy: not a readable .npy array"),
-    "array-wrong-dtype": (_save_array("tfs", lambda a: a.astype(np.float64)),
-                          "index.tfs.npy: holds a 1-d float64 array"),
-    "array-wrong-ndim": (_save_array("doc_len", lambda a: a[None, :]),
-                         "index.doc_len.npy: holds a 2-d int64 array"),
-    "indptr-not-monotone": (_save_array("indptr", lambda a: np.where(
-        np.arange(len(a)) == 1, a[-1], a)), "index.indptr.npy: offsets do not run"),
-    "indptr-short-of-postings": (_save_array("indptr", lambda a: np.append(a[:-1], a[-1] - 1)),
-                                 "index.indptr.npy: offsets do not run"),
-    "row-out-of-range": (_save_array("rows", lambda a: np.append(a[:-1], 10 ** 6).astype(
-        np.int32)), "index.rows.npy: a document row is outside"),
-    "term-count-off": (_save_array("indptr", lambda a: np.append(a, a[-1])),
-                       "index.indptr.npy: term count"),
     "threads-header-not-an-object": (_thread_store_line(1, b"[1]"), "threads.jsonl:1:"),
     "thread-lacks-id": (_thread_store_line(3, b'{"question": {}}'), "threads.jsonl:3:"),
     "thread-not-json": (_thread_store_line(2, b"{not json"), "threads.jsonl:2:"),
     "thread-not-utf-8": (_thread_store_line(3, b"\xff\xfe"), "threads.jsonl:3:"),
+    "array-missing": (lambda d: docs_file(d, "answer_thread").unlink(),
+                      "docs.answer_thread.npy: missing; rerun `crowdrank build-index`"),
+    "array-wrong-dtype": (_save_array("method_ids", lambda a: a.astype(np.float64)),
+                          "docs.method_ids.npy: holds a 1-d float64 array"),
+    "array-wrong-ndim": (_save_array("answer_ids", lambda a: a[None, :]),
+                         "docs.answer_ids.npy: holds a 2-d int64 array"),
+    "indptr-not-monotone": (_save_array("answer_body_ptr", lambda a: np.where(
+        np.arange(len(a)) == 1, a[-1], a)), "docs.answer_body_ptr.npy: offsets do not cover"),
+    "indptr-short-of-postings": (_save_array("method_ptr", lambda a: np.append(a[:-1], a[-1] - 1)),
+                                 "docs.method_ptr.npy: offsets do not cover"),
+    "row-out-of-range": (_save_array("answer_thread", _set(0, -1)),
+                         "docs.answer_thread.npy: a thread row is outside"),
+    "term-count-off": (_save_array("title_counts", lambda a: np.append(a, a[-1])),
+                       "docs.title_counts.npy: 256 counts for 255 ids"),
+    "array-needs-pickle": (_save_array("answer_ids", lambda a: a.astype(object)),
+                           "docs.answer_ids.npy: not a readable .npy array"),
     "docs-missing": (lambda d: docs_file(d, "code_ids").unlink(), "docs.code_ids.npy: missing"),
-    "docs-wrong-dtype": (_save_array("title_counts", lambda a: a.astype(np.int64), docs_file),
+    "docs-wrong-dtype": (_save_array("title_counts", lambda a: a.astype(np.int64)),
                          "docs.title_counts.npy: holds a 1-d int64 array"),
-    "docs-wrong-ndim": (_save_array("tfidf_norm", lambda a: a[None, :], docs_file),
+    "docs-wrong-ndim": (_save_array("tfidf_norm", lambda a: a[None, :]),
                         "docs.tfidf_norm.npy: holds a 2-d float64 array"),
-    "docs-offsets-short": (_save_array("body_ptr", _set(-1, 0), docs_file),
+    "docs-offsets-short": (_save_array("body_ptr", _set(-1, 0)),
                            "docs.body_ptr.npy: offsets do not cover"),
-    "docs-offsets-empty": (_save_array("title_ptr", lambda a: a[:0], docs_file),
+    "docs-offsets-empty": (_save_array("title_ptr", lambda a: a[:0]),
                            "docs.title_ptr.npy: offsets do not cover"),
-    "docs-id-beyond-vocab": (_save_array("answer_body_ids", _set(-1, 10 ** 6), docs_file),
+    "docs-id-beyond-vocab": (_save_array("answer_body_ids", _set(-1, 10 ** 6)),
                              "docs.answer_body_ids.npy: a term id is outside"),
-    "docs-ids-not-ascending": (_save_array("body_ids", lambda a: np.append(a[1::-1], a[2:]),
-                                           docs_file),
+    "docs-ids-not-ascending": (_save_array("body_ids", lambda a: np.append(a[1::-1], a[2:])),
                                "docs.body_ids.npy: a row's term ids are not ascending"),
-    "docs-count-below-1": (_save_array("code_counts", _set(0, 0), docs_file),
+    "docs-count-below-1": (_save_array("code_counts", _set(0, 0)),
                            "docs.code_counts.npy: a count is below 1"),
-    "docs-norm-not-finite": (_save_array("tfidf_norm", _set(0, np.nan), docs_file),
+    "docs-norm-not-finite": (_save_array("tfidf_norm", _set(0, np.nan)),
                              "docs.tfidf_norm.npy: not"),
-    "docs-method-out-of-range": (_save_array("method_ids", _set(-1, 10 ** 6), docs_file),
+    "docs-method-names-not-sorted": (_save_array("method_names", lambda a: a[::-1]),
+                                     "docs.method_names.npy: method names are not sorted"),
+    "docs-method-name-not-utf-8": (_save_array("method_names", _set(0, 0xFF)),
+                                   "docs.method_names.npy: a method name is not UTF-8"),
+    "docs-method-name-offsets-short": (_save_array("method_name_ptr", _set(-1, 0)),
+                                       "docs.method_name_ptr.npy: method name offsets do not"),
+    "docs-method-out-of-range": (_save_array("method_ids", _set(-1, 10 ** 6)),
                                  "docs.method_ids.npy: a method id is outside"),
-    "docs-thread-row-out-of-range": (_save_array("answer_thread", _set(-1, 10 ** 6), docs_file),
+    "docs-thread-row-out-of-range": (_save_array("answer_thread", _set(-1, 10 ** 6)),
                                      "docs.answer_thread.npy: a thread row is outside"),
-    "docs-answers-differ": (_save_array("answer_ids", _set(0, 7), docs_file),
+    "docs-thread-count-differs": (_drop_last_thread,
+                                  "docs.title_ptr.npy: 30 threads, but threads.jsonl holds 29"),
+    "docs-answers-differ": (_save_array("answer_ids", _set(0, 7)),
                             "docs.answer_ids.npy: the answers differ from those of threads.jsonl"),
 }
 
@@ -439,6 +495,23 @@ class TestMergeAntonyms:
         code = main(["merge-antonyms", str(tmp_path / "nope.tsv"),
                      "-o", str(tmp_path / "out.tsv")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("case", ["input-not-utf-8", "input-a-directory",
+                                      "output-a-directory", "output-in-no-directory"])
+    def test_bad_file_is_one_error_line(self, tmp_path, capsys, case):
+        good, bad = tmp_path / "a.tsv", tmp_path / "bad"
+        good.write_text("fill\tv\tempty\n")
+        if case == "input-not-utf-8":
+            bad.write_bytes(b"fill\tv\t\xff\n")
+        elif case != "output-in-no-directory":
+            bad.mkdir()
+        named = bad / "out.tsv" if case == "output-in-no-directory" else bad
+        args = ([bad, "-o", tmp_path / "out.tsv"] if case.startswith("input")
+                else [good, "-o", named])
+        assert main(["merge-antonyms", *map(str, args)]) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(named) in err
+        assert len(err.splitlines()) == 1
 
 
 class TestExportText:

@@ -13,6 +13,7 @@ from crowdrank.embeddings import (EmbeddingStore, cosine, fallback_embed, save_v
                                   sentence_embed)
 from crowdrank.features import (WeightConfig, extract_methods, tfidf_score, top_method_scores,
                                 top_method_score)
+from crowdrank.index import build_index
 from crowdrank.pipeline import SearchEngine
 
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf"]
@@ -95,6 +96,13 @@ class TestAgainstBagReferences:
                index.stats.avgdl, {t: index.postings(t) for t in index.terms})
         assert repr(got) == repr(synth.answer_index_reference(
             [threads[r] for r in rows.tolist()], terms))
+
+    @settings(max_examples=60, deadline=None)
+    @given(CORPUS_ST)
+    def test_thread_index(self, corpus):
+        threads = corpus_threads(corpus)
+        want = build_index({t.question.id: synth.thread_document_bag(t) for t in threads})
+        assert synth.index_differences(make_engine(threads).thread_index, want) == []
 
     @settings(max_examples=60, deadline=None)
     @given(CORPUS_ST, st.data(), st.sampled_from([10.0, 2.0, 0.5]))

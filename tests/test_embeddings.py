@@ -98,7 +98,8 @@ class TestVectorFiles:
 
 class TestEmbeddingConfig:
     def test_round_trip(self):
-        cfg = EmbeddingConfig(dim=50, seed=9)
+        cfg = EmbeddingConfig(dim=50)
+        assert cfg.to_json() == {"dim": 50}
         assert EmbeddingConfig(**cfg.to_json()) == cfg
 
 

@@ -11,12 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 import synth
 from crowdrank.artifacts import build_artifacts, build_idf, load_engine
 from crowdrank.corpus import RawPost, build_threads
-from crowdrank.documents import build_documents
-from crowdrank.index import (INDEX_ARRAYS, INDEX_HEADER, bm25_search, build_index,
-                             build_thread_index, index_file, load_index, save_index,
-                             thread_document_bag)
-
-INDEX_FILES = sorted([INDEX_HEADER] + [f"index.{name}.npy" for name in INDEX_ARRAYS])
+from crowdrank.documents import (DOCS_ARRAYS, build_documents, docs_file, load_documents,
+                                 save_documents)
+from crowdrank.index import bm25_search, build_index
+from synth import thread_document_bag
 
 
 def reference_bm25(docs, query, top_n, k=1.2, b=0.9):
@@ -57,6 +55,13 @@ DOCS_ST = st.dictionaries(st.integers(0, 10 ** 6),
                           max_size=12)
 
 
+def thread_index(threads):
+    """The thread index an engine makes from the threads' document store."""
+    idf = build_idf(threads)
+    return build_documents(threads, idf).thread_index(
+        sorted(idf.df), np.array(sorted(t.question.id for t in threads), dtype=np.int64))
+
+
 def random_docs(rng, n_docs, vocab=30):
     words = [f"w{i}" for i in range(vocab)]
     docs = {}
@@ -90,13 +95,6 @@ class TestBuildIndex:
         index = build_index({})
         assert index.stats.n_docs == 0
         assert bm25_search(index, ["anything"], 5) == []
-
-    def test_duplicate_doc_id(self, small_index, tmp_path):
-        # A mapping cannot hold a doc id twice; a saved index can.
-        save_index(small_index, tmp_path)
-        np.save(index_file(tmp_path, "doc_ids"), np.array([1, 1, 3], dtype=np.int64))
-        with pytest.raises(ValueError, match="index.doc_ids.npy: doc ids are not ascending"):
-            load_index(tmp_path)
 
 
 class TestBm25Search:
@@ -165,7 +163,7 @@ class TestBm25Reference:
         posts, queries, _ = synth.planted_corpus(n_threads=60, n_queries=5)
         threads = build_threads([RawPost.from_json(o) for o in posts])
         docs = {t.question.id: thread_document_bag(t) for t in threads}
-        index = build_thread_index(threads)
+        index = thread_index(threads)
         for text in queries.values():
             query = text.split()
             hits = bm25_search(index, query, 500)
@@ -183,10 +181,10 @@ class TestDocumentBags:
         return build_threads(posts)[0]
 
     def test_thread_bag_includes_answer_text(self):
-        bag = thread_document_bag(self.thread())
-        assert bag["json"] >= 2          # title + body
-        assert "jackson" in bag          # answer body
-        assert "readvalue" in bag        # answer code
+        index = thread_index([self.thread()])
+        assert index.postings("json") == [(1, 3)]  # title, body, answer code
+        assert index.postings("jackson") == [(1, 1)]  # answer body
+        assert index.postings("readvalue") == [(1, 1)]  # answer code
 
     def test_answer_bag_includes_parent_question(self):
         thread = self.thread()
@@ -210,7 +208,7 @@ class TestDocumentBags:
         engine = load_engine(tmp_path / "index")
         thread = engine.threads[1]
         assert "qonlyword" in thread.question.code_bag
-        assert "qonlyword" not in thread_document_bag(thread)
+        assert "qonlyword" not in engine.thread_index.terms
         assert bm25_search(engine.thread_index, ["qonlyword"], 10) == []
         assert engine.idf_map.df["qonlyword"] == 1
 
@@ -230,80 +228,76 @@ class TestDocumentBags:
             2: sum(synth.answer_document_bag(thread, thread.answers[0]).values())}
         assert index.terms == ["jackson"]
         assert index.postings("jackson") == [(2, 1)]
-        thread_index = build_thread_index([thread])
-        assert thread_index.doc_ids.tolist() == [1]
 
 
-def _damage(directory, name, array):
-    with open(index_file(directory, name), "wb") as fh:
-        np.save(fh, array)
+def save_planted_store(directory):
+    """Save the document store of a planted corpus; its threads and idf map."""
+    posts, _, _ = synth.planted_corpus(n_threads=30, n_queries=3)
+    threads = build_threads([RawPost.from_json(o) for o in posts])
+    idf = build_idf(threads)
+    save_documents(build_documents(threads, idf), directory)
+    return threads, idf
+
+
+def build_planted_dir(tmp_path):
+    """Build the index directory of a planted corpus under `tmp_path`."""
+    posts, _, _ = synth.planted_corpus(n_threads=30, n_queries=3)
+    synth.write_jsonl(tmp_path / "dump.jsonl", posts)
+    build_artifacts(tmp_path / "dump.jsonl", tmp_path / "index")
+    return tmp_path / "index"
 
 
 class TestPersistence:
-    def test_round_trip(self, small_index, tmp_path):
-        save_index(small_index, tmp_path, meta={"note": 1})
-        assert sorted(p.name for p in tmp_path.iterdir()) == INDEX_FILES
-        loaded = load_index(tmp_path)
-        assert loaded.terms == small_index.terms
-        for term in small_index.terms:
-            assert loaded.postings(term) == small_index.postings(term)
-        assert doc_values(loaded, "doc_len") == doc_values(small_index, "doc_len")
-        assert doc_values(loaded, "doc_sumsq") == doc_values(small_index, "doc_sumsq") == {
-            1: 5, 2: 10, 3: 1}
-        assert loaded.stats == small_index.stats
-        for name, dtype in INDEX_ARRAYS.items():
-            if name not in ("terms", "term_ptr"):
-                assert getattr(loaded, name).dtype == dtype
-        query = ["parse", "xml"]
-        assert repr(bm25_search(loaded, query, 10)) == repr(bm25_search(small_index, query, 10))
+    """The thread index is not saved: it is made from the saved document
+    store, whose files are checked at load."""
+
+    def test_round_trip(self, tmp_path):
+        index_dir = build_planted_dir(tmp_path)
+        assert not list(index_dir.glob("index.*"))
+        engine = load_engine(index_dir)
+        threads = list(engine.threads.values())
+        want = build_index({t.question.id: thread_document_bag(t) for t in threads})
+        assert synth.index_differences(engine.thread_index, want) == []
+        assert synth.index_differences(thread_index(threads), want) == []
 
     def test_empty_index_round_trip(self, tmp_path):
-        save_index(build_index({}), tmp_path)
-        loaded = load_index(tmp_path)
-        assert loaded.stats.n_docs == 0 and loaded.terms == []
-        assert bm25_search(loaded, ["a"], 3) == []
-
-    def test_byte_identical(self, small_index, tmp_path):
-        for side in ("a", "b"):
-            (tmp_path / side).mkdir()
-            save_index(small_index, tmp_path / side)
-        for name in INDEX_FILES:
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        (tmp_path / "dump.jsonl").write_text("")
+        build_artifacts(tmp_path / "dump.jsonl", tmp_path / "index")
+        engine = load_engine(tmp_path / "index")
+        assert engine.thread_index.stats.n_docs == 0 and engine.thread_index.terms == []
+        assert synth.index_differences(engine.thread_index, build_index({})) == []
+        assert bm25_search(engine.thread_index, ["a"], 3) == []
 
     def test_thread_index_stores_each_threads_sum_of_squares(self, tmp_path):
-        posts, _, _ = synth.planted_corpus(n_threads=30, n_queries=3)
-        threads = build_threads([RawPost.from_json(o) for o in posts])
+        threads, idf = save_planted_store(tmp_path)
+        index = load_documents(tmp_path, len(idf.df)).thread_index(
+            sorted(idf.df), np.array(sorted(t.question.id for t in threads)))
+        assert doc_values(index, "doc_sumsq") == {
+            t.question.id: sum(tf * tf for tf in thread_document_bag(t).values())
+            for t in threads}
+
+    def test_byte_identical(self, tmp_path):
         for side in ("a", "b"):
             (tmp_path / side).mkdir()
-            save_index(build_thread_index(threads), tmp_path / side)
-        for name in INDEX_FILES:
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        stored = doc_values(load_index(tmp_path / "a"), "doc_sumsq")
-        assert stored == {t.question.id: sum(tf * tf for tf in thread_document_bag(t).values())
-                          for t in threads}
+            save_planted_store(tmp_path / side)
+        for name in DOCS_ARRAYS:
+            assert (docs_file(tmp_path / "a", name).read_bytes()
+                    == docs_file(tmp_path / "b", name).read_bytes())
 
-    def test_rejects_wrong_format(self, small_index, tmp_path):
-        save_index(small_index, tmp_path)
-        (tmp_path / INDEX_HEADER).write_text('{"format": "other", "version": 3}')
-        with pytest.raises(ValueError, match="not an index header"):
-            load_index(tmp_path)
+    def test_rejects_wrong_format(self, tmp_path):
+        index_dir = build_planted_dir(tmp_path)
+        (index_dir / "meta.json").write_text('{"format": "other", "version": 3}')
+        with pytest.raises(ValueError, match="meta.json: unsupported index directory format"):
+            load_engine(index_dir)
 
-    @pytest.mark.parametrize("key", ["k", "b"])
-    def test_missing_key_is_named(self, small_index, tmp_path, key):
-        save_index(small_index, tmp_path)
-        header = json.loads((tmp_path / INDEX_HEADER).read_text())
-        del header[key]
-        (tmp_path / INDEX_HEADER).write_text(json.dumps(header))
-        with pytest.raises(ValueError, match=f"{INDEX_HEADER}: k and b must be finite numbers"):
-            load_index(tmp_path)
-
-    @pytest.mark.parametrize("name", sorted(INDEX_ARRAYS))
-    def test_missing_array_is_named(self, small_index, tmp_path, name):
-        save_index(small_index, tmp_path)
-        index_file(tmp_path, name).unlink()
-        with pytest.raises(ValueError, match=re.escape(f"index.{name}.npy: missing; rerun "
-                                                       "`crowdrank build-index`")):
-            load_index(tmp_path)
+    def test_other_header_version_says_to_rebuild(self, tmp_path):
+        index_dir = build_planted_dir(tmp_path)
+        meta = json.loads((index_dir / "meta.json").read_text())
+        meta["version"] = 2
+        (index_dir / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=re.escape(
+                "meta.json: unsupported index directory format; rerun `crowdrank build-index`")):
+            load_engine(index_dir)
 
     @pytest.mark.parametrize("payload", [
         {"format": "crowdrank-index", "version": 1},
@@ -313,57 +307,20 @@ class TestPersistence:
          "doc_sumsq": {"1": 4}, "postings": {"a": [[1, 2]]}, "meta": {}},
     ])
     def test_version_1_says_to_rebuild(self, tmp_path, payload):
-        # A directory built before the arrays holds index.json alone, of
-        # version 1 or 2.
-        (tmp_path / "index.json").write_text(json.dumps(payload))
+        # A directory built before the document store holds index.json in
+        # its place, of version 1 or 2; it is not read.
+        index_dir = build_planted_dir(tmp_path)
+        for path in index_dir.glob("docs.*.npy"):
+            path.unlink()
+        (index_dir / "index.json").write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(
-                "index.json: an index of an older format; rerun `crowdrank build-index`")):
-            load_index(tmp_path)
-
-    def test_other_header_version_says_to_rebuild(self, small_index, tmp_path):
-        save_index(small_index, tmp_path)
-        header = json.loads((tmp_path / INDEX_HEADER).read_text())
-        header["version"] = 2
-        (tmp_path / INDEX_HEADER).write_text(json.dumps(header))
-        with pytest.raises(ValueError, match="version 2 .*rerun `crowdrank build-index`"):
-            load_index(tmp_path)
-
-    @pytest.mark.parametrize("name, array, why", [
-        ("indptr", np.array([0, 2, 1, 4, 5], dtype=np.int64), "offsets do not run"),
-        ("indptr", np.array([0, 1, 2, 4, 4], dtype=np.int64), "up to the 5 postings"),
-        ("indptr", np.array([0, 1, 5], dtype=np.int64), "term count 4 does not match 3 offsets"),
-        ("rows", np.array([2, 0, 1, 0, 3], dtype=np.int32), "outside 0..2"),
-        ("rows", np.array([2, 0, 1, 0, -1], dtype=np.int32), "outside 0..2"),
-        ("rows", np.array([2, 1, 0, 0, 1], dtype=np.int32), "not ascending"),
-        ("tfs", np.array([1, 1, 2, 1], dtype=np.int32), "4 tfs for 5 postings"),
-        ("tfs", np.array([1, 1, 2, 1, 3], dtype=np.int64), "not a 1-d int32"),
-        ("doc_len", np.array([[3, 4, 1]], dtype=np.int64), "2-d int64 array"),
-        ("doc_sumsq", np.array([5, 10], dtype=np.int64), "2 values for 3 documents"),
-        ("doc_ids", np.array([3, 2, 1], dtype=np.int64), "not ascending"),
-        ("terms", np.frombuffer(b"datejsonparsexml"[::-1], dtype=np.uint8),
-         "not sorted and distinct"),
-        ("terms", np.frombuffer(b"\xffatejsonparsexml", dtype=np.uint8), "not UTF-8"),
-        ("term_ptr", np.array([0, 4, 8, 13], dtype=np.int64), "do not cover"),
-        ("doc_ids", np.array([1, 2, None], dtype=object), "not a readable .npy array"),
-    ])
-    def test_malformed_arrays_are_a_value_error(self, small_index, tmp_path, name, array, why):
-        save_index(small_index, tmp_path)
-        _damage(tmp_path, name, array)
-        with pytest.raises(ValueError, match=re.escape(str(index_file(tmp_path, name)))
-                           + ".*" + re.escape(why)):
-            load_index(tmp_path)
+                "docs.title_ptr.npy: missing; rerun `crowdrank build-index`")):
+            load_engine(index_dir)
 
     @pytest.mark.parametrize("content", [b"", b"\x93NUMPY\x01\x00garbage", b"PK\x03\x04"])
-    def test_unreadable_array_file_is_a_value_error(self, small_index, tmp_path, content):
-        save_index(small_index, tmp_path)
-        index_file(tmp_path, "rows").write_bytes(content)
-        with pytest.raises(ValueError, match=re.escape(str(index_file(tmp_path, "rows")))):
-            load_index(tmp_path)
-
-    @pytest.mark.parametrize("text", ["{not json", "[1]", '{"format": "crowdrank-index", '
-                                      '"version": 3, "k": "fast", "b": 0.9}'])
-    def test_malformed_header_is_a_value_error(self, small_index, tmp_path, text):
-        save_index(small_index, tmp_path)
-        (tmp_path / INDEX_HEADER).write_text(text)
-        with pytest.raises(ValueError, match=re.escape(str(tmp_path / INDEX_HEADER))):
-            load_index(tmp_path)
+    def test_unreadable_array_file_is_a_value_error(self, tmp_path, content):
+        _, idf = save_planted_store(tmp_path)
+        docs_file(tmp_path, "title_ids").write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"{docs_file(tmp_path, 'title_ids')}: "
+                                                       "not a readable .npy array")):
+            load_documents(tmp_path, len(idf.df))

@@ -18,7 +18,7 @@ from crowdrank.embeddings import (EmbeddingStore, IdfMap, asym_score, fallback_e
 from crowdrank.features import (SOCIAL_FEATURES, THREAD_FEATURES, WeightConfig,
                                 question_score_value, tf_score)
 from crowdrank.documents import build_documents
-from crowdrank.index import bm25_search, build_index, thread_document_bag
+from crowdrank.index import bm25_search, build_index
 from crowdrank.pipeline import BASELINE_NAMES, SearchEngine, _rank, configure_ablation
 
 
@@ -267,7 +267,7 @@ class TestLexicalFeatures:
             features = result.diagnostics["thread_features"]
             assert len(features) == result.diagnostics["stage_counts"]["bm25_threads"]
             for thread_id, raw in features.items():
-                want = tf_score(bag, thread_document_bag(engine.threads[thread_id]))
+                want = tf_score(bag, synth.thread_document_bag(engine.threads[thread_id]))
                 assert repr(raw["tf"]) == repr(want)
                 checked += 1
         assert checked > 20
