@@ -14,9 +14,9 @@ id, its thread's row, the norm of its tf-idf vector and its method-call ids
 as fixed-dtype `.npy` files (DOCS_ARRAYS), and `load_documents` checks them
 and names the file at fault. The store is the only text index on disk: the
 thread BM25 index is its transpose, made at load (`thread_index`). A search
-gathers rows of these arrays for its candidates: the asym segments, the
-answer index's term counts, tf-idf and top-method all read them, not the
-threads' word bags.
+carries its candidates as rows of these arrays and gathers from them: the
+asym segments, the answer index's term counts, tf-idf, top-method and the
+antonym filters all read them, not the threads' word bags.
 """
 
 from __future__ import annotations
@@ -160,6 +160,18 @@ class DocumentStore:
         return self.segments([("answer_body", answer_rows, every),
                               ("title", self.answer_thread[answer_rows], every)],
                              len(answer_rows))
+
+    def holds_any(self, parts: Sequence[tuple[str, np.ndarray]], term_ids: np.ndarray,
+                  ) -> np.ndarray:
+        """Whether each candidate holds any of `term_ids`: for each (part,
+        rows), candidate i's text includes row `rows[i]` of the part."""
+        wanted = np.zeros(self.vocab_size, dtype=bool)
+        wanted[term_ids] = True
+        found = np.zeros(len(parts[0][1]), dtype=bool)
+        for part, rows in parts:
+            ids, offsets = self.ids(part, rows)
+            found[np.searchsorted(offsets, np.flatnonzero(wanted[ids]), side="right") - 1] = True
+        return found
 
     def _term_counts(self, parts: Sequence[str], rows: np.ndarray, columns: np.ndarray,
                      n_terms: int) -> np.ndarray:

@@ -83,24 +83,39 @@ def load_sentence_vectors(path: str | Path, store: EmbeddingStore | None = None)
 
 
 def _load_vector_file(path: str | Path, int_keys: bool) -> tuple[EmbeddingStore, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"missing 'vocab_size dim' header in {path}")
-        count, dim = int(header[0]), int(header[1])
-        keyed: dict = {}
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != dim + 1:
-                raise ValueError(f"{path}:{lineno}: expected {dim} components, got {len(parts) - 1}")
-            key = int(parts[0]) if int_keys else parts[0]
-            if key in keyed:
-                warnings.warn(f"{path}:{lineno}: duplicate key {key!r}, last wins")
-            keyed[key] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-        if len(keyed) != count:
-            warnings.warn(f"{path}: header declares {count} entries, found {len(keyed)}")
+    """A vector file's dim and its vectors by key; ValueError, naming the file
+    (and `path:lineno` for a bad entry), for a file that is not UTF-8, lacks
+    the header, or holds a bad key or a component that is not a finite number."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().split()
+            try:
+                count, dim = map(int, header)
+            except ValueError:  # not two integers
+                raise ValueError(f"missing 'vocab_size dim' header in {path}") from None
+            keyed: dict = {}
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.split()
+                if not parts:
+                    continue
+                if len(parts) != dim + 1:
+                    raise ValueError(f"{path}:{lineno}: expected {dim} components, "
+                                     f"got {len(parts) - 1}")
+                try:
+                    key = int(parts[0]) if int_keys else parts[0]
+                    vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if not np.isfinite(vec).all():
+                    raise ValueError(f"{path}:{lineno}: the vector of {key!r} has a "
+                                     "component that is not finite")
+                if key in keyed:
+                    warnings.warn(f"{path}:{lineno}: duplicate key {key!r}, last wins")
+                keyed[key] = vec
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
+    if len(keyed) != count:
+        warnings.warn(f"{path}: header declares {count} entries, found {len(keyed)}")
     return EmbeddingStore(dim=dim, fallback=False), keyed
 
 
@@ -240,12 +255,18 @@ class WordMatrix:
         self._looked_up[new] = True
 
 
-def _segment_max(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Maximum of each segment of `values`; -inf for an empty segment."""
-    out = np.full(len(ptr) - 1, -np.inf)
+# The most values (8 MB of float64) one gathered block of the asym kernel
+# holds; a query's rows over a stage's segments are one block.
+_BLOCK_VALUES = 1 << 20
+
+
+def _segment_maxes(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Maximum of each segment of each row of `values`, a row per row and a
+    column per segment; -inf for an empty segment."""
+    out = np.full((len(values), len(ptr) - 1), -np.inf)
     nonempty = ptr[1:] > ptr[:-1]
     if nonempty.any():
-        out[nonempty] = np.maximum.reduceat(values, ptr[:-1][nonempty])
+        out[:, nonempty] = np.maximum.reduceat(values, ptr[:-1][nonempty], axis=1)
     return out
 
 
@@ -289,10 +310,12 @@ def asym_relevances(rows: WordMatrix, cols: WordMatrix, row_cols: np.ndarray,
     sims[same, row_cols[same]] = 1.0
     sims[~rows.has_vector] = -np.inf
     sims[:, ~cols.has_vector[used]] = -np.inf
-    # One row at a time keeps the gathered block at len(flat) values.
+    # The rows' values at the segments' words, in blocks of rows that bound
+    # the gathered values (`np.take` gathers columns faster than `[:, flat]`).
     n_rows, n_segments = len(rows.words), len(ptr) - 1
-    forward = np.array([_segment_max(row[flat], ptr) for row in sims]).reshape(
-        n_rows, n_segments)
+    step = max(1, _BLOCK_VALUES // max(len(flat), 1))
+    forward = np.concatenate([_segment_maxes(np.take(sims[lo:lo + step], flat, axis=1), ptr)
+                              for lo in range(0, n_rows, step)] or [np.zeros((0, n_segments))])
     backward = sims.max(axis=0, initial=-np.inf)[flat]
     forward[forward == -np.inf] = 0.0
     backward[backward == -np.inf] = 0.0

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .corpus import read_text
 from .pipeline import SearchEngine, configure_ablation
 
 
@@ -33,7 +34,7 @@ class GroundTruth:
     def load(cls, path: str | Path) -> "GroundTruth":
         """Read a ground-truth file; ValueError names the first malformed line."""
         truth = cls()
-        for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             if not line.strip():
                 continue
             try:

@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .antonyms import POS_MODES
+from .corpus import read_text
 from .embeddings import IdfMap
 
 THREAD_FEATURES = ("sentence", "asym_title", "asym_body", "tf",
@@ -117,7 +118,7 @@ class WeightConfig:
     @classmethod
     def load(cls, path: str | Path) -> "WeightConfig":
         config = cls()
-        for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -190,6 +191,17 @@ def tfidf_cosine(dot: float, norm_q: float, norm_a: float) -> float:
     return dot / (norm_q * norm_a)
 
 
+def cosines(dots: np.ndarray, norm_q: float, norms: np.ndarray) -> np.ndarray:
+    """Cosine of the query with each document from their dot products and
+    norms; 0 where either norm is 0. With the same IEEE operations, this is
+    `tfidf_cosine` elementwise, and `tf_cosine` with the square roots of the
+    sums of squares as the norms."""
+    out = np.zeros(len(dots))
+    if norm_q != 0.0:
+        np.divide(dots, norm_q * norms, out=out, where=norms != 0.0)
+    return out
+
+
 def tfidf_score(bag_q: Mapping[str, int], bag_a: Mapping[str, int], idf_map: IdfMap) -> float:
     """Cosine of TF*IDF-weighted vectors; 0 if either side has no weight."""
     if not bag_q or not bag_a:
@@ -209,6 +221,15 @@ def question_score_value(score: int) -> float:
         if score <= upper:
             return value
     return 1.0
+
+
+_LADDER_UPPER = np.array([upper for upper, _ in QUESTION_SCORE_LADDER], dtype=np.float64)
+_LADDER_VALUE = np.array([value for _, value in QUESTION_SCORE_LADDER] + [1.0])
+
+
+def question_score_values(scores: np.ndarray) -> np.ndarray:
+    """`question_score_value` of each score, truncated to an integer first."""
+    return _LADDER_VALUE[np.searchsorted(_LADDER_UPPER, np.trunc(scores))]
 
 
 def extract_methods(code_text: str) -> list[str]:
@@ -265,10 +286,10 @@ def normalize_and_fuse(table: Mapping[str, np.ndarray], weights: Mapping[str, fl
         if name not in table:
             raise ValueError(f"feature {name!r} missing from the feature table")
         column = table[name]
-        values = column.tolist()  # builtin min/max beat numpy's on short columns
         if name == "question_score":
-            normed = np.array([question_score_value(int(v)) for v in values])
-        elif values and (lo := min(values)) != (hi := max(values)):
+            normed = question_score_values(column)
+        # builtin min/max beat numpy's on short columns
+        elif (values := column.tolist()) and (lo := min(values)) != (hi := max(values)):
             normed = (column - lo) / (hi - lo)
         else:
             normed = np.ones(n)

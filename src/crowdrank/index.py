@@ -15,7 +15,7 @@ one assembly from (row, term id, count) entries, `assemble_index`. The
 answer index is built per query over the surviving threads' answers from
 their counts of the query's terms, which the store gathers; it holds only
 those terms. Each index computes every posting's BM25 term once
-(`InvertedIndex.impacts`), and one `bm25_search` scores both. IDF inside
+(`InvertedIndex.impacts`), and one `bm25_rows` scores both. IDF inside
 BM25 is log10(N/df), the same definition the rest of the scoring stack uses.
 """
 
@@ -146,12 +146,14 @@ def build_index(docs: Mapping[int, Mapping[str, int]]) -> InvertedIndex:
         np.array(doc_ids, dtype=np.int64))
 
 
-def bm25_search(index: InvertedIndex, query: Iterable[str], top_n: int) -> list[tuple[int, float]]:
-    """Rank documents against the query bag.
+def bm25_rows(index: InvertedIndex, query: Iterable[str], top_n: int,
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Rank documents against the query bag: the rows of at most `top_n`
+    documents and their scores, by descending score.
 
     Scores follow the saturating term-frequency formula with
     idf(q) = log10(N/df); zero-score documents are excluded; ties break by
-    ascending doc_id; at most top_n results.
+    ascending row, which is ascending doc_id.
 
     The postings' BM25 terms (`InvertedIndex.impacts`) are summed per
     document by `np.bincount` in sorted-term order, so every score is the
@@ -159,18 +161,21 @@ def bm25_search(index: InvertedIndex, query: Iterable[str], top_n: int) -> list[
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    if index.stats.n_docs == 0:
-        return []
-    spans = index.spans(sorted(set(query)))
+    spans = index.spans(sorted(set(query))) if index.stats.n_docs else []
     rows = gather(index.rows, spans)
     if not len(rows):
-        return []
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
     scores = np.bincount(rows, weights=gather(index.impacts, spans),
                          minlength=index.stats.n_docs)
     hit = np.flatnonzero(scores > 0.0)
-    # Rows ascend with doc ids, so the row breaks a tie as the id would.
     top = hit[np.lexsort((hit, -scores[hit]))[:top_n]]
-    return list(zip(index.doc_ids[top].tolist(), scores[top].tolist()))
+    return top, scores[top]
+
+
+def bm25_search(index: InvertedIndex, query: Iterable[str], top_n: int) -> list[tuple[int, float]]:
+    """`bm25_rows` as (doc_id, score) pairs."""
+    rows, scores = bm25_rows(index, query, top_n)
+    return list(zip(index.doc_ids[rows].tolist(), scores.tolist()))
 
 
 def build_ephemeral_answer_index(terms: Sequence[str], counts: np.ndarray, doc_ids: np.ndarray,

@@ -6,7 +6,12 @@ stage-2 fusion of those same values plus the three social features (keep
 100), ephemeral BM25 over the surviving answers, indexed on the query's
 terms only (top 150), optional answer-level antonym filter, then
 four-feature answer fusion and the top-N cut. Each stage ranks one feature
-table (a column per feature, rows in the order of an ids array) by `_rank`.
+table (a column per feature, a row per candidate) by `_rank`.
+
+Candidates are rows of the document store from BM25 to the final cut:
+thread rows, then answer rows. Every feature column and both antonym
+filters are gathers over the store and over per-thread-row arrays; the
+`Thread` objects are read only to render the returned answers.
 """
 
 from __future__ import annotations
@@ -23,13 +28,16 @@ from .corpus import Thread, preprocess
 from .documents import DocumentStore, build_documents
 from .embeddings import (EmbeddingStore, IdfMap, WordMatrix, asym_scores, sentence_embed,
                          sentence_vectors)
-from .index import bm25_search, gather
+from .index import bm25_rows, gather
 
 
 @dataclass
 class QueryContext:
     bag: Counter
     antonym_ctx: AntonymQueryContext
+    # The vocabulary ids of the context's antonyms; empty when the query is
+    # self-antonymous, as no candidate is then filtered.
+    antonym_ids: np.ndarray
     sentence_vec: np.ndarray
     # The query words as kernel rows, and their ids in the engine vocabulary (-1: none).
     words: WordMatrix
@@ -58,12 +66,12 @@ class SearchResult:
         return [e.answer_id for e in self.entries]
 
 
-def _rank(ids: np.ndarray, table: dict[str, np.ndarray], weights: dict[str, float],
+def _rank(keys: np.ndarray, table: dict[str, np.ndarray], weights: dict[str, float],
           keep: int) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
-    """Fuse a feature table: the first `keep` positions by (-score, id), the
+    """Fuse a feature table: the first `keep` positions by (-score, key), the
     normalized table and the fused scores."""
     normalized, fused = ft.normalize_and_fuse(table, weights)
-    return np.lexsort((ids, -fused))[:keep], normalized, fused
+    return np.lexsort((keys, -fused))[:keep], normalized, fused
 
 
 def _rows(table: dict[str, np.ndarray], positions: np.ndarray) -> list[dict[str, float]]:
@@ -92,6 +100,16 @@ class SearchEngine:
         self.docs = docs or build_documents(self.threads.values(), idf_map)
         self.thread_index = self.docs.thread_index(
             self.vocab.words, np.array(sorted(self.threads), dtype=np.int64))
+        # The social feature columns (the Thread properties of those names), a
+        # row per thread row; a sum of integer scores is exact in float64.
+        by_row = [self.threads[t] for t in self.thread_index.doc_ids.tolist()]
+        answer_scores = [a.score for t in by_row for a in t.answers]
+        self.social = {
+            "answer_count": np.diff(self.docs.answer_ptr).astype(float),
+            "total_answer_score": np.bincount(self.docs.answer_thread, weights=answer_scores,
+                                              minlength=self.docs.n_threads),
+            "question_score": np.array([t.question.score for t in by_row], dtype=float),
+        }
         self.title_vecs = self._title_vectors()
         self.title_norms = np.sqrt(np.einsum("ij,ij->i", self.title_vecs, self.title_vecs))
 
@@ -114,10 +132,13 @@ class SearchEngine:
         bag = preprocess(query, "query", self.stopwords)
         novel = [w for w in bag if w not in self.idf_map.df and w not in self.store.word_vecs]
         ctx = self.antonym_dict.context(set(bag), config.antonym_pos_mode)
+        # A word outside the vocabulary is in no candidate.
+        antonym_ids = np.array([] if ctx.self_antonymous else [
+            self.vocab.index[w] for w in ctx.antonyms if w in self.vocab.index], dtype=np.intp)
         vec = sentence_embed(bag, self.store, self.idf_map)
         words = WordMatrix.of(bag, self.store, self.idf_map)
         vocab_ids = np.array([self.vocab.index.get(w, -1) for w in words.words], dtype=np.intp)
-        return QueryContext(bag=bag, antonym_ctx=ctx, sentence_vec=vec,
+        return QueryContext(bag=bag, antonym_ctx=ctx, antonym_ids=antonym_ids, sentence_vec=vec,
                             words=words, vocab_ids=vocab_ids, novel_words=novel)
 
     def _asym(self, qc: QueryContext, segments: tuple[np.ndarray, np.ndarray],
@@ -150,8 +171,7 @@ class SearchEngine:
         dots = np.bincount(gather(index.rows, spans), weights=gather(index.tfs, spans) * counts,
                            minlength=index.stats.n_docs)
         sumsq_q = sum(c * c for c in qc.bag.values())
-        return np.array([ft.tf_cosine(dot, sumsq_q, sumsq) for dot, sumsq
-                         in zip(dots[rows].tolist(), index.doc_sumsq[rows].tolist())])
+        return ft.cosines(dots[rows], np.sqrt(sumsq_q), np.sqrt(index.doc_sumsq[rows]))
 
     def _similarity_features(self, qc: QueryContext, rows: np.ndarray,
                              clamp: bool) -> dict[str, np.ndarray]:
@@ -172,8 +192,7 @@ class SearchEngine:
         counts_q = np.array([qc.bag[w] for w in words.words], dtype=np.int64)
         norm_q = ft.tfidf_norms(counts_q, words.idf, np.array([0, len(counts_q)]))[0]
         dots = (counts * words.idf[held]) @ (counts_q * words.idf)[held]
-        return np.array([ft.tfidf_cosine(dot, norm_q, norm) for dot, norm
-                         in zip(dots.tolist(), self.docs.tfidf_norm[answer_rows].tolist())])
+        return ft.cosines(dots, norm_q, self.docs.tfidf_norm[answer_rows])
 
     def search(self, query: str, config: ft.WeightConfig | None = None,
                final_n: int | None = None) -> SearchResult:
@@ -188,6 +207,20 @@ class SearchEngine:
             for word in qc.novel_words:
                 self.store.word_vecs.pop(word, None)
 
+    def _antonym_free(self, qc: QueryContext, rows: np.ndarray, answers: bool) -> np.ndarray:
+        """Whether each thread row, or with `answers` each answer row, holds
+        none of the query's antonyms (`AntonymQueryContext.score` is 0) in
+        the text its filter reads: a thread's title and question body; an
+        answer's thread title, its body and its code."""
+        if not len(qc.antonym_ids):
+            return np.ones(len(rows), dtype=bool)
+        if answers:
+            parts = [("title", self.docs.answer_thread[rows]), ("answer_body", rows),
+                     ("code", rows)]
+        else:
+            parts = [("title", rows), ("body", rows)]
+        return ~self.docs.holds_any(parts, qc.antonym_ids)
+
     def _funnel(self, qc: QueryContext, config: ft.WeightConfig,
                 final_n: int) -> SearchResult:
         diagnostics: dict = {"stage_counts": {}}
@@ -196,84 +229,75 @@ class SearchEngine:
             diagnostics["empty_query"] = True
             return SearchResult(entries=[], diagnostics=diagnostics)
 
-        # Lexical thread retrieval, then the thread-level antonym filter
-        hits = bm25_search(self.thread_index, qc.bag, config.bm25_top)
-        candidates = [self.threads[t] for t, _ in hits]
-        counts["bm25_threads"] = len(candidates)
+        # Lexical thread retrieval, then the thread-level antonym filter.
+        # Thread rows ascend with question ids, so a row breaks a tie as the
+        # id would.
+        rows, _ = bm25_rows(self.thread_index, qc.bag, config.bm25_top)
+        counts["bm25_threads"] = len(rows)
         if config.filter_threads:
-            candidates = [t for t in candidates if qc.antonym_ctx.score(
-                t.question.title_bag.keys() | t.question.body_bag.keys()) == 0]
-        counts["after_thread_filter"] = len(candidates)
+            rows = rows[self._antonym_free(qc, rows, answers=False)]
+        counts["after_thread_filter"] = len(rows)
 
         # Stage 1: the four similarity features
         clamp = config.clamp_negative_cosine
-        ids = np.array([t.question.id for t in candidates], dtype=np.int64)
-        rows = np.searchsorted(self.thread_index.doc_ids, ids)
         table = self._similarity_features(qc, rows, clamp)
         weights = {f: config.thread_weights[f] for f in ft.THREAD_SIMILARITY_FEATURES}
-        kept, _, _ = _rank(ids, table, weights, config.stage1_keep)
+        kept, _, _ = _rank(rows, table, weights, config.stage1_keep)
         counts["stage1_kept"] = len(kept)
 
         # Stage 2: the stage-1 values plus the three social features
-        ids, rows = ids[kept], rows[kept]
-        threads = [self.threads[t] for t in ids.tolist()]
+        rows = rows[kept]
         table = {name: column[kept] for name, column in table.items()}
-        for name in ft.SOCIAL_FEATURES:  # each is a Thread property of that name
-            table[name] = np.array([getattr(t, name) for t in threads], dtype=float)
-        kept, _, fused = _rank(ids, table, config.thread_weights, config.stage2_keep)
+        table.update((name, column[rows]) for name, column in self.social.items())
+        kept, _, fused = _rank(rows, table, config.thread_weights, config.stage2_keep)
         counts["stage2_kept"] = len(kept)
-        diagnostics["thread_features"] = dict(zip(ids[kept].tolist(), _rows(table, kept)))
-        thread_scores = dict(zip(ids[kept].tolist(), fused[kept].tolist()))
+        diagnostics["thread_features"] = dict(zip(
+            self.thread_index.doc_ids[rows[kept]].tolist(), _rows(table, kept)))
 
         # Ephemeral answer index over the query's vocabulary terms, and
-        # lexical answer retrieval
+        # lexical answer retrieval. The answer rows run thread after thread,
+        # in stage-2 order, and each carries its thread's stage-2 score.
+        rows = rows[kept]
         held = qc.vocab_ids >= 0
         answer_rows, term_counts, index = self.docs.answer_index(
-            rows[kept], [w for w, h in zip(qc.words.words, held.tolist()) if h],
-            qc.vocab_ids[held])
-        pairs = [(threads[i], a) for i in kept.tolist() for a in threads[i].answers]
-        # answer id -> (thread, answer, position in answer_rows)
-        located = {a.id: (thread, a, i) for i, (thread, a) in enumerate(pairs)}
-        hits = bm25_search(index, qc.bag, config.answer_k)
-        answer_ids = [a for a, _ in hits]
-        if not answer_ids and located:
+            rows, [w for w, h in zip(qc.words.words, held.tolist()) if h], qc.vocab_ids[held])
+        thread_score = np.repeat(fused[kept], self.docs.answer_ptr[rows + 1]
+                                 - self.docs.answer_ptr[rows])
+        answer_ids = self.docs.answer_ids[answer_rows]
+        hits, _ = bm25_rows(index, qc.bag, config.answer_k)
+        # The index's rows follow ascending answer ids; positions index answer_rows.
+        positions = np.argsort(answer_ids, kind="stable")[hits]
+        if not len(positions) and len(answer_rows):
             # Every query term the answers hold is in all of them, so its idf
             # is log10(N/N) = 0 (a single surviving answer is the usual case):
             # the answer features alone rank the surviving answers.
-            answer_ids = list(located)[:config.answer_k]
+            positions = np.arange(min(len(answer_rows), config.answer_k))
             diagnostics["answer_bm25_fallback"] = True
-        counts["bm25_answers"] = len(answer_ids)
+        counts["bm25_answers"] = len(positions)
 
         # Answer-level antonym filter
         if config.filter_answers:
-            kept = []
-            for a in answer_ids:
-                thread, answer, _ = located[a]
-                words = (thread.question.title_bag.keys() | answer.body_bag.keys()
-                         | answer.code_bag.keys())
-                if qc.antonym_ctx.score(words) == 0:
-                    kept.append(a)
-            answer_ids = kept
-        counts["after_answer_filter"] = len(answer_ids)
+            positions = positions[self._antonym_free(qc, answer_rows[positions], answers=True)]
+        counts["after_answer_filter"] = len(positions)
 
         # Answer features, fusion and the final cut
-        positions = np.array([located[a][2] for a in answer_ids], dtype=np.intp)
         rows = answer_rows[positions]
         table = {
             "asym": self._asym(qc, self.docs.answer_segments(rows), clamp),
             "tfidf": self._tfidf(qc, term_counts[positions], held, rows),
             "top_method": ft.top_method_scores(*self.docs.methods(rows), config.method_scale),
-            "thread_score": np.array([thread_scores[located[a][0].question.id]
-                                      for a in answer_ids]),
+            "thread_score": thread_score[positions],
         }
-        ids = np.array(answer_ids, dtype=np.int64)
+        ids = answer_ids[positions]
         kept, normalized, fused = _rank(ids, table, config.answer_weights, max(final_n, 0))
         entries = []
-        for a, score, raw, norm in zip(ids[kept].tolist(), fused[kept].tolist(),
-                                       _rows(table, kept), _rows(normalized, kept)):
-            thread, answer, _ = located[a]
+        for row, score, raw, norm in zip(rows[kept].tolist(), fused[kept].tolist(),
+                                         _rows(table, kept), _rows(normalized, kept)):
+            thread_row = int(self.docs.answer_thread[row])
+            thread = self.threads[int(self.thread_index.doc_ids[thread_row])]
+            answer = thread.answers[row - int(self.docs.answer_ptr[thread_row])]
             entries.append(ResultEntry(
-                answer_id=a,
+                answer_id=answer.id,
                 thread_id=thread.question.id,
                 score=score,
                 answer_body=answer.original_body,

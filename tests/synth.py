@@ -128,8 +128,55 @@ def antonym_corpus():
     return posts, queries, relevant
 
 
+def antonym_filter_corpus():
+    """`antonym_corpus` plus threads that carry an antonym of a query word in
+    each text part the filters read: a thread's title or question body (the
+    thread filter), and an answer's body or code (the answer filter). "open"
+    and "close" are verbs only, so the POS modes filter differently."""
+    posts, queries, relevant = antonym_corpus()
+    planted = [
+        ("av0doc unzip", "about av0doc", "av0doc <code>Zip.run(a)</code>"),
+        ("av0doc av0blob", "question av0doc with download", "av0doc <code>Io.get(a)</code>"),
+        ("av1doc notes", "about av1doc", "av1doc unlock here <code>Lock.set(b)</code>"),
+        ("av0doc close", "av0doc question", "av0doc <code>Io.put(c)</code>"),
+        ("av0doc files", "av0doc question", "av0doc answer <code>Io.put(c) close</code>"),
+    ]
+    for i, (title, body, answer_text) in enumerate(planted):
+        qid = 700000 + i * 100
+        posts.append(question(qid, title, body, 50 + i))
+        posts.append(answer(qid + 1, qid, "av0doc av1doc " + answer_text, 20))
+        posts.append(answer(qid + 2, qid, "other av0doc <code>Misc.go(b)</code>", 2))
+    return posts, queries, relevant
+
+
+ANTONYM_FILTER_QUERIES = (
+    "zip av0doc av0blob",         # a noun and verb of the lexicon
+    "open av0doc",                # a verb only
+    "lock upload av1doc av0doc",  # two lexicon words
+    "zip unzip lock av1doc",      # self-antonymous: not even lock's antonym counts
+    "av0doc av0blob av1doc",      # no lexicon word
+)
+
+
 # ---------------------------------------------------------------------------
 # bag-walking references of the document store's gathers
+
+
+def antonym_free_reference(ctx, threads, rows, answers):
+    """Whether each candidate's words hold none of the query's antonyms,
+    `ctx.score(words) == 0`. The candidates are thread rows (threads by
+    ascending question id), whose words are the title and question body, or
+    with `answers` answer rows (answers thread after thread), whose words are
+    the thread's title and the answer's body and code."""
+    threads = sorted(threads, key=lambda t: t.question.id)
+    if answers:
+        pairs = [(t, a) for t in threads for a in t.answers]
+        words = [pairs[r][0].question.title_bag.keys() | pairs[r][1].body_bag.keys()
+                 | pairs[r][1].code_bag.keys() for r in rows]
+    else:
+        words = [threads[r].question.title_bag.keys() | threads[r].question.body_bag.keys()
+                 for r in rows]
+    return np.array([ctx.score(w) == 0 for w in words], dtype=bool)
 
 
 def thread_document_bag(thread):

@@ -395,6 +395,48 @@ def test_bad_index_file_is_one_error_line(workspace, tmp_path, capsys, case, com
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, flag, code", [
+    ("search", "--config", EXIT_USAGE),
+    ("search", "--word-vectors", EXIT_DATA_ERROR),
+    ("search", "--sentence-vectors", EXIT_DATA_ERROR),
+    ("evaluate", "--truth", EXIT_DATA_ERROR),
+])
+def test_non_utf8_file_is_named(workspace, tmp_path, capsys, command, flag, code):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    args = [command, "--index-dir", str(workspace["index"]), flag, str(bad)]
+    if command == "search":
+        args.insert(1, workspace["queries"][1])
+    else:
+        args += ["-o", str(tmp_path / "report.csv")]
+    assert main(args) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and f"{bad}: not UTF-8" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("words, sentences, named", [
+    (["q0alpha nan 0.5 0.25", "q0beta 1 0 0"], None, "words.vec:2:"),
+    (["q0alpha 1 0 0", "q0beta 0.5 -inf 0"], None, "words.vec:3:"),
+    (["q0alpha 1 0 0", "q0beta 0 1 0"], ["100000 inf 0 0"], "titles.vec:2:"),
+])
+def test_non_finite_vector_component_is_one_error_line(workspace, tmp_path, capsys, words,
+                                                        sentences, named):
+    # A NaN vector used to reach the scores, and `--json` printed "score": NaN.
+    args = ["search", "q0alpha q0beta", "--index-dir", str(workspace["index"]), "--json"]
+    for flag, name, lines in (("--word-vectors", "words.vec", words),
+                              ("--sentence-vectors", "titles.vec", sentences)):
+        if lines is not None:
+            (tmp_path / name).write_text("\n".join([f"{len(lines)} 3"] + lines) + "\n")
+            args += [flag, str(tmp_path / name)]
+    assert main(args) == EXIT_DATA_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {tmp_path / named}") and "not finite" in err
+    assert len(err.splitlines()) == 1
+
+
 class TestEvaluate:
     def test_per_query_csv(self, workspace, tmp_path, capsys):
         per_query = tmp_path / "per_query.csv"

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import synth
-from crowdrank.embeddings import (EmbeddingConfig, EmbeddingStore, IdfMap, asym,
-                                  asym_score, cosine, fallback_embed,
+from crowdrank import embeddings
+from crowdrank.embeddings import (EmbeddingConfig, EmbeddingStore, IdfMap, WordMatrix, asym,
+                                  asym_relevances, asym_score, cosine, fallback_embed,
                                   load_sentence_vectors, load_word_vectors,
                                   save_vectors, sentence_embed)
 
@@ -94,6 +95,40 @@ class TestVectorFiles:
         path = self.write(tmp_path / "s.vec", ["1 2", "7 1.0 0.0"])
         loaded = load_sentence_vectors(path)
         assert np.array_equal(loaded.sentence_vecs[7], np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "NaN", "1e999"])
+    @pytest.mark.parametrize("load, key", [(load_word_vectors, "beta"),
+                                           (load_sentence_vectors, "8")])
+    def test_non_finite_component_names_the_line(self, tmp_path, load, key, component):
+        path = self.write(tmp_path / "v.vec", ["2 3", "7 1 0 0" if key == "8" else "alpha 1 0 0",
+                                               f"{key} {component} 0.5 0.25"])
+        with pytest.raises(ValueError, match=rf"^{path}:3: .*{key}.* not finite"):
+            load(path)
+
+    @pytest.mark.parametrize("line", ["alpha 1 x", "alpha 1 0x1p3"])
+    def test_unparsable_component_names_the_line(self, tmp_path, line):
+        path = self.write(tmp_path / "w.vec", ["1 2", line])
+        with pytest.raises(ValueError, match=rf"^{path}:2: could not convert"):
+            load_word_vectors(path)
+
+    def test_non_integer_sentence_key_names_the_line(self, tmp_path):
+        path = self.write(tmp_path / "s.vec", ["1 2", "seven 1 0"])
+        with pytest.raises(ValueError, match=rf"^{path}:2: invalid literal"):
+            load_sentence_vectors(path)
+
+    @pytest.mark.parametrize("header", ["x 3", "2", "2 3 4", ""])
+    def test_bad_header_names_the_file(self, tmp_path, header):
+        path = self.write(tmp_path / "w.vec", [header, "alpha 1 0 0"])
+        with pytest.raises(ValueError, match=f"header in {path}$"):
+            load_word_vectors(path)
+
+    @pytest.mark.parametrize("load", [load_word_vectors, load_sentence_vectors])
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"1 2\nalpha 1 \xff\n"])
+    def test_non_utf8_file_is_named(self, tmp_path, load, content):
+        path = tmp_path / "v.vec"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=rf"^{path}: not UTF-8"):
+            load(path)
 
 
 class TestEmbeddingConfig:
@@ -265,3 +300,36 @@ class TestAsym:
     def test_returns_python_floats(self, store, idf):
         assert type(asym({"w1"}, {"w2", "w3"}, store, idf)) is float
         assert type(asym_score({"w1", "w4"}, {"w2", "w3"}, store, idf)) is float
+
+
+def segment_maxes_by_row(values, ptr):
+    """Per row and segment, the maximum of a plain loop; -inf for an empty segment."""
+    return np.array([[max(row[lo:hi].tolist(), default=-np.inf)
+                      for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+                     for row in values]).reshape(len(values), len(ptr) - 1)
+
+
+class TestForwardReduce:
+    @given(st.integers(0, 4), st.lists(st.integers(0, 3), max_size=7), st.data())
+    def test_matches_the_per_row_reduce(self, n_rows, lengths, data):
+        ptr = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+        values = np.array(data.draw(st.lists(
+            st.floats(-1.0, 1.0) | st.just(-np.inf), min_size=n_rows * int(ptr[-1]),
+            max_size=n_rows * int(ptr[-1])))).reshape(n_rows, int(ptr[-1]))
+        got = embeddings._segment_maxes(values, ptr)
+        want = segment_maxes_by_row(values, ptr)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_row_blocks_keep_the_bits(self, store, idf, monkeypatch, clamp):
+        words = [f"w{i}" for i in range(12)]
+        rows = WordMatrix.of(["w1", "w3", "w5", "w11"], store, idf)
+        cols = WordMatrix.of(words, store, idf)
+        row_cols = np.array([cols.index[w] for w in rows.words])
+        # Segments with and without the query words, and two empty ones.
+        flat = np.array([0, 2, 4, 1, 3, 5, 6, 7, 8, 9, 10, 11, 3])
+        ptr = np.array([0, 3, 3, 6, 12, 12, 13])
+        whole = asym_relevances(rows, cols, row_cols, flat, ptr, clamp)
+        monkeypatch.setattr(embeddings, "_BLOCK_VALUES", 20)  # a row per block
+        blocked = asym_relevances(rows, cols, row_cols, flat, ptr, clamp)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, blocked))

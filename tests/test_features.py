@@ -13,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 import crowdrank
 import synth
 from crowdrank.embeddings import IdfMap
-from crowdrank.features import (ANSWER_FEATURES, METHOD_KEYWORDS, THREAD_FEATURES,
-                                WeightConfig, extract_methods, normalize_and_fuse,
-                                question_score_value, tf_score, tfidf_score, top_method_score)
+from crowdrank.features import (ANSWER_FEATURES, METHOD_KEYWORDS, QUESTION_SCORE_LADDER,
+                                THREAD_FEATURES, WeightConfig, extract_methods,
+                                cosines, normalize_and_fuse, question_score_value,
+                                question_score_values, tf_cosine, tf_score, tfidf_cosine,
+                                tfidf_score, top_method_score)
 
 BAG_ST = st.dictionaries(st.sampled_from([f"w{i}" for i in range(10)]),
                          st.integers(min_value=1, max_value=5), max_size=8)
@@ -151,6 +153,48 @@ class TestQuestionScoreLadder:
                               (76, 0.7), (101, 0.8), (201, 0.9), (10000, 1.0)])
     def test_just_above_bounds(self, score, expected):
         assert question_score_value(score) == expected
+
+
+def bits(values):
+    """The IEEE bits of each float, to compare results bit for bit."""
+    return [float(v).hex() for v in values]
+
+
+class TestArrayForms:
+    """The per-candidate scalar forms against the engine's array forms."""
+
+    @given(st.integers(0, 50),
+           st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=12))
+    def test_tf_cosine(self, sumsq_q, pairs):
+        pairs += [(0, 0), (3, 0), (0, 7)]  # zero sums of squares and zero dot products
+        dots = np.array([dot for dot, _ in pairs], dtype=float)
+        sumsq = np.array([s for _, s in pairs], dtype=np.int64)
+        want = [tf_cosine(dot, sumsq_q, s) for dot, s in pairs]
+        assert bits(cosines(dots, math.sqrt(sumsq_q), np.sqrt(sumsq))) == bits(want)
+
+    # A norm is 0 or at least an idf, log10(N / (N - 1)) > 1e-9 for any
+    # corpus that fits in memory, so the product of two never underflows
+    # (the scalar form would raise ZeroDivisionError).
+    NORM_ST = st.floats(1e-9, 1e3) | st.just(0.0)
+
+    @given(NORM_ST, st.lists(st.tuples(st.floats(-1e6, 1e6), NORM_ST), max_size=12))
+    def test_tfidf_cosine(self, norm_q, pairs):
+        pairs += [(0.0, 0.0), (2.5, 0.0), (0.0, 1.5)]
+        dots = np.array([dot for dot, _ in pairs])
+        norms = np.array([norm for _, norm in pairs])
+        want = [tfidf_cosine(dot, norm_q, norm) for dot, norm in pairs]
+        assert bits(cosines(dots, norm_q, norms)) == bits(want)
+
+    def test_question_score_values_at_every_bound(self):
+        scores = sorted({s for upper, _ in QUESTION_SCORE_LADDER for s in (upper, upper + 1)}
+                        | {0, -1, -500, 10**9})
+        want = [question_score_value(s) for s in scores]
+        assert bits(question_score_values(np.array(scores, dtype=float))) == bits(want)
+
+    @given(st.lists(st.integers(-10**6, 10**6), max_size=20))
+    def test_question_score_values(self, scores):
+        want = [question_score_value(s) for s in scores]
+        assert bits(question_score_values(np.array(scores, dtype=float))) == bits(want)
 
 
 class TestNormalizeSocial:

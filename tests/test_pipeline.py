@@ -10,13 +10,13 @@ from hypothesis import given, strategies as st
 import crowdrank
 import synth
 from crowdrank import embeddings
-from crowdrank.antonyms import default_dictionary
+from crowdrank.antonyms import POS_MODES, default_dictionary
 from crowdrank.artifacts import build_artifacts, build_idf, load_engine
 from crowdrank.corpus import RawPost, build_threads, preprocess
 from crowdrank.embeddings import (EmbeddingStore, IdfMap, asym_score, fallback_embed,
                                   save_vectors)
-from crowdrank.features import (SOCIAL_FEATURES, THREAD_FEATURES, WeightConfig,
-                                question_score_value, tf_score)
+from crowdrank.features import (ANTONYM_TARGET_MODES, SOCIAL_FEATURES, THREAD_FEATURES,
+                                WeightConfig, question_score_value, tf_score)
 from crowdrank.documents import build_documents
 from crowdrank.index import bm25_search, build_index
 from crowdrank.pipeline import BASELINE_NAMES, SearchEngine, _rank, configure_ablation
@@ -362,6 +362,76 @@ class TestAntonymFilter:
         # the distractor keeps its antonym in answer code only, so the
         # thread-level bag (question title+body) never matches
         assert counts["after_thread_filter"] == counts["bm25_threads"]
+
+
+@pytest.fixture(scope="module")
+def antonym_filter():
+    return make_engine(synth.antonym_filter_corpus()[0])
+
+
+def bag_filter(engine):
+    """`SearchEngine._antonym_free` as the bag-walking reference."""
+    def antonym_free(qc, rows, answers):
+        return synth.antonym_free_reference(qc.antonym_ctx, engine.threads.values(), rows,
+                                            answers)
+    return antonym_free
+
+
+def ranking(result):
+    return [(e.answer_id, e.thread_id, e.score, e.features) for e in result.entries], \
+        result.diagnostics
+
+
+class TestAntonymFilterAgainstBags:
+    """The filters test antonym ids against the store; the reference walks
+    the threads' word bags."""
+
+    @pytest.mark.parametrize("pos", POS_MODES)
+    @pytest.mark.parametrize("query", synth.ANTONYM_FILTER_QUERIES)
+    def test_every_thread_and_answer(self, antonym_filter, pos, query):
+        engine = antonym_filter
+        qc = engine.make_query_context(query, WeightConfig(antonym_pos_mode=pos))
+        for answers, n in ((False, engine.docs.n_threads), (True, len(engine.docs.answer_ids))):
+            rows = np.arange(n)
+            assert engine._antonym_free(qc, rows, answers).tolist() == \
+                bag_filter(engine)(qc, rows, answers).tolist()
+
+    @pytest.mark.parametrize("pos", POS_MODES)
+    @pytest.mark.parametrize("target", ANTONYM_TARGET_MODES)
+    def test_search_keeps_the_same_threads_and_answers(self, antonym_filter, monkeypatch,
+                                                       pos, target):
+        engine = antonym_filter
+        config = WeightConfig(antonym_enabled=True, antonym_pos_mode=pos,
+                              antonym_targets=target)
+        got = [ranking(engine.search(q, config)) for q in synth.ANTONYM_FILTER_QUERIES]
+        monkeypatch.setattr(engine, "_antonym_free", bag_filter(engine))
+        want = [ranking(engine.search(q, config)) for q in synth.ANTONYM_FILTER_QUERIES]
+        assert got == want
+
+    def test_the_corpus_exercises_each_filter(self, antonym_filter):
+        engine = antonym_filter
+
+        def drops(query, pos, target):
+            config = WeightConfig(antonym_enabled=True, antonym_pos_mode=pos,
+                                  antonym_targets=target)
+            counts = engine.search(query, config).diagnostics["stage_counts"]
+            return (counts["bm25_threads"] - counts["after_thread_filter"],
+                    counts["bm25_answers"] - counts["after_answer_filter"])
+
+        zip_query, verb_query, two_words, self_antonymous, no_lexicon = \
+            synth.ANTONYM_FILTER_QUERIES
+        assert drops(zip_query, "NN", "TR")[0] > 0
+        assert drops(zip_query, "NN", "ANS")[1] > 0
+        assert min(drops(two_words, "NN", "TR_ANS")) > 0
+        assert drops(verb_query, "NN", "TR_ANS") == (0, 0)
+        assert min(drops(verb_query, "VB", "TR_ANS")) > 0
+        # The skip paths: antonyms that do not count, and none at all.
+        qc = engine.make_query_context(self_antonymous, WeightConfig())
+        assert qc.antonym_ctx.antonyms and not len(qc.antonym_ids)
+        qc = engine.make_query_context(no_lexicon, WeightConfig())
+        assert not qc.antonym_ctx.antonyms and not len(qc.antonym_ids)
+        for query in (self_antonymous, no_lexicon):
+            assert drops(query, "NN_VB", "TR_ANS") == (0, 0)
 
 
 # Every preset as built before the presets became one table: the features
