@@ -18,7 +18,7 @@ from .embeddings import DEFAULT_SEED
 from .evaluation import (GroundTruth, run_ablation_grid, write_per_query_csv,
                          write_report_csv)
 from .features import WeightConfig
-from .pipeline import BASELINE_NAMES, configure_ablation
+from .pipeline import BASELINE_NAMES, canonical_name, configure_ablation
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -151,12 +151,19 @@ def cmd_evaluate(args) -> int:
         print(f"error: bad ground-truth file: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
     baselines = args.baselines.split(",") if args.baselines else ["crar"]
+    seen: dict[str, str] = {}
     for name in baselines:
         try:
             configure_ablation(name)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        # A repeat would be run again and reported twice.
+        canonical = canonical_name(name)
+        if canonical in seen:
+            print(f"error: baseline {name!r} repeats {seen[canonical]!r}", file=sys.stderr)
+            return EXIT_USAGE
+        seen[canonical] = name
     try:
         engine = _engine_from_args(args)
     except (OSError, ValueError) as exc:

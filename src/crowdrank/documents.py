@@ -13,10 +13,13 @@ id, its thread's row, the norm of its tf-idf vector and its method-call ids
 `build_documents` writes the arrays from `Thread`s; `build-index` saves them
 as fixed-dtype `.npy` files (DOCS_ARRAYS), and `load_documents` checks them
 and names the file at fault. The store is the only text index on disk: the
-thread BM25 index is its transpose, made at load (`thread_index`). A search
-carries its candidates as rows of these arrays and gathers from them: the
-asym segments, the answer index's term counts, tf-idf, top-method and the
-antonym filters all read them, not the threads' word bags.
+thread BM25 index is its transpose, made at load (`thread_index`). Each
+thread's asym_body target (its question body united with its answers'
+bodies, `body_union`) is made in memory whenever a store is, as it depends
+on the corpus only; it is not saved. A search carries its candidates as
+rows of these arrays and gathers from them: the asym segments, the answer
+index's term counts, tf-idf, top-method and the antonym filters all read
+them, not the threads' word bags.
 """
 
 from __future__ import annotations
@@ -101,6 +104,13 @@ class DocumentStore:
         # question body, its own body and code.
         self.answer_len = (lengths["title"][answer_thread] + lengths["body"][answer_thread]
                            + lengths["answer_body"] + lengths["code"])
+        # Each thread's asym_body target, its question body united with its
+        # answers' bodies, as distinct ascending ids and offsets; it depends on
+        # the corpus only, so it is made here, once.
+        body, answer_body = self.parts["body"], self.parts["answer_body"]
+        self.body_union = self.segments([(body.ids, body.ptr, np.arange(self.n_threads)),
+                                         (answer_body.ids, answer_body.ptr, answer_thread)],
+                                        self.n_threads)
 
     def thread_index(self, words: Sequence[str], doc_ids: np.ndarray) -> InvertedIndex:
         """The thread BM25 index: a document per thread row, question id
@@ -122,23 +132,26 @@ class DocumentStore:
     def ids(self, part: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The term ids of `rows` of a part, as one flat array and offsets."""
         positions, offsets = take(self.parts[part].ptr, rows)
-        return self.parts[part].ids[positions].astype(np.int64), offsets
+        return self.parts[part].ids[positions], offsets
 
-    def segments(self, parts: Sequence[tuple[str, np.ndarray, np.ndarray]], n_segments: int,
-                 ) -> tuple[np.ndarray, np.ndarray]:
+    def segments(self, runs: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                 n_segments: int) -> tuple[np.ndarray, np.ndarray]:
         """The distinct term ids of each segment, ascending, as one flat array
-        and offsets. For each (part, rows, labels), the ids of row `rows[i]`
-        of the part join segment `labels[i]`."""
+        and offsets. For each (ids, offsets, labels), the run of ids
+        `ids[offsets[i]:offsets[i + 1]]` joins segment `labels[i]`."""
         size = self.vocab_size
-        keys = []
-        for part, rows, labels in parts:
-            ids, offsets = self.ids(part, rows)
-            keys.append(np.repeat(labels * size, np.diff(offsets)) + ids)
+        # A key is segment * size + id; int32 keys sort faster, and every key
+        # is below n_segments * size.
+        dtype = np.int32 if n_segments * size < 2**31 else np.int64
+        keys = np.concatenate([np.repeat(labels.astype(dtype) * dtype(size), np.diff(offsets))
+                               + ids for ids, offsets, labels in runs]).astype(dtype, copy=False)
         # A sort and a neighbour test: np.unique hashes first, which is slower here.
-        keys = np.sort(np.concatenate(keys))
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        ptr = np.searchsorted(keys, np.arange(n_segments + 1, dtype=np.int64) * size)
-        return keys % size, ptr
+        keys.sort()
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        ptr = np.searchsorted(keys, np.arange(n_segments + 1, dtype=dtype) * dtype(size))
+        return (keys % dtype(size)).astype(np.int32, copy=False), ptr
 
     def title_segments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each thread row's title ids: the asym_title targets. A single part's
@@ -147,18 +160,17 @@ class DocumentStore:
 
     def body_segments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each thread row's question body united with its answers' bodies:
-        the asym_body targets."""
-        answers, offsets = self.answer_rows(rows)
-        return self.segments([("body", rows, np.arange(len(rows))),
-                              ("answer_body", answers,
-                               np.repeat(np.arange(len(rows)), np.diff(offsets)))], len(rows))
+        the asym_body targets, taken from `body_union`."""
+        flat, ptr = self.body_union
+        positions, offsets = take(ptr, rows)
+        return flat[positions], offsets
 
     def answer_segments(self, answer_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each answer row's body united with its thread's title: the answer
         asym targets."""
         every = np.arange(len(answer_rows))
-        return self.segments([("answer_body", answer_rows, every),
-                              ("title", self.answer_thread[answer_rows], every)],
+        return self.segments([(*self.ids("answer_body", answer_rows), every),
+                              (*self.ids("title", self.answer_thread[answer_rows]), every)],
                              len(answer_rows))
 
     def holds_any(self, parts: Sequence[tuple[str, np.ndarray]], term_ids: np.ndarray,

@@ -6,6 +6,13 @@ key by integer question id.
 
 Word vectors can also come from a deterministic seeded hash embedder so the
 whole pipeline runs without trained models.
+
+The asymmetric relevance of Ye et al. (ICSE 2016) is scored through a
+`SimilarityTable` of the query words against the vocabulary. A search makes
+one, with its clamp setting, and every asym target of the search is a segment
+of vocabulary ids read from it: each (query word, vocabulary word) similarity
+is computed once per search, however many targets hold the word. `asym` and
+`asym_score` score one bag against another as a table with one segment.
 """
 
 from __future__ import annotations
@@ -219,8 +226,9 @@ class WordMatrix:
 
     Rows are looked up in the store on first use (`fill`): a zero vector
     stays a zero row, and a word the store has no vector for is left out of
-    `has_vector`. The asym kernel takes one matrix as its rows (the query)
-    and one as its columns (a target bag, or the whole corpus vocabulary).
+    `has_vector`. A `SimilarityTable` takes one matrix as its rows (the
+    query) and one as its columns (a target bag, or the whole corpus
+    vocabulary).
     """
 
     def __init__(self, words: list[str], store: EmbeddingStore, idf_map: IdfMap):
@@ -240,11 +248,10 @@ class WordMatrix:
         return matrix
 
     def fill(self, ids: np.ndarray) -> None:
-        """Look up the rows of `ids` that have not been looked up yet."""
+        """Look up the rows of the distinct `ids` that have not been looked up yet."""
         new = ids[~self._looked_up[ids]]
         if not new.size:
             return
-        new = np.unique(new)
         vecs = [self.store.word_vector(self.words[i]) for i in new.tolist()]
         ok = np.array([v is not None for v in vecs], dtype=bool)
         if ok.any():
@@ -258,6 +265,12 @@ class WordMatrix:
 # The most values (8 MB of float64) one gathered block of the asym kernel
 # holds; a query's rows over a stage's segments are one block.
 _BLOCK_VALUES = 1 << 20
+# A similarity table scores its columns this many at a time, as products of
+# one shape. BLAS may round a dot product's last bit differently in products
+# of other shapes, or at other positions in a part-filled block; one shape of
+# whole blocks makes each similarity the same however the segments of a
+# search reach its column.
+_COLUMN_BLOCK = 64
 
 
 def _segment_maxes(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
@@ -270,87 +283,126 @@ def _segment_maxes(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weighted_means(best: np.ndarray, weights: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Weighted mean of `best` over each segment; 0 for no weight.
+def _weighted_means(terms: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Weighted mean over each segment of values whose products with their
+    weights are `terms[0]` and whose weights are `terms[1]`; 0 for no weight.
 
     The numerator and the denominator are summed by one reduction in one
-    order, so a segment whose `best` values are all 1 gives exactly 1.
+    order, so a segment whose values are all 1 gives exactly 1.
     """
     out = np.zeros(len(ptr) - 1)
     nonempty = ptr[1:] > ptr[:-1]
     if nonempty.any():
-        num, den = np.add.reduceat(np.stack([best * weights, weights]), ptr[:-1][nonempty],
-                                   axis=1)
+        num, den = np.add.reduceat(terms, ptr[:-1][nonempty], axis=1)
         out[nonempty] = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
     return out
 
 
-def asym_relevances(rows: WordMatrix, cols: WordMatrix, row_cols: np.ndarray,
-                    flat: np.ndarray, ptr: np.ndarray,
-                    clamp_negative: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Relevance of the row words to each segment of column words, and back.
+class SimilarityTable:
+    """One search's similarities of the query words (its rows) to the
+    vocabulary words (its columns) that the asym targets hold.
 
-    Segment `s` is the sorted distinct column ids `flat[ptr[s]:ptr[s + 1]]`;
-    `row_cols[r]` is the column of row word `r`, or -1. A word scores its
-    best cosine, floored at 0 or -1, against the other side's words that
-    have a vector; an identical word scores exactly 1. A word with no
-    vector, or facing none, scores 0 but keeps its idf weight. Each
-    direction is an idf-weighted mean in word order.
+    `row_cols[r]` is the column of row word `r`, or -1. A held column keeps
+    each row's cosine, floored at 0 (`clamp_negative`) or -1, exactly 1 for an
+    identical word, and -inf where either word has no vector (`sims`); and
+    its best value over the rows, the backward direction, 0 for none, times
+    its idf, beside that idf (`backward`). Columns are scored as segments
+    first reach them, so the table grows with what the segments hold, not
+    with the vocabulary, and a column is scored once.
     """
-    # Only the columns a segment holds enter the product, so a call costs what
-    # the segments hold, not the size of `cols`; `local` renumbers them, and
-    # its extra last entry keeps a row_cols of -1 at -1.
-    used = np.flatnonzero(np.bincount(flat, minlength=len(cols.words)))
-    local = np.full(len(cols.words) + 1, -1)
-    local[used] = np.arange(len(used))
-    col_idf, flat, row_cols = cols.idf[flat], local[flat], local[row_cols]
-    sims = rows.unit @ cols.unit[used].T
-    np.clip(sims, 0.0 if clamp_negative else -1.0, 1.0, out=sims)
-    same = row_cols >= 0
-    sims[same, row_cols[same]] = 1.0
-    sims[~rows.has_vector] = -np.inf
-    sims[:, ~cols.has_vector[used]] = -np.inf
-    # The rows' values at the segments' words, in blocks of rows that bound
-    # the gathered values (`np.take` gathers columns faster than `[:, flat]`).
-    n_rows, n_segments = len(rows.words), len(ptr) - 1
-    step = max(1, _BLOCK_VALUES // max(len(flat), 1))
-    forward = np.concatenate([_segment_maxes(np.take(sims[lo:lo + step], flat, axis=1), ptr)
-                              for lo in range(0, n_rows, step)] or [np.zeros((0, n_segments))])
-    backward = sims.max(axis=0, initial=-np.inf)[flat]
-    forward[forward == -np.inf] = 0.0
-    backward[backward == -np.inf] = 0.0
-    return (_weighted_means(forward.T.ravel(), np.tile(rows.idf, n_segments),
-                            np.arange(n_segments + 1) * n_rows),
-            _weighted_means(backward, col_idf, ptr))
 
+    def __init__(self, rows: WordMatrix, cols: WordMatrix, row_cols: np.ndarray,
+                 clamp_negative: bool):
+        self.rows, self.cols, self.row_cols = rows, cols, row_cols
+        self.floor = 0.0 if clamp_negative else -1.0
+        # The table column of each vocabulary id, -1 while not held; the extra
+        # last entry keeps a row_cols of -1 at -1.
+        self.column = np.full(len(cols.words) + 1, -1, dtype=np.intp)
+        self.sims = np.zeros((len(rows.words), 0))
+        self.backward = np.zeros((2, 0))
 
-def asym_scores(rows: WordMatrix, cols: WordMatrix, row_cols: np.ndarray, flat: np.ndarray,
-                ptr: np.ndarray, clamp_negative: bool) -> list[float]:
-    """Harmonic mean of both `asym_relevances` directions for each segment."""
-    forward, backward = asym_relevances(rows, cols, row_cols, flat, ptr, clamp_negative)
-    scores = np.zeros_like(forward)
-    np.divide(2.0 * forward * backward, forward + backward, out=scores,
-              where=(forward != 0.0) & (backward != 0.0))
-    return scores.tolist()
+    def cover(self, flat: np.ndarray) -> None:
+        """Score the columns of the ids in `flat` that the table does not hold."""
+        # A mark, not np.unique, which hashes first (numpy 2) and is slower here.
+        mark = np.zeros(len(self.column), dtype=bool)
+        mark[flat] = True
+        mark &= self.column < 0
+        new = np.flatnonzero(mark)
+        if not new.size:
+            return
+        self.cols.fill(new)
+        rows, held = self.rows, self.sims.shape[1]
+        # The new columns' vectors in whole blocks, the last one padded with
+        # repeats of the last column, and one product per block.
+        padded = np.full(-(-len(new) // _COLUMN_BLOCK) * _COLUMN_BLOCK, new[-1])
+        padded[:len(new)] = new
+        blocks = np.take(self.cols.unit, padded, axis=0).reshape(
+            -1, _COLUMN_BLOCK, self.cols.unit.shape[1]).transpose(0, 2, 1)
+        sims = np.matmul(rows.unit, blocks).transpose(1, 0, 2).reshape(
+            len(rows.words), len(padded))[:, :len(new)]
+        np.clip(sims, self.floor, 1.0, out=sims)
+        self.column[new] = np.arange(held, held + len(new))
+        local = self.column[self.row_cols] - held
+        same = local >= 0
+        sims[same, local[same]] = 1.0
+        sims[~rows.has_vector] = -np.inf
+        sims[:, ~self.cols.has_vector[new]] = -np.inf
+        best = sims.max(axis=0, initial=-np.inf)
+        best[best == -np.inf] = 0.0
+        idf = self.cols.idf[new]
+        self.sims = np.concatenate([self.sims, sims], axis=1)
+        self.backward = np.concatenate([self.backward, [best * idf, idf]], axis=1)
+
+    def relevances(self, flat: np.ndarray, ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Relevance of the row words to each segment of column words, and back.
+
+        Segment `s` is the sorted distinct column ids `flat[ptr[s]:ptr[s + 1]]`.
+        A word scores its best value against the other side's words; a word
+        with no vector, or facing none, scores 0 but keeps its idf weight.
+        Each direction is an idf-weighted mean in word order.
+        """
+        self.cover(flat)
+        at = self.column[flat]
+        # The rows' values at the segments' words, in blocks of rows that bound
+        # the gathered values (`np.take` gathers columns faster than `[:, at]`).
+        n_rows, n_segments = len(self.rows.words), len(ptr) - 1
+        step = max(1, _BLOCK_VALUES // max(len(flat), 1))
+        forward = np.concatenate([_segment_maxes(np.take(self.sims[lo:lo + step], at, axis=1), ptr)
+                                  for lo in range(0, n_rows, step)]
+                                 or [np.zeros((0, n_segments))])
+        forward[forward == -np.inf] = 0.0
+        forward, idf = forward.T.ravel(), np.tile(self.rows.idf, n_segments)
+        return (_weighted_means(np.stack([forward * idf, idf]), np.arange(n_segments + 1) * n_rows),
+                _weighted_means(np.take(self.backward, at, axis=1), ptr))
+
+    def scores(self, flat: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+        """Harmonic mean of both `relevances` directions for each segment."""
+        forward, backward = self.relevances(flat, ptr)
+        scores = np.zeros_like(forward)
+        np.divide(2.0 * forward * backward, forward + backward, out=scores,
+                  where=(forward != 0.0) & (backward != 0.0))
+        return scores
 
 
 def _pair(a: Iterable[str], b: Iterable[str], store: EmbeddingStore, idf_map: IdfMap,
-          ) -> tuple[WordMatrix, WordMatrix, np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel operands for `a` against `b` as a single segment."""
+          clamp_negative: bool) -> tuple[SimilarityTable, np.ndarray, np.ndarray]:
+    """A table of `a` against `b`, and `b` as its single segment."""
     rows, cols = WordMatrix.of(a, store, idf_map), WordMatrix.of(b, store, idf_map)
     row_cols = np.array([cols.index.get(word, -1) for word in rows.words], dtype=np.intp)
-    return rows, cols, row_cols, np.arange(len(cols.words)), np.array([0, len(cols.words)])
+    return (SimilarityTable(rows, cols, row_cols, clamp_negative), np.arange(len(cols.words)),
+            np.array([0, len(cols.words)]))
 
 
 def asym(query_bag: Iterable[str], target_bag: Iterable[str], store: EmbeddingStore,
          idf_map: IdfMap, clamp_negative: bool = True) -> float:
     """IDF-weighted mean of each query word's best embedding match in the target."""
-    forward, _ = asym_relevances(*_pair(query_bag, target_bag, store, idf_map), clamp_negative)
-    return forward.tolist()[0]
+    table, flat, ptr = _pair(query_bag, target_bag, store, idf_map, clamp_negative)
+    return table.relevances(flat, ptr)[0].tolist()[0]
 
 
 def asym_score(bag_a: Iterable[str], bag_b: Iterable[str], store: EmbeddingStore,
                idf_map: IdfMap, clamp_negative: bool = True) -> float:
     """Harmonic mean of both directions; operands are ordered first, so a swap keeps the bits."""
     a, b = sorted([sorted(set(bag_a)), sorted(set(bag_b))])
-    return asym_scores(*_pair(a, b, store, idf_map), clamp_negative)[0]
+    table, flat, ptr = _pair(a, b, store, idf_map, clamp_negative)
+    return table.scores(flat, ptr).tolist()[0]

@@ -12,6 +12,12 @@ Candidates are rows of the document store from BM25 to the final cut:
 thread rows, then answer rows. Every feature column and both antonym
 filters are gathers over the store and over per-thread-row arrays; the
 `Thread` objects are read only to render the returned answers.
+
+The three asym features (asym_title and asym_body at stage 1, asym at the
+answer stage) read one `SimilarityTable` per search, held by its
+`QueryContext` and dropped with it: each query word's similarity with a
+vocabulary word is computed once, by the first stage whose targets hold
+the word, and the answer stage's targets hold only words stage 1 scored.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from . import features as ft
 from .antonyms import AntonymDictionary, AntonymQueryContext
 from .corpus import Thread, preprocess
 from .documents import DocumentStore, build_documents
-from .embeddings import (EmbeddingStore, IdfMap, WordMatrix, asym_scores, sentence_embed,
+from .embeddings import (EmbeddingStore, IdfMap, SimilarityTable, WordMatrix, sentence_embed,
                          sentence_vectors)
 from .index import bm25_rows, gather
 
@@ -39,9 +45,12 @@ class QueryContext:
     # self-antonymous, as no candidate is then filtered.
     antonym_ids: np.ndarray
     sentence_vec: np.ndarray
-    # The query words as kernel rows, and their ids in the engine vocabulary (-1: none).
+    # The query words, and their ids in the engine vocabulary (-1: none).
     words: WordMatrix
     vocab_ids: np.ndarray
+    # The query words against the engine vocabulary, clamped as the search's
+    # config says; every asym target of the search reads it.
+    similarities: SimilarityTable
     # Query words outside the corpus vocabulary and the word cache: their
     # fallback vectors serve one search only.
     novel_words: list[str]
@@ -138,15 +147,10 @@ class SearchEngine:
         vec = sentence_embed(bag, self.store, self.idf_map)
         words = WordMatrix.of(bag, self.store, self.idf_map)
         vocab_ids = np.array([self.vocab.index.get(w, -1) for w in words.words], dtype=np.intp)
+        similarities = SimilarityTable(words, self.vocab, vocab_ids, config.clamp_negative_cosine)
         return QueryContext(bag=bag, antonym_ctx=ctx, antonym_ids=antonym_ids, sentence_vec=vec,
-                            words=words, vocab_ids=vocab_ids, novel_words=novel)
-
-    def _asym(self, qc: QueryContext, segments: tuple[np.ndarray, np.ndarray],
-              clamp: bool) -> np.ndarray:
-        """`asym_score` of the query against each segment of vocabulary ids."""
-        flat, ptr = segments
-        self.vocab.fill(flat)
-        return np.array(asym_scores(qc.words, self.vocab, qc.vocab_ids, flat, ptr, clamp))
+                            words=words, vocab_ids=vocab_ids, similarities=similarities,
+                            novel_words=novel)
 
     def _sentence(self, qc: QueryContext, rows: np.ndarray) -> np.ndarray:
         """`cosine` of the query's sentence vector and each thread's title vector;
@@ -173,13 +177,12 @@ class SearchEngine:
         sumsq_q = sum(c * c for c in qc.bag.values())
         return ft.cosines(dots[rows], np.sqrt(sumsq_q), np.sqrt(index.doc_sumsq[rows]))
 
-    def _similarity_features(self, qc: QueryContext, rows: np.ndarray,
-                             clamp: bool) -> dict[str, np.ndarray]:
+    def _similarity_features(self, qc: QueryContext, rows: np.ndarray) -> dict[str, np.ndarray]:
         """The four stage-1 feature columns of the thread rows; stage 2 reuses them."""
         return {
             "sentence": self._sentence(qc, rows),
-            "asym_title": self._asym(qc, self.docs.title_segments(rows), clamp),
-            "asym_body": self._asym(qc, self.docs.body_segments(rows), clamp),
+            "asym_title": qc.similarities.scores(*self.docs.title_segments(rows)),
+            "asym_body": qc.similarities.scores(*self.docs.body_segments(rows)),
             "tf": self._tf(qc, rows),
         }
 
@@ -239,8 +242,7 @@ class SearchEngine:
         counts["after_thread_filter"] = len(rows)
 
         # Stage 1: the four similarity features
-        clamp = config.clamp_negative_cosine
-        table = self._similarity_features(qc, rows, clamp)
+        table = self._similarity_features(qc, rows)
         weights = {f: config.thread_weights[f] for f in ft.THREAD_SIMILARITY_FEATURES}
         kept, _, _ = _rank(rows, table, weights, config.stage1_keep)
         counts["stage1_kept"] = len(kept)
@@ -283,7 +285,7 @@ class SearchEngine:
         # Answer features, fusion and the final cut
         rows = answer_rows[positions]
         table = {
-            "asym": self._asym(qc, self.docs.answer_segments(rows), clamp),
+            "asym": qc.similarities.scores(*self.docs.answer_segments(rows)),
             "tfidf": self._tfidf(qc, term_counts[positions], held, rows),
             "top_method": ft.top_method_scores(*self.docs.methods(rows), config.method_scale),
             "thread_score": thread_score[positions],
@@ -308,7 +310,9 @@ class SearchEngine:
         return SearchResult(entries=entries, diagnostics=diagnostics)
 
 
-def _canon(name: str) -> str:
+def canonical_name(name: str) -> str:
+    """A baseline name as the preset table spells it: any case, with spaces
+    or underscores for hyphens."""
     return name.strip().lower().replace(" ", "-").replace("_", "-")
 
 
@@ -366,7 +370,7 @@ def configure_ablation(name: str) -> ft.WeightConfig:
 
     Raises ValueError listing the valid names when the baseline is unknown.
     """
-    preset = _PRESETS.get(_canon(name))
+    preset = _PRESETS.get(canonical_name(name))
     if preset is None:
         raise ValueError(f"unknown baseline {name!r}; valid names: "
                          + ", ".join(BASELINE_NAMES))

@@ -479,6 +479,21 @@ class TestEvaluate:
                      "--truth", str(workspace["truth"]), "--baselines", "wat"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("baselines, named", [
+        ("crar,crar", "'crar' repeats 'crar'"),
+        ("template,crar,CRAR", "'CRAR' repeats 'crar'"),
+        ("crar_without_tf,Crar Without TF", "'Crar Without TF' repeats 'crar_without_tf'"),
+    ])
+    def test_repeated_baseline(self, workspace, tmp_path, capsys, baselines, named):
+        report = tmp_path / "report.csv"
+        code = main(["evaluate", "--index-dir", str(workspace["index"]),
+                     "--truth", str(workspace["truth"]), "--baselines", baselines,
+                     "-o", str(report), "--per-query", str(tmp_path / "per_query.csv")])
+        assert code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: baseline {named}\n"
+        assert not report.exists()
+
     @pytest.mark.parametrize("text, named", [
         (None, "No such file"),
         ('{"query_id": 1, "query_text": "q", "relevant_answer_ids": 5}', ":1:"),

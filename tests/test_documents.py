@@ -1,5 +1,8 @@
 """The document store's gathers against the bag-walking references in synth.py."""
 
+import tempfile
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import synth
 from crowdrank.antonyms import default_dictionary
 from crowdrank.artifacts import build_artifacts, build_idf, load_engine
-from crowdrank.corpus import RawPost, build_threads, preprocess
-from crowdrank.documents import build_documents, load_documents, save_documents
+from crowdrank.corpus import ProcessedPost, RawPost, Thread, build_threads, preprocess
+from crowdrank.documents import DocumentStore, build_documents, load_documents, save_documents
 from crowdrank.embeddings import (EmbeddingStore, cosine, fallback_embed, save_vectors,
                                   sentence_embed)
 from crowdrank.features import (WeightConfig, extract_methods, tfidf_score, top_method_scores,
@@ -129,6 +132,66 @@ class TestAgainstBagReferences:
             want = synth.tfidf_oracle(bag, answer_bag, engine.idf_map.idf)
             assert abs(entry.features.raw["tfidf"] - want) <= 1e-12
             assert abs(tfidf_score(bag, answer_bag, engine.idf_map) - want) <= 1e-12
+
+
+def post(pid, title, body):
+    return ProcessedPost(pid, 1, Counter(title.split()), Counter(body.split()), Counter(), "",
+                         title, body)
+
+
+# A thread's title, question body and answer bodies; any text may be empty and
+# a thread may have no answers, which a dump's threads never are.
+BARE_THREAD_ST = st.tuples(TEXT_ST, TEXT_ST, st.lists(TEXT_ST, max_size=3))
+
+
+class TestBodyUnion:
+    """Each thread's asym_body target, made when the store is."""
+
+    @staticmethod
+    def bare_threads(corpus):
+        return [Thread(post(100 * i, title, body),
+                       [post(100 * i + 1 + j, "", text) for j, text in enumerate(answers)])
+                for i, (title, body, answers) in enumerate(corpus)]
+
+    @staticmethod
+    def want(threads, vocab):
+        return repr(synth.segments_reference(
+            [[t.question.body_bag, *(a.body_bag for a in t.answers)] for t in threads], vocab))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(BARE_THREAD_ST, max_size=6))
+    def test_built_and_loaded_stores(self, corpus):
+        threads = self.bare_threads(corpus)
+        idf = build_idf(threads)
+        vocab = sorted(idf.df)
+        built = build_documents(threads, idf)
+        with tempfile.TemporaryDirectory() as directory:
+            save_documents(built, directory)
+            loaded = load_documents(directory, len(vocab))
+        for docs in (built, loaded):
+            assert repr(as_lists(docs.body_union)) == self.want(threads, vocab)
+            every = np.arange(len(threads))
+            assert repr(as_lists(docs.body_segments(every))) == self.want(threads, vocab)
+
+    def test_the_empty_corpus(self):
+        docs = build_documents([], build_idf([]))
+        assert as_lists(docs.body_union) == ([], [0])
+        assert as_lists(docs.body_segments(np.zeros(0, dtype=np.intp))) == ([], [0])
+
+    def test_keys_past_int32(self):
+        # Keys are thread row * vocab_size + id; with this vocab_size the last
+        # thread's keys pass 2**31 - 1, which int32 keys would wrap.
+        threads = self.bare_threads([("a", "delta alpha", ["echo", ""]), ("b", "", []),
+                                     ("c", "bravo", ["charlie alpha", "golf"])])
+        built = build_documents(threads, build_idf(threads))
+        vocab_size = 2**30
+        assert len(threads) * vocab_size >= 2**31
+        docs = DocumentStore(built.parts, built.answer_ids, built.answer_thread,
+                             built.tfidf_norm, built.method_ptr, built.method_ids,
+                             built.method_names, vocab_size)
+        assert as_lists(docs.body_union) == as_lists(built.body_union)
+        assert repr(as_lists(built.body_union)) == self.want(threads,
+                                                              sorted(build_idf(threads).df))
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import synth
 from crowdrank import embeddings
-from crowdrank.embeddings import (EmbeddingConfig, EmbeddingStore, IdfMap, WordMatrix, asym,
-                                  asym_relevances, asym_score, cosine, fallback_embed,
+from crowdrank.embeddings import (EmbeddingConfig, EmbeddingStore, IdfMap, SimilarityTable,
+                                  WordMatrix, asym, asym_score, cosine, fallback_embed,
                                   load_sentence_vectors, load_word_vectors,
                                   save_vectors, sentence_embed)
 
@@ -329,7 +329,65 @@ class TestForwardReduce:
         # Segments with and without the query words, and two empty ones.
         flat = np.array([0, 2, 4, 1, 3, 5, 6, 7, 8, 9, 10, 11, 3])
         ptr = np.array([0, 3, 3, 6, 12, 12, 13])
-        whole = asym_relevances(rows, cols, row_cols, flat, ptr, clamp)
+        whole = SimilarityTable(rows, cols, row_cols, clamp).relevances(flat, ptr)
         monkeypatch.setattr(embeddings, "_BLOCK_VALUES", 20)  # a row per block
-        blocked = asym_relevances(rows, cols, row_cols, flat, ptr, clamp)
+        blocked = SimilarityTable(rows, cols, row_cols, clamp).relevances(flat, ptr)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, blocked))
+
+
+SEGMENTS_ST = st.lists(st.lists(st.sets(st.integers(0, 199), max_size=40).map(sorted),
+                                max_size=6), min_size=1, max_size=3)
+
+
+class TestSimilarityTable:
+    """A search's table scores each column once; the scores do not depend on
+    which segments reached a column first."""
+
+    WORDS = sorted(f"w{i}" for i in range(200))
+    IDF = IdfMap({w: 1 + i % 7 for i, w in enumerate(WORDS)}, 50)
+
+    def table(self, clamp, query=("w3", "w17", "w40", "w41", "w199", "zzz")):
+        # Every fifth word in sorted order has no vector, w40 has a zero
+        # vector, and the query word zzz is not in the vocabulary.
+        store = EmbeddingStore(fallback=False)
+        store.word_vecs = {w: fallback_embed(w) for i, w in enumerate(self.WORDS) if i % 5}
+        store.word_vecs["w40"] = np.zeros(store.dim)
+        rows = WordMatrix.of(query, store, self.IDF)
+        cols = WordMatrix(self.WORDS, store, self.IDF)
+        row_cols = np.array([cols.index.get(w, -1) for w in rows.words])
+        return SimilarityTable(rows, cols, row_cols, clamp)
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEGMENTS_ST, st.booleans())
+    def test_cover_order_keeps_the_bits(self, stages, clamp):
+        stages = [(np.array([i for seg in segs for i in seg], dtype=np.int64),
+                   np.cumsum([0] + [len(seg) for seg in segs])) for segs in stages]
+
+        def hexes(table_of_stage):
+            return [[x.hex() for x in table_of_stage().scores(*stage).tolist()]
+                    for stage in stages]
+
+        in_turn = self.table(clamp)
+        want = hexes(lambda: in_turn)
+        union = self.table(clamp)
+        union.cover(np.concatenate([flat for flat, _ in stages]))
+        assert hexes(lambda: union) == want
+        assert hexes(lambda: self.table(clamp)) == want
+        # Only the covered columns are held, each once.
+        held = np.unique(np.concatenate([flat for flat, _ in stages]))
+        assert np.flatnonzero(in_turn.column[:-1] >= 0).tolist() == held.tolist()
+        assert in_turn.sims.shape == (6, len(held)) and in_turn.backward.shape == (2, len(held))
+        assert sorted(in_turn.column[held].tolist()) == list(range(len(held)))
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_segments_match_one_segment_asym(self, clamp):
+        table = self.table(clamp)
+        flat = np.array([3, 17, 40, 41, 60, 61, 62, 63, 64, 65, 150], dtype=np.int64)
+        ptr = np.array([0, 2, 4, 4, 11])
+        forward, backward = table.relevances(flat, ptr)
+        query, store = table.rows.words, table.cols.store
+        for s in range(len(ptr) - 1):
+            target = [self.WORDS[i] for i in flat[ptr[s]:ptr[s + 1]].tolist()]
+            assert forward[s] == asym(query, target, store, self.IDF, clamp)
+            assert backward[s] == pytest.approx(asym(target, query, store, self.IDF, clamp),
+                                                abs=1e-12)

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,8 @@ from crowdrank import embeddings
 from crowdrank.antonyms import POS_MODES, default_dictionary
 from crowdrank.artifacts import build_artifacts, build_idf, load_engine
 from crowdrank.corpus import RawPost, build_threads, preprocess
-from crowdrank.embeddings import (EmbeddingStore, IdfMap, asym_score, fallback_embed,
-                                  save_vectors)
+from crowdrank.embeddings import (EmbeddingStore, IdfMap, SimilarityTable, asym_score,
+                                  fallback_embed, save_vectors)
 from crowdrank.features import (ANTONYM_TARGET_MODES, SOCIAL_FEATURES, THREAD_FEATURES,
                                 WeightConfig, question_score_value, tf_score)
 from crowdrank.documents import build_documents
@@ -238,6 +240,56 @@ class TestVocabularyKernel:
                                   env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path),
                                   ).stdout for seed in (0, 1)}
         assert len(outputs) == 1
+
+
+class TestOneTablePerSearch:
+    """A search's asym scores read one similarity table, whose bits do not
+    depend on which stage's segments reached a column first."""
+
+    @pytest.mark.parametrize("engine_fixture, clamp", [
+        ("planted", True), ("planted", False), ("sparse_vectors", True),
+        ("sparse_vectors", False)])
+    def test_cover_order_keeps_the_bits(self, request, engine_fixture, clamp):
+        engine, queries = request.getfixturevalue(engine_fixture)[:2]
+        config = WeightConfig(clamp_negative_cosine=clamp)
+        rows = np.arange(engine.docs.n_threads)
+        stages = [engine.docs.title_segments(rows), engine.docs.body_segments(rows),
+                  engine.docs.answer_segments(engine.docs.answer_rows(rows)[0])]
+        for text in queries.values():
+            def hexes(table_of_stage):
+                return [[x.hex() for x in table_of_stage().scores(*stage).tolist()]
+                        for stage in stages]
+
+            # Title, body, then answers, as a search covers them.
+            in_turn = engine.make_query_context(text, config).similarities
+            want = hexes(lambda: in_turn)
+            union = engine.make_query_context(text, config).similarities
+            union.cover(np.concatenate([flat for flat, _ in stages]))
+            assert hexes(lambda: union) == want
+            assert hexes(lambda: engine.make_query_context(text, config).similarities) == want
+            # The table holds the stage-1 columns only: the answer targets'
+            # words are among them.
+            held = np.unique(np.concatenate([flat for flat, _ in stages[:2]]))
+            assert np.flatnonzero(in_turn.column[:-1] >= 0).tolist() == held.tolist()
+            assert in_turn.sims.shape[1] == len(held)
+
+    def test_the_engine_keeps_no_table(self, planted, monkeypatch):
+        engine, queries, _ = planted
+        made = []
+        init = SimilarityTable.__init__
+
+        def recorded(table, *args):
+            init(table, *args)
+            made.append(weakref.ref(table))
+
+        monkeypatch.setattr(SimilarityTable, "__init__", recorded)
+        before = dict(vars(engine))
+        for text in queries.values():
+            assert engine.search(text, WeightConfig()).entries
+        gc.collect()
+        assert len(made) == len(queries) and all(ref() is None for ref in made)
+        assert vars(engine).keys() == before.keys()
+        assert all(vars(engine)[name] is value for name, value in before.items())
 
 
 def multi_answer_threads():
