@@ -4,6 +4,14 @@ A dump is one JSON object per line with the fields of :class:`RawPost`.
 Questions pass a tag filter (default: java but not javascript); answers are
 kept when their parent question passed. Threads keep only questions with a
 positive score that retain at least one positive-score answer with code.
+
+The thread store (`threads.jsonl`, version 2) holds a post's id, score, code
+and display text, but not its word bags: those live in the document store
+(`documents.py`), whose rows follow the store's lines. A loaded post reads
+its bags from there the first time anything asks for them
+(`ProcessedPost.__getattr__`); a search never does. An answer's title bag is
+the one bag the document store does not hold, so its line keeps it when it
+is not empty (dump answers seldom carry a title).
 """
 
 from __future__ import annotations
@@ -15,10 +23,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 THREAD_STORE_FORMAT = "crowdrank-threads"
-THREAD_STORE_VERSION = 1
+THREAD_STORE_VERSION = 2
 PREPROCESS_VERSION = 1
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -199,8 +207,12 @@ def preprocess(text: str, mode: str = "corpus",
     return bag
 
 
+BAG_FIELDS = ("title_bag", "body_bag", "code_bag")
+
+
 @dataclass
 class ProcessedPost:
+    """A post's bags hold their words in sorted order (`process_post`)."""
     id: int
     score: int
     title_bag: Counter
@@ -209,6 +221,24 @@ class ProcessedPost:
     code_text: str
     original_title: str
     original_body: str
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the post lacks: a loaded post's bags
+        # before their first read. The link (`link_bags`) builds all three
+        # from the post's store row; they are kept, and a bag the post's
+        # line held stays as it is.
+        link = self.__dict__.get("_bag_link") if name in BAG_FIELDS else None
+        if link is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        bags, row = link
+        for field_name, bag in zip(BAG_FIELDS, bags(row)):
+            self.__dict__.setdefault(field_name, bag)
+        del self.__dict__["_bag_link"]
+        return self.__dict__[name]
+
+    def __getstate__(self) -> dict:
+        # A copy or a pickle holds the bags, not the link to the store.
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 @dataclass
@@ -229,14 +259,21 @@ class Thread:
         return sum(a.score for a in self.answers)
 
 
+def _sorted_bag(text: str, stopwords: frozenset[str] | None) -> Counter:
+    """A corpus bag of `text` with its words in sorted order: the order of the
+    document store, so that a post built and a post loaded share one `repr`."""
+    bag = preprocess(text, "corpus", stopwords)
+    return Counter({word: bag[word] for word in sorted(bag)})
+
+
 def process_post(post: RawPost, stopwords: frozenset[str] | None = None) -> ProcessedPost:
     prose, code = separate_code(post.body_html)
     return ProcessedPost(
         id=post.id,
         score=post.score,
-        title_bag=preprocess(post.title, "corpus", stopwords),
-        body_bag=preprocess(prose, "corpus", stopwords),
-        code_bag=preprocess(code, "corpus", stopwords),
+        title_bag=_sorted_bag(post.title, stopwords),
+        body_bag=_sorted_bag(prose, stopwords),
+        code_bag=_sorted_bag(code, stopwords),
         code_text=code,
         original_title=post.title,
         original_body=post.body_html,
@@ -293,34 +330,30 @@ def build_threads(posts: Iterable[RawPost], stopwords: frozenset[str] | None = N
     return threads
 
 
-def _bag_to_json(bag: Counter) -> dict:
-    return {w: bag[w] for w in sorted(bag)}
+# The keys of a post line; an answer's line may also hold its title bag.
+_POST_KEYS = frozenset({"id", "score", "code_text", "original_title", "original_body"})
 
 
-def _post_to_json(post: ProcessedPost) -> dict:
-    return {
-        "id": post.id,
-        "score": post.score,
-        "title_bag": _bag_to_json(post.title_bag),
-        "body_bag": _bag_to_json(post.body_bag),
-        "code_bag": _bag_to_json(post.code_bag),
-        "code_text": post.code_text,
-        "original_title": post.original_title,
-        "original_body": post.original_body,
-    }
+def _post_to_json(post: ProcessedPost, answer: bool) -> dict:
+    obj = {name: getattr(post, name) for name in sorted(_POST_KEYS)}
+    if answer and post.title_bag:
+        obj["title_bag"] = {w: post.title_bag[w] for w in sorted(post.title_bag)}
+    return obj
 
 
-def _post_from_json(obj: dict) -> ProcessedPost:
-    return ProcessedPost(
-        id=obj["id"],
-        score=obj["score"],
-        title_bag=Counter(obj["title_bag"]),
-        body_bag=Counter(obj["body_bag"]),
-        code_bag=Counter(obj["code_bag"]),
-        code_text=obj["code_text"],
-        original_title=obj["original_title"],
-        original_body=obj["original_body"],
-    )
+def _post_from_json(obj: dict, answer: bool) -> ProcessedPost:
+    """The post of a line, without the bags its line lacks (`link_bags`); the
+    decoded object becomes the post's attributes."""
+    title = obj.pop("title_bag", None) if answer else None
+    if obj.keys() != _POST_KEYS:
+        raise ValueError(f"a post holds the keys {sorted(obj)}, not {sorted(_POST_KEYS)}")
+    if title is not None:
+        if not isinstance(title, dict):
+            raise ValueError("an answer's title_bag is not an object")
+        obj["title_bag"] = Counter(title)
+    post = object.__new__(ProcessedPost)
+    post.__dict__ = obj
+    return post
 
 
 def save_threads(threads: list[Thread], path: str | Path) -> None:
@@ -331,8 +364,8 @@ def save_threads(threads: list[Thread], path: str | Path) -> None:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         for thread in sorted(threads, key=lambda t: t.question.id):
             obj = {
-                "question": _post_to_json(thread.question),
-                "answers": [_post_to_json(a) for a in thread.answers],
+                "question": _post_to_json(thread.question, answer=False),
+                "answers": [_post_to_json(a, answer=True) for a in thread.answers],
             }
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n")
 
@@ -349,7 +382,8 @@ def read_json_object(path: str | Path) -> dict:
 
 
 def load_threads(path: str | Path) -> list[Thread]:
-    """The thread store; ValueError, naming `path:lineno`, for a damaged line."""
+    """The thread store, its posts without bags until `link_bags`; ValueError,
+    naming `path:lineno`, for a damaged line."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
@@ -359,16 +393,30 @@ def load_threads(path: str | Path) -> list[Thread]:
         if fmt != THREAD_STORE_FORMAT:
             raise ValueError(f"not a thread store: {path}")
         if version != THREAD_STORE_VERSION:
-            raise ValueError(f"unsupported thread store version {version}")
+            raise ValueError(f"{path}: unsupported thread store version {version!r}; "
+                             f"rerun `crowdrank build-index`")
         threads, lineno = [], 1
         try:
             for lineno, line in enumerate(fh, 2):
                 obj = json.loads(line.decode("utf-8"))
                 threads.append(Thread(
-                    question=_post_from_json(obj["question"]),
-                    answers=[_post_from_json(a) for a in obj["answers"]],
+                    question=_post_from_json(obj["question"], answer=False),
+                    answers=[_post_from_json(a, answer=True) for a in obj["answers"]],
                 ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: not a thread "
                              f"({type(exc).__name__}: {exc})") from None
     return threads
+
+
+def link_bags(threads: list[Thread], question_bags: Callable[[int], tuple[Counter, ...]],
+              answer_bags: Callable[[int], tuple[Counter, ...]]) -> None:
+    """Link each loaded post to its bags: thread i's question reads
+    `question_bags(i)` and the k-th answer of the store `answer_bags(k)` when
+    first read (`documents.StoreBags`, whose rows follow the store's lines)."""
+    answer_row = 0
+    for row, thread in enumerate(threads):
+        thread.question.__dict__["_bag_link"] = (question_bags, row)
+        for answer in thread.answers:
+            answer.__dict__["_bag_link"] = (answer_bags, answer_row)
+            answer_row += 1

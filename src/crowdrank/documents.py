@@ -1,14 +1,20 @@
 """The thread document store: every text part as term-id arrays.
 
-Each text part of a thread (its title and its question body) and of an
-answer (its body and its code) is held in compressed sparse row (CSR) form,
-the layout of an index's postings: row r holds the distinct term ids
-`ids[ptr[r]:ptr[r + 1]]`, ascending, and their counts beside them. Term ids
-index the sorted idf.json words, the same ids as `SearchEngine.vocab`.
-Thread rows follow ascending question id; answer rows follow the threads,
-each thread's answers in its own order. Per answer the store also holds its
-id, its thread's row, the norm of its tf-idf vector and its method-call ids
-(`features.extract_methods`, with repeats) over a sorted method vocabulary.
+Each text part of a thread (its title, its question body and its question
+code) and of an answer (its body and its code) is held in compressed sparse
+row (CSR) form, the layout of an index's postings: row r holds the distinct
+term ids `ids[ptr[r]:ptr[r + 1]]`, ascending, and their counts beside them.
+Term ids index the sorted idf.json words, the same ids as
+`SearchEngine.vocab`. Thread rows follow ascending question id, the lines of
+`threads.jsonl`; answer rows follow the threads, each thread's answers in
+its own order. Per answer the store also holds its id, its thread's row, the
+norm of its tf-idf vector and its method-call ids (`features.extract_methods`,
+with repeats) over a sorted method vocabulary.
+
+The store is the home of every word bag a post has but an answer's title:
+a loaded post builds its bags from its rows when first read (`StoreBags`).
+The question code is stored for that alone; it is in no index, no answer
+length and no term count (THREAD_PARTS leaves it out).
 
 `build_documents` writes the arrays from `Thread`s; `build-index` saves them
 as fixed-dtype `.npy` files (DOCS_ARRAYS), and `load_documents` checks them
@@ -24,6 +30,7 @@ them, not the threads' word bags.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -36,12 +43,16 @@ from .embeddings import IdfMap
 from .features import extract_methods, tfidf_norms
 from .index import InvertedIndex, assemble_index, build_ephemeral_answer_index
 
+# The parts a thread's and an answer's indexed text are made of.
 THREAD_PARTS = ("title", "body")
 ANSWER_PARTS = ("answer_body", "code")
+# Every part with a row per thread, and every stored part.
+THREAD_ROW_PARTS = THREAD_PARTS + ("question_code",)
+STORED_PARTS = THREAD_ROW_PARTS + ANSWER_PARTS
 
 # The saved store, one array per file, by dtype.
 DOCS_ARRAYS = {
-    **{f"{part}_{name}": dtype for part in THREAD_PARTS + ANSWER_PARTS
+    **{f"{part}_{name}": dtype for part in STORED_PARTS
        for name, dtype in (("ptr", np.int64), ("ids", np.int32), ("counts", np.int32))},
     "answer_ids": np.int64,
     "answer_thread": np.int32,   # the row of the answer's thread
@@ -99,7 +110,7 @@ class DocumentStore:
         self.n_threads = len(self.parts["title"].ptr) - 1
         # Thread r's answers are the answer rows answer_ptr[r]:answer_ptr[r + 1].
         self.answer_ptr = np.searchsorted(answer_thread, np.arange(self.n_threads + 1))
-        lengths = {name: part.lengths() for name, part in self.parts.items()}
+        lengths = {name: self.parts[name].lengths() for name in THREAD_PARTS + ANSWER_PARTS}
         # The length of an answer's indexed text: its thread's title and
         # question body, its own body and code.
         self.answer_len = (lengths["title"][answer_thread] + lengths["body"][answer_thread]
@@ -228,6 +239,31 @@ class DocumentStore:
         return self.method_ids[positions], offsets
 
 
+class StoreBags:
+    """A loaded post's word bags, built from its store rows over the sorted
+    vocabulary `words`; `corpus.link_bags` links each post to them."""
+
+    def __init__(self, docs: DocumentStore, words: Sequence[str]):
+        self.words = words
+        self._question = [docs.parts[name] for name in THREAD_ROW_PARTS]
+        self._answer = [docs.parts[name] for name in ANSWER_PARTS]
+
+    def _bag(self, part: TextPart, row: int) -> Counter:
+        lo, hi = part.ptr[row], part.ptr[row + 1]
+        return Counter(dict(zip(map(self.words.__getitem__, part.ids[lo:hi].tolist()),
+                                part.counts[lo:hi].tolist())))
+
+    def question(self, row: int) -> tuple[Counter, ...]:
+        """Thread row `row`'s question bags: title, body and code."""
+        return tuple(self._bag(part, row) for part in self._question)
+
+    def answer(self, row: int) -> tuple[Counter, ...]:
+        """Answer row `row`'s bags: an empty title (an answer's title words
+        are not stored; its line holds them), body and code."""
+        body, code = (self._bag(part, row) for part in self._answer)
+        return Counter(), body, code
+
+
 def _text_part(bags: Sequence[Mapping[str, int]], word_id: Mapping[str, int]) -> TextPart:
     """The bags as one CSR part over the ids of `word_id`."""
     sizes = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
@@ -279,6 +315,7 @@ def build_documents(threads: Iterable[Thread], idf_map: IdfMap) -> DocumentStore
     parts = {
         "title": _text_part([t.question.title_bag for t in threads], word_id),
         "body": _text_part([t.question.body_bag for t in threads], word_id),
+        "question_code": _text_part([t.question.code_bag for t in threads], word_id),
         "answer_body": _text_part([a.body_bag for a in answers], word_id),
         "code": _text_part([a.code_bag for a in answers], word_id),
     }
@@ -375,9 +412,9 @@ def load_documents(directory: str | Path, vocab_size: int) -> DocumentStore:
     n_threads = len(a["title_ptr"]) - 1
     n_answers = len(a["answer_ids"])
     parts = {}
-    for part in THREAD_PARTS + ANSWER_PARTS:
+    for part in STORED_PARTS:
         ptr, ids, counts = (a[f"{part}_{name}"] for name in ("ptr", "ids", "counts"))
-        rows = n_threads if part in THREAD_PARTS else n_answers
+        rows = n_threads if part in THREAD_ROW_PARTS else n_answers
         if len(ptr) != rows + 1 or not len(ptr) or not _is_pointer(ptr, len(ids)):
             raise fault(f"{part}_ptr", f"offsets do not cover the {len(ids)} ids in "
                                        f"{rows} rows")

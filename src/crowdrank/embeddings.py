@@ -214,11 +214,23 @@ def sentence_vectors(words: Sequence[str], idf: np.ndarray, ptr: np.ndarray, ids
 
 
 def sentence_embed(bag: Mapping[str, int], store: EmbeddingStore, idf_map: IdfMap) -> np.ndarray:
-    """Built-in sentence embedder: IDF-weighted mean of word vectors."""
-    words = list(bag)
-    return sentence_vectors(words, np.array([idf_map.idf(w) for w in words], dtype=np.float64),
-                            np.array([0, len(words)]), np.arange(len(words)),
-                            np.array(list(bag.values()), dtype=np.int64), store)[0]
+    """Built-in sentence embedder: IDF-weighted mean of word vectors, the row
+    `sentence_vectors` makes of the one bag, bit for bit.
+
+    The same sum, without the batch: each word's vector, with a last
+    component of 1, times its weight, added in bag order.
+    """
+    dim = store.dim
+    total = np.zeros(dim + 1)
+    row = np.ones(dim + 1)
+    for word, count in bag.items():
+        vec = store.word_vector(word)
+        if vec is not None:  # a word with no vector adds zeros
+            row[:dim] = vec
+            total += (count * idf_map.idf(word)) * row
+    out = np.zeros(dim)
+    np.divide(total[:dim], total[dim:], out=out, where=total[dim:] != 0.0)
+    return out
 
 
 class WordMatrix:

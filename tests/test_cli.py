@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import synth
+from crowdrank.artifacts import thread_content_tokens
 from crowdrank.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
+from crowdrank.corpus import build_threads, load_dump
 from crowdrank.documents import DOCS_ARRAYS, docs_file
 from crowdrank.features import WeightConfig
 
@@ -302,6 +305,15 @@ def _thread_store_line(lineno, data):
     return damage
 
 
+def _edit_thread_header(**fields):
+    def damage(index_dir):
+        path = index_dir / "threads.jsonl"
+        header, rest = path.read_bytes().split(b"\n", 1)
+        header = json.dumps(dict(json.loads(header), **fields)).encode()
+        path.write_bytes(header + b"\n" + rest)
+    return damage
+
+
 def _without(key):
     def edit(payload):
         del payload[key]
@@ -376,6 +388,12 @@ BAD_INDEX_DIRS = {
                                   "docs.title_ptr.npy: 30 threads, but threads.jsonl holds 29"),
     "docs-answers-differ": (_save_array("answer_ids", _set(0, 7)),
                             "docs.answer_ids.npy: the answers differ from those of threads.jsonl"),
+    "threads-version-1": (_edit_thread_header(version=1),
+                          "threads.jsonl: unsupported thread store version 1; rerun "
+                          "`crowdrank build-index`"),
+    "docs-question-code-missing": (lambda d: docs_file(d, "question_code_ids").unlink(),
+                                   "docs.question_code_ids.npy: missing; rerun "
+                                   "`crowdrank build-index`"),
 }
 
 
@@ -572,6 +590,24 @@ class TestMergeAntonyms:
 
 
 class TestExportText:
+    # The planted workspace's titles.txt and contents.txt as exports wrote
+    # them when threads.jsonl still held the bags (thread store version 1).
+    PLANTED_SHA256 = {
+        "titles.txt": "d64f532edc1d17981bdfdb432562f8f90a284dc7edddf5ea4a29147adc416c6c",
+        "contents.txt": "d5dc2444fcb670731045a3f47cdfe08ef4cbbc80d895332a41ac1e531eefab79",
+    }
+
+    def test_the_planted_text_is_unchanged(self, workspace, tmp_path):
+        out = tmp_path / "text"
+        assert main(["export-text", str(workspace["index"]), str(out)]) == EXIT_OK
+        built = build_threads(load_dump(workspace["corpus"]))
+        want = {"titles.txt": [" ".join(sorted(t.question.title_bag.elements())) for t in built],
+                "contents.txt": [" ".join(thread_content_tokens(t)) for t in built]}
+        for name, lines in want.items():
+            data = (out / name).read_bytes()
+            assert data == "".join(line + "\n" for line in lines).encode()
+            assert hashlib.sha256(data).hexdigest() == self.PLANTED_SHA256[name]
+
     def test_writes_each_threads_preprocessed_text(self, tmp_path, capsys):
         corpus = tmp_path / "dump.jsonl"
         # Thread 3 sorts first by id; "qonlyword" is only in thread 5's

@@ -1,12 +1,16 @@
+import copy
 import json
+import pickle
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from crowdrank.corpus import (BuildStats, LoadStats, RawPost, TagFilter,
-                              build_threads, load_dump, load_threads,
+from crowdrank.artifacts import build_artifacts, build_idf, load_corpus, load_idf
+from crowdrank.corpus import (BAG_FIELDS, BuildStats, LoadStats, RawPost, TagFilter,
+                              build_threads, link_bags, load_dump, load_threads,
                               preprocess, save_threads, separate_code)
+from crowdrank.documents import StoreBags, build_documents
 
 
 def make_posts(objs, path):
@@ -174,7 +178,91 @@ class TestBuildThreads:
                 assert ans.code_bag
 
 
+def store_round_trip(posts, directory):
+    """The threads built from a dump of `posts`, and the threads loaded from
+    the index directory that build-index makes of the dump."""
+    dump = make_posts(posts, directory / "dump.jsonl")
+    build_artifacts(dump, directory / "index")
+    loaded, _, _ = load_corpus(directory / "index")
+    return build_threads(load_dump(dump)), loaded
+
+
+# Tokens that survive preprocessing, and tokens that do not: stopwords,
+# numbers and one-letter words.
+KEPT_WORDS = ["alpha", "Beta", "gamma", "x2", "delta_epsilon"]
+DROPPED_WORDS = ["the", "and", "is", "42", "x"]
+TEXT_ST = st.lists(st.sampled_from(KEPT_WORDS + DROPPED_WORDS), max_size=6).map(" ".join)
+# An answer: prose, code, an optional title (dump answers may carry one) and
+# a score.
+ANSWER_ST = st.tuples(TEXT_ST, TEXT_ST, st.one_of(st.none(), TEXT_ST), st.integers(0, 3))
+# A thread: title, question prose, question code (maybe none), score, answers.
+THREAD_ST = st.tuples(TEXT_ST, TEXT_ST, TEXT_ST, st.integers(0, 3),
+                      st.lists(ANSWER_ST, max_size=3))
+
+
+def dump_posts(corpus):
+    posts = []
+    for i, (title, prose, code, score, answers) in enumerate(corpus):
+        qid = 10 * (i + 1)
+        body = f"{prose} <code>{code}</code>" if code else prose
+        posts.append({"id": qid, "post_kind": "question", "title": title, "body_html": body,
+                      "score": score, "tags": ["java"]})
+        for j, (answer_prose, answer_code, answer_title, answer_score) in enumerate(answers):
+            post = {"id": qid + 1 + j, "post_kind": "answer", "parent_id": qid,
+                    "body_html": f"{answer_prose} <pre>{answer_code}</pre>",
+                    "score": answer_score}
+            if answer_title is not None:
+                post["title"] = answer_title
+            posts.append(post)
+    return posts
+
+
 class TestThreadStore:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(THREAD_ST, max_size=5))
+    # A thread whose question has no bag left after stopwords, and whose
+    # answer keeps only its code.
+    @example([("the and", "is 42", "x", 1, [("the", "alpha", None, 1)])])
+    # An answer titled with words no other post holds.
+    @example([("alpha", "", "", 2, [("beta", "gamma", "zeta Omega the", 1)])])
+    def test_loaded_threads_equal_built_ones(self, tmp_path_factory, corpus):
+        built, loaded = store_round_trip(dump_posts(corpus), tmp_path_factory.mktemp("store"))
+        assert loaded == built
+        assert repr(loaded) == repr(built)
+
+    def test_an_answer_title_round_trips_outside_the_store(self, tmp_path):
+        posts = dump_posts([("alpha", "", "", 2, [("beta", "gamma", "zeta Omega the", 1)])])
+        built, loaded = store_round_trip(posts, tmp_path)
+        assert loaded[0].answers[0].title_bag == Counter({"omega": 1, "zeta": 1})
+        assert loaded == built
+        assert "zeta" not in load_idf(tmp_path / "index" / "idf.json").df
+        # The answer's line holds its title bag; no other line holds a bag.
+        lines = (tmp_path / "index" / "threads.jsonl").read_text("utf-8").splitlines()
+        thread = json.loads(lines[1])
+        assert thread["answers"][0]["title_bag"] == {"omega": 1, "zeta": 1}
+        assert set(thread["question"]) == {"id", "score", "code_text", "original_title",
+                                           "original_body"}
+
+    def test_bags_are_built_when_first_read_and_kept(self, tmp_path):
+        posts = dump_posts([("alpha gamma", "beta", "delta_epsilon", 2,
+                             [("gamma", "alpha x2", None, 1)])])
+        built, loaded = store_round_trip(posts, tmp_path)
+        question = loaded[0].question
+        assert not BAG_FIELDS & vars(question).keys()
+        body = question.body_bag
+        assert vars(question).keys() >= set(BAG_FIELDS) and "_bag_link" not in vars(question)
+        assert question.body_bag is body
+        assert question.code_bag == Counter({"delta": 1, "epsilon": 1})
+        assert not BAG_FIELDS & vars(loaded[0].answers[0]).keys()
+
+    def test_copies_and_pickles_hold_the_bags(self, tmp_path):
+        posts = dump_posts([("alpha", "beta", "", 2, [("gamma", "x2", None, 1)])])
+        built, loaded = store_round_trip(posts, tmp_path)
+        for thread in (copy.deepcopy(loaded[0]), pickle.loads(pickle.dumps(loaded[0]))):
+            assert thread == built[0]
+            assert "_bag_link" not in vars(thread.question)
+            assert "_bag_link" not in vars(thread.answers[0])
+
     def test_round_trip_and_determinism(self, tmp_path):
         posts = [
             RawPost(id=1, post_kind="question", score=5, body_html="hello <code>alpha()</code>",
@@ -189,9 +277,45 @@ class TestThreadStore:
         assert p1.read_bytes() == p2.read_bytes()
         loaded = load_threads(p1)
         assert len(loaded) == 1
-        assert loaded[0].question.title_bag == threads[0].question.title_bag
         assert loaded[0].answers[0].code_text == threads[0].answers[0].code_text
+        # The bags are not in the file: they come from the document store.
+        with pytest.raises(AttributeError):
+            loaded[0].question.title_bag
+        idf = build_idf(threads)
+        bags = StoreBags(build_documents(threads, idf), sorted(idf.df))
+        link_bags(loaded, bags.question, bags.answer)
+        assert loaded[0].question.title_bag == threads[0].question.title_bag
+        assert loaded == threads
 
+    def test_built_bags_hold_their_words_sorted(self):
+        posts = [RawPost(id=1, post_kind="question", score=1, title="zeta alpha zeta beta",
+                         body_html=""),
+                 RawPost(id=2, post_kind="answer", score=1, parent_id=1,
+                         body_html="<code>fetch()</code>")]
+        assert list(build_threads(posts)[0].question.title_bag) == ["alpha", "beta", "zeta"]
+
+    @pytest.mark.parametrize("version", [1, 3, "2"])
+    def test_other_versions_name_the_file_and_the_fix(self, tmp_path, version):
+        path = tmp_path / "threads.jsonl"
+        path.write_text(json.dumps({"format": "crowdrank-threads", "version": version}) + "\n")
+        with pytest.raises(ValueError, match="rerun `crowdrank build-index`") as info:
+            load_threads(path)
+        assert str(info.value).startswith(f"{path}: unsupported thread store version")
+
+    @pytest.mark.parametrize("post", [
+        {"id": 1, "score": 1, "code_text": "", "original_title": ""},
+        {"id": 1, "score": 1, "code_text": "", "original_title": "", "original_body": "",
+         "body_bag": {}},
+        {"id": 1, "score": 1, "code_text": "", "original_title": "", "original_body": "",
+         "title_bag": {"a": 1}},
+        [1],
+    ])
+    def test_a_damaged_post_names_its_line(self, tmp_path, post):
+        path = tmp_path / "threads.jsonl"
+        path.write_text(json.dumps({"format": "crowdrank-threads", "version": 2}) + "\n"
+                        + json.dumps({"question": post, "answers": []}) + "\n")
+        with pytest.raises(ValueError, match=f"{path}:2: not a thread"):
+            load_threads(path)
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"format": "other", "version": 1}\n')

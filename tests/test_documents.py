@@ -10,14 +10,16 @@ from hypothesis import given, settings, strategies as st
 import synth
 from crowdrank.antonyms import default_dictionary
 from crowdrank.artifacts import build_artifacts, build_idf, load_engine
-from crowdrank.corpus import ProcessedPost, RawPost, Thread, build_threads, preprocess
+from crowdrank.corpus import (BAG_FIELDS, ProcessedPost, RawPost, Thread, build_threads,
+                              load_dump, preprocess)
 from crowdrank.documents import DocumentStore, build_documents, load_documents, save_documents
 from crowdrank.embeddings import (EmbeddingStore, cosine, fallback_embed, save_vectors,
                                   sentence_embed)
+from crowdrank.evaluation import GroundTruth, run_ablation_grid
 from crowdrank.features import (WeightConfig, extract_methods, tfidf_score, top_method_scores,
                                 top_method_score)
 from crowdrank.index import build_index
-from crowdrank.pipeline import SearchEngine
+from crowdrank.pipeline import BASELINE_NAMES, SearchEngine
 
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf"]
 METHODS = ["fetch", "store", "parse", "Zap"]
@@ -216,6 +218,32 @@ def test_store_round_trip(planted_index, tmp_path):
                       "answer_len"):
             assert np.array_equal(getattr(docs, field), getattr(built, field))
         assert docs.method_names == built.method_names
+
+
+@pytest.mark.parametrize("make", [synth.planted_corpus, synth.social_corpus,
+                                  synth.antonym_filter_corpus])
+def test_loaded_threads_equal_built_ones(tmp_path, make):
+    synth.write_jsonl(tmp_path / "dump.jsonl", make()[0])
+    build_artifacts(tmp_path / "dump.jsonl", tmp_path / "index")
+    loaded = list(load_engine(tmp_path / "index").threads.values())
+    built = build_threads(load_dump(tmp_path / "dump.jsonl"))
+    assert loaded == built
+    assert repr(loaded) == repr(built)
+
+
+def test_the_preset_grid_builds_no_bag(planted_index):
+    # A search reads the store, never a post's bags; a loaded post builds
+    # them only when something reads them.
+    index_dir, queries = planted_index
+    engine = load_engine(index_dir)
+    truth = GroundTruth()
+    for query_id, text in queries.items():
+        truth.add(query_id, text, [1])
+    assert len(BASELINE_NAMES) == 37
+    run_ablation_grid(engine, BASELINE_NAMES, truth)
+    posts = [p for t in engine.threads.values() for p in (t.question, *t.answers)]
+    assert len(posts) == 80
+    assert all(not BAG_FIELDS & vars(p).keys() and "_bag_link" in vars(p) for p in posts)
 
 
 class TestTitleVectors:

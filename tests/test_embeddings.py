@@ -197,6 +197,33 @@ class TestSentenceEmbed:
         assert np.array_equal(sentence_embed({"x": 1}, store, IdfMap({}, 10)),
                               np.zeros(2))
 
+    # A bag in its own order, with counts; w0 has df 100 of 100 docs, so
+    # idf 0 and no weight. The store holds vectors for some words only.
+    COUNTED_BAG_ST = st.dictionaries(WORD_ST, st.integers(1, 5), max_size=8).flatmap(
+        lambda bag: st.permutations(sorted(bag.items())).map(dict))
+
+    @settings(max_examples=200, deadline=None)
+    @given(COUNTED_BAG_ST, st.sets(WORD_ST), st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_the_batch_of_one_bag(self, bag, with_vector, seed):
+        rng = np.random.default_rng(seed)
+        store = EmbeddingStore(dim=6, fallback=False)
+        store.word_vecs = {w: rng.standard_normal(6) * 10.0 ** rng.integers(-3, 4)
+                           for w in sorted(with_vector)}
+        idf = IdfMap({f"w{i}": 100 if i == 0 else i + 1 for i in range(12)}, 100)
+        words = list(bag)
+        want = embeddings.sentence_vectors(
+            words, np.array([idf.idf(w) for w in words]), np.array([0, len(words)]),
+            np.arange(len(words)), np.array(list(bag.values()), dtype=np.int64), store)[0]
+        got = sentence_embed(bag, store, idf)
+        assert [float.hex(x) for x in got.tolist()] == [float.hex(x) for x in want.tolist()]
+
+    def test_zero_weight_and_vectorless_bags_are_zero(self):
+        store = EmbeddingStore(dim=3, fallback=False)
+        store.word_vecs = {"w0": np.array([1.0, 2.0, 3.0])}
+        idf = IdfMap({"w0": 10}, 10)  # idf 0
+        for bag in ({}, {"w0": 2}, {"w5": 1}, {"w0": 1, "w5": 3}):
+            assert sentence_embed(bag, store, idf).tolist() == [0.0, 0.0, 0.0]
+
 
 class TestAsym:
     def test_derived_example(self):
