@@ -2,25 +2,24 @@
 
 ``build_artifacts`` turns a JSONL dump into an index directory:
 
-    threads.jsonl       versioned thread store (version 2): each post's id,
-                        score, code and display text, without its word bags
     docs.*.npy          thread document store (`documents.DOCS_ARRAYS`): each
                         thread's title, question body and question code and
                         each answer's body and code as term ids (over the
-                        sorted idf.json words) and counts in CSR form, and per
+                        sorted idf.json words) and counts in CSR form; per
                         answer its id, its thread's row, its tf-idf norm and
-                        its method calls
+                        its method calls; and the posts: question ids, scores,
+                        display text as UTF-8 bytes with offsets, and the
+                        answers' title bags over their own words
     idf.json            document frequencies + doc count (IDF derives from these)
     meta.json           format version, embedding config, corpus stats
 
-``load_engine`` validates the version tags and assembles a SearchEngine,
-which makes the thread BM25 index from the document store; a damaged
-meta.json, idf.json, threads.jsonl or document store file is a ValueError
-that names it. A directory built before the current store fails on its first
-missing array, or on its thread store version. The loaded posts read their
-word bags from the document store when first read (`load_corpus`); a search
-never reads them. ``export_text`` writes the preprocessed text of an index
-directory for training an external embedder:
+``load_engine`` validates the version tags and assembles a SearchEngine from
+fixed-dtype arrays alone: the thread BM25 index is made from the document
+store, and the engine's threads are built from it when read
+(`documents.ThreadMap`). A damaged meta.json, idf.json or document store
+file is a ValueError that names it; a directory built before the current
+store fails on its first missing array. ``export_text`` writes the
+preprocessed text of an index directory for training an external embedder:
 
     titles.txt          preprocessed question titles, one per line
     contents.txt        one preprocessed thread per line (title+body+code of Q&A)
@@ -33,11 +32,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .antonyms import AntonymDictionary, default_dictionary, merge_lists
-from .corpus import (BuildStats, LoadStats, TagFilter, Thread, build_threads,
-                     link_bags, load_dump, load_threads, read_json_object, save_threads,
-                     PREPROCESS_VERSION)
-from .documents import (DocumentStore, StoreBags, build_documents, docs_file, load_documents,
-                        save_documents)
+from .corpus import (BuildStats, LoadStats, TagFilter, Thread, build_threads, load_dump,
+                     read_json_object, PREPROCESS_VERSION)
+from .documents import DocumentStore, ThreadMap, build_documents, load_documents, save_documents
 from .embeddings import (DEFAULT_DIM, DEFAULT_SEED, EmbeddingConfig, EmbeddingStore,
                          IdfMap, load_sentence_vectors, load_word_vectors)
 from .pipeline import SearchEngine
@@ -90,14 +87,16 @@ def build_artifacts(corpus_path: str | Path, out_dir: str | Path,
     embedding_config = embedding_config or EmbeddingConfig()
 
     load_stats = LoadStats()
-    posts = load_dump(corpus_path, tag_filter, load_stats)
     build_stats = BuildStats()
-    threads = build_threads(posts, stopwords, build_stats)
+    # The raw posts are not kept past the threads made of them.
+    threads = build_threads(load_dump(corpus_path, tag_filter, load_stats), stopwords,
+                            build_stats)
 
-    save_threads(threads, out / "threads.jsonl")
-    # Earlier versions wrote the thread index beside the store; a rebuild in
-    # place removes those files, which nothing reads.
-    for stale in [out / "index.json", out / "index.header.json", *out.glob("index.*.npy")]:
+    # Earlier versions wrote a thread store and the thread index beside the
+    # document store; a rebuild in place removes those files, which nothing
+    # reads.
+    for stale in [out / "threads.jsonl", out / "index.json", out / "index.header.json",
+                  *out.glob("index.*.npy")]:
         stale.unlink(missing_ok=True)
 
     idf = build_idf(threads) if threads else IdfMap({}, 1)
@@ -126,7 +125,8 @@ def export_text(index_dir: str | Path, out_dir: str | Path) -> int:
     """Write titles.txt and contents.txt of an index directory's threads into
     `out_dir`, by ascending question id; returns the thread count. The bags
     are read from the document store."""
-    ordered, _, _ = load_corpus(index_dir)
+    idf, docs = load_corpus(index_dir)
+    ordered = list(ThreadMap(docs, sorted(idf.df)).values())
     titles = [" ".join(_bag_tokens(t.question.title_bag)) for t in ordered]
     contents = [" ".join(thread_content_tokens(t)) for t in ordered]
     out = Path(out_dir)
@@ -153,24 +153,12 @@ def load_idf(path: str | Path) -> IdfMap:
     return IdfMap(df, doc_count)
 
 
-def load_corpus(index_dir: str | Path) -> tuple[list[Thread], IdfMap, DocumentStore]:
-    """An index directory's threads (by ascending question id), idf.json and
-    document store, checked against each other; ValueError names the file at
-    fault. The threads' posts build their bags from the store when first read."""
+def load_corpus(index_dir: str | Path) -> tuple[IdfMap, DocumentStore]:
+    """An index directory's idf.json and document store, which holds its
+    threads; ValueError names the file at fault."""
     root = Path(index_dir)
-    threads = load_threads(root / "threads.jsonl")
     idf = load_idf(root / "idf.json")
-    docs = load_documents(root, len(idf.df))
-    if docs.n_threads != len(threads):
-        raise ValueError(f"{docs_file(root, 'title_ptr')}: {docs.n_threads} threads, but "
-                         f"threads.jsonl holds {len(threads)}; rerun `crowdrank build-index`")
-    answer_ids = [a.id for t in threads for a in t.answers]
-    if docs.answer_ids.tolist() != answer_ids:
-        raise ValueError(f"{docs_file(root, 'answer_ids')}: the answers differ from those of "
-                         f"threads.jsonl; rerun `crowdrank build-index`")
-    bags = StoreBags(docs, sorted(idf.df))
-    link_bags(threads, bags.question, bags.answer)
-    return threads, idf, docs
+    return idf, load_documents(root, len(idf.df))
 
 
 def load_engine(index_dir: str | Path,
@@ -192,7 +180,7 @@ def load_engine(index_dir: str | Path,
     if not _is_count(dim):
         raise ValueError(f"{meta_path}: embedding dim must be a positive integer, got {dim!r}")
 
-    threads, idf, docs = load_corpus(root)
+    idf, docs = load_corpus(root)
 
     if word_vectors is not None:
         store = load_word_vectors(word_vectors, fallback=False, seed=seed)
@@ -206,4 +194,4 @@ def load_engine(index_dir: str | Path,
     else:
         antonym_dict = default_dictionary()
 
-    return SearchEngine(threads, store, idf, antonym_dict, stopwords=stopwords, docs=docs)
+    return SearchEngine((), store, idf, antonym_dict, stopwords=stopwords, docs=docs)

@@ -5,13 +5,11 @@ Questions pass a tag filter (default: java but not javascript); answers are
 kept when their parent question passed. Threads keep only questions with a
 positive score that retain at least one positive-score answer with code.
 
-The thread store (`threads.jsonl`, version 2) holds a post's id, score, code
-and display text, but not its word bags: those live in the document store
-(`documents.py`), whose rows follow the store's lines. A loaded post reads
-its bags from there the first time anything asks for them
-(`ProcessedPost.__getattr__`); a search never does. An answer's title bag is
-the one bag the document store does not hold, so its line keeps it when it
-is not empty (dump answers seldom carry a title).
+An index directory keeps no thread objects: the document store
+(`documents.py`) holds every post's id, score, display text and word bags as
+arrays, and `documents.ThreadMap` builds a `Thread` from them whenever one is
+read. Such a post builds its bags from the store the first time anything
+asks for them (`ProcessedPost.linked`); a search never does.
 """
 
 from __future__ import annotations
@@ -20,14 +18,14 @@ import html
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Mapping
 
-THREAD_STORE_FORMAT = "crowdrank-threads"
-THREAD_STORE_VERSION = 2
 PREPROCESS_VERSION = 1
+# The range of a post id or score: the document store holds them as int64.
+_INT64 = range(-2**63, 2**63)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _TAG_RE = re.compile(r"<[^>]*>")
@@ -105,6 +103,9 @@ class RawPost:
         )
         if post.id <= 0:
             raise ValueError("id must be positive")
+        if post.id not in _INT64 or post.score not in _INT64 or (
+                post.parent_id is not None and post.parent_id not in _INT64):
+            raise ValueError("an id or a score is beyond 64 bits")
         if kind == "answer" and post.parent_id is None:
             raise ValueError("answer without parent_id")
         return post
@@ -123,8 +124,9 @@ def load_dump(path: str | Path, tag_filter: TagFilter | None = None,
               stats: LoadStats | None = None) -> list[RawPost]:
     """Load a JSONL dump, keeping tag-passing questions and their answers.
 
-    Malformed lines and posts missing required fields are skipped and counted
-    in ``stats.warnings``. An unreadable file raises OSError.
+    Malformed lines, posts missing required fields and posts whose id or
+    score does not fit 64 bits are skipped and counted in ``stats.warnings``.
+    An unreadable file raises OSError.
     """
     tag_filter = tag_filter or TagFilter()
     stats = stats if stats is not None else LoadStats()
@@ -222,17 +224,24 @@ class ProcessedPost:
     original_title: str
     original_body: str
 
+    @classmethod
+    def linked(cls, post_id: int, score: int, text: Mapping[str, str],
+               bags: Callable[[int], tuple[Counter, ...]], row: int) -> "ProcessedPost":
+        """A post of the given id, score and display text (code_text,
+        original_title, original_body) whose three bags `bags(row)` builds
+        when one is first read."""
+        post = object.__new__(cls)
+        post.__dict__.update(id=post_id, score=score, **text, _bag_link=(bags, row))
+        return post
+
     def __getattr__(self, name: str):
-        # Reached only for an attribute the post lacks: a loaded post's bags
-        # before their first read. The link (`link_bags`) builds all three
-        # from the post's store row; they are kept, and a bag the post's
-        # line held stays as it is.
+        # Reached only for an attribute the post lacks: a linked post's bags
+        # before their first read. The link builds all three; they are kept.
         link = self.__dict__.get("_bag_link") if name in BAG_FIELDS else None
         if link is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         bags, row = link
-        for field_name, bag in zip(BAG_FIELDS, bags(row)):
-            self.__dict__.setdefault(field_name, bag)
+        self.__dict__.update(zip(BAG_FIELDS, bags(row)))
         del self.__dict__["_bag_link"]
         return self.__dict__[name]
 
@@ -330,46 +339,6 @@ def build_threads(posts: Iterable[RawPost], stopwords: frozenset[str] | None = N
     return threads
 
 
-# The keys of a post line; an answer's line may also hold its title bag.
-_POST_KEYS = frozenset({"id", "score", "code_text", "original_title", "original_body"})
-
-
-def _post_to_json(post: ProcessedPost, answer: bool) -> dict:
-    obj = {name: getattr(post, name) for name in sorted(_POST_KEYS)}
-    if answer and post.title_bag:
-        obj["title_bag"] = {w: post.title_bag[w] for w in sorted(post.title_bag)}
-    return obj
-
-
-def _post_from_json(obj: dict, answer: bool) -> ProcessedPost:
-    """The post of a line, without the bags its line lacks (`link_bags`); the
-    decoded object becomes the post's attributes."""
-    title = obj.pop("title_bag", None) if answer else None
-    if obj.keys() != _POST_KEYS:
-        raise ValueError(f"a post holds the keys {sorted(obj)}, not {sorted(_POST_KEYS)}")
-    if title is not None:
-        if not isinstance(title, dict):
-            raise ValueError("an answer's title_bag is not an object")
-        obj["title_bag"] = Counter(title)
-    post = object.__new__(ProcessedPost)
-    post.__dict__ = obj
-    return post
-
-
-def save_threads(threads: list[Thread], path: str | Path) -> None:
-    """Write the thread store as versioned JSONL (header line + one thread per line)."""
-    header = {"format": THREAD_STORE_FORMAT, "version": THREAD_STORE_VERSION,
-              "preprocess_version": PREPROCESS_VERSION}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for thread in sorted(threads, key=lambda t: t.question.id):
-            obj = {
-                "question": _post_to_json(thread.question, answer=False),
-                "answers": [_post_to_json(a, answer=True) for a in thread.answers],
-            }
-            fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n")
-
-
 def read_json_object(path: str | Path) -> dict:
     """One JSON object from a file; ValueError, naming the file, for other content."""
     try:
@@ -379,44 +348,3 @@ def read_json_object(path: str | Path) -> dict:
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: not a JSON object")
     return payload
-
-
-def load_threads(path: str | Path) -> list[Thread]:
-    """The thread store, its posts without bags until `link_bags`; ValueError,
-    naming `path:lineno`, for a damaged line."""
-    with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-            fmt, version = header.get("format"), header.get("version")
-        except (AttributeError, ValueError) as exc:
-            raise ValueError(f"{path}:1: not a thread store header ({exc})") from None
-        if fmt != THREAD_STORE_FORMAT:
-            raise ValueError(f"not a thread store: {path}")
-        if version != THREAD_STORE_VERSION:
-            raise ValueError(f"{path}: unsupported thread store version {version!r}; "
-                             f"rerun `crowdrank build-index`")
-        threads, lineno = [], 1
-        try:
-            for lineno, line in enumerate(fh, 2):
-                obj = json.loads(line.decode("utf-8"))
-                threads.append(Thread(
-                    question=_post_from_json(obj["question"], answer=False),
-                    answers=[_post_from_json(a, answer=True) for a in obj["answers"]],
-                ))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: not a thread "
-                             f"({type(exc).__name__}: {exc})") from None
-    return threads
-
-
-def link_bags(threads: list[Thread], question_bags: Callable[[int], tuple[Counter, ...]],
-              answer_bags: Callable[[int], tuple[Counter, ...]]) -> None:
-    """Link each loaded post to its bags: thread i's question reads
-    `question_bags(i)` and the k-th answer of the store `answer_bags(k)` when
-    first read (`documents.StoreBags`, whose rows follow the store's lines)."""
-    answer_row = 0
-    for row, thread in enumerate(threads):
-        thread.question.__dict__["_bag_link"] = (question_bags, row)
-        for answer in thread.answers:
-            answer.__dict__["_bag_link"] = (answer_bags, answer_row)
-            answer_row += 1

@@ -1,31 +1,38 @@
-"""The thread document store: every text part as term-id arrays.
+"""The thread document store: every text part as term-id arrays, and every
+post's id, score and display text.
 
 Each text part of a thread (its title, its question body and its question
 code) and of an answer (its body and its code) is held in compressed sparse
 row (CSR) form, the layout of an index's postings: row r holds the distinct
 term ids `ids[ptr[r]:ptr[r + 1]]`, ascending, and their counts beside them.
 Term ids index the sorted idf.json words, the same ids as
-`SearchEngine.vocab`. Thread rows follow ascending question id, the lines of
-`threads.jsonl`; answer rows follow the threads, each thread's answers in
-its own order. Per answer the store also holds its id, its thread's row, the
-norm of its tf-idf vector and its method-call ids (`features.extract_methods`,
-with repeats) over a sorted method vocabulary.
+`SearchEngine.vocab`. Thread rows follow ascending question id; answer rows
+follow the threads, each thread's answers in its own order. Per answer the
+store also holds its id, its thread's row, the norm of its tf-idf vector and
+its method-call ids (`features.extract_methods`, with repeats) over a sorted
+method vocabulary.
 
-The store is the home of every word bag a post has but an answer's title:
-a loaded post builds its bags from its rows when first read (`StoreBags`).
-The question code is stored for that alone; it is in no index, no answer
-length and no term count (THREAD_PARTS leaves it out).
+The store is also the only home of the threads themselves (`Posts`): the
+question ids and both kinds of post's scores as arrays, each post's display
+text (`POST_TEXT`) as UTF-8 bytes with offsets, and the answers' title bags,
+a part over their own sorted words (answer titles are not in idf.json, and
+the stopwords a build used are not recorded, so they cannot be
+re-preprocessed). `ThreadMap` builds a `Thread` from these whenever one is
+read, and its posts' word bags from their rows when first read; the
+question code is stored for that alone: it is in no index, no answer length
+and no term count (THREAD_PARTS leaves it out).
 
 `build_documents` writes the arrays from `Thread`s; `build-index` saves them
 as fixed-dtype `.npy` files (DOCS_ARRAYS), and `load_documents` checks them
-and names the file at fault. The store is the only text index on disk: the
-thread BM25 index is its transpose, made at load (`thread_index`). Each
-thread's asym_body target (its question body united with its answers'
-bodies, `body_union`) is made in memory whenever a store is, as it depends
-on the corpus only; it is not saved. A search carries its candidates as
-rows of these arrays and gathers from them: the asym segments, the answer
-index's term counts, tf-idf, top-method and the antonym filters all read
-them, not the threads' word bags.
+with array-wide tests and names the file at fault. The store is the only
+text index on disk: the thread BM25 index is its transpose, made at load
+(`thread_index`). Each thread's asym_body target (its question body united
+with its answers' bodies, `body_union`) is made in memory whenever a store
+is, as it depends on the corpus only; it is not saved. A search carries its
+candidates as rows of these arrays and gathers from them: the asym segments,
+the answer index's term counts, tf-idf, top-method and the antonym filters
+all read them, not the threads' word bags, and it decodes the text of the
+answers it returns only.
 """
 
 from __future__ import annotations
@@ -33,12 +40,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Thread
+from .corpus import ProcessedPost, Thread
 from .embeddings import IdfMap
 from .features import extract_methods, tfidf_norms
 from .index import InvertedIndex, assemble_index, build_ephemeral_answer_index
@@ -50,10 +58,11 @@ ANSWER_PARTS = ("answer_body", "code")
 THREAD_ROW_PARTS = THREAD_PARTS + ("question_code",)
 STORED_PARTS = THREAD_ROW_PARTS + ANSWER_PARTS
 
+# The arrays of a saved part, by dtype.
+_PART_ARRAYS = (("ptr", np.int64), ("ids", np.int32), ("counts", np.int32))
 # The saved store, one array per file, by dtype.
 DOCS_ARRAYS = {
-    **{f"{part}_{name}": dtype for part in STORED_PARTS
-       for name, dtype in (("ptr", np.int64), ("ids", np.int32), ("counts", np.int32))},
+    **{f"{part}_{name}": dtype for part in STORED_PARTS for name, dtype in _PART_ARRAYS},
     "answer_ids": np.int64,
     "answer_thread": np.int32,   # the row of the answer's thread
     "tfidf_norm": np.float64,
@@ -61,7 +70,20 @@ DOCS_ARRAYS = {
     "method_ids": np.int32,
     "method_names": np.uint8,    # the sorted method names' UTF-8 bytes, back to back
     "method_name_ptr": np.int64,
+    # The posts (`Posts`).
+    "question_ids": np.int64,    # ascending: thread row r is question question_ids[r]
+    "question_score": np.int64,
+    "answer_score": np.int64,
+    "question_text": np.uint8,   # each question's POST_TEXT strings' UTF-8 bytes, back to back
+    "question_text_ptr": np.int64,
+    "answer_text": np.uint8,
+    "answer_text_ptr": np.int64,
+    **{f"answer_title_{name}": dtype for name, dtype in _PART_ARRAYS},  # over the words below
+    "answer_title_words": np.uint8,  # the sorted answer title words' UTF-8 bytes
+    "answer_title_word_ptr": np.int64,
 }
+# A post's display text, three strings per post in this order.
+POST_TEXT = ("original_title", "original_body", "code_text")
 
 
 def docs_file(directory: str | Path, name: str) -> Path:
@@ -93,12 +115,41 @@ class TextPart:
         return sums[self.ptr[1:]] - sums[self.ptr[:-1]]
 
 
+@dataclass
+class PostText:
+    """Each post's POST_TEXT strings as UTF-8 bytes back to back: string i is
+    `data[ptr[i]:ptr[i + 1]]`, and post r's strings are 3r, 3r + 1 and 3r + 2."""
+    data: np.ndarray
+    ptr: np.ndarray
+
+    def get(self, row: int, name: str) -> str:
+        """The POST_TEXT string `name` of post `row`, decoded."""
+        i = 3 * row + POST_TEXT.index(name)
+        lo, hi = self.ptr[i:i + 2].tolist()
+        return self.data[lo:hi].tobytes().decode("utf-8")
+
+
+@dataclass
+class Posts:
+    """The threads' posts beyond their word ids: the question ids (thread
+    rows), the scores, the display text and the answers' title bags."""
+    question_ids: np.ndarray
+    question_score: np.ndarray
+    answer_score: np.ndarray
+    question_text: PostText
+    answer_text: PostText
+    answer_title: TextPart       # term ids over answer_title_words
+    answer_title_words: list[str]
+
+
 class DocumentStore:
-    """The text parts, answers and method calls of every thread (module docstring)."""
+    """The text parts, answers, method calls and posts of every thread
+    (module docstring)."""
 
     def __init__(self, parts: Mapping[str, TextPart], answer_ids: np.ndarray,
                  answer_thread: np.ndarray, tfidf_norm: np.ndarray, method_ptr: np.ndarray,
-                 method_ids: np.ndarray, method_names: list[str], vocab_size: int):
+                 method_ids: np.ndarray, method_names: list[str], vocab_size: int,
+                 posts: Posts):
         self.parts = dict(parts)
         self.answer_ids = answer_ids
         self.answer_thread = answer_thread
@@ -107,6 +158,7 @@ class DocumentStore:
         self.method_ids = method_ids
         self.method_names = method_names
         self.vocab_size = vocab_size
+        self.posts = posts
         self.n_threads = len(self.parts["title"].ptr) - 1
         # Thread r's answers are the answer rows answer_ptr[r]:answer_ptr[r + 1].
         self.answer_ptr = np.searchsorted(answer_thread, np.arange(self.n_threads + 1))
@@ -123,17 +175,18 @@ class DocumentStore:
                                          (answer_body.ids, answer_body.ptr, answer_thread)],
                                         self.n_threads)
 
-    def thread_index(self, words: Sequence[str], doc_ids: np.ndarray) -> InvertedIndex:
-        """The thread BM25 index: a document per thread row, question id
-        `doc_ids[row]`, of its THREAD_PARTS and its answers' ANSWER_PARTS (the
-        question's code is not indexed); `words` is the sorted vocabulary."""
+    def thread_index(self, words: Sequence[str]) -> InvertedIndex:
+        """The thread BM25 index: a document per thread row, by its question
+        id, of its THREAD_PARTS and its answers' ANSWER_PARTS (the question's
+        code is not indexed); `words` is the sorted vocabulary."""
         parts = [self.parts[name] for name in THREAD_PARTS + ANSWER_PARTS]
         threads = np.arange(self.n_threads, dtype=np.int32)
         owners = [threads] * len(THREAD_PARTS) + [self.answer_thread] * len(ANSWER_PARTS)
         rows = np.concatenate([np.repeat(owner, np.diff(part.ptr))
                                for owner, part in zip(owners, parts)])
         return assemble_index(words, rows, np.concatenate([part.ids for part in parts]),
-                              np.concatenate([part.counts for part in parts]), doc_ids)
+                              np.concatenate([part.counts for part in parts]),
+                              self.posts.question_ids)
 
     def answer_rows(self, thread_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The answer rows of the threads, thread after thread, and the offsets
@@ -239,29 +292,64 @@ class DocumentStore:
         return self.method_ids[positions], offsets
 
 
-class StoreBags:
-    """A loaded post's word bags, built from its store rows over the sorted
-    vocabulary `words`; `corpus.link_bags` links each post to them."""
+class ThreadMap(Mapping):
+    """A store's threads by question id, ascending: a read-only mapping.
+
+    Each read builds the `Thread` from the store, and its posts build their
+    word bags from their rows when first read (`ProcessedPost.linked`), over
+    the sorted vocabulary `words`. No thread is kept, so reading threads
+    holds no memory; a built thread and one read here are `==` and share one
+    `repr`.
+    """
 
     def __init__(self, docs: DocumentStore, words: Sequence[str]):
+        self.docs = docs
         self.words = words
-        self._question = [docs.parts[name] for name in THREAD_ROW_PARTS]
-        self._answer = [docs.parts[name] for name in ANSWER_PARTS]
+        ids = docs.posts.question_ids.tolist()
+        self._row = dict(zip(ids, range(len(ids))))
 
-    def _bag(self, part: TextPart, row: int) -> Counter:
-        lo, hi = part.ptr[row], part.ptr[row + 1]
-        return Counter(dict(zip(map(self.words.__getitem__, part.ids[lo:hi].tolist()),
+    def __len__(self) -> int:
+        return len(self._row)
+
+    def __iter__(self):
+        return iter(self._row)
+
+    def __contains__(self, thread_id) -> bool:
+        return thread_id in self._row
+
+    def __getitem__(self, thread_id) -> Thread:
+        return self.thread(self._row[thread_id])
+
+    def thread(self, row: int) -> Thread:
+        """The thread of thread row `row`."""
+        docs, posts = self.docs, self.docs.posts
+        answers = range(*docs.answer_ptr[row:row + 2].tolist())
+        return Thread(
+            question=ProcessedPost.linked(
+                int(posts.question_ids[row]), int(posts.question_score[row]),
+                {name: posts.question_text.get(row, name) for name in POST_TEXT},
+                self._question_bags, row),
+            answers=[ProcessedPost.linked(
+                int(docs.answer_ids[a]), int(posts.answer_score[a]),
+                {name: posts.answer_text.get(a, name) for name in POST_TEXT},
+                self._answer_bags, a) for a in answers])
+
+    @staticmethod
+    def _bag(part: TextPart, row: int, words: Sequence[str]) -> Counter:
+        lo, hi = part.ptr[row:row + 2].tolist()
+        return Counter(dict(zip(map(words.__getitem__, part.ids[lo:hi].tolist()),
                                 part.counts[lo:hi].tolist())))
 
-    def question(self, row: int) -> tuple[Counter, ...]:
+    def _question_bags(self, row: int) -> tuple[Counter, ...]:
         """Thread row `row`'s question bags: title, body and code."""
-        return tuple(self._bag(part, row) for part in self._question)
+        return tuple(self._bag(self.docs.parts[name], row, self.words)
+                     for name in THREAD_ROW_PARTS)
 
-    def answer(self, row: int) -> tuple[Counter, ...]:
-        """Answer row `row`'s bags: an empty title (an answer's title words
-        are not stored; its line holds them), body and code."""
-        body, code = (self._bag(part, row) for part in self._answer)
-        return Counter(), body, code
+    def _answer_bags(self, row: int) -> tuple[Counter, ...]:
+        """Answer row `row`'s bags: title, body and code."""
+        posts = self.docs.posts
+        return (self._bag(posts.answer_title, row, posts.answer_title_words),
+                *(self._bag(self.docs.parts[name], row, self.words) for name in ANSWER_PARTS))
 
 
 def _text_part(bags: Sequence[Mapping[str, int]], word_id: Mapping[str, int]) -> TextPart:
@@ -309,13 +397,14 @@ def build_documents(threads: Iterable[Thread], idf_map: IdfMap) -> DocumentStore
     """The store of `threads` over the sorted words of `idf_map`; ValueError
     names a thread word that is not among them."""
     threads = sorted(threads, key=lambda t: t.question.id)
+    questions = [t.question for t in threads]
     answers = [a for t in threads for a in t.answers]
     words = sorted(idf_map.df)
     word_id = dict(zip(words, range(len(words))))
     parts = {
-        "title": _text_part([t.question.title_bag for t in threads], word_id),
-        "body": _text_part([t.question.body_bag for t in threads], word_id),
-        "question_code": _text_part([t.question.code_bag for t in threads], word_id),
+        "title": _text_part([q.title_bag for q in questions], word_id),
+        "body": _text_part([q.body_bag for q in questions], word_id),
+        "question_code": _text_part([q.code_bag for q in questions], word_id),
         "answer_body": _text_part([a.body_bag for a in answers], word_id),
         "code": _text_part([a.code_bag for a in answers], word_id),
     }
@@ -332,32 +421,62 @@ def build_documents(threads: Iterable[Thread], idf_map: IdfMap) -> DocumentStore
     np.cumsum(np.fromiter(map(len, calls), dtype=np.int64, count=len(calls)), out=method_ptr[1:])
     method_ids = np.fromiter(map(method_id.__getitem__, chain.from_iterable(calls)),
                              dtype=np.int32, count=int(method_ptr[-1]))
+
+    title_words = sorted(set(chain.from_iterable(a.title_bag for a in answers)))
+    posts = Posts(
+        question_ids=np.array([q.id for q in questions], dtype=np.int64),
+        question_score=np.array([q.score for q in questions], dtype=np.int64),
+        answer_score=np.array([a.score for a in answers], dtype=np.int64),
+        question_text=_post_text(questions),
+        answer_text=_post_text(answers),
+        answer_title=_text_part([a.title_bag for a in answers],
+                                dict(zip(title_words, range(len(title_words))))),
+        answer_title_words=title_words,
+    )
     return DocumentStore(parts, np.array([a.id for a in answers], dtype=np.int64),
                          answer_thread, tfidf_norm, method_ptr, method_ids, method_names,
-                         len(words))
+                         len(words), posts)
+
+
+def _post_text(posts: Sequence[ProcessedPost]) -> PostText:
+    return PostText(*encode_strings(list(chain.from_iterable(map(attrgetter(*POST_TEXT),
+                                                                 posts)))))
 
 
 def encode_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Strings as their UTF-8 bytes back to back, and the offsets of each."""
-    encoded = [s.encode("utf-8") for s in strings]
-    ptr = np.zeros(len(encoded) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)), out=ptr[1:])
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), ptr
+    """Strings as their UTF-8 bytes back to back, and the offsets of each.
+
+    The bytes are written into one array a block of strings at a time, so a
+    build never holds a second copy of its text. An ASCII string's length
+    is its byte count.
+    """
+    ptr = np.zeros(len(strings) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter((len(s) if s.isascii() else len(s.encode("utf-8")) for s in strings),
+                          dtype=np.int64, count=len(strings)), out=ptr[1:])
+    data = np.empty(ptr[-1], dtype=np.uint8)
+    for lo in range(0, len(strings), 1024):
+        hi = min(lo + 1024, len(strings))
+        data[ptr[lo]:ptr[hi]] = np.frombuffer("".join(strings[lo:hi]).encode("utf-8"),
+                                              dtype=np.uint8)
+    return data, ptr
 
 
-def decode_strings(data: np.ndarray, ptr: np.ndarray,
+def decode_strings(data: np.ndarray, ptr: np.ndarray, name: str,
                    fault: Callable[[str, str], ValueError]) -> list[str]:
-    """The method names of `encode_strings` output, sorted and distinct;
-    `fault(array name, what)` makes the error of bad offsets, bytes or order."""
+    """The sorted, distinct strings of `encode_strings` output saved as the
+    arrays `{name}s` (`data`) and `{name}_ptr` (`ptr`), such as the method
+    names; `fault(array name, what)` makes the error of bad offsets, bytes
+    or order."""
+    noun = name.replace("_", " ")
     if not len(ptr) or not _is_pointer(ptr, len(data)):
-        raise fault("method_name_ptr", "method name offsets do not cover the method name bytes")
+        raise fault(f"{name}_ptr", f"{noun} offsets do not cover the {noun} bytes")
     raw, bounds = data.tobytes(), ptr.tolist()
     try:
         strings = [raw[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
     except UnicodeDecodeError as exc:
-        raise fault("method_names", f"a method name is not UTF-8: {exc}") from None
+        raise fault(f"{name}s", f"a {noun} is not UTF-8: {exc}") from None
     if any(s1 >= s2 for s1, s2 in zip(strings, strings[1:])):
-        raise fault("method_names", "method names are not sorted and distinct")
+        raise fault(f"{name}s", f"{noun}s are not sorted and distinct")
     return strings
 
 
@@ -385,12 +504,20 @@ def _is_pointer(ptr: np.ndarray, end: int) -> bool:
 def save_documents(docs: DocumentStore, directory: str | Path) -> None:
     """Write the store into `directory` as DOCS_ARRAYS `.npy` files; fixed
     dtypes keep the bytes deterministic."""
-    names, name_ptr = encode_strings(docs.method_names)
-    arrays = {f"{name}_{field}": getattr(part, field) for name, part in docs.parts.items()
+    posts = docs.posts
+    parts = {**docs.parts, "answer_title": posts.answer_title}
+    arrays = {f"{name}_{field}": getattr(part, field) for name, part in parts.items()
               for field in ("ptr", "ids", "counts")}
+    arrays.update(zip(("method_names", "method_name_ptr"), encode_strings(docs.method_names)))
+    arrays.update(zip(("answer_title_words", "answer_title_word_ptr"),
+                      encode_strings(posts.answer_title_words)))
     arrays.update(answer_ids=docs.answer_ids, answer_thread=docs.answer_thread,
                   tfidf_norm=docs.tfidf_norm, method_ptr=docs.method_ptr,
-                  method_ids=docs.method_ids, method_names=names, method_name_ptr=name_ptr)
+                  method_ids=docs.method_ids, question_ids=posts.question_ids,
+                  question_score=posts.question_score, answer_score=posts.answer_score,
+                  question_text=posts.question_text.data,
+                  question_text_ptr=posts.question_text.ptr,
+                  answer_text=posts.answer_text.data, answer_text_ptr=posts.answer_text.ptr)
     for name, dtype in DOCS_ARRAYS.items():
         with open(docs_file(directory, name), "wb") as fh:
             np.save(fh, np.asarray(arrays[name], dtype=dtype), allow_pickle=False)
@@ -398,7 +525,8 @@ def save_documents(docs: DocumentStore, directory: str | Path) -> None:
 
 def load_documents(directory: str | Path, vocab_size: int) -> DocumentStore:
     """Read `save_documents` output over a vocabulary of `vocab_size` words;
-    ValueError names the file at fault."""
+    ValueError names the file at fault. Every check is array-wide: the
+    posts' text is checked as a whole, and no post's string is decoded."""
     a = {name: _read_array(docs_file(directory, name), dtype)
          for name, dtype in DOCS_ARRAYS.items()}
 
@@ -409,16 +537,16 @@ def load_documents(directory: str | Path, vocab_size: int) -> DocumentStore:
         if len(ids) and (ids.min() < 0 or ids.max() >= bound):
             raise fault(name, f"{what} is outside 0..{bound - 1}")
 
-    n_threads = len(a["title_ptr"]) - 1
-    n_answers = len(a["answer_ids"])
-    parts = {}
-    for part in STORED_PARTS:
+    def check_length(name: str, rows: int, noun: str, of: str) -> None:
+        if len(a[name]) != rows:
+            raise fault(name, f"{len(a[name])} {noun} for {rows} {of}")
+
+    def text_part(part: str, rows: int, bound: int) -> TextPart:
         ptr, ids, counts = (a[f"{part}_{name}"] for name in ("ptr", "ids", "counts"))
-        rows = n_threads if part in THREAD_ROW_PARTS else n_answers
         if len(ptr) != rows + 1 or not len(ptr) or not _is_pointer(ptr, len(ids)):
             raise fault(f"{part}_ptr", f"offsets do not cover the {len(ids)} ids in "
                                        f"{rows} rows")
-        check_ids(f"{part}_ids", ids, vocab_size, "a term id")
+        check_ids(f"{part}_ids", ids, bound, "a term id")
         row_start = np.zeros(len(ids), dtype=bool)
         row_start[ptr[:-1][ptr[:-1] < len(ids)]] = True
         if np.any((ids[1:] <= ids[:-1]) & ~row_start[1:]):
@@ -427,22 +555,55 @@ def load_documents(directory: str | Path, vocab_size: int) -> DocumentStore:
             raise fault(f"{part}_counts", f"{len(counts)} counts for {len(ids)} ids")
         if len(counts) and counts.min() < 1:
             raise fault(f"{part}_counts", "a count is below 1")
-        parts[part] = TextPart(ptr, ids, counts)
+        return TextPart(ptr, ids, counts)
+
+    def post_text(name: str, rows: int) -> PostText:
+        data, ptr = a[name], a[f"{name}_ptr"]
+        if len(ptr) != 3 * rows + 1 or not _is_pointer(ptr, len(data)):
+            raise fault(f"{name}_ptr", f"offsets do not cover the {len(data)} text bytes of "
+                                       f"{rows} posts")
+        try:
+            str(memoryview(data), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise fault(name, f"the text is not UTF-8: {exc}") from None
+        # A string starts at a character: no offset within the bytes falls on
+        # a continuation byte (0b10xxxxxx).
+        inner = ptr[(ptr > 0) & (ptr < len(data))]
+        if np.any((data[inner] & 0xC0) == 0x80):
+            raise fault(f"{name}_ptr", "an offset falls inside a character")
+        return PostText(data, ptr)
+
+    n_threads = len(a["title_ptr"]) - 1
+    n_answers = len(a["answer_ids"])
+    parts = {part: text_part(part, n_threads if part in THREAD_ROW_PARTS else n_answers,
+                             vocab_size)
+             for part in STORED_PARTS}
 
     thread = a["answer_thread"]
-    if len(thread) != n_answers:
-        raise fault("answer_thread", f"{len(thread)} thread rows for {n_answers} answers")
+    check_length("answer_thread", n_answers, "thread rows", "answers")
     check_ids("answer_thread", thread, n_threads, "a thread row")
     if np.any(thread[1:] < thread[:-1]):
         raise fault("answer_thread", "thread rows are not ascending")
     norms = a["tfidf_norm"]
     if len(norms) != n_answers or not np.all(np.isfinite(norms)) or np.any(norms < 0):
         raise fault("tfidf_norm", f"not {n_answers} finite norms of at least 0")
-    names = decode_strings(a["method_names"], a["method_name_ptr"], fault)
+    names = decode_strings(a["method_names"], a["method_name_ptr"], "method_name", fault)
     method_ptr, method_ids = a["method_ptr"], a["method_ids"]
     if len(method_ptr) != n_answers + 1 or not _is_pointer(method_ptr, len(method_ids)):
         raise fault("method_ptr", f"offsets do not cover the {len(method_ids)} method ids in "
                                   f"{n_answers} rows")
     check_ids("method_ids", method_ids, len(names), "a method id")
+
+    question_ids = a["question_ids"]
+    check_length("question_ids", n_threads, "question ids", "threads")
+    if np.any(question_ids[1:] <= question_ids[:-1]):
+        raise fault("question_ids", "question ids are not ascending and distinct")
+    check_length("question_score", n_threads, "scores", "threads")
+    check_length("answer_score", n_answers, "scores", "answers")
+    title_words = decode_strings(a["answer_title_words"], a["answer_title_word_ptr"],
+                                 "answer_title_word", fault)
+    posts = Posts(question_ids, a["question_score"], a["answer_score"],
+                  post_text("question_text", n_threads), post_text("answer_text", n_answers),
+                  text_part("answer_title", n_answers, len(title_words)), title_words)
     return DocumentStore(parts, a["answer_ids"], thread, norms, method_ptr, method_ids,
-                         names, vocab_size)
+                         names, vocab_size, posts)

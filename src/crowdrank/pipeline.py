@@ -10,8 +10,9 @@ table (a column per feature, a row per candidate) by `_rank`.
 
 Candidates are rows of the document store from BM25 to the final cut:
 thread rows, then answer rows. Every feature column and both antonym
-filters are gathers over the store and over per-thread-row arrays; the
-`Thread` objects are read only to render the returned answers.
+filters are gathers over the store and over per-thread-row arrays; no
+`Thread` is built, and only the returned answers' body and thread title are
+decoded from the store's text.
 
 The three asym features (asym_title and asym_body at stage 1, asym at the
 answer stage) read one `SimilarityTable` per search, held by its
@@ -31,7 +32,7 @@ import numpy as np
 from . import features as ft
 from .antonyms import AntonymDictionary, AntonymQueryContext
 from .corpus import Thread, preprocess
-from .documents import DocumentStore, build_documents
+from .documents import DocumentStore, ThreadMap, build_documents
 from .embeddings import (EmbeddingStore, IdfMap, SimilarityTable, WordMatrix, sentence_embed,
                          sentence_vectors)
 from .index import bm25_rows, gather
@@ -96,7 +97,8 @@ class SearchEngine:
                  idf_map: IdfMap, antonym_dict: AntonymDictionary,
                  stopwords: frozenset[str] | None = None,
                  docs: DocumentStore | None = None):
-        self.threads = {t.question.id: t for t in threads}
+        """The engine of `threads`, or, when `docs` is given, of the threads
+        that document store holds (`threads` is then not read)."""
         self.store = store
         self.idf_map = idf_map
         self.antonym_dict = antonym_dict
@@ -104,20 +106,22 @@ class SearchEngine:
         # Every thread word, sorted, so sorted ids are sorted words; the rows
         # fill as searches meet the words.
         self.vocab = WordMatrix(sorted(idf_map.df), store, idf_map)
-        # The threads' text parts as ids of those words, a row per thread by
-        # ascending question id, and their BM25 index with the same rows.
-        self.docs = docs or build_documents(self.threads.values(), idf_map)
-        self.thread_index = self.docs.thread_index(
-            self.vocab.words, np.array(sorted(self.threads), dtype=np.int64))
+        # The threads' text parts as ids of those words and their posts, a
+        # row per thread by ascending question id; the threads themselves,
+        # built from the store when read; and their BM25 index with the same
+        # rows.
+        self.docs = docs or build_documents(threads, idf_map)
+        self.threads = ThreadMap(self.docs, self.vocab.words)
+        posts = self.docs.posts
+        self.thread_index = self.docs.thread_index(self.vocab.words)
         # The social feature columns (the Thread properties of those names), a
         # row per thread row; a sum of integer scores is exact in float64.
-        by_row = [self.threads[t] for t in self.thread_index.doc_ids.tolist()]
-        answer_scores = [a.score for t in by_row for a in t.answers]
         self.social = {
             "answer_count": np.diff(self.docs.answer_ptr).astype(float),
-            "total_answer_score": np.bincount(self.docs.answer_thread, weights=answer_scores,
+            "total_answer_score": np.bincount(self.docs.answer_thread,
+                                              weights=posts.answer_score,
                                               minlength=self.docs.n_threads),
-            "question_score": np.array([t.question.score for t in by_row], dtype=float),
+            "question_score": posts.question_score.astype(float),
         }
         self.title_vecs = self._title_vectors()
         self.title_norms = np.sqrt(np.einsum("ij,ij->i", self.title_vecs, self.title_vecs))
@@ -293,17 +297,16 @@ class SearchEngine:
         ids = answer_ids[positions]
         kept, normalized, fused = _rank(ids, table, config.answer_weights, max(final_n, 0))
         entries = []
+        posts = self.docs.posts
         for row, score, raw, norm in zip(rows[kept].tolist(), fused[kept].tolist(),
                                          _rows(table, kept), _rows(normalized, kept)):
             thread_row = int(self.docs.answer_thread[row])
-            thread = self.threads[int(self.thread_index.doc_ids[thread_row])]
-            answer = thread.answers[row - int(self.docs.answer_ptr[thread_row])]
             entries.append(ResultEntry(
-                answer_id=answer.id,
-                thread_id=thread.question.id,
+                answer_id=int(self.docs.answer_ids[row]),
+                thread_id=int(posts.question_ids[thread_row]),
                 score=score,
-                answer_body=answer.original_body,
-                thread_title=thread.question.original_title,
+                answer_body=posts.answer_text.get(row, "original_body"),
+                thread_title=posts.question_text.get(thread_row, "original_title"),
                 features=ft.FeatureVector(raw=raw, normalized=norm),
             ))
         counts["returned"] = len(entries)

@@ -68,6 +68,31 @@ def planted_corpus(n_threads=200, n_queries=20, seed=7):
     return posts, queries, relevant
 
 
+def funnel_corpus(n_threads=800, seed=3):
+    """Threads that all hold one query word, so that a search fills the
+    default funnel (500 threads, 250, 100, 150 answers, 10) as the benchmark's
+    5k-thread searches do, and the query's other words, drawn from WORDS.
+    Titles draw on a part of WORDS only, so that the targets of a first
+    search hold words the titles do not.
+
+    Returns (posts, query text).
+    """
+    rng = random.Random(seed)
+    query = ["funnelword", *rng.sample(WORDS, 4)]
+    posts = []
+    for i in range(n_threads):
+        qid = 10 * (i + 1)
+        title = " ".join(rng.sample(WORDS[:150], rng.randint(4, 8)) + ["funnelword"])
+        body = " ".join(rng.choices(WORDS + query, k=rng.randint(15, 40)))
+        posts.append(question(qid, title, body, rng.randint(1, 50)))
+        for j in range(rng.randint(1, 4)):
+            prose = " ".join(rng.choices(WORDS, k=rng.randint(12, 35)))
+            code = " ".join(f"{w}.m{rng.randint(0, 60)}(x);" for w in rng.sample(WORDS, 3))
+            posts.append(answer(qid + 1 + j, qid, f"{prose} <code>{code}</code>",
+                                rng.randint(1, 30)))
+    return posts, " ".join(query)
+
+
 def social_corpus(n_queries=5, distractors=12, seed=11):
     """Relevance planted to correlate with social counters.
 

@@ -22,8 +22,7 @@ from crowdrank.features import (WeightConfig, question_score_value, tf_score,
 from crowdrank.index import bm25_search, build_index
 from crowdrank.pipeline import configure_ablation
 
-ARTIFACT_FILES = ("threads.jsonl", "idf.json", "meta.json",
-                  *(f"docs.{name}.npy" for name in DOCS_ARRAYS))
+ARTIFACT_FILES = ("idf.json", "meta.json", *(f"docs.{name}.npy" for name in DOCS_ARRAYS))
 
 
 def build_engine(tmp_path_factory, posts, label):

@@ -45,7 +45,9 @@ def workspace(tmp_path_factory):
 
 
 def _add_stale_index_files(index_dir):
-    """The thread index files that earlier builds wrote beside the store."""
+    """The thread store and thread index files that earlier builds wrote
+    beside the document store."""
+    (index_dir / "threads.jsonl").write_text('{"format": "crowdrank-threads", "version": 2}\n')
     (index_dir / "index.json").write_text('{"format": "crowdrank-index", "version": 2}')
     (index_dir / "index.header.json").write_text('{"format": "crowdrank-index", "version": 3}')
     for name in ("terms", "indptr", "rows", "tfs", "doc_ids"):
@@ -66,8 +68,7 @@ def _search_outputs(workspace, capsys, index_dir=None):
 class TestBuildIndex:
     def test_artifacts_written(self, workspace):
         assert sorted(p.name for p in workspace["index"].iterdir()) == sorted([
-            "threads.jsonl", "idf.json", "meta.json",
-            *(f"docs.{name}.npy" for name in DOCS_ARRAYS)])
+            "idf.json", "meta.json", *(f"docs.{name}.npy" for name in DOCS_ARRAYS)])
 
     def test_rebuild_in_place_leaves_no_index_files(self, workspace, tmp_path):
         out = tmp_path / "idx"
@@ -75,7 +76,7 @@ class TestBuildIndex:
         _add_stale_index_files(out)
         assert main(["build-index", "--corpus", str(workspace["corpus"]),
                      "--out", str(out)]) == EXIT_OK
-        assert not list(out.glob("index.*"))
+        assert not list(out.glob("index.*")) and not (out / "threads.jsonl").exists()
         assert sorted(p.name for p in out.iterdir()) == sorted(
             p.name for p in workspace["index"].iterdir())
 
@@ -267,11 +268,6 @@ def _json_index_only(payload):
     return damage
 
 
-def _drop_last_thread(index_dir):
-    path = index_dir / "threads.jsonl"
-    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-1]))
-
-
 def _edit_json(name, edit):
     def damage(index_dir):
         path = index_dir / name
@@ -296,22 +292,25 @@ def _set(position, value):
     return edit
 
 
-def _thread_store_line(lineno, data):
+def _split_a_character(name):
+    """Make the first string boundary within a text array's bytes fall
+    inside a two-byte character: the bytes stay UTF-8."""
     def damage(index_dir):
-        path = index_dir / "threads.jsonl"
-        lines = path.read_bytes().split(b"\n")
-        lines[lineno - 1] = data
-        path.write_bytes(b"\n".join(lines))
+        ptr = np.load(docs_file(index_dir, f"{name}_ptr"))
+        at = int(ptr[ptr > 0][0])
+        _save_array(name, _set(slice(at - 1, at + 1), list("é".encode())))(index_dir)
     return damage
 
 
-def _edit_thread_header(**fields):
-    def damage(index_dir):
-        path = index_dir / "threads.jsonl"
-        header, rest = path.read_bytes().split(b"\n", 1)
-        header = json.dumps(dict(json.loads(header), **fields)).encode()
-        path.write_bytes(header + b"\n" + rest)
-    return damage
+def _old_format(index_dir):
+    """The directory as builds wrote it before the posts moved into the
+    store: a thread store, and none of the posts' arrays."""
+    (index_dir / "threads.jsonl").write_text('{"format": "crowdrank-threads", "version": 2}\n')
+    for name in ("question_ids", "question_score", "answer_score", "question_text",
+                 "question_text_ptr", "answer_text", "answer_text_ptr", "answer_title_ptr",
+                 "answer_title_ids", "answer_title_counts", "answer_title_words",
+                 "answer_title_word_ptr"):
+        docs_file(index_dir, name).unlink()
 
 
 def _without(key):
@@ -337,10 +336,24 @@ BAD_INDEX_DIRS = {
                            "meta.json: not a JSON object"),
     "meta-embedding-not-an-object": (_edit_json("meta.json", lambda m: dict(m, embedding=[1])),
                                      "meta.json: embedding dim"),
-    "threads-header-not-an-object": (_thread_store_line(1, b"[1]"), "threads.jsonl:1:"),
-    "thread-lacks-id": (_thread_store_line(3, b'{"question": {}}'), "threads.jsonl:3:"),
-    "thread-not-json": (_thread_store_line(2, b"{not json"), "threads.jsonl:2:"),
-    "thread-not-utf-8": (_thread_store_line(3, b"\xff\xfe"), "threads.jsonl:3:"),
+    "text-not-an-array": (lambda d: docs_file(d, "question_text").write_bytes(b"[1]"),
+                          "docs.question_text.npy: not a readable .npy array"),
+    "question-ids-short": (_save_array("question_ids", lambda a: a[:-1]),
+                           "docs.question_ids.npy: 29 question ids for 30 threads"),
+    "question-ids-not-ascending": (_save_array("question_ids", lambda a: np.append(a[1::-1],
+                                                                                   a[2:])),
+                                   "docs.question_ids.npy: question ids are not ascending"),
+    "text-offsets-short": (_save_array("answer_text_ptr", _set(-1, 0)),
+                           "docs.answer_text_ptr.npy: offsets do not cover"),
+    "text-not-utf-8": (_save_array("question_text", _set(0, 0xFF)),
+                       "docs.question_text.npy: the text is not UTF-8"),
+    "text-offset-inside-a-character": (_split_a_character("answer_text"),
+                                       "docs.answer_text_ptr.npy: an offset falls inside a "
+                                       "character"),
+    "score-float": (_save_array("question_score", lambda a: a.astype(np.float64)),
+                    "docs.question_score.npy: holds a 1-d float64 array, not a 1-d int64 one"),
+    "answer-title-offsets-long": (_save_array("answer_title_ptr", _set(-1, 1)),
+                                  "docs.answer_title_ptr.npy: offsets do not cover"),
     "array-missing": (lambda d: docs_file(d, "answer_thread").unlink(),
                       "docs.answer_thread.npy: missing; rerun `crowdrank build-index`"),
     "array-wrong-dtype": (_save_array("method_ids", lambda a: a.astype(np.float64)),
@@ -384,13 +397,11 @@ BAD_INDEX_DIRS = {
                                  "docs.method_ids.npy: a method id is outside"),
     "docs-thread-row-out-of-range": (_save_array("answer_thread", _set(-1, 10 ** 6)),
                                      "docs.answer_thread.npy: a thread row is outside"),
-    "docs-thread-count-differs": (_drop_last_thread,
-                                  "docs.title_ptr.npy: 30 threads, but threads.jsonl holds 29"),
-    "docs-answers-differ": (_save_array("answer_ids", _set(0, 7)),
-                            "docs.answer_ids.npy: the answers differ from those of threads.jsonl"),
-    "threads-version-1": (_edit_thread_header(version=1),
-                          "threads.jsonl: unsupported thread store version 1; rerun "
-                          "`crowdrank build-index`"),
+    "question-scores-short": (_save_array("question_score", lambda a: a[:-1]),
+                              "docs.question_score.npy: 29 scores for 30 threads"),
+    "answer-scores-long": (_save_array("answer_score", lambda a: np.append(a, 1)),
+                           "docs.answer_score.npy: 31 scores for 30 answers"),
+    "old-format": (_old_format, "docs.question_ids.npy: missing; rerun `crowdrank build-index`"),
     "docs-question-code-missing": (lambda d: docs_file(d, "question_code_ids").unlink(),
                                    "docs.question_code_ids.npy: missing; rerun "
                                    "`crowdrank build-index`"),
@@ -633,6 +644,6 @@ class TestExportText:
         code = main(["export-text", str(tmp_path / "void"), str(tmp_path / "text")])
         assert code == EXIT_DATA_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "threads.jsonl" in err
+        assert err.startswith("error: ") and "idf.json" in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "text").exists()

@@ -8,9 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from crowdrank.artifacts import build_artifacts, build_idf, load_corpus, load_idf
 from crowdrank.corpus import (BAG_FIELDS, BuildStats, LoadStats, RawPost, TagFilter,
-                              build_threads, link_bags, load_dump, load_threads,
-                              preprocess, save_threads, separate_code)
-from crowdrank.documents import StoreBags, build_documents
+                              build_threads, load_dump, preprocess, separate_code)
+from crowdrank.documents import ThreadMap, build_documents, load_documents, save_documents
 
 
 def make_posts(objs, path):
@@ -67,6 +66,21 @@ class TestLoadDump:
     def test_unreadable_file_is_fatal(self, tmp_path):
         with pytest.raises(OSError):
             load_dump(tmp_path / "missing.jsonl")
+
+    @pytest.mark.parametrize("field, value", [("id", 2**63), ("score", 2**63),
+                                              ("score", -2**63 - 1), ("parent_id", 2**64)])
+    def test_ids_and_scores_beyond_64_bits_are_skipped(self, tmp_path, field, value):
+        # The document store holds ids and scores as int64.
+        question = {"id": 1, "post_kind": "question", "title": "t", "body_html": "b",
+                    "score": 1, "tags": ["java"]}
+        answer = {"id": 2, "post_kind": "answer", "parent_id": 1, "body_html": "a", "score": 1}
+        bad = answer if field == "parent_id" else question
+        bad[field] = value
+        stats = LoadStats()
+        posts = load_dump(make_posts([question, answer], tmp_path / "dump.jsonl"), stats=stats)
+        # A skipped question takes its answer with it.
+        assert stats.warnings == 1
+        assert [p.id for p in posts] == ([1] if bad is answer else [])
 
 
 class TestSeparateCode:
@@ -179,12 +193,12 @@ class TestBuildThreads:
 
 
 def store_round_trip(posts, directory):
-    """The threads built from a dump of `posts`, and the threads loaded from
+    """The threads built from a dump of `posts`, and the threads read from
     the index directory that build-index makes of the dump."""
     dump = make_posts(posts, directory / "dump.jsonl")
     build_artifacts(dump, directory / "index")
-    loaded, _, _ = load_corpus(directory / "index")
-    return build_threads(load_dump(dump)), loaded
+    idf, docs = load_corpus(directory / "index")
+    return build_threads(load_dump(dump)), list(ThreadMap(docs, sorted(idf.df)).values())
 
 
 # Tokens that survive preprocessing, and tokens that do not: stopwords,
@@ -230,18 +244,16 @@ class TestThreadStore:
         assert loaded == built
         assert repr(loaded) == repr(built)
 
-    def test_an_answer_title_round_trips_outside_the_store(self, tmp_path):
+    def test_an_answer_title_round_trips_over_its_own_words(self, tmp_path):
         posts = dump_posts([("alpha", "", "", 2, [("beta", "gamma", "zeta Omega the", 1)])])
         built, loaded = store_round_trip(posts, tmp_path)
         assert loaded[0].answers[0].title_bag == Counter({"omega": 1, "zeta": 1})
         assert loaded == built
         assert "zeta" not in load_idf(tmp_path / "index" / "idf.json").df
-        # The answer's line holds its title bag; no other line holds a bag.
-        lines = (tmp_path / "index" / "threads.jsonl").read_text("utf-8").splitlines()
-        thread = json.loads(lines[1])
-        assert thread["answers"][0]["title_bag"] == {"omega": 1, "zeta": 1}
-        assert set(thread["question"]) == {"id", "score", "code_text", "original_title",
-                                           "original_body"}
+        # The store holds the answer title words beside the idf vocabulary.
+        assert load_documents(tmp_path / "index", 3).posts.answer_title_words == ["omega",
+                                                                                  "zeta"]
+        assert not (tmp_path / "index" / "threads.jsonl").exists()
 
     def test_bags_are_built_when_first_read_and_kept(self, tmp_path):
         posts = dump_posts([("alpha gamma", "beta", "delta_epsilon", 2,
@@ -268,24 +280,23 @@ class TestThreadStore:
             RawPost(id=1, post_kind="question", score=5, body_html="hello <code>alpha()</code>",
                     title="greetings program"),
             RawPost(id=2, post_kind="answer", score=3, parent_id=1,
-                    body_html="reply <code>beta()</code>"),
+                    body_html="reply <code>beta()</code>", title="Ünïcode tïtle"),
         ]
         threads = build_threads(posts)
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        save_threads(threads, p1)
-        save_threads(build_threads(posts), p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        loaded = load_threads(p1)
-        assert len(loaded) == 1
-        assert loaded[0].answers[0].code_text == threads[0].answers[0].code_text
-        # The bags are not in the file: they come from the document store.
-        with pytest.raises(AttributeError):
-            loaded[0].question.title_bag
         idf = build_idf(threads)
-        bags = StoreBags(build_documents(threads, idf), sorted(idf.df))
-        link_bags(loaded, bags.question, bags.answer)
-        assert loaded[0].question.title_bag == threads[0].question.title_bag
-        assert loaded == threads
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            save_documents(build_documents(build_threads(posts), idf), tmp_path / name)
+        for path in (tmp_path / "a").iterdir():
+            assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+        loaded = ThreadMap(load_documents(tmp_path / "a", len(idf.df)), sorted(idf.df))
+        thread = loaded[1]
+        assert thread.answers[0].code_text == threads[0].answers[0].code_text == "beta()"
+        assert thread.answers[0].original_title == "Ünïcode tïtle"
+        # The bags are built from the store when first read.
+        assert not BAG_FIELDS & vars(thread.question).keys()
+        assert thread.question.title_bag == threads[0].question.title_bag
+        assert list(loaded.values()) == threads
 
     def test_built_bags_hold_their_words_sorted(self):
         posts = [RawPost(id=1, post_kind="question", score=1, title="zeta alpha zeta beta",
@@ -294,30 +305,33 @@ class TestThreadStore:
                          body_html="<code>fetch()</code>")]
         assert list(build_threads(posts)[0].question.title_bag) == ["alpha", "beta", "zeta"]
 
-    @pytest.mark.parametrize("version", [1, 3, "2"])
-    def test_other_versions_name_the_file_and_the_fix(self, tmp_path, version):
-        path = tmp_path / "threads.jsonl"
-        path.write_text(json.dumps({"format": "crowdrank-threads", "version": version}) + "\n")
-        with pytest.raises(ValueError, match="rerun `crowdrank build-index`") as info:
-            load_threads(path)
-        assert str(info.value).startswith(f"{path}: unsupported thread store version")
 
-    @pytest.mark.parametrize("post", [
-        {"id": 1, "score": 1, "code_text": "", "original_title": ""},
-        {"id": 1, "score": 1, "code_text": "", "original_title": "", "original_body": "",
-         "body_bag": {}},
-        {"id": 1, "score": 1, "code_text": "", "original_title": "", "original_body": "",
-         "title_bag": {"a": 1}},
-        [1],
-    ])
-    def test_a_damaged_post_names_its_line(self, tmp_path, post):
-        path = tmp_path / "threads.jsonl"
-        path.write_text(json.dumps({"format": "crowdrank-threads", "version": 2}) + "\n"
-                        + json.dumps({"question": post, "answers": []}) + "\n")
-        with pytest.raises(ValueError, match=f"{path}:2: not a thread"):
-            load_threads(path)
-    def test_rejects_wrong_format(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"format": "other", "version": 1}\n')
-        with pytest.raises(ValueError):
-            load_threads(path)
+class TestThreadMap:
+    @pytest.fixture()
+    def threads(self):
+        posts = dump_posts([("alpha", "beta", "", 2, [("gamma", "x2", None, 1)]),
+                            ("delta", "", "alpha", 3, [("beta", "gamma", "Omega", 2),
+                                                       ("alpha", "delta_epsilon", None, 4)])])
+        threads = build_threads([RawPost.from_json(p) for p in posts])
+        return threads, ThreadMap(build_documents(threads, build_idf(threads)),
+                                  sorted(build_idf(threads).df))
+
+    def test_a_read_only_mapping_by_ascending_question_id(self, threads):
+        built, mapping = threads
+        assert len(mapping) == 2 and list(mapping) == [10, 20]
+        assert 10 in mapping and 11 not in mapping and "10" not in mapping
+        assert dict(mapping.items()) == {t.question.id: t for t in built}
+        assert list(mapping.values()) == built and repr(list(mapping.values())) == repr(built)
+        with pytest.raises(KeyError):
+            mapping[11]
+        with pytest.raises(TypeError):
+            mapping[10] = built[0]
+
+    def test_each_read_builds_a_thread_and_keeps_none(self, threads):
+        built, mapping = threads
+        first = mapping[20]
+        first.question.score += 1
+        first.answers.pop()
+        assert mapping[20] is not first and mapping[20] == built[1]
+        assert not {k for k in vars(mapping) if k not in ("docs", "words", "_row")}
+        assert mapping[20].answers[0].title_bag == Counter({"omega": 1})

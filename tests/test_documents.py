@@ -12,7 +12,8 @@ from crowdrank.antonyms import default_dictionary
 from crowdrank.artifacts import build_artifacts, build_idf, load_engine
 from crowdrank.corpus import (BAG_FIELDS, ProcessedPost, RawPost, Thread, build_threads,
                               load_dump, preprocess)
-from crowdrank.documents import DocumentStore, build_documents, load_documents, save_documents
+from crowdrank.documents import (DocumentStore, ThreadMap, build_documents, load_documents,
+                                 save_documents)
 from crowdrank.embeddings import (EmbeddingStore, cosine, fallback_embed, save_vectors,
                                   sentence_embed)
 from crowdrank.evaluation import GroundTruth, run_ablation_grid
@@ -102,6 +103,17 @@ class TestAgainstBagReferences:
         assert repr(got) == repr(synth.answer_index_reference(
             [threads[r] for r in rows.tolist()], terms))
 
+    @settings(max_examples=40, deadline=None)
+    @given(CORPUS_ST)
+    def test_threads(self, corpus):
+        # A built engine reads its threads from its store, as a loaded one does.
+        threads = corpus_threads(corpus)
+        engine = make_engine(threads)
+        assert list(engine.threads) == sorted(t.question.id for t in threads)
+        for thread in threads:
+            assert engine.threads[thread.question.id] == thread
+            assert repr(engine.threads[thread.question.id]) == repr(thread)
+
     @settings(max_examples=60, deadline=None)
     @given(CORPUS_ST)
     def test_thread_index(self, corpus):
@@ -190,7 +202,7 @@ class TestBodyUnion:
         assert len(threads) * vocab_size >= 2**31
         docs = DocumentStore(built.parts, built.answer_ids, built.answer_thread,
                              built.tfidf_norm, built.method_ptr, built.method_ids,
-                             built.method_names, vocab_size)
+                             built.method_names, vocab_size, built.posts)
         assert as_lists(docs.body_union) == as_lists(built.body_union)
         assert repr(as_lists(built.body_union)) == self.want(threads,
                                                               sorted(build_idf(threads).df))
@@ -218,6 +230,13 @@ def test_store_round_trip(planted_index, tmp_path):
                       "answer_len"):
             assert np.array_equal(getattr(docs, field), getattr(built, field))
         assert docs.method_names == built.method_names
+        for field in ("question_ids", "question_score", "answer_score"):
+            assert np.array_equal(getattr(docs.posts, field), getattr(built.posts, field))
+        for field in ("question_text", "answer_text", "answer_title"):
+            got, want = vars(getattr(docs.posts, field)), vars(getattr(built.posts, field))
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[name], want[name]) for name in want)
+        assert docs.posts.answer_title_words == built.posts.answer_title_words
 
 
 @pytest.mark.parametrize("make", [synth.planted_corpus, synth.social_corpus,
@@ -231,16 +250,21 @@ def test_loaded_threads_equal_built_ones(tmp_path, make):
     assert repr(loaded) == repr(built)
 
 
-def test_the_preset_grid_builds_no_bag(planted_index):
-    # A search reads the store, never a post's bags; a loaded post builds
-    # them only when something reads them.
+def test_the_preset_grid_builds_no_bag(planted_index, monkeypatch):
+    # A search reads the store, never a thread or a post's bags; a thread is
+    # built only when something reads it from `engine.threads`.
     index_dir, queries = planted_index
     engine = load_engine(index_dir)
     truth = GroundTruth()
     for query_id, text in queries.items():
         truth.add(query_id, text, [1])
     assert len(BASELINE_NAMES) == 37
+
+    def refuse(self, row):
+        raise AssertionError(f"a search built thread row {row}")
+    monkeypatch.setattr(ThreadMap, "thread", refuse)
     run_ablation_grid(engine, BASELINE_NAMES, truth)
+    monkeypatch.undo()
     posts = [p for t in engine.threads.values() for p in (t.question, *t.answers)]
     assert len(posts) == 80
     assert all(not BAG_FIELDS & vars(p).keys() and "_bag_link" in vars(p) for p in posts)

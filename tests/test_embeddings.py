@@ -3,14 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import synth
 from crowdrank import embeddings
 from crowdrank.embeddings import (EmbeddingConfig, EmbeddingStore, IdfMap, SimilarityTable,
                                   WordMatrix, asym, asym_score, cosine, fallback_embed,
-                                  load_sentence_vectors, load_word_vectors,
-                                  save_vectors, sentence_embed)
+                                  fallback_vectors, load_sentence_vectors, load_word_vectors,
+                                  pcg64_states, save_vectors, sentence_embed)
 
 WORD_ST = st.sampled_from([f"w{i}" for i in range(12)])
 BAG_ST = st.sets(WORD_ST, max_size=8)
@@ -46,6 +46,34 @@ class TestFallbackEmbed:
         assert fallback_embed("x", dim=25).shape == (25,)
 
 
+def pcg64_state(seed):
+    state = np.random.PCG64(seed).state["state"]
+    return state["state"], state["inc"]
+
+
+class TestFallbackVectors:
+    # Seeds whose entropy is one, two, three or four 32-bit words, at the edges.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**128 - 1])
+    def test_seed_states_at_the_edges(self, seed):
+        assert pcg64_states([seed]) == [pcg64_state(seed)]
+
+    @given(st.lists(st.integers(0, 2**128 - 1), max_size=8))
+    def test_seed_states(self, seeds):
+        assert pcg64_states(seeds) == [pcg64_state(seed) for seed in seeds]
+
+    # Lists on both sides of the batch size (embeddings._BATCH_MIN).
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(max_size=6), max_size=40), st.sampled_from([0, 42, -1, 2**40]),
+           st.sampled_from([1, 2, 100]))
+    @example(["", "é", "日本語", "", "parse"] * 4, 42, 100)
+    @example(["", "é"], -1, 1)
+    def test_bit_equal_to_fallback_embed(self, words, seed, dim):
+        got = fallback_vectors(words, seed, dim)
+        assert got.shape == (len(words), dim) and got.dtype == np.float64
+        for row, word in zip(got, words):
+            assert row.tobytes() == fallback_embed(word, seed, dim).tobytes()
+
+
 class TestEmbeddingStore:
     def test_fallback_memoized(self, store):
         v1 = store.word_vector("anything")
@@ -54,6 +82,24 @@ class TestEmbeddingStore:
 
     def test_no_fallback_returns_none(self):
         assert EmbeddingStore(fallback=False).word_vector("missing") is None
+
+    def test_a_batch_is_the_scalar_lookups(self, store):
+        known = store.word_vector("known")
+        vecs, has = store.word_vectors(["new", "known", "new", "other"])
+        assert has.tolist() == [True] * 4
+        for row, word in zip(vecs, ["new", "known", "new", "other"]):
+            assert row.tobytes() == EmbeddingStore(dim=16).word_vector(word).tobytes()
+        assert store.word_vecs["known"] is known
+        assert sorted(store.word_vecs) == ["known", "new", "other"]
+
+    def test_a_batch_without_fallback(self):
+        store = EmbeddingStore(dim=3, fallback=False)
+        store.word_vecs["known"] = np.array([1.0, 0.0, 2.0])
+        vecs, has = store.word_vectors(["missing", "known"])
+        assert vecs.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 2.0]]
+        assert has.tolist() == [False, True]
+        assert store.word_vectors([])[0].shape == (0, 3)
+        assert sorted(store.word_vecs) == ["known"]
 
 
 class TestVectorFiles:

@@ -58,8 +58,7 @@ DOCS_ST = st.dictionaries(st.integers(0, 10 ** 6),
 def thread_index(threads):
     """The thread index an engine makes from the threads' document store."""
     idf = build_idf(threads)
-    return build_documents(threads, idf).thread_index(
-        sorted(idf.df), np.array(sorted(t.question.id for t in threads), dtype=np.int64))
+    return build_documents(threads, idf).thread_index(sorted(idf.df))
 
 
 def random_docs(rng, n_docs, vocab=30):
@@ -270,8 +269,7 @@ class TestPersistence:
 
     def test_thread_index_stores_each_threads_sum_of_squares(self, tmp_path):
         threads, idf = save_planted_store(tmp_path)
-        index = load_documents(tmp_path, len(idf.df)).thread_index(
-            sorted(idf.df), np.array(sorted(t.question.id for t in threads)))
+        index = load_documents(tmp_path, len(idf.df)).thread_index(sorted(idf.df))
         assert doc_values(index, "doc_sumsq") == {
             t.question.id: sum(tf * tf for tf in thread_document_bag(t).values())
             for t in threads}
