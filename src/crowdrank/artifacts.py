@@ -194,4 +194,4 @@ def load_engine(index_dir: str | Path,
     else:
         antonym_dict = default_dictionary()
 
-    return SearchEngine((), store, idf, antonym_dict, stopwords=stopwords, docs=docs)
+    return SearchEngine(docs, store, idf, antonym_dict, stopwords=stopwords)

@@ -7,9 +7,8 @@ positive score that retain at least one positive-score answer with code.
 
 An index directory keeps no thread objects: the document store
 (`documents.py`) holds every post's id, score, display text and word bags as
-arrays, and `documents.ThreadMap` builds a `Thread` from them whenever one is
-read. Such a post builds its bags from the store the first time anything
-asks for them (`ProcessedPost.linked`); a search never does.
+arrays, and `documents.ThreadMap` builds a `Thread` from them, bags
+included, whenever one is read; a search never reads one.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
 
 PREPROCESS_VERSION = 1
 # The range of a post id or score: the document store holds them as int64.
@@ -209,9 +208,6 @@ def preprocess(text: str, mode: str = "corpus",
     return bag
 
 
-BAG_FIELDS = ("title_bag", "body_bag", "code_bag")
-
-
 @dataclass
 class ProcessedPost:
     """A post's bags hold their words in sorted order (`process_post`)."""
@@ -223,31 +219,6 @@ class ProcessedPost:
     code_text: str
     original_title: str
     original_body: str
-
-    @classmethod
-    def linked(cls, post_id: int, score: int, text: Mapping[str, str],
-               bags: Callable[[int], tuple[Counter, ...]], row: int) -> "ProcessedPost":
-        """A post of the given id, score and display text (code_text,
-        original_title, original_body) whose three bags `bags(row)` builds
-        when one is first read."""
-        post = object.__new__(cls)
-        post.__dict__.update(id=post_id, score=score, **text, _bag_link=(bags, row))
-        return post
-
-    def __getattr__(self, name: str):
-        # Reached only for an attribute the post lacks: a linked post's bags
-        # before their first read. The link builds all three; they are kept.
-        link = self.__dict__.get("_bag_link") if name in BAG_FIELDS else None
-        if link is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        bags, row = link
-        self.__dict__.update(zip(BAG_FIELDS, bags(row)))
-        del self.__dict__["_bag_link"]
-        return self.__dict__[name]
-
-    def __getstate__(self) -> dict:
-        # A copy or a pickle holds the bags, not the link to the store.
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 @dataclass

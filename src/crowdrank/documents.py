@@ -17,10 +17,10 @@ question ids and both kinds of post's scores as arrays, each post's display
 text (`POST_TEXT`) as UTF-8 bytes with offsets, and the answers' title bags,
 a part over their own sorted words (answer titles are not in idf.json, and
 the stopwords a build used are not recorded, so they cannot be
-re-preprocessed). `ThreadMap` builds a `Thread` from these whenever one is
-read, and its posts' word bags from their rows when first read; the
-question code is stored for that alone: it is in no index, no answer length
-and no term count (THREAD_PARTS leaves it out).
+re-preprocessed). `ThreadMap` builds a `Thread` from these, its posts' word
+bags included, whenever one is read; the question code is stored for that
+alone: it is in no index, no answer length and no term count (THREAD_PARTS
+leaves it out).
 
 `build_documents` writes the arrays from `Thread`s; `build-index` saves them
 as fixed-dtype `.npy` files (DOCS_ARRAYS), and `load_documents` checks them
@@ -30,9 +30,9 @@ text index on disk: the thread BM25 index is its transpose, made at load
 with its answers' bodies, `body_union`) is made in memory whenever a store
 is, as it depends on the corpus only; it is not saved. A search carries its
 candidates as rows of these arrays and gathers from them: the asym segments,
-the answer index's term counts, tf-idf, top-method and the antonym filters
-all read them, not the threads' word bags, and it decodes the text of the
-answers it returns only.
+the answers' query-term counts (`term_counts`, which the answer BM25 and
+tf-idf score), top-method and the antonym filters all read them, not the
+threads' word bags, and it decodes the text of the answers it returns only.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 from .corpus import ProcessedPost, Thread
 from .embeddings import IdfMap
 from .features import extract_methods, tfidf_norms
-from .index import InvertedIndex, assemble_index, build_ephemeral_answer_index
+from .index import InvertedIndex, assemble_index
 
 # The parts a thread's and an answer's indexed text are made of.
 THREAD_PARTS = ("title", "body")
@@ -276,16 +276,6 @@ class DocumentStore:
         return (question[answer_of] + self._term_counts(ANSWER_PARTS, answer_rows, columns,
                                                         len(term_ids))).astype(np.int64)
 
-    def answer_index(self, thread_rows: np.ndarray, terms: Sequence[str], term_ids: np.ndarray,
-                     ) -> tuple[np.ndarray, np.ndarray, InvertedIndex]:
-        """The answer rows of the threads (thread after thread), their counts
-        of `terms` (sorted, with vocabulary ids `term_ids`; `term_counts`), and
-        the per-query answer index built from those counts."""
-        rows, _ = self.answer_rows(thread_rows)
-        counts = self.term_counts(rows, term_ids)
-        return rows, counts, build_ephemeral_answer_index(terms, counts, self.answer_ids[rows],
-                                                          self.answer_len[rows])
-
     def methods(self, answer_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The method-call ids of the answers, as one flat array and offsets."""
         positions, offsets = take(self.method_ptr, answer_rows)
@@ -295,44 +285,43 @@ class DocumentStore:
 class ThreadMap(Mapping):
     """A store's threads by question id, ascending: a read-only mapping.
 
-    Each read builds the `Thread` from the store, and its posts build their
-    word bags from their rows when first read (`ProcessedPost.linked`), over
-    the sorted vocabulary `words`. No thread is kept, so reading threads
-    holds no memory; a built thread and one read here are `==` and share one
-    `repr`.
+    Each read builds the `Thread` from the store, its posts' word bags over
+    the sorted vocabulary `words` included. No thread is kept, so reading
+    threads holds no memory; a built thread and one read here are `==` and
+    share one `repr`.
     """
 
     def __init__(self, docs: DocumentStore, words: Sequence[str]):
         self.docs = docs
         self.words = words
         ids = docs.posts.question_ids.tolist()
-        self._row = dict(zip(ids, range(len(ids))))
+        # question id -> thread row
+        self.rows = dict(zip(ids, range(len(ids))))
 
     def __len__(self) -> int:
-        return len(self._row)
+        return len(self.rows)
 
     def __iter__(self):
-        return iter(self._row)
+        return iter(self.rows)
 
     def __contains__(self, thread_id) -> bool:
-        return thread_id in self._row
+        return thread_id in self.rows
 
     def __getitem__(self, thread_id) -> Thread:
-        return self.thread(self._row[thread_id])
+        return self.thread(self.rows[thread_id])
 
     def thread(self, row: int) -> Thread:
         """The thread of thread row `row`."""
         docs, posts = self.docs, self.docs.posts
         answers = range(*docs.answer_ptr[row:row + 2].tolist())
         return Thread(
-            question=ProcessedPost.linked(
+            question=ProcessedPost(
                 int(posts.question_ids[row]), int(posts.question_score[row]),
-                {name: posts.question_text.get(row, name) for name in POST_TEXT},
-                self._question_bags, row),
-            answers=[ProcessedPost.linked(
-                int(docs.answer_ids[a]), int(posts.answer_score[a]),
-                {name: posts.answer_text.get(a, name) for name in POST_TEXT},
-                self._answer_bags, a) for a in answers])
+                *self._question_bags(row),
+                **{name: posts.question_text.get(row, name) for name in POST_TEXT}),
+            answers=[ProcessedPost(
+                int(docs.answer_ids[a]), int(posts.answer_score[a]), *self._answer_bags(a),
+                **{name: posts.answer_text.get(a, name) for name in POST_TEXT}) for a in answers])
 
     @staticmethod
     def _bag(part: TextPart, row: int, words: Sequence[str]) -> Counter:

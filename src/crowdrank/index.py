@@ -11,12 +11,13 @@ squared term frequencies `doc_sumsq[r]`, the norm of the `tf` feature.
 No index is kept on disk. The thread index is the inverted file of the
 forward store `documents.DocumentStore`, made at load by
 `DocumentStore.thread_index`; it and `build_index` (from word bags) share
-one assembly from (row, term id, count) entries, `assemble_index`. The
-answer index is built per query over the surviving threads' answers from
-their counts of the query's terms, which the store gathers; it holds only
-those terms. Each index computes every posting's BM25 term once
-(`InvertedIndex.impacts`), and one `bm25_rows` scores both. IDF inside
-BM25 is log10(N/df), the same definition the rest of the scoring stack uses.
+one assembly from (row, term id, count) entries, `assemble_index`. An index
+computes every posting's BM25 term once (`InvertedIndex.impacts`), and
+`bm25_rows` sums them per document. The answer stage builds no index: it
+scores the surviving answers' table of query-term counts, which the store
+gathers, with `bm25_table`. Both take their terms from one formula,
+`bm25_impacts`, and make one top-N cut, `top_positive`. IDF inside BM25 is
+log10(N/df), the same definition the rest of the scoring stack uses.
 """
 
 from __future__ import annotations
@@ -37,14 +38,19 @@ class IndexStats:
     n_docs: int = 0
     avgdl: float = 0.0
 
+    @classmethod
+    def of(cls, doc_len: np.ndarray) -> "IndexStats":
+        """N and avgdl of the documents of lengths `doc_len`."""
+        n_docs = len(doc_len)
+        return cls(n_docs=n_docs, avgdl=int(doc_len.sum()) / n_docs if n_docs else 0.0)
+
 
 class InvertedIndex:
-    """Postings in CSR form (see the module docstring). `doc_sumsq` is None
-    for the query-term answer index, which cannot know whole-document sums."""
+    """Postings in CSR form (see the module docstring)."""
 
     def __init__(self, terms: list[str], indptr: np.ndarray, rows: np.ndarray,
                  tfs: np.ndarray, doc_ids: np.ndarray, doc_len: np.ndarray,
-                 doc_sumsq: np.ndarray | None):
+                 doc_sumsq: np.ndarray):
         self.terms = terms
         self.indptr = indptr
         self.rows = rows
@@ -52,27 +58,12 @@ class InvertedIndex:
         self.doc_ids = doc_ids
         self.doc_len = doc_len
         self.doc_sumsq = doc_sumsq
-        n_docs = len(doc_ids)
-        avgdl = int(doc_len.sum()) / n_docs if n_docs else 0.0
-        self.stats = IndexStats(n_docs=n_docs, avgdl=avgdl)
+        self.stats = IndexStats.of(doc_len)
         # term -> its postings' (start, end)
         bounds = indptr.tolist()
         self._spans = dict(zip(terms, zip(bounds, bounds[1:])))
-        # Each posting's BM25 term, idf * tf * (k + 1) / (tf + k * (1 - b +
-        # b * dl / avgdl)), with the operations of a loop over the postings,
-        # so a score sums the same floats as that loop; in place, so a load
-        # holds two posting-sized float arrays, not five.
-        dfs = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-        k, b = BM25_K, BM25_B
-        norm = doc_len[rows] * b
-        norm /= avgdl
-        norm += 1.0 - b
-        norm *= k
-        norm += tfs
-        self.impacts = np.repeat([math.log10(n_docs / df) if df else 0.0 for df in dfs], dfs)
-        self.impacts *= tfs
-        self.impacts *= k + 1.0
-        self.impacts /= norm
+        self.impacts = bm25_impacts([hi - lo for lo, hi in zip(bounds, bounds[1:])], rows, tfs,
+                                    doc_len)
 
     def spans(self, terms: Iterable[str]) -> list[tuple[int, int]]:
         """(start, end) of each term's postings; (0, 0) for a term no document holds."""
@@ -82,6 +73,43 @@ class InvertedIndex:
         """(doc_id, tf) of each document holding the term, by ascending doc_id."""
         (lo, hi), = self.spans([term])
         return list(zip(self.doc_ids[self.rows[lo:hi]].tolist(), self.tfs[lo:hi].tolist()))
+
+
+def bm25_impacts(dfs: Sequence[int], rows: np.ndarray, tfs: np.ndarray,
+                 doc_len: np.ndarray) -> np.ndarray:
+    """Each posting's BM25 term, idf * tf * (k + 1) / (tf + k * (1 - b + b *
+    dl / avgdl)) with idf = log10(N/df). The postings run term after term,
+    `dfs[i]` of them for the i-th term; posting p counts `tfs[p]` in the
+    document `rows[p]`. N and avgdl cover every document of `doc_len`.
+
+    The operations are those of a loop over the postings, so a score sums
+    the same floats as that loop; they run in place, so a load holds two
+    posting-sized float arrays, not five.
+    """
+    stats = IndexStats.of(doc_len)
+    k, b = BM25_K, BM25_B
+    norm = doc_len[rows] * b
+    norm /= stats.avgdl
+    norm += 1.0 - b
+    norm *= k
+    norm += tfs
+    impacts = np.repeat([math.log10(stats.n_docs / df) if df else 0.0 for df in dfs], dfs)
+    impacts *= tfs
+    impacts *= k + 1.0
+    impacts /= norm
+    return impacts
+
+
+def top_positive(scores: np.ndarray, top_n: int, keys: np.ndarray | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of at most `top_n` positive scores and those scores, by
+    descending score; ties break by ascending key (by position when `keys`
+    is None)."""
+    if top_n < 1:
+        raise ValueError("top_n must be >= 1")
+    hit = np.flatnonzero(scores > 0.0)
+    top = hit[np.lexsort((hit if keys is None else keys[hit], -scores[hit]))[:top_n]]
+    return top, scores[top]
 
 
 def gather(values: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
@@ -159,17 +187,10 @@ def bm25_rows(index: InvertedIndex, query: Iterable[str], top_n: int,
     document by `np.bincount` in sorted-term order, so every score is the
     same chain of float additions as a loop over the terms.
     """
-    if top_n < 1:
-        raise ValueError("top_n must be >= 1")
-    spans = index.spans(sorted(set(query))) if index.stats.n_docs else []
-    rows = gather(index.rows, spans)
-    if not len(rows):
-        return np.zeros(0, dtype=np.intp), np.zeros(0)
-    scores = np.bincount(rows, weights=gather(index.impacts, spans),
+    spans = index.spans(sorted(set(query)))
+    scores = np.bincount(gather(index.rows, spans), weights=gather(index.impacts, spans),
                          minlength=index.stats.n_docs)
-    hit = np.flatnonzero(scores > 0.0)
-    top = hit[np.lexsort((hit, -scores[hit]))[:top_n]]
-    return top, scores[top]
+    return top_positive(scores, top_n)
 
 
 def bm25_search(index: InvertedIndex, query: Iterable[str], top_n: int) -> list[tuple[int, float]]:
@@ -178,23 +199,19 @@ def bm25_search(index: InvertedIndex, query: Iterable[str], top_n: int) -> list[
     return list(zip(index.doc_ids[rows].tolist(), scores.tolist()))
 
 
-def build_ephemeral_answer_index(terms: Sequence[str], counts: np.ndarray, doc_ids: np.ndarray,
-                                 doc_len: np.ndarray) -> InvertedIndex:
-    """Per-query index over the retained answers of the surviving threads.
+def bm25_table(counts: np.ndarray, doc_len: np.ndarray, keys: np.ndarray, top_n: int,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Rank documents by BM25 from a table of their counts of the query's
+    terms: a row per document, of length `doc_len`, and a column per term,
+    in sorted order (a column of zeros is a term no document holds). The
+    rows of at most `top_n` documents and their scores, by descending score;
+    zero-score documents are excluded, and ties break by ascending key.
 
-    Row r of `counts` holds answer `doc_ids[r]`'s count of each of `terms`
-    (a column each, in sorted order), as `DocumentStore.term_counts` gathers
-    them; `doc_len` holds the answers' whole lengths. Only the postings of
-    `terms` are kept, but N, the doc lengths and avgdl cover whole
-    documents, so `bm25_search` with a query made of `terms` scores exactly
-    as over the full index. Rows are indexed by ascending answer id.
+    N, df and avgdl come from the table, so the scores are those `bm25_rows`
+    gives over an index of the same documents, to the last bit: each term
+    is `bm25_impacts`, summed per document in column order.
     """
-    order = np.argsort(doc_ids, kind="stable")
-    held = np.flatnonzero(counts.any(axis=0))
-    tfs = counts[order][:, held].T  # a row per held term
-    term_rows, rows = np.nonzero(tfs)
-    indptr = np.zeros(len(held) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(term_rows, minlength=len(held)), out=indptr[1:])
-    return InvertedIndex([terms[j] for j in held.tolist()], indptr, rows.astype(np.int32),
-                         tfs[term_rows, rows].astype(np.int32), doc_ids[order].astype(np.int64),
-                         doc_len[order].astype(np.int64), None)
+    columns, rows = np.nonzero(counts.T)
+    dfs = np.bincount(columns, minlength=counts.shape[1]).tolist()
+    impacts = bm25_impacts(dfs, rows, counts[rows, columns], doc_len)
+    return top_positive(np.bincount(rows, weights=impacts, minlength=len(doc_len)), top_n, keys)

@@ -3,8 +3,8 @@
 The funnel: BM25 over the thread index (top 500), optional thread-level
 antonym filter, stage-1 fusion of the four similarity features (keep 250),
 stage-2 fusion of those same values plus the three social features (keep
-100), ephemeral BM25 over the surviving answers, indexed on the query's
-terms only (top 150), optional answer-level antonym filter, then
+100), BM25 over the surviving answers, scored on the table of their counts
+of the query's terms (top 150), optional answer-level antonym filter, then
 four-feature answer fusion and the top-N cut. Each stage ranks one feature
 table (a column per feature, a row per candidate) by `_rank`.
 
@@ -25,17 +25,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from . import features as ft
 from .antonyms import AntonymDictionary, AntonymQueryContext
-from .corpus import Thread, preprocess
-from .documents import DocumentStore, ThreadMap, build_documents
+from .corpus import preprocess
+from .documents import DocumentStore, ThreadMap
 from .embeddings import (EmbeddingStore, IdfMap, SimilarityTable, WordMatrix, sentence_embed,
                          sentence_vectors)
-from .index import bm25_rows, gather
+from .index import bm25_rows, bm25_table, gather
 
 
 @dataclass
@@ -93,12 +92,9 @@ def _rows(table: dict[str, np.ndarray], positions: np.ndarray) -> list[dict[str,
 class SearchEngine:
     """Holds the immutable per-corpus state and executes searches against it."""
 
-    def __init__(self, threads: Iterable[Thread], store: EmbeddingStore,
-                 idf_map: IdfMap, antonym_dict: AntonymDictionary,
-                 stopwords: frozenset[str] | None = None,
-                 docs: DocumentStore | None = None):
-        """The engine of `threads`, or, when `docs` is given, of the threads
-        that document store holds (`threads` is then not read)."""
+    def __init__(self, docs: DocumentStore, store: EmbeddingStore, idf_map: IdfMap,
+                 antonym_dict: AntonymDictionary, stopwords: frozenset[str] | None = None):
+        """The engine of the threads that the document store `docs` holds."""
         self.store = store
         self.idf_map = idf_map
         self.antonym_dict = antonym_dict
@@ -110,7 +106,7 @@ class SearchEngine:
         # row per thread by ascending question id; the threads themselves,
         # built from the store when read; and their BM25 index with the same
         # rows.
-        self.docs = docs or build_documents(threads, idf_map)
+        self.docs = docs
         self.threads = ThreadMap(self.docs, self.vocab.words)
         posts = self.docs.posts
         self.thread_index = self.docs.thread_index(self.vocab.words)
@@ -128,16 +124,15 @@ class SearchEngine:
 
     def _title_vectors(self) -> np.ndarray:
         """Each thread's title vector, a row per thread: the store's sentence
-        vector when it holds one (from a sentence-vector file), else the
-        built-in IDF-weighted mean, which then fills the store."""
+        vector for its question id when it holds one (from a sentence-vector
+        file), else the built-in IDF-weighted mean. A given vector of an id
+        outside the corpus is ignored."""
         title = self.docs.parts["title"]
         vecs = sentence_vectors(self.vocab.words, self.vocab.idf, title.ptr, title.ids,
                                 title.counts, self.store)
-        for row, thread_id in enumerate(self.thread_index.doc_ids.tolist()):
-            given = self.store.sentence_vecs.get(thread_id)
-            if given is None:
-                self.store.sentence_vecs[thread_id] = vecs[row]
-            else:
+        for thread_id, given in self.store.sentence_vecs.items():
+            row = self.threads.rows.get(thread_id)
+            if row is not None:
                 vecs[row] = given
         return vecs
 
@@ -260,19 +255,20 @@ class SearchEngine:
         diagnostics["thread_features"] = dict(zip(
             self.thread_index.doc_ids[rows[kept]].tolist(), _rows(table, kept)))
 
-        # Ephemeral answer index over the query's vocabulary terms, and
-        # lexical answer retrieval. The answer rows run thread after thread,
-        # in stage-2 order, and each carries its thread's stage-2 score.
+        # Lexical answer retrieval over the surviving threads' answers, from
+        # their counts of the query's vocabulary terms (a column per term, in
+        # sorted order). The answer rows run thread after thread, in stage-2
+        # order, and each carries its thread's stage-2 score.
         rows = rows[kept]
         held = qc.vocab_ids >= 0
-        answer_rows, term_counts, index = self.docs.answer_index(
-            rows, [w for w, h in zip(qc.words.words, held.tolist()) if h], qc.vocab_ids[held])
+        answer_rows, _ = self.docs.answer_rows(rows)
+        term_counts = self.docs.term_counts(answer_rows, qc.vocab_ids[held])
         thread_score = np.repeat(fused[kept], self.docs.answer_ptr[rows + 1]
                                  - self.docs.answer_ptr[rows])
         answer_ids = self.docs.answer_ids[answer_rows]
-        hits, _ = bm25_rows(index, qc.bag, config.answer_k)
-        # The index's rows follow ascending answer ids; positions index answer_rows.
-        positions = np.argsort(answer_ids, kind="stable")[hits]
+        # Positions index answer_rows.
+        positions, _ = bm25_table(term_counts, self.docs.answer_len[answer_rows], answer_ids,
+                                  config.answer_k)
         if not len(positions) and len(answer_rows):
             # Every query term the answers hold is in all of them, so its idf
             # is log10(N/N) = 0 (a single surviving answer is the usual case):

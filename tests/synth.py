@@ -246,21 +246,6 @@ def segments_reference(docs, vocab):
     return flat, ptr
 
 
-def answer_index_reference(threads, terms):
-    """(doc ids, doc lengths, N, avgdl, postings) of the answer BM25 index over
-    the threads' answers, in ascending answer id, holding only `terms`."""
-    docs = {a.id: answer_document_bag(t, a) for t in threads for a in t.answers}
-    doc_ids = sorted(docs)
-    doc_len = [sum(docs[d].values()) for d in doc_ids]
-    postings = {}
-    for term in sorted(set(terms)):
-        plist = [(d, docs[d][term]) for d in doc_ids if docs[d].get(term, 0)]
-        if plist:
-            postings[term] = plist
-    avgdl = sum(doc_len) / len(doc_ids) if doc_ids else 0.0
-    return doc_ids, doc_len, len(doc_ids), avgdl, postings
-
-
 def top_method_reference(code_texts, extract, scale=10.0):
     """Each answer's top-method score: log2(f)/scale if its code calls the
     method called most often over all of them (ties: the smallest name)."""

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crowdrank.artifacts import build_artifacts, build_idf, load_corpus, load_idf
-from crowdrank.corpus import (BAG_FIELDS, BuildStats, LoadStats, RawPost, TagFilter,
-                              build_threads, load_dump, preprocess, separate_code)
+from crowdrank.corpus import (BuildStats, LoadStats, RawPost, TagFilter, build_threads,
+                              load_dump, preprocess, separate_code)
 from crowdrank.documents import ThreadMap, build_documents, load_documents, save_documents
 
 
@@ -255,25 +255,11 @@ class TestThreadStore:
                                                                                   "zeta"]
         assert not (tmp_path / "index" / "threads.jsonl").exists()
 
-    def test_bags_are_built_when_first_read_and_kept(self, tmp_path):
-        posts = dump_posts([("alpha gamma", "beta", "delta_epsilon", 2,
-                             [("gamma", "alpha x2", None, 1)])])
-        built, loaded = store_round_trip(posts, tmp_path)
-        question = loaded[0].question
-        assert not BAG_FIELDS & vars(question).keys()
-        body = question.body_bag
-        assert vars(question).keys() >= set(BAG_FIELDS) and "_bag_link" not in vars(question)
-        assert question.body_bag is body
-        assert question.code_bag == Counter({"delta": 1, "epsilon": 1})
-        assert not BAG_FIELDS & vars(loaded[0].answers[0]).keys()
-
     def test_copies_and_pickles_hold_the_bags(self, tmp_path):
         posts = dump_posts([("alpha", "beta", "", 2, [("gamma", "x2", None, 1)])])
         built, loaded = store_round_trip(posts, tmp_path)
         for thread in (copy.deepcopy(loaded[0]), pickle.loads(pickle.dumps(loaded[0]))):
             assert thread == built[0]
-            assert "_bag_link" not in vars(thread.question)
-            assert "_bag_link" not in vars(thread.answers[0])
 
     def test_round_trip_and_determinism(self, tmp_path):
         posts = [
@@ -293,8 +279,6 @@ class TestThreadStore:
         thread = loaded[1]
         assert thread.answers[0].code_text == threads[0].answers[0].code_text == "beta()"
         assert thread.answers[0].original_title == "Ünïcode tïtle"
-        # The bags are built from the store when first read.
-        assert not BAG_FIELDS & vars(thread.question).keys()
         assert thread.question.title_bag == threads[0].question.title_bag
         assert list(loaded.values()) == threads
 
@@ -333,5 +317,5 @@ class TestThreadMap:
         first.question.score += 1
         first.answers.pop()
         assert mapping[20] is not first and mapping[20] == built[1]
-        assert not {k for k in vars(mapping) if k not in ("docs", "words", "_row")}
+        assert not {k for k in vars(mapping) if k not in ("docs", "words", "rows")}
         assert mapping[20].answers[0].title_bag == Counter({"omega": 1})

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 import synth
 from crowdrank.antonyms import default_dictionary
 from crowdrank.artifacts import build_artifacts, build_idf, load_engine
-from crowdrank.corpus import (BAG_FIELDS, ProcessedPost, RawPost, Thread, build_threads,
-                              load_dump, preprocess)
+from crowdrank.corpus import ProcessedPost, RawPost, Thread, build_threads, load_dump, preprocess
 from crowdrank.documents import (DocumentStore, ThreadMap, build_documents, load_documents,
                                  save_documents)
 from crowdrank.embeddings import (EmbeddingStore, cosine, fallback_embed, save_vectors,
@@ -19,7 +18,7 @@ from crowdrank.embeddings import (EmbeddingStore, cosine, fallback_embed, save_v
 from crowdrank.evaluation import GroundTruth, run_ablation_grid
 from crowdrank.features import (WeightConfig, extract_methods, tfidf_score, top_method_scores,
                                 top_method_score)
-from crowdrank.index import build_index
+from crowdrank.index import bm25_search, bm25_table, build_index
 from crowdrank.pipeline import BASELINE_NAMES, SearchEngine
 
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf"]
@@ -54,7 +53,8 @@ def corpus_threads(corpus):
 
 
 def make_engine(threads):
-    return SearchEngine(threads, EmbeddingStore(dim=8, fallback=True), build_idf(threads),
+    idf = build_idf(threads)
+    return SearchEngine(build_documents(threads, idf), EmbeddingStore(dim=8, fallback=True), idf,
                         default_dictionary())
 
 
@@ -90,18 +90,20 @@ class TestAgainstBagReferences:
 
     @settings(max_examples=60, deadline=None)
     @given(CORPUS_ST, st.data())
-    def test_answer_index(self, corpus, data):
+    def test_answer_bm25(self, corpus, data):
         threads = corpus_threads(corpus)
         docs, vocab = make_engine(threads).docs, sorted(build_idf(threads).df)
         rows = subset(data, len(threads))
         query = data.draw(st.sets(st.sampled_from(WORDS)))
-        terms = sorted(w for w in query if w in vocab)
-        _, _, index = docs.answer_index(rows, terms,
-                                        np.array([vocab.index(w) for w in terms], dtype=np.intp))
-        got = (index.doc_ids.tolist(), index.doc_len.tolist(), index.stats.n_docs,
-               index.stats.avgdl, {t: index.postings(t) for t in index.terms})
-        assert repr(got) == repr(synth.answer_index_reference(
-            [threads[r] for r in rows.tolist()], terms))
+        answer_rows, _ = docs.answer_rows(rows)
+        counts = docs.term_counts(answer_rows, np.array(
+            [vocab.index(w) for w in sorted(query) if w in vocab], dtype=np.intp))
+        ids = docs.answer_ids[answer_rows]
+        positions, scores = bm25_table(counts, docs.answer_len[answer_rows], ids, 150)
+        full = build_index({a.id: synth.answer_document_bag(threads[r], a)
+                            for r in rows.tolist() for a in threads[r].answers})
+        assert repr(list(zip(ids[positions].tolist(), scores.tolist()))) == repr(
+            bm25_search(full, query, 150))
 
     @settings(max_examples=40, deadline=None)
     @given(CORPUS_ST)
@@ -267,18 +269,17 @@ def test_the_preset_grid_builds_no_bag(planted_index, monkeypatch):
     monkeypatch.undo()
     posts = [p for t in engine.threads.values() for p in (t.question, *t.answers)]
     assert len(posts) == 80
-    assert all(not BAG_FIELDS & vars(p).keys() and "_bag_link" in vars(p) for p in posts)
 
 
 class TestTitleVectors:
-    def test_built_in_vectors_fill_the_store(self, planted_index):
+    def test_built_in_vectors(self, planted_index):
         index_dir, _ = planted_index
         engine = load_engine(index_dir)
-        assert sorted(engine.store.sentence_vecs) == sorted(engine.threads)
+        assert engine.store.sentence_vecs == {}
+        assert len(engine.title_vecs) == len(engine.threads)
         for row, thread_id in enumerate(engine.thread_index.doc_ids.tolist()):
             want = sentence_embed(engine.threads[thread_id].question.title_bag, engine.store,
                                   engine.idf_map)
-            assert np.array_equal(engine.store.sentence_vecs[thread_id], want)
             assert np.array_equal(engine.title_vecs[row], want)
 
     def test_sentence_feature_is_the_cosine(self, planted_index):
@@ -289,7 +290,7 @@ class TestTitleVectors:
             query_vec = sentence_embed(preprocess(text, "query"), engine.store, engine.idf_map)
             result = engine.search(text, WeightConfig())
             for thread_id, raw in result.diagnostics["thread_features"].items():
-                want = cosine(query_vec, engine.store.sentence_vecs[thread_id])
+                want = cosine(query_vec, engine.title_vecs[engine.threads.rows[thread_id]])
                 assert abs(raw["sentence"] - want) <= 1e-12
                 checked += 1
         assert checked > 10
@@ -301,13 +302,13 @@ class TestTitleVectors:
         ids = sorted(plain.threads)
         given = {ids[0]: fallback_embed("anything", dim=plain.store.dim),
                  ids[1]: np.zeros(plain.store.dim)}
-        save_vectors(given, plain.store.dim, tmp_path / "titles.vec")
+        # A vector of a question id outside the corpus is ignored.
+        save_vectors({**given, ids[-1] + 1: np.ones(plain.store.dim)}, plain.store.dim,
+                     tmp_path / "titles.vec")
         engine = load_engine(index_dir, sentence_vectors=tmp_path / "titles.vec")
         for thread_id, vec in given.items():
-            assert np.array_equal(engine.store.sentence_vecs[thread_id], vec)
             assert np.array_equal(engine.title_vecs[ids.index(thread_id)], vec)
-        assert np.array_equal(engine.store.sentence_vecs[ids[2]],
-                              plain.store.sentence_vecs[ids[2]])
+        assert np.array_equal(engine.title_vecs[2:], plain.title_vecs[2:])
         rows = np.arange(len(ids))
         qc = engine.make_query_context(queries[1], WeightConfig())
         sentence = engine._sentence(qc, rows)

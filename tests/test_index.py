@@ -13,7 +13,8 @@ from crowdrank.artifacts import build_artifacts, build_idf, load_engine
 from crowdrank.corpus import RawPost, build_threads
 from crowdrank.documents import (DOCS_ARRAYS, build_documents, docs_file, load_documents,
                                  save_documents)
-from crowdrank.index import bm25_search, build_index
+from crowdrank.index import (assemble_index, bm25_rows, bm25_search, bm25_table,
+                             build_index)
 from synth import thread_document_bag
 
 
@@ -53,6 +54,20 @@ WORD_ST = st.sampled_from(["a", "b", "c", "d", "e", "f"])
 DOCS_ST = st.dictionaries(st.integers(0, 10 ** 6),
                           st.dictionaries(WORD_ST, st.integers(1, 6)).map(Counter),
                           max_size=12)
+
+
+
+@st.composite
+def count_tables(draw):
+    """A (document x term) count table with some columns of zeros, each
+    document's words beyond the table's terms, and distinct keys in any order."""
+    n = draw(st.integers(0, 8))
+    column = st.one_of(st.just([0] * n), st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    columns = draw(st.lists(column, max_size=4))
+    counts = np.array(columns, dtype=np.int64).reshape(len(columns), n).T
+    extra = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return counts, extra, draw(st.lists(st.integers(0, 10 ** 6), min_size=n, max_size=n,
+                                        unique=True))
 
 
 def thread_index(threads):
@@ -158,6 +173,31 @@ class TestBm25Reference:
         assert repr(bm25_search(build_index(docs), query, top_n)) == repr(
             reference_bm25(docs, query, top_n))
 
+    @settings(max_examples=200, deadline=None)
+    @given(table=count_tables(), top_n=st.integers(1, 10))
+    @example(table=([[1], [1], [1], [0]], [2, 2, 2, 0], [9, 2, 5, 7]),
+             top_n=2).via("tied scores, keys out of order")
+    @example(table=([[1, 0], [0, 0], [2, 0]], [0, 2, 1], [3, 1, 2]),
+             top_n=5).via("a column of zeros")
+    @example(table=([[1, 1]], [0], [4]), top_n=5).via("one document: idf 0")
+    @example(table=(np.zeros((0, 2), dtype=np.int64), [], []), top_n=3).via("no documents")
+    def test_count_table_equals_the_index_of_its_entries(self, table, top_n):
+        counts, extra, keys = (np.array(x, dtype=np.int64) for x in table)
+        terms = [f"t{j}" for j in range(counts.shape[1])]
+        # The table's cells as index entries, plus a filler term that brings
+        # each document up to its length; row r is the r-th smallest key.
+        rank = np.argsort(np.argsort(keys))
+        rows, term_ids = np.nonzero(counts)
+        filler = np.flatnonzero(extra)
+        index = assemble_index(terms + ["zfiller"], rank[np.concatenate([rows, filler])],
+                               np.concatenate([term_ids, np.full(len(filler), len(terms))]),
+                               np.concatenate([counts[rows, term_ids], extra[filler]]),
+                               np.sort(keys))
+        positions, scores = bm25_table(counts, counts.sum(axis=1) + extra, keys, top_n)
+        hits, want = bm25_rows(index, terms, top_n)
+        assert repr((keys[positions].tolist(), scores.tolist())) == repr(
+            (index.doc_ids[hits].tolist(), want.tolist()))
+
     def test_thread_index_of_the_planted_corpus(self):
         posts, queries, _ = synth.planted_corpus(n_threads=60, n_queries=5)
         threads = build_threads([RawPost.from_json(o) for o in posts])
@@ -211,22 +251,29 @@ class TestDocumentBags:
         assert bm25_search(engine.thread_index, ["qonlyword"], 10) == []
         assert engine.idf_map.df["qonlyword"] == 1
 
-    def test_ephemeral_index_covers_all_answers(self):
+    def test_answer_bm25_covers_whole_answers(self):
         thread = self.thread()
-        other = build_threads([
+        other, third = build_threads([
             RawPost(id=5, post_kind="question", score=5, title="zebra", body_html="stripes"),
             RawPost(id=6, post_kind="answer", score=3, parent_id=5,
-                    body_html="<code>zebra.run()</code>")])[0]
-        idf = build_idf([thread, other])
+                    body_html="<code>zebra.run()</code>"),
+            RawPost(id=7, post_kind="question", score=5, title="format date", body_html="how"),
+            RawPost(id=8, post_kind="answer", score=3, parent_id=7,
+                    body_html="<code>fmt.format(d)</code>")])
+        idf = build_idf([thread, other, third])
         vocab = sorted(idf.df)
-        # "zebra" is a vocabulary word that no answer of thread 1 holds.
-        _, _, index = build_documents([thread, other], idf).answer_index(
-            np.array([0]), ["jackson", "zebra"],
-            np.array([vocab.index("jackson"), vocab.index("zebra")]))
-        assert doc_values(index, "doc_len") == {
-            2: sum(synth.answer_document_bag(thread, thread.answers[0]).values())}
-        assert index.terms == ["jackson"]
-        assert index.postings("jackson") == [(2, 1)]
+        docs = build_documents([thread, other, third], idf)
+        # Threads 1 and 7 survive; "zebra" is a vocabulary word that none of
+        # their answers holds. The scores depend on the answers' whole lengths.
+        rows, _ = docs.answer_rows(np.array([0, 2]))
+        counts = docs.term_counts(rows, np.array([vocab.index("jackson"), vocab.index("zebra")]))
+        assert counts.tolist() == [[1, 0], [0, 0]]
+        positions, scores = bm25_table(counts, docs.answer_len[rows], docs.answer_ids[rows], 150)
+        hits = list(zip(docs.answer_ids[rows[positions]].tolist(), scores.tolist()))
+        full = build_index({a.id: synth.answer_document_bag(t, a)
+                            for t in (thread, third) for a in t.answers})
+        assert repr(hits) == repr(bm25_search(full, ["jackson", "zebra"], 150))
+        assert [answer_id for answer_id, _ in hits] == [2]
 
 
 def save_planted_store(directory):

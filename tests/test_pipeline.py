@@ -20,30 +20,30 @@ from crowdrank.embeddings import (EmbeddingStore, IdfMap, SimilarityTable, asym_
 from crowdrank.features import (ANTONYM_TARGET_MODES, SOCIAL_FEATURES, THREAD_FEATURES,
                                 WeightConfig, question_score_value, tf_score)
 from crowdrank.documents import build_documents
-from crowdrank.index import bm25_search, build_index
+from crowdrank.index import bm25_search, bm25_table, build_index
 from crowdrank.pipeline import BASELINE_NAMES, SearchEngine, _rank, configure_ablation
 
 
-def doc_lengths(index):
-    """(doc_id, length) of every document of an index, by doc_id."""
-    return sorted(zip(index.doc_ids.tolist(), index.doc_len.tolist()))
-
-
-def store_answer_index(threads, query):
-    """The answer index of all the threads' answers, gathered from their
-    document store, on the query words the store's vocabulary holds."""
+def store_answer_bm25(threads, query):
+    """(answer id, score) of the top 150 of all the threads' answers by the
+    answer BM25 of a search: `bm25_table` over their counts, gathered from
+    their document store, of the query words the store's vocabulary holds."""
     idf = build_idf(threads) if threads else IdfMap({}, 1)
     vocab = sorted(idf.df)
-    terms = sorted(w for w in set(query) if w in idf.df)
     docs = build_documents(threads, idf)
-    return docs.answer_index(np.arange(docs.n_threads), terms,
-                             np.array([vocab.index(t) for t in terms], dtype=np.intp))[2]
+    rows, _ = docs.answer_rows(np.arange(docs.n_threads))
+    counts = docs.term_counts(rows, np.array(
+        [vocab.index(t) for t in sorted(set(query)) if t in idf.df], dtype=np.intp))
+    ids = docs.answer_ids[rows]
+    positions, scores = bm25_table(counts, docs.answer_len[rows], ids, 150)
+    return list(zip(ids[positions].tolist(), scores.tolist()))
 
 
 def make_engine(posts):
     threads = build_threads([RawPost.from_json(o) for o in posts])
-    return SearchEngine(threads, EmbeddingStore(fallback=True),
-                        build_idf(threads), default_dictionary())
+    idf = build_idf(threads)
+    return SearchEngine(build_documents(threads, idf), EmbeddingStore(fallback=True), idf,
+                        default_dictionary())
 
 
 @pytest.fixture(scope="module")
@@ -245,21 +245,25 @@ class TestVocabularyKernel:
         # The engine's document store maps every thread word to its id, so
         # the error comes before any search.
         with pytest.raises(ValueError, match="not in the idf vocabulary"):
-            SearchEngine(threads, EmbeddingStore(fallback=True),
-                         IdfMap({"q0alpha": 1}, len(threads)), default_dictionary())
+            idf = IdfMap({"q0alpha": 1}, len(threads))
+            SearchEngine(build_documents(threads, idf), EmbeddingStore(fallback=True), idf,
+                         default_dictionary())
 
     def test_results_do_not_depend_on_the_hash_seed(self):
         script = ("import synth\n"
                   "from crowdrank.antonyms import default_dictionary\n"
                   "from crowdrank.artifacts import build_idf\n"
                   "from crowdrank.corpus import RawPost, build_threads\n"
+                  "from crowdrank.documents import build_documents\n"
                   "from crowdrank.embeddings import EmbeddingStore\n"
                   "from crowdrank.features import WeightConfig\n"
                   "from crowdrank.pipeline import SearchEngine\n"
                   "posts, queries, _ = synth.planted_corpus(n_threads=40, n_queries=4)\n"
                   "threads = build_threads([RawPost.from_json(o) for o in posts])\n"
-                  "engine = SearchEngine(threads, EmbeddingStore(fallback=True),\n"
-                  "                      build_idf(threads), default_dictionary())\n"
+                  "idf = build_idf(threads)\n"
+                  "engine = SearchEngine(build_documents(threads, idf),\n"
+                  "                      EmbeddingStore(fallback=True), idf,\n"
+                  "                      default_dictionary())\n"
                   "for clamp in (True, False):\n"
                   "    for text in queries.values():\n"
                   "        r = engine.search(text, WeightConfig(clamp_negative_cosine=clamp))\n"
@@ -337,8 +341,9 @@ def multi_answer_threads():
 
 
 class TestLexicalFeatures:
-    """tf from the thread postings and the query-term answer index give the
-    bits of the per-thread and per-answer bags they replace."""
+    """tf from the thread postings and the answer BM25 from the answers'
+    query-term counts give the bits of the per-thread and per-answer bags
+    they replace."""
 
     @pytest.mark.parametrize("engine_fixture", ["planted", "sparse_vectors"])
     def test_tf_of_every_stage1_candidate_matches_tf_score(self, request, engine_fixture):
@@ -359,7 +364,7 @@ class TestLexicalFeatures:
 
     @pytest.mark.parametrize("case", ["planted", "multi_answer", "single_answer",
                                       "term_in_no_answer", "no_threads"])
-    def test_answer_index_matches_the_full_bag_index(self, planted, case):
+    def test_answer_bm25_matches_the_full_bag_index(self, planted, case):
         engine, queries, _ = planted
         queries = list(queries.values())
         threads = list(engine.threads.values())
@@ -373,20 +378,14 @@ class TestLexicalFeatures:
             threads = []
         for text in queries:
             query = preprocess(text, "query")
-            index = store_answer_index(threads, query)
+            hits = store_answer_bm25(threads, query)
             full = build_index({a.id: synth.answer_document_bag(t, a)
                                 for t in threads for a in t.answers})
-            assert set(index.terms) <= set(query)
-            for term in query:
-                assert index.postings(term) == full.postings(term)
-            assert repr((doc_lengths(index), index.stats.n_docs, index.stats.avgdl)) == repr(
-                (doc_lengths(full), full.stats.n_docs, full.stats.avgdl))
-            hits = bm25_search(index, query, 150)
             assert repr(hits) == repr(bm25_search(full, query, 150))
             if case in ("single_answer", "no_threads"):
                 assert hits == []  # N = df (or N = 0): nothing is scored
             else:
-                assert hits and "zzznowhere" not in index.terms
+                assert hits
 
 
 class TestAnswerBm25Fallback:
