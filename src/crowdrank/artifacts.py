@@ -28,7 +28,9 @@ preprocessed text of an index directory for training an external embedder:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .antonyms import AntonymDictionary, default_dictionary, merge_lists
@@ -66,8 +68,18 @@ def thread_content_tokens(thread: Thread) -> list[str]:
     return tokens
 
 
+def _thread_words(thread: Thread) -> set[str]:
+    """The distinct words of `thread_content_tokens(thread)`."""
+    question = thread.question
+    return set().union(question.title_bag, question.body_bag, question.code_bag,
+                       *chain.from_iterable((a.body_bag, a.code_bag) for a in thread.answers))
+
+
 def build_idf(threads: list[Thread]) -> IdfMap:
-    return IdfMap.from_documents(thread_content_tokens(t) for t in threads)
+    """Document frequencies over the threads, each thread one document of
+    its `thread_content_tokens`; no threads count as one empty document."""
+    return IdfMap(Counter(chain.from_iterable(map(_thread_words, threads))),
+                  max(len(threads), 1))
 
 
 @dataclass
@@ -92,6 +104,11 @@ def build_artifacts(corpus_path: str | Path, out_dir: str | Path,
     threads = build_threads(load_dump(corpus_path, tag_filter, load_stats), stopwords,
                             build_stats)
 
+    # The store is made before any file is touched, so that a build that
+    # fails in it leaves the directory as it was.
+    idf = build_idf(threads)
+    docs = build_documents(threads, idf)
+
     # Earlier versions wrote a thread store and the thread index beside the
     # document store; a rebuild in place removes those files, which nothing
     # reads.
@@ -99,13 +116,12 @@ def build_artifacts(corpus_path: str | Path, out_dir: str | Path,
                   *out.glob("index.*.npy")]:
         stale.unlink(missing_ok=True)
 
-    idf = build_idf(threads) if threads else IdfMap({}, 1)
     idf_payload = {"format": "crowdrank-idf", "version": 1,
                    "doc_count": idf.doc_count,
                    "df": {w: idf.df[w] for w in sorted(idf.df)}}
     (out / "idf.json").write_text(
         json.dumps(idf_payload, sort_keys=True, separators=(",", ":")) + "\n", "utf-8")
-    save_documents(build_documents(threads, idf), out)
+    save_documents(docs, out)
 
     meta = {
         "format": META_FORMAT,

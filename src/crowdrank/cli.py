@@ -83,7 +83,12 @@ def cmd_build_index(args) -> int:
         report = build_artifacts(args.corpus, args.out, tag_filter=tag_filter,
                                  stopwords=stopwords)
     except OSError as exc:
-        print(f"error: cannot read corpus: {exc}", file=sys.stderr)
+        # The corpus is the one file a build reads; every path it writes is
+        # in the index directory.
+        if exc.filename is None or exc.filename == args.corpus:
+            print(f"error: cannot read corpus: {exc}", file=sys.stderr)
+        else:
+            print(f"error: cannot write index directory {args.out}: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
     if report.thread_count == 0:
         print("warning: corpus produced an empty index", file=sys.stderr)

@@ -19,17 +19,20 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import filterfalse
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 PREPROCESS_VERSION = 1
 # The range of a post id or score: the document store holds them as int64.
 _INT64 = range(-2**63, 2**63)
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# A kept word of lowercased text: a maximal run of [a-z0-9] that is at least
+# two characters long and holds a letter, so that pure numbers and one-letter
+# words never match.
+_WORD_RE = re.compile(r"(?<![a-z0-9])(?=[0-9]*[a-z])[a-z0-9]{2,}")
 _TAG_RE = re.compile(r"<[^>]*>")
 _CODE_TAG_RE = re.compile(r"<(/?)(code|pre)(?:\s[^>]*)?>", re.IGNORECASE)
-_NUMBER_RE = re.compile(r"^[0-9]+$")
 
 _stopwords_cache: frozenset[str] | None = None
 
@@ -102,6 +105,11 @@ class RawPost:
         )
         if post.id <= 0:
             raise ValueError("id must be positive")
+        # A lone-surrogate escape in the JSON (\ud800) decodes to a str with
+        # no UTF-8 form; the document store holds the text as UTF-8.
+        for text in (post.title, post.body_html):
+            if not text.isascii():
+                text.encode("utf-8")  # UnicodeEncodeError, a ValueError
         if post.id not in _INT64 or post.score not in _INT64 or (
                 post.parent_id is not None and post.parent_id not in _INT64):
             raise ValueError("an id or a score is beyond 64 bits")
@@ -123,19 +131,24 @@ def load_dump(path: str | Path, tag_filter: TagFilter | None = None,
               stats: LoadStats | None = None) -> list[RawPost]:
     """Load a JSONL dump, keeping tag-passing questions and their answers.
 
-    Malformed lines, posts missing required fields and posts whose id or
-    score does not fit 64 bits are skipped and counted in ``stats.warnings``.
-    An unreadable file raises OSError.
+    Malformed lines (bytes that are not UTF-8 among them), posts missing
+    required fields and posts whose id or score does not fit 64 bits are
+    skipped and counted in ``stats.warnings``. An unreadable file raises
+    OSError.
     """
     tag_filter = tag_filter or TagFilter()
     stats = stats if stats is not None else LoadStats()
     parsed: list[RawPost] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 reads as a lone surrogate, which no UTF-8 text
+    # holds, so that it spoils its own line only.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             try:
+                if not line.isascii():
+                    line.encode("utf-8")  # UnicodeEncodeError, a ValueError
                 parsed.append(RawPost.from_json(json.loads(line)))
             except (ValueError, KeyError, TypeError):
                 stats.warnings += 1
@@ -189,7 +202,7 @@ def separate_code(body_html: str) -> tuple[str, str]:
 
 def preprocess(text: str, mode: str = "corpus",
                stopwords: frozenset[str] | None = None) -> Counter:
-    """Turn text into a bag of words.
+    """Turn text into a bag of words, in the order of their first occurrence.
 
     Lowercases, splits on non-alphanumeric boundaries, drops stopwords, pure
     numbers and words shorter than two characters. Query mode additionally
@@ -197,15 +210,16 @@ def preprocess(text: str, mode: str = "corpus",
     """
     if mode not in ("corpus", "query"):
         raise ValueError(f"bad mode {mode!r}")
-    stopwords = stopwords if stopwords is not None else default_stopwords()
-    bag: Counter = Counter()
-    for token in _TOKEN_RE.findall(text.lower()):
-        if len(token) < 2 or token in stopwords or _NUMBER_RE.match(token):
-            continue
-        bag[token] += 1
+    words = _kept_words(text, stopwords)
     if mode == "query":
-        return Counter(dict.fromkeys(bag, 1))
-    return bag
+        return Counter(dict.fromkeys(words, 1))
+    return Counter(words)
+
+
+def _kept_words(text: str, stopwords: frozenset[str] | None) -> Iterator[str]:
+    """The words of `text` that its bag counts, in order, repeats included."""
+    stopwords = stopwords if stopwords is not None else default_stopwords()
+    return filterfalse(stopwords.__contains__, _WORD_RE.findall(text.lower()))
 
 
 @dataclass
@@ -242,8 +256,7 @@ class Thread:
 def _sorted_bag(text: str, stopwords: frozenset[str] | None) -> Counter:
     """A corpus bag of `text` with its words in sorted order: the order of the
     document store, so that a post built and a post loaded share one `repr`."""
-    bag = preprocess(text, "corpus", stopwords)
-    return Counter({word: bag[word] for word in sorted(bag)})
+    return Counter(sorted(_kept_words(text, stopwords)))
 
 
 def process_post(post: RawPost, stopwords: frozenset[str] | None = None) -> ProcessedPost:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -258,15 +257,6 @@ class IdfMap:
         self.doc_count = doc_count
         self._idf = {word: math.log10(doc_count / count) for word, count in self.df.items()}
         self._unseen = math.log10(doc_count / 1)
-
-    @classmethod
-    def from_documents(cls, documents: Iterable[Iterable[str]]) -> "IdfMap":
-        df: Counter = Counter()
-        n = 0
-        for doc in documents:
-            n += 1
-            df.update(set(doc))
-        return cls(df, max(n, 1))
 
     def idf(self, word: str) -> float:
         return self._idf.get(word, self._unseen)

@@ -10,9 +10,14 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
+
+from crowdrank.artifacts import thread_content_tokens
+from crowdrank.corpus import default_stopwords
+from crowdrank.embeddings import IdfMap
 
 WORDS = [f"w{i:03d}term" for i in range(400)]
 
@@ -259,6 +264,42 @@ def top_method_reference(code_texts, extract, scale=10.0):
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+_NUMBER_RE = re.compile(r"^[0-9]+$")
+
+
+def preprocess_reference(text, mode="corpus", stopwords=None):
+    """`corpus.preprocess` one token at a time: every [a-z0-9] run of the
+    lowercased text, less runs shorter than two characters, stopwords and
+    pure numbers, counted in order of first occurrence."""
+    if mode not in ("corpus", "query"):
+        raise ValueError(f"bad mode {mode!r}")
+    stopwords = stopwords if stopwords is not None else default_stopwords()
+    bag = Counter()
+    for token in _TOKEN_RE.findall(text.lower()):
+        if len(token) < 2 or token in stopwords or _NUMBER_RE.match(token):
+            continue
+        bag[token] += 1
+    if mode == "query":
+        return Counter(dict.fromkeys(bag, 1))
+    return bag
+
+
+def sorted_bag_reference(text, stopwords):
+    """`corpus._sorted_bag`: the corpus bag of `text`, its words sorted."""
+    bag = preprocess_reference(text, "corpus", stopwords)
+    return Counter({word: bag[word] for word in sorted(bag)})
+
+
+def idf_reference(threads):
+    """`artifacts.build_idf`: each thread's content tokens one document, and
+    a word's document frequency the number of documents that hold it."""
+    df = Counter()
+    for thread in threads:
+        df.update(set(thread_content_tokens(thread)))
+    return IdfMap(df, max(len(threads), 1))
 
 
 def bm25_oracle(docs, query_terms, k, b):

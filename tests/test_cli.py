@@ -122,6 +122,26 @@ class TestBuildIndex:
         assert code == EXIT_DATA_ERROR
         assert "error" in capsys.readouterr().err
 
+    def test_non_utf8_dump_line_is_a_load_warning(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "dump.jsonl"
+        corpus.write_bytes(workspace["corpus"].read_bytes()
+                           + b'{"id": 9, "post_kind": "question", "title": "caf\xe9"}\n')
+        assert main(["build-index", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "idx")]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "threads indexed: 30" in captured.out
+        assert "load warnings: 1" in captured.out.splitlines()
+        assert captured.err == ""
+
+    def test_out_that_is_a_file_names_the_index_directory(self, workspace, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert main(["build-index", "--corpus", str(workspace["corpus"]),
+                     "--out", str(out)]) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write index directory {out}: ")
+        assert "File exists" in err and len(err.splitlines()) == 1
+
     def test_report_printed(self, workspace, tmp_path, capsys):
         code = main(["build-index", "--corpus", str(workspace["corpus"]),
                      "--out", str(tmp_path / "idx2")])

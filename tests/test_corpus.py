@@ -6,9 +6,11 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import synth
+from crowdrank import artifacts, corpus as corpus_module
 from crowdrank.artifacts import build_artifacts, build_idf, load_corpus, load_idf
-from crowdrank.corpus import (BuildStats, LoadStats, RawPost, TagFilter, build_threads,
-                              load_dump, preprocess, separate_code)
+from crowdrank.corpus import (BuildStats, LoadStats, RawPost, TagFilter, _sorted_bag,
+                              build_threads, load_dump, preprocess, separate_code)
 from crowdrank.documents import ThreadMap, build_documents, load_documents, save_documents
 
 
@@ -83,6 +85,45 @@ class TestLoadDump:
         assert [p.id for p in posts] == ([1] if bad is answer else [])
 
 
+    def test_non_utf8_line_is_one_warning(self, tmp_path):
+        question = json.dumps({"id": 1, "post_kind": "question", "title": "Ünïcode",
+                               "body_html": "b", "score": 1, "tags": ["java"]},
+                              ensure_ascii=False)
+        answer = json.dumps({"id": 2, "post_kind": "answer", "parent_id": 1,
+                             "body_html": "a", "score": 1})
+        other = json.dumps({"id": 3, "post_kind": "question", "title": "t", "body_html": "b",
+                            "score": 1, "tags": ["java"]})
+        path = tmp_path / "dump.jsonl"
+        # A post whose one bad byte is in a field it does not keep, and a
+        # line of bad bytes; the lines around them split as before, a lone
+        # CR included.
+        bad = other.encode().replace(b'"id": 3', b'"id": 4').replace(b"}", b', "note": "\xe9"}')
+        path.write_bytes(question.encode() + b"\n" + bad + b"\n"
+                         + answer.encode() + b"\r" + other.encode() + b"\r\n"
+                         + b"\xff\xfe\n")
+        stats = LoadStats()
+        posts = load_dump(path, stats=stats)
+        assert [p.id for p in posts] == [1, 2, 3]
+        assert posts[0].title == "Ünïcode"
+        assert stats.warnings == 2
+
+    @pytest.mark.parametrize("field", ["title", "body_html"])
+    def test_lone_surrogate_escape_is_a_warning(self, tmp_path, field):
+        question = {"id": 1, "post_kind": "question", "title": "t", "body_html": "b",
+                    "score": 1, "tags": ["java"]}
+        answer = {"id": 2, "post_kind": "answer", "parent_id": 1,
+                  "body_html": "a <code>run()</code>", "score": 1}
+        question[field] = "t \ud800 parse"
+        paired = dict(question, id=3, **{field: "t \ud83d\ude00 parse"})
+        dump = make_posts([question, answer, paired], tmp_path / "dump.jsonl")
+        assert "\\ud800" in dump.read_text()
+        stats = LoadStats()
+        assert [p.id for p in load_dump(dump, stats=stats)] == [3]
+        assert stats.warnings == 1
+        assert getattr(load_dump(dump)[0], field) == "t \U0001f600 parse"
+        build_artifacts(dump, tmp_path / "index")
+
+
 class TestSeparateCode:
     def test_code_tag(self):
         assert separate_code("use <code>substring</code> here") == ("use  here", "substring")
@@ -108,6 +149,25 @@ class TestSeparateCode:
         assert sorted(prose.split() + code.split()) == joined
 
 
+# Text for the tokenizer, its pieces joined without separators so that runs
+# merge: letters of both cases, digits, separators, stopwords, characters that
+# lowercase to ASCII (the Kelvin sign) or to two characters (İ), and others.
+TOKENIZER_TEXT_ST = st.lists(st.one_of(
+    st.sampled_from(["the", "And", "is", "x86", "2d", "0x1f", "42", "a", "K", "\u212a", "İ",
+                     "&amp;", "é", "ß", " ", "\n", "-", "_"]),
+    st.text(alphabet="abkzAKZ0189 _-.\u212aİé", max_size=8)), max_size=12).map("".join)
+
+
+def assert_matches_reference(text, stopwords):
+    """Both modes of `preprocess`, and the sorted corpus bag, are `repr`-equal
+    to the per-token reference: same words, counts and key order."""
+    for mode in ("corpus", "query"):
+        assert (repr(preprocess(text, mode, stopwords))
+                == repr(synth.preprocess_reference(text, mode, stopwords)))
+    assert repr(_sorted_bag(text, stopwords)) == repr(synth.sorted_bag_reference(text,
+                                                                                  stopwords))
+
+
 class TestPreprocess:
     def test_query_example(self):
         bag = preprocess("How do I convert angle from radians to degrees?", "query")
@@ -128,6 +188,35 @@ class TestPreprocess:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             preprocess("x", "nope")
+
+    @pytest.mark.parametrize("text", [
+        # Digit-only runs, single letters, and runs mixing digits and letters.
+        "1 22 333 a b c x86 2d 0x1f 9z z9 a1b2 007bond",
+        # Stopwords at the edges of a run and beside separators.
+        "the theory then-the_parse parsethe the1 1the and/or is:it",
+        # The Kelvin sign lowers to ASCII k, and İ to i and a combining dot.
+        "\u212a \u212aelvin \u212a\u212a Kelvin İstanbul İİ iİi xİy",
+        "", "!!", "a", "ab", "ABC abc Abc aBC",
+    ])
+    @pytest.mark.parametrize("stopwords", [None, frozenset({"x86", "parse", "kk", "ii", "the"}),
+                                           frozenset()])
+    def test_examples_match_the_per_token_reference(self, text, stopwords):
+        assert_matches_reference(text, stopwords)
+
+    @pytest.mark.parametrize("body", [
+        "<p>caf&eacute; &amp;amp; &#x212A;elvin &lt;code&gt;x86&lt;/code&gt;</p>"
+        "<code>a&amp;b 2d&#x30;f &#304;d</code>",
+        "<pre><code>int x86 = 0x1F;</code></pre> the &nbsp;value&#39;s 2nd",
+    ])
+    def test_html_entities_after_separate_code_match(self, body):
+        for text in separate_code(body):
+            assert_matches_reference(text, None)
+
+    @settings(max_examples=300)
+    @given(TOKENIZER_TEXT_ST, st.one_of(st.none(), st.frozensets(st.sampled_from(
+        ["the", "and", "x86", "ab", "k", "ii", "2d", "a1", "zz", "1", "a"]))))
+    def test_matches_the_per_token_reference(self, text, stopwords):
+        assert_matches_reference(text, stopwords)
 
     @given(st.text(max_size=120))
     def test_idempotent(self, text):
@@ -319,3 +408,56 @@ class TestThreadMap:
         assert mapping[20] is not first and mapping[20] == built[1]
         assert not {k for k in vars(mapping) if k not in ("docs", "words", "rows")}
         assert mapping[20].answers[0].title_bag == Counter({"omega": 1})
+
+
+class TestBuildIdf:
+    def test_a_thread_counts_each_of_its_words_once(self):
+        posts = dump_posts([("parse parse json", "json", "parse", 2,
+                             [("json reader", "read", "zeta title", 1)]),
+                            ("reader", "", "", 1, [("beta", "gamma", None, 1)])])
+        threads = build_threads([RawPost.from_json(p) for p in posts])
+        idf = build_idf(threads)
+        # Question code counts; answer titles do not.
+        assert idf.df == {"parse": 1, "json": 1, "reader": 2, "read": 1, "beta": 1, "gamma": 1}
+        assert idf.doc_count == 2
+        assert idf.df == synth.idf_reference(threads).df
+        assert build_idf([]).doc_count == 1 and build_idf([]).df == {}
+
+
+def test_a_build_that_fails_in_the_store_leaves_the_directory_as_it_was(tmp_path, monkeypatch):
+    build_artifacts(make_posts(synth.planted_corpus(n_threads=30, n_queries=3)[0],
+                               tmp_path / "dump.jsonl"), tmp_path / "index")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "index").iterdir()}
+
+    def fail(threads, idf_map):
+        raise ValueError("no store")
+
+    monkeypatch.setattr(artifacts, "build_documents", fail)
+    with pytest.raises(ValueError, match="no store"):
+        build_artifacts(make_posts(synth.social_corpus()[0], tmp_path / "other.jsonl"),
+                        tmp_path / "index")
+    assert {p.name: p.read_bytes() for p in (tmp_path / "index").iterdir()} == before
+
+
+REFERENCE_CORPORA = {"planted": lambda: synth.planted_corpus()[0],
+                     "social": lambda: synth.social_corpus()[0],
+                     "antonym_filter": lambda: synth.antonym_filter_corpus()[0]}
+
+
+class TestReferenceBuild:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CORPORA))
+    @pytest.mark.parametrize("stopwords", [None, frozenset({"q0alpha", "s1yolk", "av0doc",
+                                                            "question", "the", "about"})])
+    def test_writes_the_bytes_of_the_per_token_build(self, tmp_path, monkeypatch, name,
+                                                     stopwords):
+        dump = make_posts(REFERENCE_CORPORA[name](), tmp_path / "dump.jsonl")
+        build_artifacts(dump, tmp_path / "new", stopwords=stopwords)
+        monkeypatch.setattr(corpus_module, "_sorted_bag", synth.sorted_bag_reference)
+        monkeypatch.setattr(artifacts, "build_idf", synth.idf_reference)
+        build_artifacts(dump, tmp_path / "reference", stopwords=stopwords)
+        files = sorted(p.name for p in (tmp_path / "new").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "reference").iterdir())
+        assert len(files) > 3
+        for file in files:
+            assert ((tmp_path / "new" / file).read_bytes()
+                    == (tmp_path / "reference" / file).read_bytes()), file

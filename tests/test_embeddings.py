@@ -200,11 +200,6 @@ class TestIdfMap:
         assert all(idf.idf(w) == math.log10(1000 / d) for w, d in df.items())
         assert idf.idf("never") == math.log10(1000 / 1)
 
-    def test_from_documents_uses_distinct_words(self):
-        idf = IdfMap.from_documents([["a", "a", "b"], ["b"]])
-        assert idf.df == {"a": 1, "b": 2}
-        assert idf.doc_count == 2
-
     def test_doc_count_must_be_positive(self):
         with pytest.raises(ValueError):
             IdfMap({}, 0)
