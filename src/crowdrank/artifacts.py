@@ -37,8 +37,8 @@ from .antonyms import AntonymDictionary, default_dictionary, merge_lists
 from .corpus import (BuildStats, LoadStats, TagFilter, Thread, build_threads, load_dump,
                      read_json_object, PREPROCESS_VERSION)
 from .documents import DocumentStore, ThreadMap, build_documents, load_documents, save_documents
-from .embeddings import (DEFAULT_DIM, DEFAULT_SEED, EmbeddingConfig, EmbeddingStore,
-                         IdfMap, load_sentence_vectors, load_word_vectors)
+from .embeddings import (DEFAULT_DIM, DEFAULT_SEED, EmbeddingStore, IdfMap,
+                         load_sentence_vectors, load_word_vectors)
 from .pipeline import SearchEngine
 
 META_FORMAT = "crowdrank-meta"
@@ -55,8 +55,8 @@ def _bag_tokens(bag) -> list[str]:
 def thread_content_tokens(thread: Thread) -> list[str]:
     """Words of a thread for idf.json and contents.txt, question code included.
 
-    The thread's indexed text (BM25 and tf) is its parts
-    `documents.THREAD_PARTS + ANSWER_PARTS`, which leave question code out;
+    The thread's indexed text (BM25 and tf) is the "thread_text" view of
+    `documents.VIEWS`, which leaves question code out;
     the BM25 and tf oracles in `perfbench/checks.py` assume this split.
     """
     tokens = _bag_tokens(thread.question.title_bag)
@@ -92,11 +92,9 @@ class BuildReport:
 
 def build_artifacts(corpus_path: str | Path, out_dir: str | Path,
                     tag_filter: TagFilter | None = None,
-                    stopwords: frozenset[str] | None = None,
-                    embedding_config: EmbeddingConfig | None = None) -> BuildReport:
+                    stopwords: frozenset[str] | None = None) -> BuildReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    embedding_config = embedding_config or EmbeddingConfig()
 
     load_stats = LoadStats()
     build_stats = BuildStats()
@@ -127,7 +125,7 @@ def build_artifacts(corpus_path: str | Path, out_dir: str | Path,
         "format": META_FORMAT,
         "version": META_VERSION,
         "preprocess_version": PREPROCESS_VERSION,
-        "embedding": embedding_config.to_json(),
+        "embedding": {"dim": DEFAULT_DIM},
         "stats": {"threads": len(threads), "vocab": len(idf.df)},
     }
     (out / "meta.json").write_text(
@@ -141,7 +139,7 @@ def export_text(index_dir: str | Path, out_dir: str | Path) -> int:
     """Write titles.txt and contents.txt of an index directory's threads into
     `out_dir`, by ascending question id; returns the thread count. The bags
     are read from the document store."""
-    idf, docs = load_corpus(index_dir)
+    idf, docs, _ = load_corpus(index_dir)
     ordered = list(ThreadMap(docs, sorted(idf.df)).values())
     titles = [" ".join(_bag_tokens(t.question.title_bag)) for t in ordered]
     contents = [" ".join(thread_content_tokens(t)) for t in ordered]
@@ -152,8 +150,8 @@ def export_text(index_dir: str | Path, out_dir: str | Path) -> int:
     return len(ordered)
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _is_count(value, least: int = 1) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def load_idf(path: str | Path) -> IdfMap:
@@ -169,12 +167,38 @@ def load_idf(path: str | Path) -> IdfMap:
     return IdfMap(df, doc_count)
 
 
-def load_corpus(index_dir: str | Path) -> tuple[IdfMap, DocumentStore]:
-    """An index directory's idf.json and document store, which holds its
-    threads; ValueError names the file at fault."""
-    root = Path(index_dir)
-    idf = load_idf(root / "idf.json")
-    return idf, load_documents(root, len(idf.df))
+def load_corpus(index_dir: str | Path) -> tuple[IdfMap, DocumentStore, int]:
+    """An index directory's idf.json, its document store, which holds its
+    threads, and the embedding dim of its meta.json; ValueError names the
+    file at fault. The idf map and the store must be of the build meta.json
+    records: the term ids of another build's vocabulary would name the wrong
+    words."""
+    root, rebuild = Path(index_dir), "; rerun `crowdrank build-index`"
+    meta_path, idf_path = root / "meta.json", root / "idf.json"
+    idf = load_idf(idf_path)
+    meta = read_json_object(meta_path)
+    if meta.get("format") != META_FORMAT or meta.get("version") != META_VERSION:
+        raise ValueError(f"{meta_path}: unsupported index directory format{rebuild}")
+    if meta.get("preprocess_version") != PREPROCESS_VERSION:
+        raise ValueError("index was built with an incompatible preprocessing version")
+    embedding, stats = meta.get("embedding", {}), meta.get("stats")
+    dim = embedding.get("dim", DEFAULT_DIM) if isinstance(embedding, dict) else None
+    if not _is_count(dim):
+        raise ValueError(f"{meta_path}: embedding dim must be a positive integer, got {dim!r}")
+    threads, words = (stats.get(key) if isinstance(stats, dict) else None
+                      for key in ("threads", "vocab"))
+    if not (_is_count(threads, 0) and _is_count(words, 0)):
+        raise ValueError(f"{meta_path}: stats must hold the thread and word counts")
+    for got, recorded, what in ((len(idf.df), words, "words"),
+                                (idf.doc_count, max(threads, 1), "documents")):
+        if got != recorded:
+            raise ValueError(f"{idf_path}: {got} {what}, but {meta_path.name} "
+                             f"records {recorded}{rebuild}")
+    docs = load_documents(root, len(idf.df))
+    if docs.n_threads != threads:
+        raise ValueError(f"{meta_path}: {threads} threads, but the document store holds "
+                         f"{docs.n_threads}{rebuild}")
+    return idf, docs, dim
 
 
 def load_engine(index_dir: str | Path,
@@ -183,20 +207,7 @@ def load_engine(index_dir: str | Path,
                 antonym_path: str | Path | None = None,
                 stopwords: frozenset[str] | None = None,
                 seed: int = DEFAULT_SEED) -> SearchEngine:
-    root = Path(index_dir)
-    meta_path = root / "meta.json"
-    meta = read_json_object(meta_path)
-    if meta.get("format") != META_FORMAT or meta.get("version") != META_VERSION:
-        raise ValueError(f"{meta_path}: unsupported index directory format; "
-                         f"rerun `crowdrank build-index`")
-    if meta.get("preprocess_version") != PREPROCESS_VERSION:
-        raise ValueError("index was built with an incompatible preprocessing version")
-    embedding = meta.get("embedding", {})
-    dim = embedding.get("dim", DEFAULT_DIM) if isinstance(embedding, dict) else None
-    if not _is_count(dim):
-        raise ValueError(f"{meta_path}: embedding dim must be a positive integer, got {dim!r}")
-
-    idf, docs = load_corpus(root)
+    idf, docs, dim = load_corpus(index_dir)
 
     if word_vectors is not None:
         store = load_word_vectors(word_vectors, fallback=False, seed=seed)

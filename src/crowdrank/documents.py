@@ -19,20 +19,18 @@ a part over their own sorted words (answer titles are not in idf.json, and
 the stopwords a build used are not recorded, so they cannot be
 re-preprocessed). `ThreadMap` builds a `Thread` from these, its posts' word
 bags included, whenever one is read; the question code is stored for that
-alone: it is in no index, no answer length and no term count (THREAD_PARTS
-leaves it out).
+alone.
 
 `build_documents` writes the arrays from `Thread`s; `build-index` saves them
 as fixed-dtype `.npy` files (DOCS_ARRAYS), and `load_documents` checks them
-with array-wide tests and names the file at fault. The store is the only
-text index on disk: the thread BM25 index is its transpose, made at load
-(`thread_index`). Each thread's asym_body target (its question body united
-with its answers' bodies, `body_union`) is made in memory whenever a store
-is, as it depends on the corpus only; it is not saved. A search carries its
-candidates as rows of these arrays and gathers from them: the asym segments,
-the answers' query-term counts (`term_counts`, which the answer BM25 and
-tf-idf score), top-method and the antonym filters all read them, not the
-threads' word bags, and it decodes the text of the answers it returns only.
+with array-wide tests and names the file at fault. The text that each
+feature and filter reads is a view, declared once in VIEWS, and `entries` is
+the one gather of a view's candidates: the thread BM25 index (its transpose,
+made at load), the asym segments (each thread's asym_body target is united
+once, when a store is made), the answers' query-term counts, the tf-idf
+norms and the antonym filters are built on it. A search reads these gathers,
+not the threads' word bags, and decodes the text of the answers it returns
+only.
 """
 
 from __future__ import annotations
@@ -51,12 +49,33 @@ from .embeddings import IdfMap
 from .features import extract_methods, tfidf_norms
 from .index import InvertedIndex, assemble_index
 
-# The parts a thread's and an answer's indexed text are made of.
-THREAD_PARTS = ("title", "body")
-ANSWER_PARTS = ("answer_body", "code")
-# Every part with a row per thread, and every stored part.
-THREAD_ROW_PARTS = THREAD_PARTS + ("question_code",)
-STORED_PARTS = THREAD_ROW_PARTS + ANSWER_PARTS
+# The stored parts with a row per thread, and with a row per answer.
+THREAD_ROW_PARTS = ("title", "body", "question_code")
+ANSWER_ROW_PARTS = ("answer_body", "code")
+STORED_PARTS = THREAD_ROW_PARTS + ANSWER_ROW_PARTS
+
+# The text views, each the (part, via) pairs of the text that features and
+# filters read: thread_text (BM25, tf), answer_text (answer BM25, tf-idf),
+# thread_title (asym_title, the sentence vector), thread_bodies (asym_body),
+# answer_asym (asym), thread_antonym (the TR filter) and answer_antonym (the
+# ANS filter). `via` names the part rows that a candidate's text takes in:
+# "own", its own row; "thread", an answer's thread row; "answers", each of a
+# thread's answer rows. The question code is in no view.
+VIEWS = {
+    "thread_text": (("title", "own"), ("body", "own"), ("answer_body", "answers"),
+                    ("code", "answers")),
+    "answer_text": (("title", "thread"), ("body", "thread"), ("answer_body", "own"),
+                    ("code", "own")),
+    "thread_title": (("title", "own"),),
+    "thread_bodies": (("body", "own"), ("answer_body", "answers")),
+    "answer_asym": (("answer_body", "own"), ("title", "thread")),
+    "thread_antonym": (("title", "own"), ("body", "own")),
+    "answer_antonym": (("title", "thread"), ("answer_body", "own"), ("code", "own")),
+}
+# The views whose distinct ids a store unites for every candidate once, when
+# it is made, as each thread's asym_body target depends on the corpus only;
+# `segments` takes a search's rows from the union.
+UNITED_VIEWS = ("thread_bodies",)
 
 # The arrays of a saved part, by dtype.
 _PART_ARRAYS = (("ptr", np.int64), ("ids", np.int32), ("counts", np.int32))
@@ -108,12 +127,6 @@ class TextPart:
     ids: np.ndarray
     counts: np.ndarray
 
-    def lengths(self) -> np.ndarray:
-        """Each row's number of words, repeats included."""
-        sums = np.zeros(len(self.counts) + 1, dtype=np.int64)
-        np.cumsum(self.counts, out=sums[1:])
-        return sums[self.ptr[1:]] - sums[self.ptr[:-1]]
-
 
 @dataclass
 class PostText:
@@ -147,13 +160,14 @@ class DocumentStore:
     (module docstring)."""
 
     def __init__(self, parts: Mapping[str, TextPart], answer_ids: np.ndarray,
-                 answer_thread: np.ndarray, tfidf_norm: np.ndarray, method_ptr: np.ndarray,
-                 method_ids: np.ndarray, method_names: list[str], vocab_size: int,
-                 posts: Posts):
+                 answer_thread: np.ndarray, tfidf_norm: np.ndarray | None,
+                 method_ptr: np.ndarray, method_ids: np.ndarray, method_names: list[str],
+                 vocab_size: int, posts: Posts, idf: np.ndarray | None = None):
+        """With `tfidf_norm` None (a build) the norms are computed from the
+        store's own entries and `idf`, each word's idf by term id."""
         self.parts = dict(parts)
         self.answer_ids = answer_ids
         self.answer_thread = answer_thread
-        self.tfidf_norm = tfidf_norm
         self.method_ptr = method_ptr
         self.method_ids = method_ids
         self.method_names = method_names
@@ -162,119 +176,135 @@ class DocumentStore:
         self.n_threads = len(self.parts["title"].ptr) - 1
         # Thread r's answers are the answer rows answer_ptr[r]:answer_ptr[r + 1].
         self.answer_ptr = np.searchsorted(answer_thread, np.arange(self.n_threads + 1))
-        lengths = {name: self.parts[name].lengths() for name in THREAD_PARTS + ANSWER_PARTS}
-        # The length of an answer's indexed text: its thread's title and
-        # question body, its own body and code.
-        self.answer_len = (lengths["title"][answer_thread] + lengths["body"][answer_thread]
-                           + lengths["answer_body"] + lengths["code"])
-        # Each thread's asym_body target, its question body united with its
-        # answers' bodies, as distinct ascending ids and offsets; it depends on
-        # the corpus only, so it is made here, once.
-        body, answer_body = self.parts["body"], self.parts["answer_body"]
-        self.body_union = self.segments([(body.ids, body.ptr, np.arange(self.n_threads)),
-                                         (answer_body.ids, answer_body.ptr, answer_thread)],
-                                        self.n_threads)
+        # The length of each answer's text, which answer BM25 reads, from its
+        # part rows' lengths: `entries` would repeat a thread's text per answer.
+        self.answer_len = 0
+        for name, via in VIEWS["answer_text"]:
+            part = self.parts[name]
+            sums = np.zeros(len(part.counts) + 1, dtype=np.int64)
+            np.cumsum(part.counts, out=sums[1:])
+            row_len = np.diff(sums[part.ptr])
+            self.answer_len += row_len[answer_thread] if via == "thread" else row_len
+        self.unions = {}
+        for view in UNITED_VIEWS:
+            ids, _, owner, _ = self.entries(view)
+            self.unions[view] = self._merge(ids, owner, self.n_threads)[:2]
+        self.tfidf_norm = self._tfidf_norms(idf) if tfidf_norm is None else tfidf_norm
 
     def thread_index(self, words: Sequence[str]) -> InvertedIndex:
         """The thread BM25 index: a document per thread row, by its question
-        id, of its THREAD_PARTS and its answers' ANSWER_PARTS (the question's
-        code is not indexed); `words` is the sorted vocabulary."""
-        parts = [self.parts[name] for name in THREAD_PARTS + ANSWER_PARTS]
-        threads = np.arange(self.n_threads, dtype=np.int32)
-        owners = [threads] * len(THREAD_PARTS) + [self.answer_thread] * len(ANSWER_PARTS)
-        rows = np.concatenate([np.repeat(owner, np.diff(part.ptr))
-                               for owner, part in zip(owners, parts)])
-        return assemble_index(words, rows, np.concatenate([part.ids for part in parts]),
-                              np.concatenate([part.counts for part in parts]),
-                              self.posts.question_ids)
+        id, of its "thread_text" view; `words` is the sorted vocabulary."""
+        ids, counts, owner, _ = self.entries("thread_text")
+        return assemble_index(words, owner, ids, counts, self.posts.question_ids)
 
     def answer_rows(self, thread_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The answer rows of the threads, thread after thread, and the offsets
         of each thread's run among them."""
         return take(self.answer_ptr, thread_rows)
 
-    def ids(self, part: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The term ids of `rows` of a part, as one flat array and offsets."""
-        positions, offsets = take(self.parts[part].ptr, rows)
-        return self.parts[part].ids[positions], offsets
+    def entries(self, view: str, rows: np.ndarray | None = None,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """The entries of each candidate's text in a view (VIEWS), part after
+        part: their term ids, their counts and the position in `rows` of the
+        candidate that owns each; ids ascend within each part row. A one-part
+        view's entries run candidate after candidate, and the offsets of each
+        candidate's run come fourth (else None). With `rows` None (every
+        candidate) a one-part view's arrays are the part's own."""
+        ids, counts, owners = [], [], []
+        for name, via in VIEWS[view]:
+            part = self.parts[name]
+            # runs: the offsets of each candidate's part rows, when it has several.
+            if rows is None and via != "thread":
+                # Every row of the part, each owned by its candidate: no gather.
+                positions, offsets = slice(None), part.ptr
+                runs = self.answer_ptr if via == "answers" else None
+            else:
+                candidates = np.arange(len(self.answer_thread)) if rows is None else rows
+                runs = None
+                if via == "answers":
+                    part_rows, runs = self.answer_rows(candidates)
+                else:
+                    part_rows = self.answer_thread[candidates] if via == "thread" else candidates
+                positions, offsets = take(part.ptr, part_rows)
+            ptr = offsets if runs is None else offsets[runs]
+            ids.append(part.ids[positions])
+            counts.append(part.counts[positions])
+            owners.append(np.repeat(np.arange(len(ptr) - 1, dtype=np.int32), np.diff(ptr)))
+        if len(ids) == 1:  # no copy of a whole part
+            return ids[0], counts[0], owners[0], ptr
+        return np.concatenate(ids), np.concatenate(counts), np.concatenate(owners), None
 
-    def segments(self, runs: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
-                 n_segments: int) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct term ids of each segment, ascending, as one flat array
-        and offsets. For each (ids, offsets, labels), the run of ids
-        `ids[offsets[i]:offsets[i + 1]]` joins segment `labels[i]`."""
+    def _merge(self, ids: np.ndarray, owner: np.ndarray, n: int, counts: np.ndarray | None = None,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The distinct term ids of each of `n` candidates, ascending, as one
+        flat array and offsets, from entries with those ids and owners; with
+        `counts`, also the summed count of each distinct id (else None). The
+        keys are made in `owner`'s memory, which it overwrites."""
         size = self.vocab_size
-        # A key is segment * size + id; int32 keys sort faster, and every key
-        # is below n_segments * size.
-        dtype = np.int32 if n_segments * size < 2**31 else np.int64
-        keys = np.concatenate([np.repeat(labels.astype(dtype) * dtype(size), np.diff(offsets))
-                               + ids for ids, offsets, labels in runs]).astype(dtype, copy=False)
-        # A sort and a neighbour test: np.unique hashes first, which is slower here.
-        keys.sort()
+        # A key is owner * size + id; int32 keys, which sort faster, hold
+        # every key below n * size.
+        dtype = np.int32 if n * size < 2**31 else np.int64
+        keys = owner.astype(dtype, copy=False)
+        keys *= dtype(size)
+        keys += ids
+        # A sort and a neighbour test (np.unique hashes first, which is slower
+        # here); the counts are summed over each run of equal keys.
+        if counts is None:
+            keys.sort()
+        else:
+            order = keys.argsort()
+            keys, counts = keys[order], counts[order]
         first = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        sums = None if counts is None else np.add.reduceat(counts, np.flatnonzero(first))
         keys = keys[first]
-        ptr = np.searchsorted(keys, np.arange(n_segments + 1, dtype=dtype) * dtype(size))
-        return (keys % dtype(size)).astype(np.int32, copy=False), ptr
+        ptr = np.searchsorted(keys, np.arange(n + 1, dtype=dtype) * dtype(size))
+        return (keys % dtype(size)).astype(np.int32, copy=False), ptr, sums
 
-    def title_segments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each thread row's title ids: the asym_title targets. A single part's
-        rows are already distinct and ascending."""
-        return self.ids("title", rows)
+    def segments(self, view: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct term ids of each candidate's text in a view, ascending,
+        as one flat array and offsets."""
+        if view in self.unions:
+            flat, ptr = self.unions[view]
+            positions, offsets = take(ptr, rows)
+            return flat[positions], offsets
+        ids, _, owner, ptr = self.entries(view, rows)
+        if ptr is not None and VIEWS[view][0][1] != "answers":
+            # One row of one part per candidate: already distinct and ascending.
+            return ids, ptr
+        return self._merge(ids, owner, len(rows))[:2]
 
-    def body_segments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each thread row's question body united with its answers' bodies:
-        the asym_body targets, taken from `body_union`."""
-        flat, ptr = self.body_union
-        positions, offsets = take(ptr, rows)
-        return flat[positions], offsets
-
-    def answer_segments(self, answer_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each answer row's body united with its thread's title: the answer
-        asym targets."""
-        every = np.arange(len(answer_rows))
-        return self.segments([(*self.ids("answer_body", answer_rows), every),
-                              (*self.ids("title", self.answer_thread[answer_rows]), every)],
-                             len(answer_rows))
-
-    def holds_any(self, parts: Sequence[tuple[str, np.ndarray]], term_ids: np.ndarray,
-                  ) -> np.ndarray:
-        """Whether each candidate holds any of `term_ids`: for each (part,
-        rows), candidate i's text includes row `rows[i]` of the part."""
+    def holds_any(self, view: str, rows: np.ndarray, term_ids: np.ndarray) -> np.ndarray:
+        """Whether each candidate's text in a view holds any of `term_ids`."""
         wanted = np.zeros(self.vocab_size, dtype=bool)
         wanted[term_ids] = True
-        found = np.zeros(len(parts[0][1]), dtype=bool)
-        for part, rows in parts:
-            ids, offsets = self.ids(part, rows)
-            found[np.searchsorted(offsets, np.flatnonzero(wanted[ids]), side="right") - 1] = True
-        return found
+        ids, _, owner, _ = self.entries(view, rows)
+        return np.bincount(owner[np.take(wanted, ids)], minlength=len(rows)) > 0
 
-    def _term_counts(self, parts: Sequence[str], rows: np.ndarray, columns: np.ndarray,
-                     n_terms: int) -> np.ndarray:
-        """(row, term) counts over parts, where `columns` maps a term id to its
-        column, or -1 for a term not counted."""
-        cells, counts = [], []
-        for name in parts:
-            part = self.parts[name]
-            positions, offsets = take(part.ptr, rows)
-            column = columns[part.ids[positions]]
-            hit = column >= 0
-            row = np.repeat(np.arange(len(rows)), np.diff(offsets))
-            cells.append(row[hit] * n_terms + column[hit])
-            counts.append(part.counts[positions][hit])
-        return np.bincount(np.concatenate(cells), weights=np.concatenate(counts),
-                           minlength=len(rows) * n_terms).reshape(len(rows), n_terms)
-
-    def term_counts(self, answer_rows: np.ndarray, term_ids: np.ndarray) -> np.ndarray:
-        """Each answer's count of each term in its indexed text, a row per answer
-        and a column per term: its thread's question part (title and body,
-        gathered once per thread) plus its own body and code."""
+    def term_counts(self, view: str, rows: np.ndarray, term_ids: np.ndarray) -> np.ndarray:
+        """Each candidate's count of each term in its text in a view, a row
+        per candidate and a column per term."""
         columns = np.full(self.vocab_size, -1, dtype=np.int64)
         columns[term_ids] = np.arange(len(term_ids))
-        threads, answer_of = np.unique(self.answer_thread[answer_rows], return_inverse=True)
-        question = self._term_counts(THREAD_PARTS, threads, columns, len(term_ids))
-        return (question[answer_of] + self._term_counts(ANSWER_PARTS, answer_rows, columns,
-                                                        len(term_ids))).astype(np.int64)
+        ids, counts, owner, _ = self.entries(view, rows)
+        # np.take: indexing by int32 ids would take numpy's slower path.
+        column = np.take(columns, ids)
+        hit = column >= 0
+        # Sums of integers, exact in float64.
+        return np.bincount(owner[hit] * len(term_ids) + column[hit], weights=counts[hit],
+                           minlength=len(rows) * len(term_ids)
+                           ).reshape(len(rows), len(term_ids)).astype(np.int64)
+
+    def _tfidf_norms(self, idf: np.ndarray) -> np.ndarray:
+        """Each answer's tf-idf norm, over its "answer_text" counts summed per
+        word; blocks of answers bound the memory of the gathered entries."""
+        n, norms = len(self.answer_thread), [np.zeros(0)]
+        for lo in range(0, n, 2048):
+            answers = np.arange(lo, min(lo + 2048, n))
+            ids, counts, owner, _ = self.entries("answer_text", answers)
+            flat, ptr, sums = self._merge(ids, owner, len(answers), counts)
+            norms.append(tfidf_norms(sums, idf[flat], ptr))
+        return np.concatenate(norms)
 
     def methods(self, answer_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The method-call ids of the answers, as one flat array and offsets."""
@@ -338,7 +368,7 @@ class ThreadMap(Mapping):
         """Answer row `row`'s bags: title, body and code."""
         posts = self.docs.posts
         return (self._bag(posts.answer_title, row, posts.answer_title_words),
-                *(self._bag(self.docs.parts[name], row, self.words) for name in ANSWER_PARTS))
+                *(self._bag(self.docs.parts[name], row, self.words) for name in ANSWER_ROW_PARTS))
 
 
 def _text_part(bags: Sequence[Mapping[str, int]], word_id: Mapping[str, int]) -> TextPart:
@@ -359,29 +389,6 @@ def _text_part(bags: Sequence[Mapping[str, int]], word_id: Mapping[str, int]) ->
     return TextPart(ptr, ids[order].astype(np.int32), counts[order].astype(np.int32))
 
 
-def _tfidf_norms(parts: Mapping[str, TextPart], answer_thread: np.ndarray,
-                 idf: np.ndarray) -> np.ndarray:
-    """Each answer's tf-idf norm, over its four parts' counts summed per word;
-    blocks of answers bound the memory of the gathered entries."""
-    size, norms = len(idf), [np.zeros(0)]
-    for lo in range(0, len(answer_thread), 2048):
-        answers = np.arange(lo, min(lo + 2048, len(answer_thread)))
-        keys, ids, counts = [], [], []
-        for name, rows in (("title", answer_thread[answers]), ("body", answer_thread[answers]),
-                           ("answer_body", answers), ("code", answers)):
-            positions, offsets = take(parts[name].ptr, rows)
-            ids.append(parts[name].ids[positions])
-            keys.append(np.repeat((answers - lo) * size, np.diff(offsets)) + ids[-1])
-            counts.append(parts[name].counts[positions])
-        order = np.argsort(np.concatenate(keys), kind="stable")
-        keys, ids, counts = (np.concatenate(x)[order] for x in (keys, ids, counts))
-        first = np.flatnonzero(np.diff(keys, prepend=-1) != 0)
-        norms.append(tfidf_norms(np.add.reduceat(counts, first), idf[ids[first]],
-                                 np.searchsorted(keys[first],
-                                                 np.arange(len(answers) + 1) * size)))
-    return np.concatenate(norms)
-
-
 def build_documents(threads: Iterable[Thread], idf_map: IdfMap) -> DocumentStore:
     """The store of `threads` over the sorted words of `idf_map`; ValueError
     names a thread word that is not among them."""
@@ -399,9 +406,6 @@ def build_documents(threads: Iterable[Thread], idf_map: IdfMap) -> DocumentStore
     }
     answer_thread = np.repeat(np.arange(len(threads), dtype=np.int32),
                               [len(t.answers) for t in threads])
-
-    idf = np.array([idf_map.idf(word) for word in words], dtype=np.float64)
-    tfidf_norm = _tfidf_norms(parts, answer_thread, idf)
 
     calls = [extract_methods(a.code_text) for a in answers]
     method_names = sorted(set(chain.from_iterable(calls)))
@@ -423,8 +427,9 @@ def build_documents(threads: Iterable[Thread], idf_map: IdfMap) -> DocumentStore
         answer_title_words=title_words,
     )
     return DocumentStore(parts, np.array([a.id for a in answers], dtype=np.int64),
-                         answer_thread, tfidf_norm, method_ptr, method_ids, method_names,
-                         len(words), posts)
+                         answer_thread, None, method_ptr, method_ids, method_names, len(words),
+                         posts, idf=np.array([idf_map.idf(word) for word in words],
+                                             dtype=np.float64))
 
 
 def _post_text(posts: Sequence[ProcessedPost]) -> PostText:

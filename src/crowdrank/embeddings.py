@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -30,14 +29,6 @@ import numpy as np
 
 DEFAULT_DIM = 100
 DEFAULT_SEED = 42
-
-
-@dataclass(frozen=True)
-class EmbeddingConfig:
-    dim: int = DEFAULT_DIM
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim}
 
 
 def fallback_embed(word: str, seed: int = DEFAULT_SEED, dim: int = DEFAULT_DIM) -> np.ndarray:

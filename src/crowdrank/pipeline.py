@@ -127,9 +127,8 @@ class SearchEngine:
         vector for its question id when it holds one (from a sentence-vector
         file), else the built-in IDF-weighted mean. A given vector of an id
         outside the corpus is ignored."""
-        title = self.docs.parts["title"]
-        vecs = sentence_vectors(self.vocab.words, self.vocab.idf, title.ptr, title.ids,
-                                title.counts, self.store)
+        ids, counts, _, ptr = self.docs.entries("thread_title")
+        vecs = sentence_vectors(self.vocab.words, self.vocab.idf, ptr, ids, counts, self.store)
         for thread_id, given in self.store.sentence_vecs.items():
             row = self.threads.rows.get(thread_id)
             if row is not None:
@@ -180,8 +179,8 @@ class SearchEngine:
         """The four stage-1 feature columns of the thread rows; stage 2 reuses them."""
         return {
             "sentence": self._sentence(qc, rows),
-            "asym_title": qc.similarities.scores(*self.docs.title_segments(rows)),
-            "asym_body": qc.similarities.scores(*self.docs.body_segments(rows)),
+            "asym_title": qc.similarities.scores(*self.docs.segments("thread_title", rows)),
+            "asym_body": qc.similarities.scores(*self.docs.segments("thread_bodies", rows)),
             "tf": self._tf(qc, rows),
         }
 
@@ -209,19 +208,12 @@ class SearchEngine:
             for word in qc.novel_words:
                 self.store.word_vecs.pop(word, None)
 
-    def _antonym_free(self, qc: QueryContext, rows: np.ndarray, answers: bool) -> np.ndarray:
-        """Whether each thread row, or with `answers` each answer row, holds
-        none of the query's antonyms (`AntonymQueryContext.score` is 0) in
-        the text its filter reads: a thread's title and question body; an
-        answer's thread title, its body and its code."""
+    def _antonym_free(self, qc: QueryContext, rows: np.ndarray, view: str) -> np.ndarray:
+        """Whether each candidate holds none of the query's antonyms
+        (`AntonymQueryContext.score` is 0) in the text of its filter's view."""
         if not len(qc.antonym_ids):
             return np.ones(len(rows), dtype=bool)
-        if answers:
-            parts = [("title", self.docs.answer_thread[rows]), ("answer_body", rows),
-                     ("code", rows)]
-        else:
-            parts = [("title", rows), ("body", rows)]
-        return ~self.docs.holds_any(parts, qc.antonym_ids)
+        return ~self.docs.holds_any(view, rows, qc.antonym_ids)
 
     def _funnel(self, qc: QueryContext, config: ft.WeightConfig,
                 final_n: int) -> SearchResult:
@@ -237,7 +229,7 @@ class SearchEngine:
         rows, _ = bm25_rows(self.thread_index, qc.bag, config.bm25_top)
         counts["bm25_threads"] = len(rows)
         if config.filter_threads:
-            rows = rows[self._antonym_free(qc, rows, answers=False)]
+            rows = rows[self._antonym_free(qc, rows, "thread_antonym")]
         counts["after_thread_filter"] = len(rows)
 
         # Stage 1: the four similarity features
@@ -261,10 +253,9 @@ class SearchEngine:
         # order, and each carries its thread's stage-2 score.
         rows = rows[kept]
         held = qc.vocab_ids >= 0
-        answer_rows, _ = self.docs.answer_rows(rows)
-        term_counts = self.docs.term_counts(answer_rows, qc.vocab_ids[held])
-        thread_score = np.repeat(fused[kept], self.docs.answer_ptr[rows + 1]
-                                 - self.docs.answer_ptr[rows])
+        answer_rows, offsets = self.docs.answer_rows(rows)
+        term_counts = self.docs.term_counts("answer_text", answer_rows, qc.vocab_ids[held])
+        thread_score = np.repeat(fused[kept], np.diff(offsets))
         answer_ids = self.docs.answer_ids[answer_rows]
         # Positions index answer_rows.
         positions, _ = bm25_table(term_counts, self.docs.answer_len[answer_rows], answer_ids,
@@ -279,13 +270,14 @@ class SearchEngine:
 
         # Answer-level antonym filter
         if config.filter_answers:
-            positions = positions[self._antonym_free(qc, answer_rows[positions], answers=True)]
+            positions = positions[self._antonym_free(qc, answer_rows[positions],
+                                                      "answer_antonym")]
         counts["after_answer_filter"] = len(positions)
 
         # Answer features, fusion and the final cut
         rows = answer_rows[positions]
         table = {
-            "asym": qc.similarities.scores(*self.docs.answer_segments(rows)),
+            "asym": qc.similarities.scores(*self.docs.segments("answer_asym", rows)),
             "tfidf": self._tfidf(qc, term_counts[positions], held, rows),
             "top_method": ft.top_method_scores(*self.docs.methods(rows), config.method_scale),
             "thread_score": thread_score[positions],

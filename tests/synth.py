@@ -251,6 +251,45 @@ def segments_reference(docs, vocab):
     return flat, ptr
 
 
+# Each document-store view (`documents.VIEWS`), written out as the bags of a
+# candidate's text: a thread view's candidate is a thread, an answer view's
+# a (thread, answer) pair.
+VIEW_BAGS = {
+    "thread_text": lambda t: [t.question.title_bag, t.question.body_bag,
+                              *(a.body_bag for a in t.answers),
+                              *(a.code_bag for a in t.answers)],
+    "answer_text": lambda t, a: [t.question.title_bag, t.question.body_bag, a.body_bag,
+                                 a.code_bag],
+    "thread_title": lambda t: [t.question.title_bag],
+    "thread_bodies": lambda t: [t.question.body_bag, *(a.body_bag for a in t.answers)],
+    "answer_asym": lambda t, a: [a.body_bag, t.question.title_bag],
+    "thread_antonym": lambda t: [t.question.title_bag, t.question.body_bag],
+    "answer_antonym": lambda t, a: [t.question.title_bag, a.body_bag, a.code_bag],
+}
+
+
+def view_candidates(view, threads):
+    """The candidates of a view, in store row order: the threads by
+    ascending question id, or their answers thread after thread, each as
+    the arguments of its VIEW_BAGS entry."""
+    threads = sorted(threads, key=lambda t: t.question.id)
+    if view.startswith("answer_"):
+        return [(t, a) for t in threads for a in t.answers]
+    return [(t,) for t in threads]
+
+
+def term_counts_reference(texts, terms):
+    """Each text's (a list of bags) count of each of `terms`, and its
+    length: the count of every word in it."""
+    return ([[sum(bag.get(term, 0) for bag in bags) for term in terms] for bags in texts],
+            [sum(sum(bag.values()) for bag in bags) for bags in texts])
+
+
+def holds_any_reference(texts, words):
+    """Whether each text (a list of bags) holds any of `words`."""
+    return [any(word in bag for bag in bags for word in words) for bags in texts]
+
+
 def top_method_reference(code_texts, extract, scale=10.0):
     """Each answer's top-method score: log2(f)/scale if its code calls the
     method called most often over all of them (ties: the smallest name)."""

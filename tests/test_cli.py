@@ -93,6 +93,40 @@ class TestBuildIndex:
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["search", "q0alpha q0beta"], ["export-text"]])
+    def test_an_idf_file_of_another_build_is_refused(self, tmp_path, capsys, command):
+        # A 12-thread build's idf.json beside a 10-thread build's store and
+        # meta.json: its ids fit the store, so only meta.json's stats tell.
+        for n in (10, 12):
+            synth.write_jsonl(tmp_path / f"dump{n}.jsonl", synth.planted_corpus(n, 2)[0])
+            assert main(["build-index", "--corpus", str(tmp_path / f"dump{n}.jsonl"),
+                         "--out", str(tmp_path / f"index{n}")]) == EXIT_OK
+        meta = json.loads((tmp_path / "index10" / "meta.json").read_text())
+        idf = json.loads((tmp_path / "index12" / "idf.json").read_text())
+        assert meta["stats"]["threads"] == 10 and idf["doc_count"] == 12
+        assert len(idf["df"]) > meta["stats"]["vocab"]
+        shutil.copy(tmp_path / "index12" / "idf.json", tmp_path / "index10" / "idf.json")
+        capsys.readouterr()
+        args = ([str(tmp_path / "index10"), str(tmp_path / "text")] if command == ["export-text"]
+                else ["--index-dir", str(tmp_path / "index10")])
+        assert main(command + args) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'index10' / 'idf.json'}: {len(idf['df'])} "
+                              f"words, but meta.json records {meta['stats']['vocab']}")
+        assert len(err.splitlines()) == 1
+
+    def test_an_empty_build_loads(self, tmp_path, capsys):
+        (tmp_path / "dump.jsonl").write_text("")
+        assert main(["build-index", "--corpus", str(tmp_path / "dump.jsonl"),
+                     "--out", str(tmp_path / "index")]) == EXIT_OK
+        meta = json.loads((tmp_path / "index" / "meta.json").read_text())
+        idf = json.loads((tmp_path / "index" / "idf.json").read_text())
+        assert meta["stats"] == {"threads": 0, "vocab": 0} and idf["doc_count"] == 1
+        capsys.readouterr()
+        assert main(["search", "anything", "--index-dir", str(tmp_path / "index"),
+                     "--json"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_meta_with_a_seed_still_loads(self, workspace, tmp_path, capsys):
         out = tmp_path / "idx"
         shutil.copytree(workspace["index"], out)
@@ -333,6 +367,15 @@ def _old_format(index_dir):
         docs_file(index_dir, name).unlink()
 
 
+def _other_thread_count(threads):
+    """meta.json and idf.json of a build of `threads` threads, beside the store."""
+    def damage(index_dir):
+        _edit_json("meta.json", lambda m: dict(m, stats=dict(m["stats"], threads=threads)))(
+            index_dir)
+        _edit_json("idf.json", lambda i: dict(i, doc_count=threads))(index_dir)
+    return damage
+
+
 def _without(key):
     def edit(payload):
         del payload[key]
@@ -422,6 +465,18 @@ BAD_INDEX_DIRS = {
     "answer-scores-long": (_save_array("answer_score", lambda a: np.append(a, 1)),
                            "docs.answer_score.npy: 31 scores for 30 answers"),
     "old-format": (_old_format, "docs.question_ids.npy: missing; rerun `crowdrank build-index`"),
+    # idf.json and the store must be those of the build meta.json records.
+    "meta-stats-missing": (_edit_json("meta.json", _without("stats")),
+                           "meta.json: stats must hold the thread and word counts"),
+    "meta-vocab-not-a-count": (_edit_json("meta.json", lambda m: dict(
+        m, stats=dict(m["stats"], vocab=True))), "meta.json: stats must hold"),
+    "idf-word-added": (_edit_json("idf.json", lambda i: dict(i, df=dict(i["df"], zzzextra=1))),
+                       "idf.json: 224 words, but meta.json records 223"),
+    "idf-doc-count-differs": (_edit_json("idf.json", lambda i: dict(i, doc_count=31)),
+                              "idf.json: 31 documents, but meta.json records 30"),
+    "store-thread-count-differs": (_other_thread_count(29),
+                                   "meta.json: 29 threads, but the document store "
+                                   "holds 30"),
     "docs-question-code-missing": (lambda d: docs_file(d, "question_code_ids").unlink(),
                                    "docs.question_code_ids.npy: missing; rerun "
                                    "`crowdrank build-index`"),
@@ -429,16 +484,17 @@ BAD_INDEX_DIRS = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INDEX_DIRS))
-@pytest.mark.parametrize("command", ["search", "evaluate"])
+@pytest.mark.parametrize("command", ["search", "evaluate", "export-text"])
 def test_bad_index_file_is_one_error_line(workspace, tmp_path, capsys, case, command):
     damage, named = BAD_INDEX_DIRS[case]
     index_dir = tmp_path / "index"
     shutil.copytree(workspace["index"], index_dir)
     damage(index_dir)
-    args = (["search", workspace["queries"][1]] if command == "search"
-            else ["evaluate", "--truth", str(workspace["truth"]),
-                  "-o", str(tmp_path / "report.csv")])
-    assert main(args + ["--index-dir", str(index_dir)]) == EXIT_DATA_ERROR
+    args = {"search": ["search", workspace["queries"][1], "--index-dir", str(index_dir)],
+            "evaluate": ["evaluate", "--truth", str(workspace["truth"]),
+                         "-o", str(tmp_path / "report.csv"), "--index-dir", str(index_dir)],
+            "export-text": ["export-text", str(index_dir), str(tmp_path / "text")]}[command]
+    assert main(args) == EXIT_DATA_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert len(err.splitlines()) == 1

@@ -286,7 +286,7 @@ def store_round_trip(posts, directory):
     the index directory that build-index makes of the dump."""
     dump = make_posts(posts, directory / "dump.jsonl")
     build_artifacts(dump, directory / "index")
-    idf, docs = load_corpus(directory / "index")
+    idf, docs, _ = load_corpus(directory / "index")
     return build_threads(load_dump(dump)), list(ThreadMap(docs, sorted(idf.df)).values())
 
 

@@ -11,8 +11,8 @@ import synth
 from crowdrank.antonyms import default_dictionary
 from crowdrank.artifacts import build_artifacts, build_idf, load_engine
 from crowdrank.corpus import ProcessedPost, RawPost, Thread, build_threads, load_dump, preprocess
-from crowdrank.documents import (DocumentStore, ThreadMap, build_documents, load_documents,
-                                 save_documents)
+from crowdrank.documents import (VIEWS, DocumentStore, ThreadMap, build_documents,
+                                 load_documents, save_documents)
 from crowdrank.embeddings import (EmbeddingStore, cosine, fallback_embed, save_vectors,
                                   sentence_embed)
 from crowdrank.evaluation import GroundTruth, run_ablation_grid
@@ -70,23 +70,35 @@ def as_lists(segments):
 
 
 class TestAgainstBagReferences:
+    def test_every_view_has_a_reference(self):
+        assert set(VIEWS) == set(synth.VIEW_BAGS)
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
     @settings(max_examples=60, deadline=None)
-    @given(CORPUS_ST, st.data())
-    def test_segments(self, corpus, data):
-        threads = corpus_threads(corpus)
-        engine = make_engine(threads)
+    @given(corpus=CORPUS_ST, data=st.data())
+    def test_view(self, view, corpus, data):
+        # The store's gathers of a view against its bags, walked in the
+        # threads a store reads back.
+        engine = make_engine(corpus_threads(corpus))
         docs, vocab = engine.docs, engine.vocab.words
-        rows = subset(data, len(threads))
-        chosen = [threads[r] for r in rows.tolist()]
-        assert repr(as_lists(docs.title_segments(rows))) == repr(synth.segments_reference(
-            [[t.question.title_bag] for t in chosen], vocab))
-        assert repr(as_lists(docs.body_segments(rows))) == repr(synth.segments_reference(
-            [[t.question.body_bag, *(a.body_bag for a in t.answers)] for t in chosen], vocab))
-        located = [(t, a) for t in threads for a in t.answers]
-        answer_rows = subset(data, len(located))
-        assert repr(as_lists(docs.answer_segments(answer_rows))) == repr(
-            synth.segments_reference([[located[r][1].body_bag, located[r][0].question.title_bag]
-                                      for r in answer_rows.tolist()], vocab))
+        candidates = synth.view_candidates(view, engine.threads.values())
+        rows = subset(data, len(candidates))
+        texts = [synth.VIEW_BAGS[view](*candidates[r]) for r in rows.tolist()]
+        terms = sorted(data.draw(st.sets(st.sampled_from(vocab))))
+        term_ids = np.array([vocab.index(w) for w in terms], dtype=np.intp)
+        counts = docs.term_counts(view, rows, term_ids)
+        want_counts, want_lengths = synth.term_counts_reference(texts, terms)
+        assert counts.tolist() == want_counts and counts.dtype == np.int64
+        if view == "answer_text":
+            assert docs.answer_len[rows].tolist() == want_lengths
+        assert docs.holds_any(view, rows, term_ids).tolist() == synth.holds_any_reference(
+            texts, terms)
+        assert repr(as_lists(docs.segments(view, rows))) == repr(
+            synth.segments_reference(texts, vocab))
+        # Every candidate, read from whole parts' arrays, as their rows would be.
+        every = np.arange(len(candidates))
+        for whole, taken in zip(docs.entries(view), docs.entries(view, every)):
+            assert (whole is None and taken is None) or whole.tolist() == taken.tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(CORPUS_ST, st.data())
@@ -96,7 +108,7 @@ class TestAgainstBagReferences:
         rows = subset(data, len(threads))
         query = data.draw(st.sets(st.sampled_from(WORDS)))
         answer_rows, _ = docs.answer_rows(rows)
-        counts = docs.term_counts(answer_rows, np.array(
+        counts = docs.term_counts("answer_text", answer_rows, np.array(
             [vocab.index(w) for w in sorted(query) if w in vocab], dtype=np.intp))
         ids = docs.answer_ids[answer_rows]
         positions, scores = bm25_table(counts, docs.answer_len[answer_rows], ids, 150)
@@ -185,14 +197,15 @@ class TestBodyUnion:
             save_documents(built, directory)
             loaded = load_documents(directory, len(vocab))
         for docs in (built, loaded):
-            assert repr(as_lists(docs.body_union)) == self.want(threads, vocab)
+            assert repr(as_lists(docs.unions["thread_bodies"])) == self.want(threads, vocab)
             every = np.arange(len(threads))
-            assert repr(as_lists(docs.body_segments(every))) == self.want(threads, vocab)
+            taken = as_lists(docs.segments("thread_bodies", every))
+            assert repr(taken) == self.want(threads, vocab)
 
     def test_the_empty_corpus(self):
         docs = build_documents([], build_idf([]))
-        assert as_lists(docs.body_union) == ([], [0])
-        assert as_lists(docs.body_segments(np.zeros(0, dtype=np.intp))) == ([], [0])
+        assert as_lists(docs.unions["thread_bodies"]) == ([], [0])
+        assert as_lists(docs.segments("thread_bodies", np.zeros(0, dtype=np.intp))) == ([], [0])
 
     def test_keys_past_int32(self):
         # Keys are thread row * vocab_size + id; with this vocab_size the last
@@ -205,8 +218,8 @@ class TestBodyUnion:
         docs = DocumentStore(built.parts, built.answer_ids, built.answer_thread,
                              built.tfidf_norm, built.method_ptr, built.method_ids,
                              built.method_names, vocab_size, built.posts)
-        assert as_lists(docs.body_union) == as_lists(built.body_union)
-        assert repr(as_lists(built.body_union)) == self.want(threads,
+        assert as_lists(docs.unions["thread_bodies"]) == as_lists(built.unions["thread_bodies"])
+        assert repr(as_lists(built.unions["thread_bodies"])) == self.want(threads,
                                                               sorted(build_idf(threads).df))
 
 

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import synth
 from crowdrank import embeddings
-from crowdrank.embeddings import (EmbeddingConfig, EmbeddingStore, IdfMap, SimilarityTable,
-                                  WordMatrix, asym, asym_score, cosine, fallback_embed,
-                                  fallback_vectors, load_sentence_vectors, load_word_vectors,
-                                  pcg64_states, save_vectors, sentence_embed)
+from crowdrank.embeddings import (EmbeddingStore, IdfMap, SimilarityTable, WordMatrix, asym,
+                                  asym_score, cosine, fallback_embed, fallback_vectors,
+                                  load_sentence_vectors, load_word_vectors, pcg64_states,
+                                  save_vectors, sentence_embed)
 
 WORD_ST = st.sampled_from([f"w{i}" for i in range(12)])
 BAG_ST = st.sets(WORD_ST, max_size=8)
@@ -175,13 +175,6 @@ class TestVectorFiles:
         path.write_bytes(content)
         with pytest.raises(ValueError, match=rf"^{path}: not UTF-8"):
             load(path)
-
-
-class TestEmbeddingConfig:
-    def test_round_trip(self):
-        cfg = EmbeddingConfig(dim=50)
-        assert cfg.to_json() == {"dim": 50}
-        assert EmbeddingConfig(**cfg.to_json()) == cfg
 
 
 class TestIdfMap:

@@ -230,7 +230,7 @@ class TestDocumentBags:
         idf = build_idf([thread])
         words = ["jackson", "readvalue", "parse", "question"]
         counts = build_documents([thread], idf).term_counts(
-            np.array([0]), np.array([sorted(idf.df).index(w) for w in words]))
+            "answer_text", np.array([0]), np.array([sorted(idf.df).index(w) for w in words]))
         # answer body, answer code, parent title, parent body
         assert counts.tolist() == [[1, 1, 1, 1]]
 
@@ -266,7 +266,8 @@ class TestDocumentBags:
         # Threads 1 and 7 survive; "zebra" is a vocabulary word that none of
         # their answers holds. The scores depend on the answers' whole lengths.
         rows, _ = docs.answer_rows(np.array([0, 2]))
-        counts = docs.term_counts(rows, np.array([vocab.index("jackson"), vocab.index("zebra")]))
+        counts = docs.term_counts("answer_text", rows,
+                                  np.array([vocab.index("jackson"), vocab.index("zebra")]))
         assert counts.tolist() == [[1, 0], [0, 0]]
         positions, scores = bm25_table(counts, docs.answer_len[rows], docs.answer_ids[rows], 150)
         hits = list(zip(docs.answer_ids[rows[positions]].tolist(), scores.tolist()))

@@ -32,7 +32,7 @@ def store_answer_bm25(threads, query):
     vocab = sorted(idf.df)
     docs = build_documents(threads, idf)
     rows, _ = docs.answer_rows(np.arange(docs.n_threads))
-    counts = docs.term_counts(rows, np.array(
+    counts = docs.term_counts("answer_text", rows, np.array(
         [vocab.index(t) for t in sorted(set(query)) if t in idf.df], dtype=np.intp))
     ids = docs.answer_ids[rows]
     positions, scores = bm25_table(counts, docs.answer_len[rows], ids, 150)
@@ -290,8 +290,9 @@ class TestOneTablePerSearch:
         engine, queries = request.getfixturevalue(engine_fixture)[:2]
         config = WeightConfig(clamp_negative_cosine=clamp)
         rows = np.arange(engine.docs.n_threads)
-        stages = [engine.docs.title_segments(rows), engine.docs.body_segments(rows),
-                  engine.docs.answer_segments(engine.docs.answer_rows(rows)[0])]
+        stages = [engine.docs.segments("thread_title", rows),
+                  engine.docs.segments("thread_bodies", rows),
+                  engine.docs.segments("answer_asym", engine.docs.answer_rows(rows)[0])]
         for text in queries.values():
             def hexes(table_of_stage):
                 return [[x.hex() for x in table_of_stage().scores(*stage).tolist()]
@@ -455,9 +456,9 @@ def antonym_filter():
 
 def bag_filter(engine):
     """`SearchEngine._antonym_free` as the bag-walking reference."""
-    def antonym_free(qc, rows, answers):
+    def antonym_free(qc, rows, view):
         return synth.antonym_free_reference(qc.antonym_ctx, engine.threads.values(), rows,
-                                            answers)
+                                            answers=view == "answer_antonym")
     return antonym_free
 
 
@@ -475,10 +476,11 @@ class TestAntonymFilterAgainstBags:
     def test_every_thread_and_answer(self, antonym_filter, pos, query):
         engine = antonym_filter
         qc = engine.make_query_context(query, WeightConfig(antonym_pos_mode=pos))
-        for answers, n in ((False, engine.docs.n_threads), (True, len(engine.docs.answer_ids))):
+        for view, n in (("thread_antonym", engine.docs.n_threads),
+                        ("answer_antonym", len(engine.docs.answer_ids))):
             rows = np.arange(n)
-            assert engine._antonym_free(qc, rows, answers).tolist() == \
-                bag_filter(engine)(qc, rows, answers).tolist()
+            assert engine._antonym_free(qc, rows, view).tolist() == \
+                bag_filter(engine)(qc, rows, view).tolist()
 
     @pytest.mark.parametrize("pos", POS_MODES)
     @pytest.mark.parametrize("target", ANTONYM_TARGET_MODES)
