@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -119,22 +120,37 @@ def evaluate(results: Mapping[int, Sequence[int]], truth: GroundTruth,
     )
 
 
+# The most truth entries the grid searches in one shared scope, which holds
+# each one's query terms and thread stage until every baseline has searched it.
+GRID_BLOCK = 64
+
+
 def run_baseline(engine: SearchEngine, baseline: str, truth: GroundTruth,
                  k: int = 10, final_n: int | None = None) -> MetricsReport:
-    config = configure_ablation(baseline)
-    results = {}
-    for query_id, (query_text, _) in truth.entries.items():
-        result = engine.search(query_text, config, final_n)
-        results[query_id] = result.answer_ids()
-    return evaluate(results, truth, k)
+    return run_ablation_grid(engine, [baseline], truth, k, final_n)[0][1]
 
 
 def run_ablation_grid(engine: SearchEngine, baseline_names: Sequence[str],
                       truth: GroundTruth, k: int = 10,
                       final_n: int | None = None) -> list[tuple[str, MetricsReport]]:
-    """One report per baseline, sorted ascending by the sum of the four metrics."""
-    rows = [(name, run_baseline(engine, name, truth, k, final_n))
-            for name in baseline_names]
+    """One report per baseline, sorted ascending by the sum of the four metrics.
+
+    Every baseline's config is built before the first search. The truth
+    entries are searched in blocks of `GRID_BLOCK`, every baseline over one
+    block before the next; with two or more baselines, each block's searches
+    run in one `SearchEngine.shared_queries` scope.
+    """
+    names = list(baseline_names)
+    configs = [configure_ablation(name) for name in names]
+    ranked: list[dict[int, list[int]]] = [{} for _ in configs]
+    tasks = list(truth.entries.items())
+    scope = engine.shared_queries if len(configs) > 1 else nullcontext
+    for lo in range(0, len(tasks), GRID_BLOCK):
+        with scope():
+            for config, results in zip(configs, ranked):
+                for query_id, (query_text, _) in tasks[lo:lo + GRID_BLOCK]:
+                    results[query_id] = engine.search(query_text, config, final_n).answer_ids()
+    rows = [(name, evaluate(results, truth, k)) for name, results in zip(names, ranked)]
     rows.sort(key=lambda r: (r[1].metric_sum(), r[0]))
     return rows
 

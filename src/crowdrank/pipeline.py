@@ -16,15 +16,24 @@ decoded from the store's text.
 
 The three asym features (asym_title and asym_body at stage 1, asym at the
 answer stage) read one `SimilarityTable` per search, held by its
-`QueryContext` and dropped with it: each query word's similarity with a
+`QueryTerms` and dropped with them: each query word's similarity with a
 vocabulary word is computed once, by the first stage whose targets hold
 the word, and the answer stage's targets hold only words stage 1 scored.
+
+The thread BM25 rows and their asym_title, asym_body and tf columns depend
+on the query and the clamp alone, and the thread antonym filter masks them.
+In a `SearchEngine.shared_queries` scope, which the ablation grid opens,
+the searches of one query share its terms, and so its similarity table and
+those columns, across presets; the sentence column and the answer stage
+are computed per search.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -38,12 +47,10 @@ from .index import bm25_rows, bm25_table, gather
 
 
 @dataclass
-class QueryContext:
+class QueryTerms:
+    """What a search computes from the query text and `clamp_negative_cosine`
+    alone. Searches in a `SearchEngine.shared_queries` scope share it."""
     bag: Counter
-    antonym_ctx: AntonymQueryContext
-    # The vocabulary ids of the context's antonyms; empty when the query is
-    # self-antonymous, as no candidate is then filtered.
-    antonym_ids: np.ndarray
     sentence_vec: np.ndarray
     # The query words, and their ids in the engine vocabulary (-1: none).
     words: WordMatrix
@@ -51,9 +58,23 @@ class QueryContext:
     # The query words against the engine vocabulary, clamped as the search's
     # config says; every asym target of the search reads it.
     similarities: SimilarityTable
-    # Query words outside the corpus vocabulary and the word cache: their
-    # fallback vectors serve one search only.
+    # Query words outside the corpus vocabulary and the word cache: the store
+    # holds their fallback vectors for one search only, and these terms keep
+    # them in `words`.
     novel_words: list[str]
+    # By bm25_top: the thread BM25 rows, and their asym_title, asym_body and
+    # tf columns.
+    thread_stages: dict[int, tuple[np.ndarray, dict[str, np.ndarray]]] = field(
+        default_factory=dict)
+
+
+@dataclass
+class QueryContext:
+    terms: QueryTerms
+    antonym_ctx: AntonymQueryContext
+    # The vocabulary ids of the context's antonyms; empty when the query is
+    # self-antonymous, as no candidate is then filtered.
+    antonym_ids: np.ndarray
 
 
 @dataclass
@@ -99,6 +120,8 @@ class SearchEngine:
         self.idf_map = idf_map
         self.antonym_dict = antonym_dict
         self.stopwords = stopwords
+        # Inside a `shared_queries` scope, its query terms by (query, clamp).
+        self._shared: dict[tuple[str, bool], QueryTerms] | None = None
         # Every thread word, sorted, so sorted ids are sorted words; the rows
         # fill as searches meet the words.
         self.vocab = WordMatrix(sorted(idf_map.df), store, idf_map)
@@ -135,31 +158,53 @@ class SearchEngine:
                 vecs[row] = given
         return vecs
 
+    @contextmanager
+    def shared_queries(self) -> Iterator[None]:
+        """A scope whose searches share each query's `QueryTerms`, by query
+        text and `clamp_negative_cosine`, and with them the thread stage
+        (`_thread_stage`). All of it is dropped when the scope closes."""
+        outer, self._shared = self._shared, {}
+        try:
+            yield
+        finally:
+            self._shared = outer
+
     def make_query_context(self, query: str, config: ft.WeightConfig) -> QueryContext:
-        bag = preprocess(query, "query", self.stopwords)
-        novel = [w for w in bag if w not in self.idf_map.df and w not in self.store.word_vecs]
-        ctx = self.antonym_dict.context(set(bag), config.antonym_pos_mode)
+        key = (query, config.clamp_negative_cosine)
+        terms = None if self._shared is None else self._shared.get(key)
+        if terms is None:
+            terms = self._query_terms(query, config.clamp_negative_cosine)
+            if self._shared is not None:
+                self._shared[key] = terms
+        ctx = self.antonym_dict.context(set(terms.bag), config.antonym_pos_mode)
         # A word outside the vocabulary is in no candidate.
         antonym_ids = np.array([] if ctx.self_antonymous else [
             self.vocab.index[w] for w in ctx.antonyms if w in self.vocab.index], dtype=np.intp)
+        return QueryContext(terms=terms, antonym_ctx=ctx, antonym_ids=antonym_ids)
+
+    def _query_terms(self, query: str, clamp_negative: bool) -> QueryTerms:
+        bag = preprocess(query, "query", self.stopwords)
+        novel = [w for w in bag if w not in self.idf_map.df and w not in self.store.word_vecs]
         vec = sentence_embed(bag, self.store, self.idf_map)
         words = WordMatrix.of(bag, self.store, self.idf_map)
         vocab_ids = np.array([self.vocab.index.get(w, -1) for w in words.words], dtype=np.intp)
-        similarities = SimilarityTable(words, self.vocab, vocab_ids, config.clamp_negative_cosine)
-        return QueryContext(bag=bag, antonym_ctx=ctx, antonym_ids=antonym_ids, sentence_vec=vec,
-                            words=words, vocab_ids=vocab_ids, similarities=similarities,
-                            novel_words=novel)
+        similarities = SimilarityTable(words, self.vocab, vocab_ids, clamp_negative)
+        return QueryTerms(bag=bag, sentence_vec=vec, words=words, vocab_ids=vocab_ids,
+                          similarities=similarities, novel_words=novel)
 
-    def _sentence(self, qc: QueryContext, rows: np.ndarray) -> np.ndarray:
+    def _sentence(self, terms: QueryTerms, rows: np.ndarray) -> np.ndarray:
         """`cosine` of the query's sentence vector and each thread's title vector;
-        0 where either has zero norm."""
-        norm_q = np.linalg.norm(qc.sentence_vec)
+        0 where either has zero norm.
+
+        The product is a BLAS gemv whose last bits depend on the rows it is
+        given, so each search computes it over its own rows."""
+        norm_q = np.linalg.norm(terms.sentence_vec)
         norms = self.title_norms[rows] * norm_q
         out = np.zeros(len(rows))
-        np.divide(self.title_vecs[rows] @ qc.sentence_vec, norms, out=out, where=norms != 0.0)
+        np.divide(self.title_vecs[rows] @ terms.sentence_vec, norms, out=out, where=norms != 0.0)
         return out
 
-    def _tf(self, qc: QueryContext, rows: np.ndarray) -> np.ndarray:
+    def _tf(self, terms: QueryTerms, rows: np.ndarray) -> np.ndarray:
         """`tf_score` of the query against each thread row's indexed document.
 
         The dot products come from the query terms' postings, the document
@@ -167,30 +212,36 @@ class SearchEngine:
         is a sum of integers, exact in float64 below 2**53.
         """
         index = self.thread_index
-        spans = index.spans(qc.bag)
-        counts = np.repeat(np.array(list(qc.bag.values()), dtype=np.int64),
+        spans = index.spans(terms.bag)
+        counts = np.repeat(np.array(list(terms.bag.values()), dtype=np.int64),
                            [hi - lo for lo, hi in spans])
         dots = np.bincount(gather(index.rows, spans), weights=gather(index.tfs, spans) * counts,
                            minlength=index.stats.n_docs)
-        sumsq_q = sum(c * c for c in qc.bag.values())
+        sumsq_q = sum(c * c for c in terms.bag.values())
         return ft.cosines(dots[rows], np.sqrt(sumsq_q), np.sqrt(index.doc_sumsq[rows]))
 
-    def _similarity_features(self, qc: QueryContext, rows: np.ndarray) -> dict[str, np.ndarray]:
-        """The four stage-1 feature columns of the thread rows; stage 2 reuses them."""
-        return {
-            "sentence": self._sentence(qc, rows),
-            "asym_title": qc.similarities.scores(*self.docs.segments("thread_title", rows)),
-            "asym_body": qc.similarities.scores(*self.docs.segments("thread_bodies", rows)),
-            "tf": self._tf(qc, rows),
-        }
+    def _thread_stage(self, terms: QueryTerms,
+                      bm25_top: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The rows of the query's BM25 top `bm25_top` threads, and their
+        asym_title, asym_body and tf columns: each row's values depend on the
+        row alone, so an antonym filter masks them. Made once per terms."""
+        stage = terms.thread_stages.get(bm25_top)
+        if stage is None:
+            rows, _ = bm25_rows(self.thread_index, terms.bag, bm25_top)
+            stage = terms.thread_stages[bm25_top] = rows, {
+                "asym_title": terms.similarities.scores(*self.docs.segments("thread_title", rows)),
+                "asym_body": terms.similarities.scores(*self.docs.segments("thread_bodies", rows)),
+                "tf": self._tf(terms, rows),
+            }
+        return stage
 
-    def _tfidf(self, qc: QueryContext, counts: np.ndarray, held: np.ndarray,
+    def _tfidf(self, terms: QueryTerms, counts: np.ndarray, held: np.ndarray,
                answer_rows: np.ndarray) -> np.ndarray:
         """`tfidf_score` of the query against each answer's indexed text, from
         its counts of the query words `held` in the vocabulary (a row per
         answer) and its stored norm."""
-        words = qc.words
-        counts_q = np.array([qc.bag[w] for w in words.words], dtype=np.int64)
+        words = terms.words
+        counts_q = np.array([terms.bag[w] for w in words.words], dtype=np.int64)
         norm_q = ft.tfidf_norms(counts_q, words.idf, np.array([0, len(counts_q)]))[0]
         dots = (counts * words.idf[held]) @ (counts_q * words.idf)[held]
         return ft.cosines(dots, norm_q, self.docs.tfidf_norm[answer_rows])
@@ -205,7 +256,7 @@ class SearchEngine:
         finally:
             # The store cached the novel words' fallback vectors for this
             # search; dropping them keeps the cache within the corpus vocabulary.
-            for word in qc.novel_words:
+            for word in qc.terms.novel_words:
                 self.store.word_vecs.pop(word, None)
 
     def _antonym_free(self, qc: QueryContext, rows: np.ndarray, view: str) -> np.ndarray:
@@ -219,21 +270,24 @@ class SearchEngine:
                 final_n: int) -> SearchResult:
         diagnostics: dict = {"stage_counts": {}}
         counts = diagnostics["stage_counts"]
-        if not qc.bag:
+        terms = qc.terms
+        if not terms.bag:
             diagnostics["empty_query"] = True
             return SearchResult(entries=[], diagnostics=diagnostics)
 
-        # Lexical thread retrieval, then the thread-level antonym filter.
-        # Thread rows ascend with question ids, so a row breaks a tie as the
-        # id would.
-        rows, _ = bm25_rows(self.thread_index, qc.bag, config.bm25_top)
+        # Lexical thread retrieval and three of the four similarity features,
+        # then the thread-level antonym filter. Thread rows ascend with
+        # question ids, so a row breaks a tie as the id would.
+        rows, columns = self._thread_stage(terms, config.bm25_top)
         counts["bm25_threads"] = len(rows)
         if config.filter_threads:
-            rows = rows[self._antonym_free(qc, rows, "thread_antonym")]
+            free = self._antonym_free(qc, rows, "thread_antonym")
+            rows = rows[free]
+            columns = {name: column[free] for name, column in columns.items()}
         counts["after_thread_filter"] = len(rows)
 
-        # Stage 1: the four similarity features
-        table = self._similarity_features(qc, rows)
+        # Stage 1: the four similarity features; stage 2 reuses them.
+        table = {"sentence": self._sentence(terms, rows), **columns}
         weights = {f: config.thread_weights[f] for f in ft.THREAD_SIMILARITY_FEATURES}
         kept, _, _ = _rank(rows, table, weights, config.stage1_keep)
         counts["stage1_kept"] = len(kept)
@@ -252,9 +306,9 @@ class SearchEngine:
         # sorted order). The answer rows run thread after thread, in stage-2
         # order, and each carries its thread's stage-2 score.
         rows = rows[kept]
-        held = qc.vocab_ids >= 0
+        held = terms.vocab_ids >= 0
         answer_rows, offsets = self.docs.answer_rows(rows)
-        term_counts = self.docs.term_counts("answer_text", answer_rows, qc.vocab_ids[held])
+        term_counts = self.docs.term_counts("answer_text", answer_rows, terms.vocab_ids[held])
         thread_score = np.repeat(fused[kept], np.diff(offsets))
         answer_ids = self.docs.answer_ids[answer_rows]
         # Positions index answer_rows.
@@ -277,8 +331,8 @@ class SearchEngine:
         # Answer features, fusion and the final cut
         rows = answer_rows[positions]
         table = {
-            "asym": qc.similarities.scores(*self.docs.segments("answer_asym", rows)),
-            "tfidf": self._tfidf(qc, term_counts[positions], held, rows),
+            "asym": terms.similarities.scores(*self.docs.segments("answer_asym", rows)),
+            "tfidf": self._tfidf(terms, term_counts[positions], held, rows),
             "top_method": ft.top_method_scores(*self.docs.methods(rows), config.method_scale),
             "thread_score": thread_score[positions],
         }

@@ -323,7 +323,7 @@ class TestTitleVectors:
             assert np.array_equal(engine.title_vecs[ids.index(thread_id)], vec)
         assert np.array_equal(engine.title_vecs[2:], plain.title_vecs[2:])
         rows = np.arange(len(ids))
-        qc = engine.make_query_context(queries[1], WeightConfig())
-        sentence = engine._sentence(qc, rows)
+        terms = engine.make_query_context(queries[1], WeightConfig()).terms
+        sentence = engine._sentence(terms, rows)
         assert sentence[1] == 0.0
-        assert sentence[0] == pytest.approx(cosine(qc.sentence_vec, given[ids[0]]), abs=1e-12)
+        assert sentence[0] == pytest.approx(cosine(terms.sentence_vec, given[ids[0]]), abs=1e-12)

@@ -20,6 +20,7 @@ from crowdrank.embeddings import (EmbeddingStore, IdfMap, SimilarityTable, asym_
 from crowdrank.features import (ANTONYM_TARGET_MODES, SOCIAL_FEATURES, THREAD_FEATURES,
                                 WeightConfig, question_score_value, tf_score)
 from crowdrank.documents import build_documents
+from crowdrank.evaluation import GRID_BLOCK, GroundTruth, run_ablation_grid
 from crowdrank.index import bm25_search, bm25_table, build_index
 from crowdrank.pipeline import BASELINE_NAMES, SearchEngine, _rank, configure_ablation
 
@@ -299,12 +300,14 @@ class TestOneTablePerSearch:
                         for stage in stages]
 
             # Title, body, then answers, as a search covers them.
-            in_turn = engine.make_query_context(text, config).similarities
+            in_turn = engine.make_query_context(text, config).terms.similarities
             want = hexes(lambda: in_turn)
-            union = engine.make_query_context(text, config).similarities
+            union = engine.make_query_context(text, config).terms.similarities
             union.cover(np.concatenate([flat for flat, _ in stages]))
             assert hexes(lambda: union) == want
-            assert hexes(lambda: engine.make_query_context(text, config).similarities) == want
+            # A fresh table for each stage.
+            assert hexes(lambda: engine.make_query_context(text, config).terms.similarities) \
+                == want
             # The table holds the stage-1 columns only: the answer targets'
             # words are among them.
             held = np.unique(np.concatenate([flat for flat, _ in stages[:2]]))
@@ -518,6 +521,150 @@ class TestAntonymFilterAgainstBags:
         assert not qc.antonym_ctx.antonyms and not len(qc.antonym_ids)
         for query in (self_antonymous, no_lexicon):
             assert drops(query, "NN_VB", "TR_ANS") == (0, 0)
+
+
+def truth_of(texts):
+    truth = GroundTruth()
+    for query_id, text in enumerate(texts, 1):
+        truth.add(query_id, text, [1])
+    return truth
+
+
+class Recorder:
+    """Wraps an engine's `search`, as the benchmark's client does: keeps each
+    call's (query, config, result) and the number of query terms shared at
+    its end, and runs `before(n)` ahead of call n."""
+
+    def __init__(self, engine, monkeypatch, before=lambda n: None):
+        self.calls, self.shared = [], []
+        search = engine.search
+
+        def recorded(query, config=None, final_n=None):
+            before(len(self.calls))
+            result = search(query, config, final_n)
+            self.calls.append((query, config, result))
+            self.shared.append(None if engine._shared is None else len(engine._shared))
+            return result
+
+        monkeypatch.setattr(engine, "search", recorded)
+
+
+def tables_made(monkeypatch):
+    """Weak references to every `SimilarityTable` made from now on."""
+    made = []
+    init = SimilarityTable.__init__
+
+    def recorded(table, *args):
+        init(table, *args)
+        made.append(weakref.ref(table))
+
+    monkeypatch.setattr(SimilarityTable, "__init__", recorded)
+    return made
+
+
+class TestSharedQueries:
+    """The ablation grid shares each query's terms and thread stage across
+    presets, within one block of truth entries."""
+
+    @pytest.mark.parametrize("engine_fixture", ["planted", "antonym_filter"])
+    def test_every_preset_equals_its_own_searches(self, request, monkeypatch, engine_fixture):
+        if engine_fixture == "planted":
+            engine, queries, _ = request.getfixturevalue("planted")
+            texts = list(queries.values())
+        else:
+            engine = request.getfixturevalue("antonym_filter")
+            texts = list(dict.fromkeys(synth.ANTONYM_FILTER_QUERIES
+                                       + tuple(synth.antonym_corpus()[1].values())))
+        recorder = Recorder(engine, monkeypatch)
+        run_ablation_grid(engine, BASELINE_NAMES, truth_of(texts))
+        monkeypatch.undo()
+        assert [(q, c) for q, c, _ in recorder.calls] == [
+            (text, configure_ablation(name)) for name in BASELINE_NAMES for text in texts]
+        assert max(recorder.shared) == len(texts)
+        dropped = 0
+        for query, config, result in recorder.calls:
+            alone = engine.search(query, config)
+            assert repr((result.entries, result.diagnostics)) == \
+                repr((alone.entries, alone.diagnostics)), (query, config)
+            if config.filter_threads and "empty_query" not in result.diagnostics:
+                counts = result.diagnostics["stage_counts"]
+                dropped += counts["bm25_threads"] > counts["after_thread_filter"]
+                # The sentence product's last bits depend on its rows: each
+                # search computes it over the rows its filter kept.
+                qc = engine.make_query_context(query, config)
+                rows = engine._thread_stage(qc.terms, config.bm25_top)[0]
+                rows = rows[engine._antonym_free(qc, rows, "thread_antonym")]
+                want = dict(zip(engine.thread_index.doc_ids[rows].tolist(),
+                                engine._sentence(qc.terms, rows).tolist()))
+                assert {thread_id: features["sentence"] for thread_id, features
+                        in result.diagnostics["thread_features"].items()}.items() \
+                    <= want.items(), (query, config)
+        # The thread-antonym presets mask rows out of the shared thread stage.
+        assert (dropped > 0) == (engine_fixture == "antonym_filter")
+
+    def test_nothing_is_shared_after_the_grid(self, planted, monkeypatch):
+        engine, queries, _ = planted
+        made = tables_made(monkeypatch)
+        run_ablation_grid(engine, ["crar", "template"], truth_of(queries.values()))
+        gc.collect()
+        assert engine._shared is None
+        assert len(made) == len(queries) and all(ref() is None for ref in made)
+
+    def test_nothing_is_shared_after_a_search_raises(self, planted, monkeypatch):
+        engine, queries, _ = planted
+        made = tables_made(monkeypatch)
+
+        def fail(n):
+            if n == len(queries) + 1:
+                raise RuntimeError("search failed")
+
+        Recorder(engine, monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="search failed"):
+            run_ablation_grid(engine, ["crar", "template"], truth_of(queries.values()))
+        gc.collect()
+        assert engine._shared is None
+        assert len(made) == len(queries) and all(ref() is None for ref in made)
+
+    def test_a_block_bounds_what_is_shared(self, planted, monkeypatch):
+        engine, _, _ = planted
+        texts = [f"q{j % 4}alpha {synth.WORDS[j]}" for j in range(GRID_BLOCK + 6)]
+        recorder = Recorder(engine, monkeypatch)
+        run_ablation_grid(engine, ["crar", "template"], truth_of(texts))
+        # Every baseline over one block, then the next block.
+        blocks = [texts[:GRID_BLOCK], texts[GRID_BLOCK:]]
+        assert [q for q, _, _ in recorder.calls] == [
+            text for block in blocks for _ in range(2) for text in block]
+        assert max(recorder.shared) == GRID_BLOCK
+        assert recorder.shared[-len(blocks[1]):] == [len(blocks[1])] * len(blocks[1])
+
+    def test_one_baseline_shares_nothing(self, planted, monkeypatch):
+        engine, queries, _ = planted
+        recorder = Recorder(engine, monkeypatch)
+        run_ablation_grid(engine, ["crar"], truth_of(queries.values()))
+        assert recorder.shared == [None] * len(queries)
+
+    def test_one_query_text_under_two_ids(self, antonym_filter, monkeypatch):
+        engine = antonym_filter
+        text = synth.ANTONYM_FILTER_QUERIES[0]
+        truth = GroundTruth()
+        truth.add(1, text, [1])
+        truth.add(2, text, [600001])
+        recorder = Recorder(engine, monkeypatch)
+        rows = run_ablation_grid(engine, BASELINE_NAMES, truth)
+        assert set(recorder.shared) == {1}
+        results = [repr((r.entries, r.diagnostics)) for _, _, r in recorder.calls]
+        assert results[0::2] == results[1::2]
+        for _, report in rows:
+            assert report.per_query[1].rr == 0.0
+            assert report.per_query[2].rr > 0.0
+
+    def test_an_unknown_name_fails_before_any_search(self, planted, monkeypatch):
+        engine, queries, _ = planted
+        recorder = Recorder(engine, monkeypatch)
+        with pytest.raises(ValueError, match="no-such-baseline"):
+            run_ablation_grid(engine, ["crar", "template", "no-such-baseline"],
+                              truth_of(queries.values()))
+        assert recorder.calls == []
 
 
 # Every preset as built before the presets became one table: the features
