@@ -1,6 +1,9 @@
 """Offline artifact construction and loading.
 
-``build_artifacts`` turns a JSONL dump into an index directory:
+``build_artifacts`` turns a JSONL dump into an index directory: the
+document store and the document frequencies are made in one streamed pass
+over the dump's threads (`documents.build_store`) before any file is
+written, and ``write_index`` writes them:
 
     docs.*.npy          thread document store (`documents.DOCS_ARRAYS`): each
                         thread's title, question body and question code and
@@ -28,15 +31,13 @@ preprocessed text of an index directory for training an external embedder:
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 from .antonyms import AntonymDictionary, default_dictionary, merge_lists
-from .corpus import (BuildStats, LoadStats, TagFilter, Thread, build_threads, load_dump,
-                     read_json_object, PREPROCESS_VERSION)
-from .documents import DocumentStore, ThreadMap, build_documents, load_documents, save_documents
+from .corpus import (BuildStats, LoadStats, TagFilter, Thread, load_dump, read_json_object,
+                     PREPROCESS_VERSION)
+from .documents import DocumentStore, ThreadMap, build_store, load_documents, save_documents
 from .embeddings import (DEFAULT_DIM, DEFAULT_SEED, EmbeddingStore, IdfMap,
                          load_sentence_vectors, load_word_vectors)
 from .pipeline import SearchEngine
@@ -68,20 +69,6 @@ def thread_content_tokens(thread: Thread) -> list[str]:
     return tokens
 
 
-def _thread_words(thread: Thread) -> set[str]:
-    """The distinct words of `thread_content_tokens(thread)`."""
-    question = thread.question
-    return set().union(question.title_bag, question.body_bag, question.code_bag,
-                       *chain.from_iterable((a.body_bag, a.code_bag) for a in thread.answers))
-
-
-def build_idf(threads: list[Thread]) -> IdfMap:
-    """Document frequencies over the threads, each thread one document of
-    its `thread_content_tokens`; no threads count as one empty document."""
-    return IdfMap(Counter(chain.from_iterable(map(_thread_words, threads))),
-                  max(len(threads), 1))
-
-
 @dataclass
 class BuildReport:
     thread_count: int
@@ -98,15 +85,19 @@ def build_artifacts(corpus_path: str | Path, out_dir: str | Path,
 
     load_stats = LoadStats()
     build_stats = BuildStats()
-    # The raw posts are not kept past the threads made of them.
-    threads = build_threads(load_dump(corpus_path, tag_filter, load_stats), stopwords,
-                            build_stats)
-
     # The store is made before any file is touched, so that a build that
     # fails in it leaves the directory as it was.
-    idf = build_idf(threads)
-    docs = build_documents(threads, idf)
+    idf, docs = build_store(load_dump(corpus_path, tag_filter, load_stats), stopwords,
+                            build_stats)
+    write_index(out, idf, docs)
+    return BuildReport(thread_count=docs.n_threads, vocab_size=len(idf.df),
+                       load_stats=load_stats, build_stats=build_stats)
 
+
+def write_index(out_dir: str | Path, idf: IdfMap, docs: DocumentStore) -> None:
+    """Write an index directory's files: idf.json, the document store and
+    meta.json."""
+    out = Path(out_dir)
     # Earlier versions wrote a thread store and the thread index beside the
     # document store; a rebuild in place removes those files, which nothing
     # reads.
@@ -126,13 +117,10 @@ def build_artifacts(corpus_path: str | Path, out_dir: str | Path,
         "version": META_VERSION,
         "preprocess_version": PREPROCESS_VERSION,
         "embedding": {"dim": DEFAULT_DIM},
-        "stats": {"threads": len(threads), "vocab": len(idf.df)},
+        "stats": {"threads": docs.n_threads, "vocab": len(idf.df)},
     }
     (out / "meta.json").write_text(
         json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n", "utf-8")
-
-    return BuildReport(thread_count=len(threads), vocab_size=len(idf.df),
-                       load_stats=load_stats, build_stats=build_stats)
 
 
 def export_text(index_dir: str | Path, out_dir: str | Path) -> int:

@@ -1,9 +1,13 @@
-"""Corpus ingestion: JSONL Q&A dumps -> filtered, preprocessed threads.
+"""Corpus ingestion: JSONL Q&A dumps -> filtered posts, grouped into threads.
 
 A dump is one JSON object per line with the fields of :class:`RawPost`.
 Questions pass a tag filter (default: java but not javascript); answers are
 kept when their parent question passed. Threads keep only questions with a
-positive score that retain at least one positive-score answer with code.
+positive score that retain at least one positive-score answer with code:
+`select_threads` is that rule, written once. A build
+(`documents.build_store`) streams its threads into the document store's
+arrays, word ids and counts without a word bag per post; `build_threads`
+makes the same threads as `Thread`s of `ProcessedPost`s, bags included.
 
 An index directory keeps no thread objects: the document store
 (`documents.py`) holds every post's id, score, display text and word bags as
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import filterfalse
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sized, TypeVar
 
 PREPROCESS_VERSION = 1
 # The range of a post id or score: the document store holds them as int64.
@@ -94,15 +98,18 @@ class RawPost:
         kind = obj["post_kind"]
         if kind not in ("question", "answer"):
             raise ValueError(f"bad post_kind {kind!r}")
-        post = cls(
-            id=int(obj["id"]),
-            post_kind=kind,
-            score=int(obj["score"]),
-            body_html=str(obj["body_html"]),
-            parent_id=int(obj["parent_id"]) if obj.get("parent_id") is not None else None,
-            title=str(obj.get("title", "")),
-            tags=tuple(str(t).lower() for t in obj.get("tags", ())),
-        )
+        try:
+            post = cls(
+                id=int(obj["id"]),
+                post_kind=kind,
+                score=int(obj["score"]),
+                body_html=str(obj["body_html"]),
+                parent_id=int(obj["parent_id"]) if obj.get("parent_id") is not None else None,
+                title=str(obj.get("title", "")),
+                tags=tuple(str(t).lower() for t in obj.get("tags", ())),
+            )
+        except OverflowError:  # int() of an infinite float, such as 1e999
+            raise ValueError("an id or a score is not finite") from None
         if post.id <= 0:
             raise ValueError("id must be positive")
         # A lone-surrogate escape in the JSON (\ud800) decodes to a str with
@@ -132,9 +139,9 @@ def load_dump(path: str | Path, tag_filter: TagFilter | None = None,
     """Load a JSONL dump, keeping tag-passing questions and their answers.
 
     Malformed lines (bytes that are not UTF-8 among them), posts missing
-    required fields and posts whose id or score does not fit 64 bits are
-    skipped and counted in ``stats.warnings``. An unreadable file raises
-    OSError.
+    required fields and posts whose id or score does not fit 64 bits (an
+    infinite one, such as 1e999, among them) are skipped and counted in
+    ``stats.warnings``. An unreadable file raises OSError.
     """
     tag_filter = tag_filter or TagFilter()
     stats = stats if stats is not None else LoadStats()
@@ -210,13 +217,13 @@ def preprocess(text: str, mode: str = "corpus",
     """
     if mode not in ("corpus", "query"):
         raise ValueError(f"bad mode {mode!r}")
-    words = _kept_words(text, stopwords)
+    words = kept_words(text, stopwords)
     if mode == "query":
         return Counter(dict.fromkeys(words, 1))
     return Counter(words)
 
 
-def _kept_words(text: str, stopwords: frozenset[str] | None) -> Iterator[str]:
+def kept_words(text: str, stopwords: frozenset[str] | None) -> Iterator[str]:
     """The words of `text` that its bag counts, in order, repeats included."""
     stopwords = stopwords if stopwords is not None else default_stopwords()
     return filterfalse(stopwords.__contains__, _WORD_RE.findall(text.lower()))
@@ -256,7 +263,7 @@ class Thread:
 def _sorted_bag(text: str, stopwords: frozenset[str] | None) -> Counter:
     """A corpus bag of `text` with its words in sorted order: the order of the
     document store, so that a post built and a post loaded share one `repr`."""
-    return Counter(sorted(_kept_words(text, stopwords)))
+    return Counter(sorted(kept_words(text, stopwords)))
 
 
 def process_post(post: RawPost, stopwords: frozenset[str] | None = None) -> ProcessedPost:
@@ -280,13 +287,20 @@ class BuildStats:
     dropped_answers: int = 0
 
 
-def build_threads(posts: Iterable[RawPost], stopwords: frozenset[str] | None = None,
-                  stats: BuildStats | None = None) -> list[Thread]:
-    """Reconstruct threads from a post stream.
+T = TypeVar("T")
 
-    A thread survives when its question scores above zero and keeps at least
-    one answer that scores above zero and contains code. Output is sorted by
-    question id so rebuilds are deterministic.
+
+def select_threads(posts: Iterable[RawPost], process_answer: Callable[[RawPost], tuple[T, Sized]],
+                   stats: BuildStats | None = None) -> Iterator[tuple[RawPost, list[T]]]:
+    """The threads of a post stream, by ascending question id: each kept
+    question with its kept answers, by ascending answer id.
+
+    `process_answer` is called on each positive-score answer of a
+    positive-score question and returns the answer as the caller keeps it
+    and the words of its code; an answer is kept when those are not empty,
+    and a question when it keeps an answer. Of questions that share an id
+    the last one counts. `stats` counts the answers of absent questions and
+    the dropped posts.
     """
     stats = stats if stats is not None else BuildStats()
     questions: dict[int, RawPost] = {}
@@ -300,27 +314,34 @@ def build_threads(posts: Iterable[RawPost], stopwords: frozenset[str] | None = N
     orphan_parents = set(answers_by_parent) - set(questions)
     stats.orphan_answers += sum(len(answers_by_parent[p]) for p in orphan_parents)
 
-    threads: list[Thread] = []
     for qid in sorted(questions):
         question = questions[qid]
         if question.score <= 0:
             stats.dropped_questions += 1
             continue
-        retained: list[ProcessedPost] = []
-        for ans in sorted(answers_by_parent.get(qid, ()), key=lambda a: a.id):
-            if ans.score <= 0:
-                stats.dropped_answers += 1
-                continue
-            processed = process_post(ans, stopwords)
-            if not processed.code_bag:
-                stats.dropped_answers += 1
-                continue
-            retained.append(processed)
+        retained: list[T] = []
+        for answer in sorted(answers_by_parent.get(qid, ()), key=lambda a: a.id):
+            if answer.score > 0:
+                kept, code_words = process_answer(answer)
+                if code_words:
+                    retained.append(kept)
+                    continue
+            stats.dropped_answers += 1
         if not retained:
             stats.dropped_questions += 1
             continue
-        threads.append(Thread(question=process_post(question, stopwords), answers=retained))
-    return threads
+        yield question, retained
+
+
+def build_threads(posts: Iterable[RawPost], stopwords: frozenset[str] | None = None,
+                  stats: BuildStats | None = None) -> list[Thread]:
+    """The threads of a post stream (`select_threads`), their posts processed."""
+    def process(answer: RawPost) -> tuple[ProcessedPost, Counter]:
+        processed = process_post(answer, stopwords)
+        return processed, processed.code_bag
+
+    return [Thread(question=process_post(question, stopwords), answers=answers)
+            for question, answers in select_threads(posts, process, stats)]
 
 
 def read_json_object(path: str | Path) -> dict:

@@ -21,30 +21,34 @@ re-preprocessed). `ThreadMap` builds a `Thread` from these, its posts' word
 bags included, whenever one is read; the question code is stored for that
 alone.
 
-`build_documents` writes the arrays from `Thread`s; `build-index` saves them
-as fixed-dtype `.npy` files (DOCS_ARRAYS), and `load_documents` checks them
-with array-wide tests and names the file at fault. The text that each
-feature and filter reads is a view, declared once in VIEWS, and `entries` is
-the one gather of a view's candidates: the thread BM25 index (its transpose,
-made at load), the asym segments (each thread's asym_body target is united
-once, when a store is made), the answers' query-term counts, the tf-idf
-norms and the antonym filters are built on it. A search reads these gathers,
-not the threads' word bags, and decodes the text of the answers it returns
-only.
+`build_store` makes the arrays from a post stream in one pass: each kept
+post is tokenized once, straight into flat rows of word ids numbered as
+they come, which are renumbered over the sorted vocabulary and counted at
+the end, so a build holds no word bag, `ProcessedPost` or `Thread` per post.
+`build-index` saves them as fixed-dtype `.npy` files (DOCS_ARRAYS), and
+`load_documents` checks them with array-wide tests and names the file at
+fault. The text that each feature and filter reads is a view, declared once
+in VIEWS, and `entries` is the one gather of a view's candidates: the thread
+BM25 index (its transpose, made at load), the asym segments (each thread's
+asym_body target is united once, when a store is made), the answers'
+query-term counts, the tf-idf norms and the antonym filters are built on
+it. A search reads these gathers, not the threads' word bags, and decodes
+the text of the answers it returns only.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
+from itertools import count
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ProcessedPost, Thread
+from .corpus import (BuildStats, ProcessedPost, RawPost, Thread, kept_words, select_threads,
+                     separate_code)
 from .embeddings import IdfMap
 from .features import extract_methods, tfidf_norms
 from .index import InvertedIndex, assemble_index
@@ -120,6 +124,33 @@ def take(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths), offsets
 
 
+def _merge(ids: np.ndarray, owner: np.ndarray, n: int, size: int,
+           counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The distinct term ids of each of `n` candidates, ascending, as one flat
+    array and offsets, from entries with those ids (below `size`) and owners;
+    with `counts`, also the summed count of each distinct id (else None). The
+    keys are made in `owner`'s memory, which it overwrites."""
+    # A key is owner * size + id; int32 keys, which sort faster, hold every
+    # key below n * size.
+    dtype = np.int32 if n * size < 2**31 else np.int64
+    keys = owner.astype(dtype, copy=False)
+    keys *= dtype(size)
+    keys += ids
+    # A sort and a neighbour test (np.unique hashes first, which is slower
+    # here); the counts are summed over each run of equal keys.
+    if counts is None:
+        keys.sort()
+    else:
+        order = keys.argsort()
+        keys, counts = keys[order], counts[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    sums = None if counts is None else np.add.reduceat(counts, np.flatnonzero(first))
+    keys = keys[first]
+    ptr = np.searchsorted(keys, np.arange(n + 1, dtype=dtype) * dtype(size))
+    return (keys % dtype(size)).astype(np.int32, copy=False), ptr, sums
+
+
 @dataclass
 class TextPart:
     """One text part of every thread or answer, in CSR form (module docstring)."""
@@ -188,7 +219,7 @@ class DocumentStore:
         self.unions = {}
         for view in UNITED_VIEWS:
             ids, _, owner, _ = self.entries(view)
-            self.unions[view] = self._merge(ids, owner, self.n_threads)[:2]
+            self.unions[view] = _merge(ids, owner, self.n_threads, self.vocab_size)[:2]
         self.tfidf_norm = self._tfidf_norms(idf) if tfidf_norm is None else tfidf_norm
 
     def thread_index(self, words: Sequence[str]) -> InvertedIndex:
@@ -234,33 +265,6 @@ class DocumentStore:
             return ids[0], counts[0], owners[0], ptr
         return np.concatenate(ids), np.concatenate(counts), np.concatenate(owners), None
 
-    def _merge(self, ids: np.ndarray, owner: np.ndarray, n: int, counts: np.ndarray | None = None,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """The distinct term ids of each of `n` candidates, ascending, as one
-        flat array and offsets, from entries with those ids and owners; with
-        `counts`, also the summed count of each distinct id (else None). The
-        keys are made in `owner`'s memory, which it overwrites."""
-        size = self.vocab_size
-        # A key is owner * size + id; int32 keys, which sort faster, hold
-        # every key below n * size.
-        dtype = np.int32 if n * size < 2**31 else np.int64
-        keys = owner.astype(dtype, copy=False)
-        keys *= dtype(size)
-        keys += ids
-        # A sort and a neighbour test (np.unique hashes first, which is slower
-        # here); the counts are summed over each run of equal keys.
-        if counts is None:
-            keys.sort()
-        else:
-            order = keys.argsort()
-            keys, counts = keys[order], counts[order]
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        sums = None if counts is None else np.add.reduceat(counts, np.flatnonzero(first))
-        keys = keys[first]
-        ptr = np.searchsorted(keys, np.arange(n + 1, dtype=dtype) * dtype(size))
-        return (keys % dtype(size)).astype(np.int32, copy=False), ptr, sums
-
     def segments(self, view: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The distinct term ids of each candidate's text in a view, ascending,
         as one flat array and offsets."""
@@ -268,11 +272,17 @@ class DocumentStore:
             flat, ptr = self.unions[view]
             positions, offsets = take(ptr, rows)
             return flat[positions], offsets
-        ids, _, owner, ptr = self.entries(view, rows)
-        if ptr is not None and VIEWS[view][0][1] != "answers":
-            # One row of one part per candidate: already distinct and ascending.
-            return ids, ptr
-        return self._merge(ids, owner, len(rows))[:2]
+        (name, via), *more = VIEWS[view]
+        if not more and via != "answers":
+            # One row of one part per candidate, already distinct and
+            # ascending: its ids alone, without the counts and owners of
+            # `entries`.
+            part = self.parts[name]
+            positions, offsets = take(part.ptr, self.answer_thread[rows] if via == "thread"
+                                      else rows)
+            return part.ids[positions], offsets
+        ids, _, owner, _ = self.entries(view, rows)
+        return _merge(ids, owner, len(rows), self.vocab_size)[:2]
 
     def holds_any(self, view: str, rows: np.ndarray, term_ids: np.ndarray) -> np.ndarray:
         """Whether each candidate's text in a view holds any of `term_ids`."""
@@ -302,7 +312,7 @@ class DocumentStore:
         for lo in range(0, n, 2048):
             answers = np.arange(lo, min(lo + 2048, n))
             ids, counts, owner, _ = self.entries("answer_text", answers)
-            flat, ptr, sums = self._merge(ids, owner, len(answers), counts)
+            flat, ptr, sums = _merge(ids, owner, len(answers), self.vocab_size, counts)
             norms.append(tfidf_norms(sums, idf[flat], ptr))
         return np.concatenate(norms)
 
@@ -371,70 +381,135 @@ class ThreadMap(Mapping):
                 *(self._bag(self.docs.parts[name], row, self.words) for name in ANSWER_ROW_PARTS))
 
 
-def _text_part(bags: Sequence[Mapping[str, int]], word_id: Mapping[str, int]) -> TextPart:
-    """The bags as one CSR part over the ids of `word_id`."""
-    sizes = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
-    n = int(sizes.sum())
-    try:
-        ids = np.fromiter(map(word_id.__getitem__, chain.from_iterable(bags)), dtype=np.int64,
-                          count=n)
-    except KeyError as exc:
-        raise ValueError(f"word {exc.args[0]!r} is not in the idf vocabulary") from None
-    counts = np.fromiter(chain.from_iterable(bag.values() for bag in bags), dtype=np.int64,
-                         count=n)
-    ptr = np.zeros(len(bags) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ptr[1:])
-    # A bag's words are distinct, so the keys are.
-    order = np.argsort(np.repeat(np.arange(len(bags)) * len(word_id), sizes) + ids)
-    return TextPart(ptr, ids[order].astype(np.int32), counts[order].astype(np.int32))
+class _Rows:
+    """Rows of provisional ids as a build appends them, flat, and the offsets
+    of each row."""
+
+    def __init__(self):
+        self.ids = array("i")
+        self.ptr = array("q", [0])
+
+    def add(self, ids: Iterable[int]) -> None:
+        self.ids.extend(ids)
+        self.ptr.append(len(self.ids))
+
+    def counted(self, new_id: np.ndarray, size: int) -> TextPart:
+        """The rows as a CSR part over the ids (below `size`) that `new_id`
+        gives the provisional ones: each row's distinct ids, ascending, and
+        how often each occurs."""
+        ptr = np.frombuffer(self.ptr, dtype=np.int64)
+        owner = np.repeat(np.arange(len(ptr) - 1, dtype=np.int32), np.diff(ptr))
+        ids, ptr, counts = _merge(new_id[np.frombuffer(self.ids, dtype=np.int32)], owner,
+                                  len(ptr) - 1, size, np.ones(len(owner), dtype=np.int32))
+        return TextPart(ptr, ids, counts.astype(np.int32, copy=False))
 
 
-def build_documents(threads: Iterable[Thread], idf_map: IdfMap) -> DocumentStore:
-    """The store of `threads` over the sorted words of `idf_map`; ValueError
-    names a thread word that is not among them."""
-    threads = sorted(threads, key=lambda t: t.question.id)
-    questions = [t.question for t in threads]
-    answers = [a for t in threads for a in t.answers]
-    words = sorted(idf_map.df)
-    word_id = dict(zip(words, range(len(words))))
-    parts = {
-        "title": _text_part([q.title_bag for q in questions], word_id),
-        "body": _text_part([q.body_bag for q in questions], word_id),
-        "question_code": _text_part([q.code_bag for q in questions], word_id),
-        "answer_body": _text_part([a.body_bag for a in answers], word_id),
-        "code": _text_part([a.code_bag for a in answers], word_id),
-    }
-    answer_thread = np.repeat(np.arange(len(threads), dtype=np.int32),
-                              [len(t.answers) for t in threads])
+class _Text:
+    """Posts' POST_TEXT strings as a build appends them (`PostText`)."""
 
-    calls = [extract_methods(a.code_text) for a in answers]
-    method_names = sorted(set(chain.from_iterable(calls)))
-    method_id = dict(zip(method_names, range(len(method_names))))
-    method_ptr = np.zeros(len(calls) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, calls), dtype=np.int64, count=len(calls)), out=method_ptr[1:])
-    method_ids = np.fromiter(map(method_id.__getitem__, chain.from_iterable(calls)),
-                             dtype=np.int32, count=int(method_ptr[-1]))
+    def __init__(self):
+        self.data = bytearray()
+        self.ptr = array("q", [0])
 
-    title_words = sorted(set(chain.from_iterable(a.title_bag for a in answers)))
+    def add(self, *strings: str) -> None:
+        for string in strings:
+            self.data += string.encode("utf-8")
+            self.ptr.append(len(self.data))
+
+    def text(self) -> PostText:
+        return PostText(np.frombuffer(self.data, dtype=np.uint8),
+                        np.frombuffer(self.ptr, dtype=np.int64))
+
+
+def _renumber(names: Sequence[str], ids: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct names of the provisional ids `ids`, and each
+    provisional id's place among them."""
+    used = np.zeros(len(names), dtype=bool)
+    used[ids] = True
+    order = np.array(sorted(np.flatnonzero(used).tolist(), key=names.__getitem__), dtype=np.intp)
+    new_id = np.zeros(len(names), dtype=np.int32)
+    new_id[order] = np.arange(len(order))
+    return [names[i] for i in order.tolist()], new_id
+
+
+def build_store(posts: Iterable[RawPost], stopwords: frozenset[str] | None = None,
+                stats: BuildStats | None = None) -> tuple[IdfMap, DocumentStore]:
+    """The document store of a post stream's threads (`corpus.select_threads`)
+    over its vocabulary, and the document frequencies of that vocabulary:
+    each thread is one document of its text and its question code, and no
+    threads count as one empty document.
+
+    One pass tokenizes each kept post once, straight into the rows of flat
+    arrays of provisional word ids, numbered in order of first sight by one
+    dict for the whole build, and counts each thread's distinct ids for the
+    document frequencies. At the end the vocabulary is sorted and the ids
+    renumbered and counted per row. No post's word bag is made.
+    """
+    word_id: defaultdict[str, int] = defaultdict(count().__next__)
+    method_id: defaultdict[str, int] = defaultdict(count().__next__)
+
+    def words(text: str) -> list[int]:
+        return list(map(word_id.__getitem__, kept_words(text, stopwords)))
+
+    def process(answer: RawPost) -> tuple[tuple, list[int]]:
+        prose, code = separate_code(answer.body_html)
+        code_ids = words(code)
+        return (answer, words(answer.title), words(prose), code_ids, code), code_ids
+
+    rows = {name: _Rows() for name in (*STORED_PARTS, "answer_title", "methods")}
+    thread_words = array("i")  # each thread's distinct word ids, thread after thread
+    question_ids, question_score, answer_ids, answer_score = (array("q") for _ in range(4))
+    answer_thread = array("i")
+    question_text, answer_text = _Text(), _Text()
+    for row, (question, answers) in enumerate(select_threads(posts, process, stats)):
+        prose, code = separate_code(question.body_html)
+        title, body, question_code = words(question.title), words(prose), words(code)
+        seen = set(title)
+        seen.update(body, question_code)
+        rows["title"].add(title)
+        rows["body"].add(body)
+        rows["question_code"].add(question_code)
+        question_ids.append(question.id)
+        question_score.append(question.score)
+        question_text.add(question.title, question.body_html, code)
+        for answer, answer_title, answer_body, answer_code, code_text in answers:
+            seen.update(answer_body, answer_code)
+            rows["answer_title"].add(answer_title)
+            rows["answer_body"].add(answer_body)
+            rows["code"].add(answer_code)
+            rows["methods"].add(map(method_id.__getitem__, extract_methods(code_text)))
+            answer_ids.append(answer.id)
+            answer_score.append(answer.score)
+            answer_thread.append(row)
+            answer_text.add(answer.title, answer.body_html, code_text)
+        thread_words.extend(seen)
+
+    provisional = list(word_id)
+    thread_words = np.frombuffer(thread_words, dtype=np.int32)
+    vocab, new_id = _renumber(provisional, thread_words)
+    df = np.bincount(new_id[thread_words], minlength=len(vocab))
+    idf_map = IdfMap(dict(zip(vocab, df.tolist())), max(len(question_ids), 1))
+    parts = {name: rows[name].counted(new_id, len(vocab)) for name in STORED_PARTS}
+    title_ids = np.frombuffer(rows["answer_title"].ids, dtype=np.int32)
+    title_words, new_title_id = _renumber(provisional, title_ids)
+    methods = rows["methods"]
+    method_ids = np.frombuffer(methods.ids, dtype=np.int32)
+    method_names, new_method_id = _renumber(list(method_id), method_ids)
     posts = Posts(
-        question_ids=np.array([q.id for q in questions], dtype=np.int64),
-        question_score=np.array([q.score for q in questions], dtype=np.int64),
-        answer_score=np.array([a.score for a in answers], dtype=np.int64),
-        question_text=_post_text(questions),
-        answer_text=_post_text(answers),
-        answer_title=_text_part([a.title_bag for a in answers],
-                                dict(zip(title_words, range(len(title_words))))),
+        question_ids=np.frombuffer(question_ids, dtype=np.int64),
+        question_score=np.frombuffer(question_score, dtype=np.int64),
+        answer_score=np.frombuffer(answer_score, dtype=np.int64),
+        question_text=question_text.text(),
+        answer_text=answer_text.text(),
+        answer_title=rows["answer_title"].counted(new_title_id, len(title_words)),
         answer_title_words=title_words,
     )
-    return DocumentStore(parts, np.array([a.id for a in answers], dtype=np.int64),
-                         answer_thread, None, method_ptr, method_ids, method_names, len(words),
-                         posts, idf=np.array([idf_map.idf(word) for word in words],
-                                             dtype=np.float64))
-
-
-def _post_text(posts: Sequence[ProcessedPost]) -> PostText:
-    return PostText(*encode_strings(list(chain.from_iterable(map(attrgetter(*POST_TEXT),
-                                                                 posts)))))
+    docs = DocumentStore(parts, np.frombuffer(answer_ids, dtype=np.int64),
+                         np.frombuffer(answer_thread, dtype=np.int32), None,
+                         np.frombuffer(methods.ptr, dtype=np.int64), new_method_id[method_ids],
+                         method_names, len(vocab), posts,
+                         idf=np.array([idf_map.idf(word) for word in vocab], dtype=np.float64))
+    return idf_map, docs
 
 
 def encode_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,11 @@
 
 Oracles here are deliberately naive re-implementations (plain loops over the
 written formulas) so they stay independent of the library code paths they
-check.
+check. The reference build makes an index directory the way a build did
+before it streamed: `corpus.build_threads`' `Thread`s, their document
+frequencies (`build_idf`) and a store written from their word bags
+(`build_documents`). `reference_build` writes such a directory, which a
+streamed build must match byte for byte.
 """
 
 from __future__ import annotations
@@ -12,12 +16,17 @@ import math
 import random
 import re
 from collections import Counter
+from itertools import chain
+from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 
-from crowdrank.artifacts import thread_content_tokens
-from crowdrank.corpus import default_stopwords
+from crowdrank.artifacts import BuildReport, thread_content_tokens, write_index
+from crowdrank.corpus import BuildStats, LoadStats, build_threads, default_stopwords, load_dump
+from crowdrank.documents import POST_TEXT, DocumentStore, Posts, PostText, TextPart, encode_strings
 from crowdrank.embeddings import IdfMap
+from crowdrank.features import extract_methods
 
 WORDS = [f"w{i:03d}term" for i in range(400)]
 
@@ -332,13 +341,97 @@ def sorted_bag_reference(text, stopwords):
     return Counter({word: bag[word] for word in sorted(bag)})
 
 
-def idf_reference(threads):
-    """`artifacts.build_idf`: each thread's content tokens one document, and
-    a word's document frequency the number of documents that hold it."""
+def build_idf(threads):
+    """Document frequencies over the threads: each thread's content tokens
+    (`artifacts.thread_content_tokens`) one document, and a word's document
+    frequency the number of documents that hold it; no threads count as one
+    empty document."""
     df = Counter()
     for thread in threads:
         df.update(set(thread_content_tokens(thread)))
     return IdfMap(df, max(len(threads), 1))
+
+
+def _text_part(bags, word_id):
+    """The bags as one CSR part over the ids of `word_id`."""
+    sizes = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
+    n = int(sizes.sum())
+    try:
+        ids = np.fromiter(map(word_id.__getitem__, chain.from_iterable(bags)), dtype=np.int64,
+                          count=n)
+    except KeyError as exc:
+        raise ValueError(f"word {exc.args[0]!r} is not in the idf vocabulary") from None
+    counts = np.fromiter(chain.from_iterable(bag.values() for bag in bags), dtype=np.int64,
+                         count=n)
+    ptr = np.zeros(len(bags) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    # A bag's words are distinct, so the keys are.
+    order = np.argsort(np.repeat(np.arange(len(bags)) * len(word_id), sizes) + ids)
+    return TextPart(ptr, ids[order].astype(np.int32), counts[order].astype(np.int32))
+
+
+def _post_text(posts):
+    return PostText(*encode_strings(list(chain.from_iterable(map(attrgetter(*POST_TEXT),
+                                                                 posts)))))
+
+
+def build_documents(threads, idf_map):
+    """The store of `threads` over the sorted words of `idf_map`, from their
+    word bags; ValueError names a thread word that is not among them.
+    Unlike `documents.build_store`, it takes any threads: a thread without
+    answers, or with bags no text makes."""
+    threads = sorted(threads, key=lambda t: t.question.id)
+    questions = [t.question for t in threads]
+    answers = [a for t in threads for a in t.answers]
+    words = sorted(idf_map.df)
+    word_id = dict(zip(words, range(len(words))))
+    parts = {
+        "title": _text_part([q.title_bag for q in questions], word_id),
+        "body": _text_part([q.body_bag for q in questions], word_id),
+        "question_code": _text_part([q.code_bag for q in questions], word_id),
+        "answer_body": _text_part([a.body_bag for a in answers], word_id),
+        "code": _text_part([a.code_bag for a in answers], word_id),
+    }
+    answer_thread = np.repeat(np.arange(len(threads), dtype=np.int32),
+                              [len(t.answers) for t in threads])
+
+    calls = [extract_methods(a.code_text) for a in answers]
+    method_names = sorted(set(chain.from_iterable(calls)))
+    method_id = dict(zip(method_names, range(len(method_names))))
+    method_ptr = np.zeros(len(calls) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, calls), dtype=np.int64, count=len(calls)), out=method_ptr[1:])
+    method_ids = np.fromiter(map(method_id.__getitem__, chain.from_iterable(calls)),
+                             dtype=np.int32, count=int(method_ptr[-1]))
+
+    title_words = sorted(set(chain.from_iterable(a.title_bag for a in answers)))
+    posts = Posts(
+        question_ids=np.array([q.id for q in questions], dtype=np.int64),
+        question_score=np.array([q.score for q in questions], dtype=np.int64),
+        answer_score=np.array([a.score for a in answers], dtype=np.int64),
+        question_text=_post_text(questions),
+        answer_text=_post_text(answers),
+        answer_title=_text_part([a.title_bag for a in answers],
+                                dict(zip(title_words, range(len(title_words))))),
+        answer_title_words=title_words,
+    )
+    return DocumentStore(parts, np.array([a.id for a in answers], dtype=np.int64),
+                         answer_thread, None, method_ptr, method_ids, method_names, len(words),
+                         posts, idf=np.array([idf_map.idf(word) for word in words],
+                                             dtype=np.float64))
+
+
+def reference_build(corpus_path, out_dir, tag_filter=None, stopwords=None):
+    """`artifacts.build_artifacts` through the reference build: the dump's
+    `build_threads`, `build_idf` and `build_documents`, written by
+    `artifacts.write_index`. Returns the build's report."""
+    load_stats, build_stats = LoadStats(), BuildStats()
+    threads = build_threads(load_dump(corpus_path, tag_filter, load_stats), stopwords,
+                            build_stats)
+    idf = build_idf(threads)
+    docs = build_documents(threads, idf)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    write_index(out_dir, idf, docs)
+    return BuildReport(len(threads), len(idf.df), load_stats, build_stats)
 
 
 def bm25_oracle(docs, query_terms, k, b):

@@ -167,6 +167,23 @@ class TestBuildIndex:
         assert "load warnings: 1" in captured.out.splitlines()
         assert captured.err == ""
 
+    # JSON reads 1e999 as an infinite float, which int() cannot take.
+    @pytest.mark.parametrize("line", [
+        '{"id": 9, "post_kind": "question", "title": "t", "body_html": "b", "score": 1e999}',
+        '{"id": 9, "post_kind": "question", "title": "t", "body_html": "b", "score": -1e999}',
+        '{"id": 1e999, "post_kind": "question", "title": "t", "body_html": "b", "score": 1}',
+        '{"id": 9, "post_kind": "answer", "parent_id": 1e999, "body_html": "b", "score": 1}',
+    ])
+    def test_an_infinite_number_is_a_load_warning(self, workspace, tmp_path, capsys, line):
+        corpus = tmp_path / "dump.jsonl"
+        corpus.write_bytes(workspace["corpus"].read_bytes() + f"{line}\n".encode())
+        assert main(["build-index", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "idx")]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "threads indexed: 30" in captured.out
+        assert "load warnings: 1" in captured.out.splitlines()
+        assert captured.err == ""
+
     def test_out_that_is_a_file_names_the_index_directory(self, workspace, tmp_path, capsys):
         out = tmp_path / "afile"
         out.write_text("")

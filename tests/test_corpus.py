@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import synth
-from crowdrank import artifacts, corpus as corpus_module
-from crowdrank.artifacts import build_artifacts, build_idf, load_corpus, load_idf
+from crowdrank import artifacts, corpus as corpus_module, documents
+from crowdrank.artifacts import build_artifacts, load_corpus, load_idf
 from crowdrank.corpus import (BuildStats, LoadStats, RawPost, TagFilter, _sorted_bag,
                               build_threads, load_dump, preprocess, separate_code)
-from crowdrank.documents import ThreadMap, build_documents, load_documents, save_documents
+from crowdrank.documents import ThreadMap, build_store, load_documents, save_documents
 
 
 def make_posts(objs, path):
@@ -358,10 +358,10 @@ class TestThreadStore:
                     body_html="reply <code>beta()</code>", title="Ünïcode tïtle"),
         ]
         threads = build_threads(posts)
-        idf = build_idf(threads)
         for name in ("a", "b"):
             (tmp_path / name).mkdir()
-            save_documents(build_documents(build_threads(posts), idf), tmp_path / name)
+            idf, docs = build_store(posts)
+            save_documents(docs, tmp_path / name)
         for path in (tmp_path / "a").iterdir():
             assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
         loaded = ThreadMap(load_documents(tmp_path / "a", len(idf.df)), sorted(idf.df))
@@ -385,9 +385,9 @@ class TestThreadMap:
         posts = dump_posts([("alpha", "beta", "", 2, [("gamma", "x2", None, 1)]),
                             ("delta", "", "alpha", 3, [("beta", "gamma", "Omega", 2),
                                                        ("alpha", "delta_epsilon", None, 4)])])
-        threads = build_threads([RawPost.from_json(p) for p in posts])
-        return threads, ThreadMap(build_documents(threads, build_idf(threads)),
-                                  sorted(build_idf(threads).df))
+        posts = [RawPost.from_json(p) for p in posts]
+        idf, docs = build_store(posts)
+        return build_threads(posts), ThreadMap(docs, sorted(idf.df))
 
     def test_a_read_only_mapping_by_ascending_question_id(self, threads):
         built, mapping = threads
@@ -415,13 +415,14 @@ class TestBuildIdf:
         posts = dump_posts([("parse parse json", "json", "parse", 2,
                              [("json reader", "read", "zeta title", 1)]),
                             ("reader", "", "", 1, [("beta", "gamma", None, 1)])])
-        threads = build_threads([RawPost.from_json(p) for p in posts])
-        idf = build_idf(threads)
+        posts = [RawPost.from_json(p) for p in posts]
+        idf, _ = build_store(posts)
         # Question code counts; answer titles do not.
         assert idf.df == {"parse": 1, "json": 1, "reader": 2, "read": 1, "beta": 1, "gamma": 1}
         assert idf.doc_count == 2
-        assert idf.df == synth.idf_reference(threads).df
-        assert build_idf([]).doc_count == 1 and build_idf([]).df == {}
+        assert idf.df == synth.build_idf(build_threads(posts)).df
+        idf, _ = build_store([])
+        assert idf.doc_count == 1 and idf.df == {}
 
 
 def test_a_build_that_fails_in_the_store_leaves_the_directory_as_it_was(tmp_path, monkeypatch):
@@ -429,35 +430,138 @@ def test_a_build_that_fails_in_the_store_leaves_the_directory_as_it_was(tmp_path
                                tmp_path / "dump.jsonl"), tmp_path / "index")
     before = {p.name: p.read_bytes() for p in (tmp_path / "index").iterdir()}
 
-    def fail(threads, idf_map):
+    def fail(posts, stopwords, stats):
         raise ValueError("no store")
 
-    monkeypatch.setattr(artifacts, "build_documents", fail)
+    monkeypatch.setattr(artifacts, "build_store", fail)
     with pytest.raises(ValueError, match="no store"):
         build_artifacts(make_posts(synth.social_corpus()[0], tmp_path / "other.jsonl"),
                         tmp_path / "index")
     assert {p.name: p.read_bytes() for p in (tmp_path / "index").iterdir()} == before
 
 
+def test_a_build_makes_no_thread_and_no_word_bag(tmp_path, monkeypatch):
+    # The streamed build writes the reference bytes without a `Thread`, a
+    # `ProcessedPost` or a `Counter`: each is refused where it is made.
+    dump = make_posts(synth.antonym_filter_corpus()[0], tmp_path / "dump.jsonl")
+    synth.reference_build(dump, tmp_path / "reference")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a build made a thread or a word bag")
+
+    for module in (corpus_module, documents):
+        for name in ("Thread", "ProcessedPost", "Counter"):
+            monkeypatch.setattr(module, name, refuse)
+    for name in ("build_threads", "process_post", "preprocess", "_sorted_bag"):
+        monkeypatch.setattr(corpus_module, name, refuse)
+    build_artifacts(dump, tmp_path / "streamed")
+    monkeypatch.undo()
+    for path in (tmp_path / "reference").iterdir():
+        assert path.read_bytes() == (tmp_path / "streamed" / path.name).read_bytes(), path.name
+
+
 REFERENCE_CORPORA = {"planted": lambda: synth.planted_corpus()[0],
                      "social": lambda: synth.social_corpus()[0],
-                     "antonym_filter": lambda: synth.antonym_filter_corpus()[0]}
+                     "antonym_filter": lambda: synth.antonym_filter_corpus()[0],
+                     "funnel": lambda: synth.funnel_corpus()[0]}
+
+# Dumps at the edges of a build that the corpora above do not reach.
+EDGE_DUMPS = {
+    "empty": [],
+    # Every thread is dropped: a question scored 0, a question whose answers
+    # score 0 or hold no code word, a question that fails the tag filter,
+    # and an answer whose question is absent.
+    "all_dropped": [
+        synth.question(10, "alpha", "beta", 0), synth.answer(11, 10, "<code>run()</code>", 3),
+        synth.question(20, "gamma", "delta", 4), synth.answer(21, 20, "<code>go()</code>", 0),
+        synth.answer(22, 20, "prose only", 5), synth.answer(23, 20, "<code>the 42</code>", 5),
+        synth.question(30, "zeta", "eta", 2, tags=("javascript",)),
+        synth.answer(31, 30, "<code>f()</code>", 2), synth.answer(41, 40, "<code>g()</code>", 2),
+    ],
+    # Two questions share id 10 (the last one counts), and two answers id 11.
+    "duplicate_ids": [
+        synth.question(10, "first alpha", "first body", 3),
+        synth.answer(11, 10, "one <code>one()</code>", 2),
+        synth.question(10, "second beta", "second body <code>two()</code>", 5),
+        synth.answer(11, 10, "two <code>two()</code>", 4),
+        synth.question(5, "early gamma", "body", 1), synth.answer(6, 5, "<code>fetch()</code>", 1),
+    ],
+    "non_ascii": [
+        synth.question(10, "Ünïcode café naïve", "straße \u212aelvin İstanbul 日本語 🙂",
+                       3),
+        synth.answer(11, 10, "réponse <code>café.naïve(ß) 🙂</code> &eacute;t&#xe9;", 2),
+        synth.question(20, "ascii only", "plain <code>x86.run()</code>", 1),
+        synth.answer(21, 20, "<pre>日本.語(x86)</pre> done", 1),
+    ],
+    # Answers may carry titles: words in no idf.json, stored over their own.
+    "answer_titles": [
+        synth.question(10, "alpha", "beta", 3),
+        {**synth.answer(11, 10, "gamma <code>run()</code>", 2), "title": "Zeta Omega the"},
+        {**synth.answer(12, 10, "delta <code>go()</code>", 1), "title": "alpha omega"},
+        {**synth.answer(13, 10, "dropped: no code", 1), "title": "unseenword"},
+        synth.question(20, "epsilon", "eta", 1),
+        {**synth.answer(21, 20, "<code>fetch()</code>", 1), "title": ""},
+    ],
+    # Questions whose code is absent, empty, or holds no kept word.
+    "empty_question_code": [
+        synth.question(10, "alpha", "beta", 3), synth.answer(11, 10, "<code>alpha()</code>", 1),
+        synth.question(20, "gamma", "delta <code></code>", 3),
+        synth.answer(21, 20, "<code>beta()</code>", 1),
+        synth.question(30, "zeta", "eta <pre>the 42 x</pre>", 3),
+        synth.answer(31, 30, "<code>gamma()</code>", 1),
+    ],
+}
 
 
 class TestReferenceBuild:
-    @pytest.mark.parametrize("name", sorted(REFERENCE_CORPORA))
-    @pytest.mark.parametrize("stopwords", [None, frozenset({"q0alpha", "s1yolk", "av0doc",
-                                                            "question", "the", "about"})])
-    def test_writes_the_bytes_of_the_per_token_build(self, tmp_path, monkeypatch, name,
-                                                     stopwords):
-        dump = make_posts(REFERENCE_CORPORA[name](), tmp_path / "dump.jsonl")
-        build_artifacts(dump, tmp_path / "new", stopwords=stopwords)
-        monkeypatch.setattr(corpus_module, "_sorted_bag", synth.sorted_bag_reference)
-        monkeypatch.setattr(artifacts, "build_idf", synth.idf_reference)
-        build_artifacts(dump, tmp_path / "reference", stopwords=stopwords)
+    """The streamed build against the reference build of synth.py, whose
+    bags the per-token tokenizer makes: the same bytes and the same report."""
+
+    @staticmethod
+    def assert_same_build(posts, tmp_path, monkeypatch, stopwords=None):
+        dump = make_posts(posts, tmp_path / "dump.jsonl")
+        streamed = build_artifacts(dump, tmp_path / "new", stopwords=stopwords)
+        with monkeypatch.context() as patch:
+            patch.setattr(corpus_module, "_sorted_bag", synth.sorted_bag_reference)
+            reference = synth.reference_build(dump, tmp_path / "reference", stopwords=stopwords)
+        assert streamed == reference
         files = sorted(p.name for p in (tmp_path / "new").iterdir())
         assert files == sorted(p.name for p in (tmp_path / "reference").iterdir())
         assert len(files) > 3
         for file in files:
             assert ((tmp_path / "new" / file).read_bytes()
                     == (tmp_path / "reference" / file).read_bytes()), file
+        return streamed
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CORPORA))
+    @pytest.mark.parametrize("stopwords", [None, frozenset({"q0alpha", "s1yolk", "av0doc",
+                                                            "question", "the", "about",
+                                                            "funnelword", "w001term"})])
+    def test_writes_the_bytes_of_the_per_token_build(self, tmp_path, monkeypatch, name,
+                                                     stopwords):
+        report = self.assert_same_build(REFERENCE_CORPORA[name](), tmp_path, monkeypatch,
+                                        stopwords)
+        assert report.thread_count > 10
+
+    @pytest.mark.parametrize("name", sorted(EDGE_DUMPS))
+    def test_edge_dumps(self, tmp_path, monkeypatch, name):
+        report = self.assert_same_build(EDGE_DUMPS[name], tmp_path, monkeypatch)
+        if name in ("empty", "all_dropped"):
+            assert report.thread_count == report.vocab_size == 0
+            idf, docs, _ = load_corpus(tmp_path / "new")
+            assert idf.doc_count == 1 and docs.n_threads == 0 and len(docs.answer_ids) == 0
+        if name == "all_dropped":
+            assert report.build_stats == BuildStats(0, 2, 3)
+            assert report.load_stats == LoadStats(0, 2, 4, 1, 2)
+        if name == "duplicate_ids":
+            idf, docs, _ = load_corpus(tmp_path / "new")
+            loaded = list(ThreadMap(docs, sorted(idf.df)).values())
+            assert [t.question.original_title for t in loaded] == ["early gamma", "second beta"]
+            assert [a.original_body for a in loaded[1].answers] == [
+                "one <code>one()</code>", "two <code>two()</code>"]
+        if name == "answer_titles":
+            docs = load_corpus(tmp_path / "new")[1]
+            assert docs.posts.answer_title_words == ["alpha", "omega", "zeta"]
+        assert report.thread_count == {"empty": 0, "all_dropped": 0, "duplicate_ids": 2,
+                                       "non_ascii": 2, "answer_titles": 2,
+                                       "empty_question_code": 3}[name]

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import synth
 from crowdrank.antonyms import default_dictionary
-from crowdrank.artifacts import build_artifacts, build_idf, load_engine
+from crowdrank.artifacts import build_artifacts, load_engine
 from crowdrank.corpus import ProcessedPost, RawPost, Thread, build_threads, load_dump, preprocess
-from crowdrank.documents import (VIEWS, DocumentStore, ThreadMap, build_documents,
-                                 load_documents, save_documents)
+from crowdrank.documents import (VIEWS, DocumentStore, ThreadMap, build_store, load_documents,
+                                 save_documents)
 from crowdrank.embeddings import (EmbeddingStore, cosine, fallback_embed, save_vectors,
                                   sentence_embed)
 from crowdrank.evaluation import GroundTruth, run_ablation_grid
@@ -36,9 +36,10 @@ THREAD_ST = st.tuples(TEXT_ST, TEXT_ST, st.one_of(st.just(""), CODE_ST),
 CORPUS_ST = st.lists(THREAD_ST, min_size=1, max_size=5)
 
 
-def corpus_threads(corpus):
-    """The threads of a generated corpus. Answer ids fall as question ids
-    rise, so the answer index must sort them."""
+def corpus_engine(corpus):
+    """The threads of a generated corpus (`build_threads`), and the engine of
+    its streamed store. Answer ids fall as question ids rise, so the answer
+    index must sort them."""
     posts = []
     for i, (title, body, code, answers) in enumerate(corpus):
         qid = 5000 + 10 * i
@@ -47,15 +48,12 @@ def corpus_threads(corpus):
         for j, (prose, answer_code) in enumerate(answers):
             posts.append(synth.answer(1000 - 10 * i + j, qid,
                                       f"{prose} <code>{answer_code}</code>", 1 + j))
-    threads = build_threads([RawPost.from_json(o) for o in posts])
+    posts = [RawPost.from_json(o) for o in posts]
+    threads = build_threads(posts)
     assert len(threads) == len(corpus)
-    return threads
-
-
-def make_engine(threads):
-    idf = build_idf(threads)
-    return SearchEngine(build_documents(threads, idf), EmbeddingStore(dim=8, fallback=True), idf,
-                        default_dictionary())
+    idf, docs = build_store(posts)
+    return threads, SearchEngine(docs, EmbeddingStore(dim=8, fallback=True), idf,
+                                 default_dictionary())
 
 
 def subset(data, n):
@@ -79,7 +77,7 @@ class TestAgainstBagReferences:
     def test_view(self, view, corpus, data):
         # The store's gathers of a view against its bags, walked in the
         # threads a store reads back.
-        engine = make_engine(corpus_threads(corpus))
+        _, engine = corpus_engine(corpus)
         docs, vocab = engine.docs, engine.vocab.words
         candidates = synth.view_candidates(view, engine.threads.values())
         rows = subset(data, len(candidates))
@@ -103,8 +101,8 @@ class TestAgainstBagReferences:
     @settings(max_examples=60, deadline=None)
     @given(CORPUS_ST, st.data())
     def test_answer_bm25(self, corpus, data):
-        threads = corpus_threads(corpus)
-        docs, vocab = make_engine(threads).docs, sorted(build_idf(threads).df)
+        threads, engine = corpus_engine(corpus)
+        docs, vocab = engine.docs, engine.vocab.words
         rows = subset(data, len(threads))
         query = data.draw(st.sets(st.sampled_from(WORDS)))
         answer_rows, _ = docs.answer_rows(rows)
@@ -121,8 +119,7 @@ class TestAgainstBagReferences:
     @given(CORPUS_ST)
     def test_threads(self, corpus):
         # A built engine reads its threads from its store, as a loaded one does.
-        threads = corpus_threads(corpus)
-        engine = make_engine(threads)
+        threads, engine = corpus_engine(corpus)
         assert list(engine.threads) == sorted(t.question.id for t in threads)
         for thread in threads:
             assert engine.threads[thread.question.id] == thread
@@ -131,15 +128,15 @@ class TestAgainstBagReferences:
     @settings(max_examples=60, deadline=None)
     @given(CORPUS_ST)
     def test_thread_index(self, corpus):
-        threads = corpus_threads(corpus)
+        threads, engine = corpus_engine(corpus)
         want = build_index({t.question.id: synth.thread_document_bag(t) for t in threads})
-        assert synth.index_differences(make_engine(threads).thread_index, want) == []
+        assert synth.index_differences(engine.thread_index, want) == []
 
     @settings(max_examples=60, deadline=None)
     @given(CORPUS_ST, st.data(), st.sampled_from([10.0, 2.0, 0.5]))
     def test_top_method(self, corpus, data, scale):
-        threads = corpus_threads(corpus)
-        docs = make_engine(threads).docs
+        threads, engine = corpus_engine(corpus)
+        docs = engine.docs
         answers = [a for t in threads for a in t.answers]
         rows = subset(data, len(answers))
         codes = [answers[r].code_text for r in rows.tolist()]
@@ -150,8 +147,7 @@ class TestAgainstBagReferences:
     @settings(max_examples=40, deadline=None)
     @given(CORPUS_ST, st.sets(st.sampled_from(WORDS + ["unseenword"]), min_size=1))
     def test_tfidf(self, corpus, query):
-        threads = corpus_threads(corpus)
-        engine = make_engine(threads)
+        threads, engine = corpus_engine(corpus)
         text = " ".join(sorted(query))
         bag = preprocess(text, "query")
         by_id = {a.id: (t, a) for t in threads for a in t.answers}
@@ -190,9 +186,9 @@ class TestBodyUnion:
     @given(st.lists(BARE_THREAD_ST, max_size=6))
     def test_built_and_loaded_stores(self, corpus):
         threads = self.bare_threads(corpus)
-        idf = build_idf(threads)
+        idf = synth.build_idf(threads)
         vocab = sorted(idf.df)
-        built = build_documents(threads, idf)
+        built = synth.build_documents(threads, idf)
         with tempfile.TemporaryDirectory() as directory:
             save_documents(built, directory)
             loaded = load_documents(directory, len(vocab))
@@ -203,7 +199,7 @@ class TestBodyUnion:
             assert repr(taken) == self.want(threads, vocab)
 
     def test_the_empty_corpus(self):
-        docs = build_documents([], build_idf([]))
+        docs = synth.build_documents([], synth.build_idf([]))
         assert as_lists(docs.unions["thread_bodies"]) == ([], [0])
         assert as_lists(docs.segments("thread_bodies", np.zeros(0, dtype=np.intp))) == ([], [0])
 
@@ -212,7 +208,7 @@ class TestBodyUnion:
         # thread's keys pass 2**31 - 1, which int32 keys would wrap.
         threads = self.bare_threads([("a", "delta alpha", ["echo", ""]), ("b", "", []),
                                      ("c", "bravo", ["charlie alpha", "golf"])])
-        built = build_documents(threads, build_idf(threads))
+        built = synth.build_documents(threads, synth.build_idf(threads))
         vocab_size = 2**30
         assert len(threads) * vocab_size >= 2**31
         docs = DocumentStore(built.parts, built.answer_ids, built.answer_thread,
@@ -220,7 +216,24 @@ class TestBodyUnion:
                              built.method_names, vocab_size, built.posts)
         assert as_lists(docs.unions["thread_bodies"]) == as_lists(built.unions["thread_bodies"])
         assert repr(as_lists(built.unions["thread_bodies"])) == self.want(threads,
-                                                              sorted(build_idf(threads).df))
+                                                              sorted(synth.build_idf(threads).df))
+
+
+def test_one_part_segments_are_the_part_rows():
+    # A one-part view's segments are its rows' ids, taken without the
+    # counts and owners of `entries`, whose ids and offsets they equal.
+    _, docs = build_store(RawPost.from_json(o) for o in synth.antonym_filter_corpus()[0])
+    rng = np.random.default_rng(5)
+    views = [view for view, parts in VIEWS.items() if len(parts) == 1]
+    assert views
+    for view in views:
+        n = len(docs.answer_ids) if view.startswith("answer_") else docs.n_threads
+        for rows in (np.arange(n), rng.permutation(n)[:n // 2], np.zeros(0, dtype=np.intp),
+                     np.array([1, 1, 0, n - 1])):
+            ids, _, _, ptr = docs.entries(view, rows)
+            flat, offsets = docs.segments(view, rows)
+            assert flat.tolist() == ids.tolist() and flat.dtype == ids.dtype
+            assert offsets.tolist() == ptr.tolist()
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +248,7 @@ def planted_index(tmp_path_factory):
 def test_store_round_trip(planted_index, tmp_path):
     index_dir, _ = planted_index
     engine = load_engine(index_dir)
-    built = build_documents(engine.threads.values(), engine.idf_map)
+    built = synth.build_documents(engine.threads.values(), engine.idf_map)
     save_documents(built, tmp_path)
     for docs in (engine.docs, load_documents(tmp_path, len(engine.idf_map.df))):
         for name, part in built.parts.items():

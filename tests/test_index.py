@@ -9,10 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import synth
-from crowdrank.artifacts import build_artifacts, build_idf, load_engine
+from crowdrank.artifacts import build_artifacts, load_engine
 from crowdrank.corpus import RawPost, build_threads
-from crowdrank.documents import (DOCS_ARRAYS, build_documents, docs_file, load_documents,
-                                 save_documents)
+from crowdrank.documents import DOCS_ARRAYS, build_store, docs_file, load_documents, save_documents
 from crowdrank.index import (assemble_index, bm25_rows, bm25_search, bm25_table,
                              build_index)
 from synth import thread_document_bag
@@ -70,10 +69,10 @@ def count_tables(draw):
                                         unique=True))
 
 
-def thread_index(threads):
-    """The thread index an engine makes from the threads' document store."""
-    idf = build_idf(threads)
-    return build_documents(threads, idf).thread_index(sorted(idf.df))
+def thread_index(posts):
+    """The thread index an engine makes from the document store of `posts`."""
+    idf, docs = build_store(posts)
+    return docs.thread_index(sorted(idf.df))
 
 
 def random_docs(rng, n_docs, vocab=30):
@@ -200,9 +199,9 @@ class TestBm25Reference:
 
     def test_thread_index_of_the_planted_corpus(self):
         posts, queries, _ = synth.planted_corpus(n_threads=60, n_queries=5)
-        threads = build_threads([RawPost.from_json(o) for o in posts])
-        docs = {t.question.id: thread_document_bag(t) for t in threads}
-        index = thread_index(threads)
+        posts = [RawPost.from_json(o) for o in posts]
+        docs = {t.question.id: thread_document_bag(t) for t in build_threads(posts)}
+        index = thread_index(posts)
         for text in queries.values():
             query = text.split()
             hits = bm25_search(index, query, 500)
@@ -210,26 +209,24 @@ class TestBm25Reference:
 
 
 class TestDocumentBags:
-    def thread(self):
-        posts = [
+    def posts(self):
+        return [
             RawPost(id=1, post_kind="question", score=5, title="parse json",
                     body_html="json parsing question"),
             RawPost(id=2, post_kind="answer", score=3, parent_id=1,
                     body_html="use jackson <code>mapper.readValue(json)</code>"),
         ]
-        return build_threads(posts)[0]
 
     def test_thread_bag_includes_answer_text(self):
-        index = thread_index([self.thread()])
+        index = thread_index(self.posts())
         assert index.postings("json") == [(1, 3)]  # title, body, answer code
         assert index.postings("jackson") == [(1, 1)]  # answer body
         assert index.postings("readvalue") == [(1, 1)]  # answer code
 
     def test_answer_bag_includes_parent_question(self):
-        thread = self.thread()
-        idf = build_idf([thread])
+        idf, docs = build_store(self.posts())
         words = ["jackson", "readvalue", "parse", "question"]
-        counts = build_documents([thread], idf).term_counts(
+        counts = docs.term_counts(
             "answer_text", np.array([0]), np.array([sorted(idf.df).index(w) for w in words]))
         # answer body, answer code, parent title, parent body
         assert counts.tolist() == [[1, 1, 1, 1]]
@@ -252,17 +249,16 @@ class TestDocumentBags:
         assert engine.idf_map.df["qonlyword"] == 1
 
     def test_answer_bm25_covers_whole_answers(self):
-        thread = self.thread()
-        other, third = build_threads([
+        posts = self.posts() + [
             RawPost(id=5, post_kind="question", score=5, title="zebra", body_html="stripes"),
             RawPost(id=6, post_kind="answer", score=3, parent_id=5,
                     body_html="<code>zebra.run()</code>"),
             RawPost(id=7, post_kind="question", score=5, title="format date", body_html="how"),
             RawPost(id=8, post_kind="answer", score=3, parent_id=7,
-                    body_html="<code>fmt.format(d)</code>")])
-        idf = build_idf([thread, other, third])
+                    body_html="<code>fmt.format(d)</code>")]
+        thread, _, third = build_threads(posts)
+        idf, docs = build_store(posts)
         vocab = sorted(idf.df)
-        docs = build_documents([thread, other, third], idf)
         # Threads 1 and 7 survive; "zebra" is a vocabulary word that none of
         # their answers holds. The scores depend on the answers' whole lengths.
         rows, _ = docs.answer_rows(np.array([0, 2]))
@@ -280,10 +276,10 @@ class TestDocumentBags:
 def save_planted_store(directory):
     """Save the document store of a planted corpus; its threads and idf map."""
     posts, _, _ = synth.planted_corpus(n_threads=30, n_queries=3)
-    threads = build_threads([RawPost.from_json(o) for o in posts])
-    idf = build_idf(threads)
-    save_documents(build_documents(threads, idf), directory)
-    return threads, idf
+    posts = [RawPost.from_json(o) for o in posts]
+    idf, docs = build_store(posts)
+    save_documents(docs, directory)
+    return build_threads(posts), idf
 
 
 def build_planted_dir(tmp_path):
@@ -305,7 +301,9 @@ class TestPersistence:
         threads = list(engine.threads.values())
         want = build_index({t.question.id: thread_document_bag(t) for t in threads})
         assert synth.index_differences(engine.thread_index, want) == []
-        assert synth.index_differences(thread_index(threads), want) == []
+        idf = synth.build_idf(threads)
+        rebuilt = synth.build_documents(threads, idf).thread_index(sorted(idf.df))
+        assert synth.index_differences(rebuilt, want) == []
 
     def test_empty_index_round_trip(self, tmp_path):
         (tmp_path / "dump.jsonl").write_text("")

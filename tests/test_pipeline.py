@@ -13,13 +13,13 @@ import crowdrank
 import synth
 from crowdrank import embeddings
 from crowdrank.antonyms import POS_MODES, default_dictionary
-from crowdrank.artifacts import build_artifacts, build_idf, load_engine
+from crowdrank.artifacts import build_artifacts, load_engine
 from crowdrank.corpus import RawPost, build_threads, preprocess
 from crowdrank.embeddings import (EmbeddingStore, IdfMap, SimilarityTable, asym_score,
                                   fallback_embed, save_vectors)
 from crowdrank.features import (ANTONYM_TARGET_MODES, SOCIAL_FEATURES, THREAD_FEATURES,
                                 WeightConfig, question_score_value, tf_score)
-from crowdrank.documents import build_documents
+from crowdrank.documents import build_store
 from crowdrank.evaluation import GRID_BLOCK, GroundTruth, run_ablation_grid
 from crowdrank.index import bm25_search, bm25_table, build_index
 from crowdrank.pipeline import BASELINE_NAMES, SearchEngine, _rank, configure_ablation
@@ -29,9 +29,9 @@ def store_answer_bm25(threads, query):
     """(answer id, score) of the top 150 of all the threads' answers by the
     answer BM25 of a search: `bm25_table` over their counts, gathered from
     their document store, of the query words the store's vocabulary holds."""
-    idf = build_idf(threads) if threads else IdfMap({}, 1)
+    idf = synth.build_idf(threads) if threads else IdfMap({}, 1)
     vocab = sorted(idf.df)
-    docs = build_documents(threads, idf)
+    docs = synth.build_documents(threads, idf)
     rows, _ = docs.answer_rows(np.arange(docs.n_threads))
     counts = docs.term_counts("answer_text", rows, np.array(
         [vocab.index(t) for t in sorted(set(query)) if t in idf.df], dtype=np.intp))
@@ -41,10 +41,8 @@ def store_answer_bm25(threads, query):
 
 
 def make_engine(posts):
-    threads = build_threads([RawPost.from_json(o) for o in posts])
-    idf = build_idf(threads)
-    return SearchEngine(build_documents(threads, idf), EmbeddingStore(fallback=True), idf,
-                        default_dictionary())
+    idf, docs = build_store(RawPost.from_json(o) for o in posts)
+    return SearchEngine(docs, EmbeddingStore(fallback=True), idf, default_dictionary())
 
 
 @pytest.fixture(scope="module")
@@ -243,27 +241,24 @@ class TestVocabularyKernel:
     def test_thread_word_outside_the_idf_map_is_named(self):
         posts, _, _ = synth.planted_corpus(n_threads=10, n_queries=2)
         threads = build_threads([RawPost.from_json(o) for o in posts])
-        # The engine's document store maps every thread word to its id, so
-        # the error comes before any search.
+        # The reference store maps every thread word to its id, so the error
+        # comes before any search.
         with pytest.raises(ValueError, match="not in the idf vocabulary"):
             idf = IdfMap({"q0alpha": 1}, len(threads))
-            SearchEngine(build_documents(threads, idf), EmbeddingStore(fallback=True), idf,
+            SearchEngine(synth.build_documents(threads, idf), EmbeddingStore(fallback=True), idf,
                          default_dictionary())
 
     def test_results_do_not_depend_on_the_hash_seed(self):
         script = ("import synth\n"
                   "from crowdrank.antonyms import default_dictionary\n"
-                  "from crowdrank.artifacts import build_idf\n"
-                  "from crowdrank.corpus import RawPost, build_threads\n"
-                  "from crowdrank.documents import build_documents\n"
+                  "from crowdrank.corpus import RawPost\n"
+                  "from crowdrank.documents import build_store\n"
                   "from crowdrank.embeddings import EmbeddingStore\n"
                   "from crowdrank.features import WeightConfig\n"
                   "from crowdrank.pipeline import SearchEngine\n"
                   "posts, queries, _ = synth.planted_corpus(n_threads=40, n_queries=4)\n"
-                  "threads = build_threads([RawPost.from_json(o) for o in posts])\n"
-                  "idf = build_idf(threads)\n"
-                  "engine = SearchEngine(build_documents(threads, idf),\n"
-                  "                      EmbeddingStore(fallback=True), idf,\n"
+                  "idf, docs = build_store(RawPost.from_json(o) for o in posts)\n"
+                  "engine = SearchEngine(docs, EmbeddingStore(fallback=True), idf,\n"
                   "                      default_dictionary())\n"
                   "for clamp in (True, False):\n"
                   "    for text in queries.values():\n"
