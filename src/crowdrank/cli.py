@@ -133,6 +133,8 @@ def cmd_search(args) -> int:
             if args.explain:
                 obj["features"] = {"raw": entry.features.raw,
                                    "normalized": entry.features.normalized}
+                # The raw stage-1 and stage-2 features of the answer's thread.
+                obj["thread_features"] = result.diagnostics["thread_features"][entry.thread_id]
             print(json.dumps(obj, sort_keys=True))
     else:
         for rank, entry in enumerate(result.entries, start=1):

@@ -95,34 +95,49 @@ class RawPost:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RawPost":
+        """The post of a parsed dump line. ValueError (KeyError for a missing
+        required field) unless each field has its JSON type: an id, a parent id
+        or a score is an integer within 64 bits, not a bool, float or string;
+        a title or body is a string with a UTF-8 form, and tags are a list of
+        strings. Nothing is coerced."""
         kind = obj["post_kind"]
         if kind not in ("question", "answer"):
             raise ValueError(f"bad post_kind {kind!r}")
-        try:
-            post = cls(
-                id=int(obj["id"]),
-                post_kind=kind,
-                score=int(obj["score"]),
-                body_html=str(obj["body_html"]),
-                parent_id=int(obj["parent_id"]) if obj.get("parent_id") is not None else None,
-                title=str(obj.get("title", "")),
-                tags=tuple(str(t).lower() for t in obj.get("tags", ())),
-            )
-        except OverflowError:  # int() of an infinite float, such as 1e999
-            raise ValueError("an id or a score is not finite") from None
+        parent_id = obj.get("parent_id")
+        tags = obj.get("tags", [])
+        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+            raise ValueError("tags must be a list of strings")
+        post = cls(id=_integer(obj["id"], "id"), post_kind=kind,
+                   score=_integer(obj["score"], "score"),
+                   body_html=_text(obj["body_html"], "body_html"),
+                   parent_id=None if parent_id is None else _integer(parent_id, "parent_id"),
+                   title=_text(obj.get("title", ""), "title"),
+                   tags=tuple(t.lower() for t in tags))
         if post.id <= 0:
             raise ValueError("id must be positive")
-        # A lone-surrogate escape in the JSON (\ud800) decodes to a str with
-        # no UTF-8 form; the document store holds the text as UTF-8.
-        for text in (post.title, post.body_html):
-            if not text.isascii():
-                text.encode("utf-8")  # UnicodeEncodeError, a ValueError
-        if post.id not in _INT64 or post.score not in _INT64 or (
-                post.parent_id is not None and post.parent_id not in _INT64):
-            raise ValueError("an id or a score is beyond 64 bits")
         if kind == "answer" and post.parent_id is None:
             raise ValueError("answer without parent_id")
         return post
+
+
+def _integer(value, field: str) -> int:
+    """A JSON integer within the document store's int64; bool, the int
+    subclass JSON's true and false load as, is not one."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, not {type(value).__name__}")
+    if value not in _INT64:
+        raise ValueError(f"{field} is beyond 64 bits")
+    return value
+
+
+def _text(value, field: str) -> str:
+    """A JSON string with a UTF-8 form, as the document store holds text. A
+    lone-surrogate escape in the JSON (\\ud800) decodes to a str with none."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, not {type(value).__name__}")
+    if not value.isascii():
+        value.encode("utf-8")  # UnicodeEncodeError, a ValueError
+    return value
 
 
 @dataclass
@@ -139,9 +154,10 @@ def load_dump(path: str | Path, tag_filter: TagFilter | None = None,
     """Load a JSONL dump, keeping tag-passing questions and their answers.
 
     Malformed lines (bytes that are not UTF-8 among them), posts missing
-    required fields and posts whose id or score does not fit 64 bits (an
-    infinite one, such as 1e999, among them) are skipped and counted in
-    ``stats.warnings``. An unreadable file raises OSError.
+    required fields and posts with a field of the wrong JSON type
+    (`RawPost.from_json`: a float, bool or string id or score, such as 1e999,
+    true or "7", or tags that are not a list of strings) are skipped and
+    counted in ``stats.warnings``. An unreadable file raises OSError.
     """
     tag_filter = tag_filter or TagFilter()
     stats = stats if stats is not None else LoadStats()

@@ -26,6 +26,12 @@ In a `SearchEngine.shared_queries` scope, which the ablation grid opens,
 the searches of one query share its terms, and so its similarity table and
 those columns, across presets; the sentence column and the answer stage
 are computed per search.
+
+The sentence column reads each thread's title vector, which the first search
+that scores the thread's row makes (`SearchEngine._fill_titles`), so a load
+embeds no word. A row's vector, its norm and its dot product with the
+query's vector are each computed in one fixed order, so a thread's sentence
+value does not depend on which rows are scored with it, or when it was made.
 """
 
 from __future__ import annotations
@@ -142,21 +148,30 @@ class SearchEngine:
                                               minlength=self.docs.n_threads),
             "question_score": posts.question_score.astype(float),
         }
-        self.title_vecs = self._title_vectors()
-        self.title_norms = np.sqrt(np.einsum("ij,ij->i", self.title_vecs, self.title_vecs))
+        # Each thread's title vector and its norm, a row per thread row, zero
+        # until `_fill_titles` makes the row for the first search that scores
+        # it: a load embeds no word.
+        self.title_vecs = np.zeros((self.docs.n_threads, store.dim))
+        self.title_norms = np.zeros(self.docs.n_threads)
+        self._title_filled = np.zeros(self.docs.n_threads, dtype=bool)
 
-    def _title_vectors(self) -> np.ndarray:
-        """Each thread's title vector, a row per thread: the store's sentence
-        vector for its question id when it holds one (from a sentence-vector
-        file), else the built-in IDF-weighted mean. A given vector of an id
-        outside the corpus is ignored."""
-        ids, counts, _, ptr = self.docs.entries("thread_title")
+    def _fill_titles(self, rows: np.ndarray) -> None:
+        """Make the title vectors and norms of the distinct `rows` not made yet:
+        the store's sentence vector for a row's question id when it holds one
+        (from a sentence-vector file), else the built-in IDF-weighted mean.
+        Each row's values are the same whatever batch makes it."""
+        new = rows[~self._title_filled[rows]]
+        if not new.size:
+            return
+        ids, counts, _, ptr = self.docs.entries("thread_title", new)
         vecs = sentence_vectors(self.vocab.words, self.vocab.idf, ptr, ids, counts, self.store)
-        for thread_id, given in self.store.sentence_vecs.items():
-            row = self.threads.rows.get(thread_id)
-            if row is not None:
-                vecs[row] = given
-        return vecs
+        given = self.store.sentence_vecs
+        for i, thread_id in enumerate(self.docs.posts.question_ids[new].tolist()):
+            if thread_id in given:
+                vecs[i] = given[thread_id]
+        self.title_vecs[new] = vecs
+        self.title_norms[new] = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
+        self._title_filled[new] = True
 
     @contextmanager
     def shared_queries(self) -> Iterator[None]:
@@ -196,12 +211,15 @@ class SearchEngine:
         """`cosine` of the query's sentence vector and each thread's title vector;
         0 where either has zero norm.
 
-        The product is a BLAS gemv whose last bits depend on the rows it is
-        given, so each search computes it over its own rows."""
+        Each row's dot product is summed by `einsum` in one fixed order, not by
+        a BLAS product whose last bits depend on the other rows, so a thread's
+        value is the same in every row set that holds it."""
+        self._fill_titles(rows)
         norm_q = np.linalg.norm(terms.sentence_vec)
         norms = self.title_norms[rows] * norm_q
+        dots = np.einsum("ij,j->i", self.title_vecs[rows], terms.sentence_vec)
         out = np.zeros(len(rows))
-        np.divide(self.title_vecs[rows] @ terms.sentence_vec, norms, out=out, where=norms != 0.0)
+        np.divide(dots, norms, out=out, where=norms != 0.0)
         return out
 
     def _tf(self, terms: QueryTerms, rows: np.ndarray) -> np.ndarray:

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import synth
-from crowdrank.artifacts import thread_content_tokens
+from crowdrank.artifacts import load_engine, thread_content_tokens
 from crowdrank.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
-from crowdrank.corpus import build_threads, load_dump
+from crowdrank.corpus import build_threads, load_dump, preprocess
 from crowdrank.documents import DOCS_ARRAYS, docs_file
+from crowdrank.embeddings import cosine, fallback_embed, save_vectors, sentence_embed
 from crowdrank.features import WeightConfig
 
 # Text a file can hold: any code point but the surrogates.
@@ -184,6 +185,49 @@ class TestBuildIndex:
         assert "load warnings: 1" in captured.out.splitlines()
         assert captured.err == ""
 
+    # Each line was loaded with a coerced field and no warning: a bool, a
+    # numeric string or a float as an int, a non-string as text, a string's
+    # characters as tags.
+    @pytest.mark.parametrize("line", [
+        '{"id": 9, "post_kind": "question", "title": "t", "body_html": "b", "score": true}',
+        '{"id": 9, "post_kind": "question", "title": "t", "body_html": "b", "score": "7"}',
+        '{"id": 9, "post_kind": "question", "title": "t", "body_html": "b", "score": 1.5}',
+        '{"id": 9, "post_kind": "question", "title": "t", "body_html": "b", "score": 2.0}',
+        '{"id": true, "post_kind": "question", "title": "t", "body_html": "b", "score": 1}',
+        '{"id": "9", "post_kind": "question", "title": "t", "body_html": "b", "score": 1}',
+        '{"id": 9, "post_kind": "answer", "parent_id": true, "body_html": "b", "score": 1}',
+        '{"id": 9, "post_kind": "answer", "parent_id": 1.0, "body_html": "b", "score": 1}',
+        '{"id": 9, "post_kind": "question", "title": "t", "body_html": "b", "score": 1,'
+        ' "tags": "java"}',
+        '{"id": 9, "post_kind": "question", "title": "t", "body_html": "b", "score": 1,'
+        ' "tags": ["java", 7]}',
+        '{"id": 9, "post_kind": "question", "title": null, "body_html": "b", "score": 1}',
+        '{"id": 9, "post_kind": "question", "title": 5, "body_html": "b", "score": 1}',
+        '{"id": 9, "post_kind": "question", "title": "t", "body_html": ["b"], "score": 1}',
+    ])
+    def test_a_field_of_the_wrong_type_is_a_load_warning(self, workspace, tmp_path, capsys,
+                                                         line):
+        corpus = tmp_path / "dump.jsonl"
+        corpus.write_bytes(workspace["corpus"].read_bytes() + f"{line}\n".encode())
+        assert main(["build-index", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "idx")]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "threads indexed: 30" in captured.out
+        assert "load warnings: 1" in captured.out.splitlines()
+        assert captured.err == ""
+
+    def test_a_bool_id_replaces_no_question(self, tmp_path, capsys):
+        """`"id": true` was read as a second question 1, which replaced the
+        real one."""
+        posts = [synth.question(1, "alpha beta", "gamma", 3),
+                 synth.answer(2, 1, "alpha <code>fetch(value)</code>", 2)]
+        synth.write_jsonl(tmp_path / "dump.jsonl", [*posts, dict(posts[0], id=True, score=-1)])
+        assert main(["build-index", "--corpus", str(tmp_path / "dump.jsonl"),
+                     "--out", str(tmp_path / "idx")]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "threads indexed: 1"
+        assert out[2:5] == ["load warnings: 1", "load questions: 1", "load answers: 1"]
+
     def test_out_that_is_a_file_names_the_index_directory(self, workspace, tmp_path, capsys):
         out = tmp_path / "afile"
         out.write_text("")
@@ -239,6 +283,28 @@ class TestSearch:
         assert first["rank"] == 1
         assert first["answer_id"] == workspace["relevant"][1]
         assert "normalized" in first["features"]
+
+    def test_a_given_title_vector_is_the_sentence_feature(self, workspace, tmp_path, capsys):
+        """A one-entry sentence-vector file: the planted thread's title row takes
+        that vector when the search first scores it, and `--explain` prints
+        its cosine with the query's vector as the thread's sentence feature."""
+        engine = load_engine(workspace["index"])
+        query = workspace["queries"][1]
+        given = fallback_embed("anything", dim=engine.store.dim)
+        save_vectors({100000: given}, engine.store.dim, tmp_path / "title.vec")
+        want = cosine(sentence_embed(preprocess(query, "query"), engine.store, engine.idf_map),
+                      given)
+        sentences = []
+        for extra in ([], ["--sentence-vectors", str(tmp_path / "title.vec")]):
+            assert main(["search", query, "--index-dir", str(workspace["index"]),
+                         "--json", "--explain", *extra]) == EXIT_OK
+            first = json.loads(capsys.readouterr().out.splitlines()[0])
+            assert first["thread_id"] == 100000
+            assert set(first["thread_features"]) == {
+                "sentence", "asym_title", "asym_body", "tf", "answer_count",
+                "total_answer_score", "question_score"}
+            sentences.append(first["thread_features"]["sentence"])
+        assert abs(sentences[1] - want) <= 1e-12 and abs(sentences[0] - want) > 1e-3
 
     def test_unknown_baseline(self, workspace, capsys):
         code = main(["search", "x", "--index-dir", str(workspace["index"]),
@@ -327,6 +393,59 @@ class TestSearchProperties:
         assert code in (EXIT_OK, EXIT_DATA_ERROR, EXIT_USAGE)
         for line in out.getvalue().splitlines():  # strict JSON: no NaN or Infinity
             json.loads(line, parse_constant=_reject_constant)
+
+
+# Values no id, parent id, score or post kind may take; the strings are valid
+# text and "\ud800" (a lone surrogate) is not, and [] is valid tags.
+HOSTILE = [float("inf"), float("-inf"), float("nan"), 1e300, 1.5, 2.0, 2**64, -2**63 - 1,
+           True, False, None, "7", "java", "\ud800", [], [1], [["java"]], {"id": 1}]
+BAD_FIELD_ST = st.tuples(st.sampled_from(["id", "post_kind", "score", "title", "body_html",
+                                          "tags", "parent_id"]),
+                         st.sampled_from(HOSTILE)).filter(
+    lambda fv: not (fv[0] in ("title", "body_html") and fv[1] in ("7", "java"))
+    and not (fv[0] == "tags" and fv[1] == []))
+
+
+def _index_bytes(index_dir):
+    return {p.name: p.read_bytes() for p in sorted(index_dir.iterdir())}
+
+
+class TestDumpProperties:
+    """Any field of the wrong JSON type in a dump line: a counted load warning,
+    never a traceback or a coerced post."""
+
+    @pytest.fixture(scope="class")
+    def small(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("dump")
+        posts = synth.planted_corpus(n_threads=6, n_queries=2)[0]
+        synth.write_jsonl(root / "dump.jsonl", posts)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["build-index", "--corpus", str(root / "dump.jsonl"),
+                         "--out", str(root / "index")]) == EXIT_OK
+        return root, posts, _index_bytes(root / "index"), out.getvalue()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_each_bad_line_is_one_warning(self, small, data):
+        root, posts, clean, report = small
+        lines = [json.dumps(p) for p in posts]
+        bad = data.draw(st.lists(st.tuples(st.integers(0, len(posts) - 1), BAD_FIELD_ST,
+                                           st.integers(0, len(lines))), min_size=1, max_size=4))
+        for source, (field, value), at in bad:
+            post = posts[source]
+            if field == "parent_id" and post["post_kind"] == "question" and value is None:
+                field = "id"  # a question without a parent id is valid
+            lines.insert(at, json.dumps({**post, field: value}))
+        (root / "bad.jsonl").write_text("\n".join(lines) + "\n", "utf-8")
+        shutil.rmtree(root / "bad", ignore_errors=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["build-index", "--corpus", str(root / "bad.jsonl"),
+                         "--out", str(root / "bad")])
+        assert (code, err.getvalue()) == (EXIT_OK, "")
+        assert out.getvalue() == report.replace("load warnings: 0",
+                                                f"load warnings: {len(bad)}")
+        assert _index_bytes(root / "bad") == clean
 
 
 def _json_index_only(payload):

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import synth
+from crowdrank import embeddings
 from crowdrank.antonyms import default_dictionary
 from crowdrank.artifacts import build_artifacts, load_engine
 from crowdrank.corpus import ProcessedPost, RawPost, Thread, build_threads, load_dump, preprocess
 from crowdrank.documents import (VIEWS, DocumentStore, ThreadMap, build_store, load_documents,
                                  save_documents)
 from crowdrank.embeddings import (EmbeddingStore, cosine, fallback_embed, save_vectors,
-                                  sentence_embed)
+                                  sentence_embed, sentence_vectors)
 from crowdrank.evaluation import GroundTruth, run_ablation_grid
 from crowdrank.features import (WeightConfig, extract_methods, tfidf_score, top_method_scores,
                                 top_method_score)
@@ -297,11 +298,73 @@ def test_the_preset_grid_builds_no_bag(planted_index, monkeypatch):
     assert len(posts) == 80
 
 
+@pytest.fixture(scope="module")
+def title_vector_file(planted_index, tmp_path_factory):
+    """A sentence-vector file for three of the planted threads, one of them a
+    zero vector, and for a question id outside the corpus; and those vectors."""
+    plain = load_engine(planted_index[0])
+    ids, dim = sorted(plain.threads), plain.store.dim
+    given = {ids[0]: fallback_embed("anything", dim=dim), ids[1]: np.zeros(dim),
+             ids[7]: fallback_embed("other", dim=dim)}
+    path = tmp_path_factory.mktemp("vectors") / "titles.vec"
+    # A vector of a question id outside the corpus is ignored.
+    save_vectors({**given, ids[-1] + 1: np.ones(dim)}, dim, path)
+    return path, given
+
+
+def whole_batch(engine):
+    """The title vectors and norms a load made before they were filled lazily:
+    one `sentence_vectors` batch over every title, on a fresh store, with the
+    given vectors in place."""
+    store = EmbeddingStore(dim=engine.store.dim, fallback=True, seed=engine.store.seed)
+    ids, counts, _, ptr = engine.docs.entries("thread_title")
+    vecs = sentence_vectors(engine.vocab.words, engine.vocab.idf, ptr, ids, counts, store)
+    for thread_id, given in engine.store.sentence_vecs.items():
+        if thread_id in engine.threads.rows:
+            vecs[engine.threads.rows[thread_id]] = given
+    return vecs, np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
+
+
 class TestTitleVectors:
+    @pytest.mark.parametrize("with_file", [False, True])
+    def test_a_load_embeds_no_word(self, planted_index, title_vector_file, monkeypatch,
+                                   with_file):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a load embedded a word")
+        monkeypatch.setattr(embeddings, "fallback_vectors", refuse)
+        monkeypatch.setattr(embeddings, "fallback_embed", refuse)
+        engine = load_engine(planted_index[0],
+                             sentence_vectors=title_vector_file[0] if with_file else None)
+        monkeypatch.undo()
+        assert not engine._title_filled.any()
+        assert not engine.title_vecs.any() and not engine.title_norms.any()
+        assert engine.store.word_vecs == {}
+
+    @pytest.mark.parametrize("with_file", [False, True])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_any_batches_fill_the_bits_of_one_whole_batch(self, planted_index, title_vector_file,
+                                                          with_file, data):
+        engine = load_engine(planted_index[0],
+                             sentence_vectors=title_vector_file[0] if with_file else None)
+        n = len(engine.threads)
+        order = data.draw(st.permutations(range(n)))
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            # A batch may hold rows made by earlier batches.
+            again = order[:data.draw(st.integers(0, lo))]
+            engine._fill_titles(np.array(order[lo:hi] + again, dtype=np.intp))
+            assert engine._title_filled[order[:hi]].all()
+            assert engine._title_filled.sum() == hi
+        vecs, norms = whole_batch(engine)
+        assert engine.title_vecs.tobytes() == vecs.tobytes()
+        assert engine.title_norms.tobytes() == norms.tobytes()
+
     def test_built_in_vectors(self, planted_index):
         index_dir, _ = planted_index
         engine = load_engine(index_dir)
         assert engine.store.sentence_vecs == {}
+        engine._fill_titles(np.arange(len(engine.threads)))
         assert len(engine.title_vecs) == len(engine.threads)
         for row, thread_id in enumerate(engine.thread_index.doc_ids.tolist()):
             want = sentence_embed(engine.threads[thread_id].question.title_bag, engine.store,
@@ -322,21 +385,33 @@ class TestTitleVectors:
         assert checked > 10
 
     def test_a_sentence_vector_file_wins_and_zero_vectors_score_zero(self, planted_index,
-                                                                     tmp_path):
+                                                                     title_vector_file):
         index_dir, queries = planted_index
+        path, given = title_vector_file
         plain = load_engine(index_dir)
+        engine = load_engine(index_dir, sentence_vectors=path)
         ids = sorted(plain.threads)
-        given = {ids[0]: fallback_embed("anything", dim=plain.store.dim),
-                 ids[1]: np.zeros(plain.store.dim)}
-        # A vector of a question id outside the corpus is ignored.
-        save_vectors({**given, ids[-1] + 1: np.ones(plain.store.dim)}, plain.store.dim,
-                     tmp_path / "titles.vec")
-        engine = load_engine(index_dir, sentence_vectors=tmp_path / "titles.vec")
-        for thread_id, vec in given.items():
-            assert np.array_equal(engine.title_vecs[ids.index(thread_id)], vec)
-        assert np.array_equal(engine.title_vecs[2:], plain.title_vecs[2:])
         rows = np.arange(len(ids))
         terms = engine.make_query_context(queries[1], WeightConfig()).terms
         sentence = engine._sentence(terms, rows)
+        plain._fill_titles(rows)
+        for thread_id, vec in given.items():
+            assert np.array_equal(engine.title_vecs[ids.index(thread_id)], vec)
+        others = [row for row, thread_id in enumerate(ids) if thread_id not in given]
+        assert np.array_equal(engine.title_vecs[others], plain.title_vecs[others])
         assert sentence[1] == 0.0
         assert sentence[0] == pytest.approx(cosine(terms.sentence_vec, given[ids[0]]), abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sentence_is_the_same_in_every_row_set(self, planted_index, data):
+        """A thread's `sentence` does not depend on the other rows scored with it."""
+        index_dir, queries = planted_index
+        engine = load_engine(index_dir)
+        terms = engine.make_query_context(data.draw(st.sampled_from(sorted(queries.values()))),
+                                          WeightConfig()).terms
+        n = len(engine.threads)
+        whole = engine._sentence(terms, np.arange(n))
+        for _ in range(3):
+            rows = subset(data, n)
+            assert engine._sentence(terms, rows).tobytes() == whole[rows].tobytes()
