@@ -157,11 +157,14 @@ def load_dump(path: str | Path, tag_filter: TagFilter | None = None,
     required fields and posts with a field of the wrong JSON type
     (`RawPost.from_json`: a float, bool or string id or score, such as 1e999,
     true or "7", or tags that are not a list of strings) are skipped and
-    counted in ``stats.warnings``. An unreadable file raises OSError.
+    counted in ``stats.warnings``, as is a post whose id an earlier post of
+    either kind holds: the first line with an id counts. An unreadable file
+    raises OSError.
     """
     tag_filter = tag_filter or TagFilter()
     stats = stats if stats is not None else LoadStats()
     parsed: list[RawPost] = []
+    seen: set[int] = set()
     # A byte that is not UTF-8 reads as a lone surrogate, which no UTF-8 text
     # holds, so that it spoils its own line only.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -172,9 +175,15 @@ def load_dump(path: str | Path, tag_filter: TagFilter | None = None,
             try:
                 if not line.isascii():
                     line.encode("utf-8")  # UnicodeEncodeError, a ValueError
-                parsed.append(RawPost.from_json(json.loads(line)))
+                post = RawPost.from_json(json.loads(line))
             except (ValueError, KeyError, TypeError):
                 stats.warnings += 1
+                continue
+            if post.id in seen:
+                stats.warnings += 1
+                continue
+            seen.add(post.id)
+            parsed.append(post)
 
     accepted_questions = {
         p.id for p in parsed if p.post_kind == "question" and tag_filter.accepts(p.tags)

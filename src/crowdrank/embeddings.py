@@ -5,9 +5,8 @@ Vector file format: first line ``vocab_size dim``, then one entry per line,
 key by integer question id.
 
 Word vectors can also come from a deterministic seeded hash embedder so the
-whole pipeline runs without trained models: `fallback_embed` defines a
-word's vector, and `fallback_vectors` makes those of many words at once, bit
-for bit, as the store does for every batch of words it lacks.
+whole pipeline runs without trained models: `fallback_embed` makes a word's
+vector, and the store calls it once for each word it lacks, on first lookup.
 
 The asymmetric relevance of Ye et al. (ICSE 2016) is scored through a
 `SimilarityTable` of the query words against the vocabulary. A search makes
@@ -39,101 +38,6 @@ def fallback_embed(word: str, seed: int = DEFAULT_SEED, dim: int = DEFAULT_DIM) 
     return vec / np.linalg.norm(vec)
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64's
-# 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-# The fewest words `fallback_vectors` seeds in a batch: the batched seeding
-# costs about 0.2 ms however few the words, and `fallback_embed` about
-# 20 us a word.
-_BATCH_MIN = 16
-
-
-def _hasher(init: int, mult: int):
-    """SeedSequence's hash over uint32 arrays: each call mixes its values
-    with the next of a sequence of constants, which starts at `init` and is
-    multiplied by `mult` before each use."""
-    hash_const = init
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * mult) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-    return hashmix
-
-
-def pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
-    """The (state, inc) of `np.random.PCG64(seed)` for each seed in
-    0..2**128 - 1, all at once.
-
-    SeedSequence hashes the seed's four 32-bit words into a pool and draws
-    four 64-bit words from it; the same uint32 arithmetic runs here over a
-    column per word, for every seed at once. A seed of fewer words pads with
-    zeros, which SeedSequence's mix treats alike. PCG64 then seeds its
-    128-bit LCG from two of the drawn words and its increment from the other
-    two.
-    """
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    entropy = np.frombuffer(b"".join(s.to_bytes(16, "little") for s in seeds),
-                            dtype="<u4").reshape(len(seeds), 4).astype(np.uint32)
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[:, i]) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    # generate_state(4, np.uint64): eight 32-bit words, little-endian pairs.
-    draw = _hasher(_INIT_B, _MULT_B)
-    words = [draw(pool[i % 4]) for i in range(8)]
-    drawn = np.stack(words, axis=1).astype("<u4").view("<u8").astype(np.uint64)
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in drawn.tolist():
-        # pcg64_srandom_r: inc = 2 * initseq + 1; one step from 0, add the
-        # initial state, one more step.
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
-
-
-def fallback_vectors(words: Sequence[str], seed: int = DEFAULT_SEED,
-                     dim: int = DEFAULT_DIM) -> np.ndarray:
-    """`fallback_embed` of each word, bit for bit, a row per word.
-
-    The generators' seeding is batched (`pcg64_states`); one reused
-    `Generator` then draws each row from its word's state. Each row is
-    divided by the norm `np.linalg.norm` computes, `sqrt(row.dot(row))`: the
-    same dot product, and an IEEE square root and division, which round
-    alike one by one or in an array. Fewer than _BATCH_MIN words are
-    embedded one by one.
-    """
-    if len(words) < _BATCH_MIN:
-        return np.array([fallback_embed(word, seed, dim) for word in words]).reshape(-1, dim)
-    out = np.empty((len(words), dim))
-    seeds = [int.from_bytes(hashlib.sha256(f"{seed}|{word}".encode("utf-8")).digest()[:16], "big")
-             for word in words]
-    bit_generator = np.random.PCG64()
-    rng = np.random.Generator(bit_generator)
-    state = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-    squares = []
-    for row, (value, inc) in zip(out, pcg64_states(seeds)):
-        state.update(state=value, inc=inc)
-        bit_generator.state = full
-        rng.standard_normal(out=row)
-        squares.append(row.dot(row))
-    out /= np.sqrt(np.array(squares, dtype=np.float64))[:, None]
-    return out
-
-
 class EmbeddingStore:
     """Word vectors plus sentence (title) vectors keyed by question id.
 
@@ -158,13 +62,8 @@ class EmbeddingStore:
 
     def word_vectors(self, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """`word_vector` of each word as a row, a zero row for None, and
-        whether each word has a vector; the words the store lacks are
-        embedded in one `fallback_vectors` batch."""
-        if self.fallback:
-            missing = [word for word in dict.fromkeys(words) if word not in self.word_vecs]
-            if missing:
-                self.word_vecs.update(zip(missing, fallback_vectors(missing, self.seed, self.dim)))
-        vecs = [self.word_vecs.get(word) for word in words]
+        whether each word has a vector."""
+        vecs = [self.word_vector(word) for word in words]
         zero = np.zeros(self.dim)
         return (np.array([zero if vec is None else vec for vec in vecs]).reshape(-1, self.dim),
                 np.array([vec is not None for vec in vecs], dtype=bool))
@@ -192,7 +91,8 @@ def load_sentence_vectors(path: str | Path, store: EmbeddingStore | None = None)
 def _load_vector_file(path: str | Path, int_keys: bool) -> tuple[EmbeddingStore, dict]:
     """A vector file's dim and its vectors by key; ValueError, naming the file
     (and `path:lineno` for a bad entry), for a file that is not UTF-8, lacks
-    the header, or holds a bad key or a component that is not a finite number."""
+    the header, gives a dim below 1, or holds a bad key or a component that
+    is not a finite number."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().split()
@@ -200,6 +100,8 @@ def _load_vector_file(path: str | Path, int_keys: bool) -> tuple[EmbeddingStore,
                 count, dim = map(int, header)
             except ValueError:  # not two integers
                 raise ValueError(f"missing 'vocab_size dim' header in {path}") from None
+            if dim < 1:
+                raise ValueError(f"{path}: header gives dim {dim}, not a positive integer")
             keyed: dict = {}
             for lineno, line in enumerate(fh, start=2):
                 parts = line.split()
@@ -323,9 +225,9 @@ def sentence_embed(bag: Mapping[str, int], store: EmbeddingStore, idf_map: IdfMa
 class WordMatrix:
     """Sorted distinct words with their idf and unit-norm vectors, one row each.
 
-    Rows are looked up in the store on first use, a batch per `fill`: a
-    zero vector stays a zero row, and a word the store has no vector for is left out of
-    `has_vector`. A `SimilarityTable` takes one matrix as its rows (the
+    Rows are looked up in the store when `fill` first asks for them: a zero
+    vector stays a zero row, and a word the store has no vector for is left
+    out of `has_vector`. A `SimilarityTable` takes one matrix as its rows (the
     query) and one as its columns (a target bag, or the whole corpus
     vocabulary).
     """

@@ -228,6 +228,48 @@ class TestBuildIndex:
         assert out[0] == "threads indexed: 1"
         assert out[2:5] == ["load warnings: 1", "load questions: 1", "load answers: 1"]
 
+    def test_a_repeated_answer_id_is_a_load_warning(self, tmp_path, capsys):
+        """Answer 2 under questions 1 and 5 was kept in both threads: `search`
+        printed it at ranks 1 and 2, with `load warnings: 0`. The first line
+        with the id counts, and question 5, left without an answer, is
+        dropped."""
+        posts = [synth.question(1, "alpha beta", "gamma", 3),
+                 synth.answer(2, 1, "alpha delta <code>foo.bar()</code>", 2),
+                 synth.question(5, "alpha delta", "epsilon", 3),
+                 synth.answer(2, 5, "delta alpha <code>baz.qux()</code>", 2),
+                 synth.question(9, "zeta eta", "theta", 3),
+                 synth.answer(10, 9, "zeta <code>qux.quux()</code>", 1)]
+        synth.write_jsonl(tmp_path / "dump.jsonl", posts)
+        assert main(["build-index", "--corpus", str(tmp_path / "dump.jsonl"),
+                     "--out", str(tmp_path / "idx")]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "threads indexed: 2"
+        assert out[2:5] == ["load warnings: 1", "load questions: 3", "load answers: 2"]
+        assert "build dropped questions: 1" in out
+        assert main(["search", "alpha delta", "--index-dir", str(tmp_path / "idx"),
+                     "--json"]) == EXIT_OK
+        found = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["answer_id"], r["thread_id"]) for r in found] == [(2, 1)]
+
+    def test_a_repeated_question_id_is_a_load_warning(self, tmp_path, capsys):
+        """A second question 1 replaced the first, and `load questions`
+        counted both."""
+        posts = [synth.question(1, "alpha beta", "gamma", 3),
+                 synth.answer(2, 1, "alpha delta <code>foo.bar()</code>", 2),
+                 synth.question(1, "other words", "here", 4),
+                 synth.question(9, "zeta eta", "theta", 3),
+                 synth.answer(10, 9, "zeta <code>qux.quux()</code>", 1)]
+        synth.write_jsonl(tmp_path / "dump.jsonl", posts)
+        assert main(["build-index", "--corpus", str(tmp_path / "dump.jsonl"),
+                     "--out", str(tmp_path / "idx")]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "threads indexed: 2"
+        assert out[2:5] == ["load warnings: 1", "load questions: 2", "load answers: 2"]
+        assert main(["search", "alpha", "--index-dir", str(tmp_path / "idx"),
+                     "--json"]) == EXIT_OK
+        found = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["answer_id"], r["title"]) for r in found] == [(2, "alpha beta")]
+
     def test_out_that_is_a_file_names_the_index_directory(self, workspace, tmp_path, capsys):
         out = tmp_path / "afile"
         out.write_text("")
@@ -411,8 +453,9 @@ def _index_bytes(index_dir):
 
 
 class TestDumpProperties:
-    """Any field of the wrong JSON type in a dump line: a counted load warning,
-    never a traceback or a coerced post."""
+    """Any field of the wrong JSON type in a dump line, or a later line with a
+    post id already read: a counted load warning, never a traceback, a
+    coerced post or a post that replaces or repeats another."""
 
     @pytest.fixture(scope="class")
     def small(self, tmp_path_factory):
@@ -436,6 +479,13 @@ class TestDumpProperties:
             if field == "parent_id" and post["post_kind"] == "question" and value is None:
                 field = "id"  # a question without a parent id is valid
             lines.insert(at, json.dumps({**post, field: value}))
+        # Later lines that repeat a post's id with other text and score.
+        repeats = data.draw(st.lists(st.tuples(st.integers(0, len(posts) - 1),
+                                               st.integers(-5, 50)), max_size=2))
+        for source, score in repeats:
+            after = lines.index(json.dumps(posts[source])) + 1
+            lines.insert(data.draw(st.integers(after, len(lines))), json.dumps(
+                {**posts[source], "score": score, "body_html": "again <code>x.y()</code>"}))
         (root / "bad.jsonl").write_text("\n".join(lines) + "\n", "utf-8")
         shutil.rmtree(root / "bad", ignore_errors=True)
         out, err = io.StringIO(), io.StringIO()
@@ -444,7 +494,7 @@ class TestDumpProperties:
                          "--out", str(root / "bad")])
         assert (code, err.getvalue()) == (EXIT_OK, "")
         assert out.getvalue() == report.replace("load warnings: 0",
-                                                f"load warnings: {len(bad)}")
+                                                f"load warnings: {len(bad) + len(repeats)}")
         assert _index_bytes(root / "bad") == clean
 
 
@@ -675,6 +725,21 @@ def test_non_finite_vector_component_is_one_error_line(workspace, tmp_path, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {tmp_path / named}") and "not finite" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--word-vectors", "--sentence-vectors"])
+@pytest.mark.parametrize("header", ["0 0", "0 -1", "1 0"])
+def test_vector_file_dim_below_one_is_one_error_line(workspace, tmp_path, capsys, flag, header):
+    # A dim of 0 used to end in a traceback, and a negative one in numpy's
+    # "negative dimensions are not allowed", which names no file.
+    path = tmp_path / "bad.vec"
+    path.write_text(f"{header}\n" + ("1\n" if header == "1 0" else ""))
+    assert main(["search", "q0alpha q0beta", "--index-dir", str(workspace["index"]),
+                 flag, str(path)]) == EXIT_DATA_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and "dim" in err
     assert len(err.splitlines()) == 1
 
 

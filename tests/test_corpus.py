@@ -478,7 +478,8 @@ EDGE_DUMPS = {
         synth.question(30, "zeta", "eta", 2, tags=("javascript",)),
         synth.answer(31, 30, "<code>f()</code>", 2), synth.answer(41, 40, "<code>g()</code>", 2),
     ],
-    # Two questions share id 10 (the last one counts), and two answers id 11.
+    # Two questions share id 10, and two answers id 11: the first line with an
+    # id counts, and each later one is a load warning.
     "duplicate_ids": [
         synth.question(10, "first alpha", "first body", 3),
         synth.answer(11, 10, "one <code>one()</code>", 2),
@@ -556,9 +557,9 @@ class TestReferenceBuild:
         if name == "duplicate_ids":
             idf, docs, _ = load_corpus(tmp_path / "new")
             loaded = list(ThreadMap(docs, sorted(idf.df)).values())
-            assert [t.question.original_title for t in loaded] == ["early gamma", "second beta"]
-            assert [a.original_body for a in loaded[1].answers] == [
-                "one <code>one()</code>", "two <code>two()</code>"]
+            assert [t.question.original_title for t in loaded] == ["early gamma", "first alpha"]
+            assert [a.original_body for a in loaded[1].answers] == ["one <code>one()</code>"]
+            assert report.load_stats == LoadStats(2, 2, 2, 0, 0)
         if name == "answer_titles":
             docs = load_corpus(tmp_path / "new")[1]
             assert docs.posts.answer_title_words == ["alpha", "omega", "zeta"]

@@ -331,7 +331,6 @@ class TestTitleVectors:
                                    with_file):
         def refuse(*args, **kwargs):
             raise AssertionError("a load embedded a word")
-        monkeypatch.setattr(embeddings, "fallback_vectors", refuse)
         monkeypatch.setattr(embeddings, "fallback_embed", refuse)
         engine = load_engine(planted_index[0],
                              sentence_vectors=title_vector_file[0] if with_file else None)

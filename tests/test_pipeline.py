@@ -141,38 +141,31 @@ class TestWordCache:
         novel = [w for w in calls if w not in engine.idf_map.df]
         assert len(novel) == 2 and len(set(novel)) == 1
 
-    def test_a_fresh_engines_first_full_funnel_search_equals_the_scalar_path(
-            self, tmp_path, monkeypatch):
-        # The first search after a load embeds its targets' words in a batch
-        # per fill; before batching, the store embedded them one by one.
+    def test_a_fresh_engines_first_full_funnel_search_equals_a_warm_engines(self, tmp_path):
+        # A fresh engine embeds its targets' words and titles as its first
+        # search reaches them. An engine warmed by other searches has embedded
+        # every word and some of the titles in other orders. Neither moves a
+        # bit of the ranking or of a word vector.
         posts, query = synth.funnel_corpus()
         synth.write_jsonl(tmp_path / "dump.jsonl", posts)
         build_artifacts(tmp_path / "dump.jsonl", tmp_path / "index")
         config = configure_ablation("crar")
         engine = load_engine(tmp_path / "index")
-        batches = []
-        original = embeddings.fallback_vectors
-        monkeypatch.setattr(embeddings, "fallback_vectors",
-                            lambda words, *args: batches.append(len(words))
-                            or original(words, *args))
         result = engine.search(query, config)
         assert result.diagnostics["stage_counts"] == {
             "bm25_threads": 500, "after_thread_filter": 500, "stage1_kept": 250,
             "stage2_kept": 100, "bm25_answers": 150, "after_answer_filter": 150,
             "returned": 10}
-        assert 1 <= len(batches) <= 3 and sum(batches) > 100
 
-        def one_by_one(store, words):
-            vecs = [store.word_vector(word) for word in words]
-            zero = np.zeros(store.dim)
-            return (np.array([zero if v is None else v for v in vecs]).reshape(-1, store.dim),
-                    np.array([v is not None for v in vecs], dtype=bool))
-        monkeypatch.setattr(EmbeddingStore, "word_vectors", one_by_one)
-        scalar = load_engine(tmp_path / "index")
-        assert repr(scalar.search(query, config)) == repr(result)
-        assert scalar.store.word_vecs.keys() == engine.store.word_vecs.keys()
-        assert all(vec.tobytes() == engine.store.word_vecs[word].tobytes()
-                   for word, vec in scalar.store.word_vecs.items())
+        warm = load_engine(tmp_path / "index")
+        for other in (synth.WORDS[150], f"{synth.WORDS[0]} {synth.WORDS[1]}"):
+            warm.search(other, config)
+        assert warm.store.word_vecs.keys() >= engine.store.word_vecs.keys()
+        assert 0 < warm._title_filled.sum() < len(warm.threads)
+        assert repr(warm.search(query, config)) == repr(result)
+        assert engine.store.word_vecs.keys() <= warm.store.word_vecs.keys()
+        assert all(vec.tobytes() == warm.store.word_vecs[word].tobytes()
+                   for word, vec in engine.store.word_vecs.items())
 
     def test_loaded_vectors_outside_the_corpus_stay(self, planted):
         engine, queries, _ = planted
