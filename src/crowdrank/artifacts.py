@@ -11,17 +11,22 @@ written, and ``write_index`` writes them:
                         sorted idf.json words) and counts in CSR form; per
                         answer its id, its thread's row, its tf-idf norm and
                         its method calls; and the posts: question ids, scores,
-                        display text as UTF-8 bytes with offsets, and the
-                        answers' title bags over their own words
+                        title and body as UTF-8 bytes with offsets (a post's
+                        code text is taken from its body), and the answers'
+                        title bags over their own words. Each integer array
+                        is saved in the narrowest integer dtype that holds
+                        its values (`documents.narrowest`).
     idf.json            document frequencies + doc count (IDF derives from these)
     meta.json           format version, embedding config, corpus stats
 
 ``load_engine`` validates the version tags and assembles a SearchEngine from
-fixed-dtype arrays alone: the thread BM25 index is made from the document
-store, and the engine's threads are built from it when read
-(`documents.ThreadMap`). A damaged meta.json, idf.json or document store
-file is a ValueError that names it; a directory built before the current
-store fails on its first missing array. ``export_text`` writes the
+the arrays alone, each widened to its `documents.DOCS_ARRAYS` dtype: the
+thread BM25 index is made from the document store, and the engine's threads
+are built from it when read (`documents.ThreadMap`). A damaged meta.json,
+idf.json or document store file is a ValueError that names it; a directory of
+an earlier layout fails on its meta.json version (version 1 stored three
+strings a post, each post's code text too, in fixed dtypes) or, before
+meta.json had one, on its first missing array. ``export_text`` writes the
 preprocessed text of an index directory for training an external embedder:
 
     titles.txt          preprocessed question titles, one per line
@@ -43,7 +48,7 @@ from .embeddings import (DEFAULT_DIM, DEFAULT_SEED, EmbeddingStore, IdfMap,
 from .pipeline import SearchEngine
 
 META_FORMAT = "crowdrank-meta"
-META_VERSION = 1
+META_VERSION = 2
 
 
 def _bag_tokens(bag) -> list[str]:

@@ -90,13 +90,20 @@ def cmd_build_index(args) -> int:
         else:
             print(f"error: cannot write index directory {args.out}: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
+    load = report.load_stats
+    for line, cause in load.first_warnings:
+        print(f"warning: {args.corpus}:{line}: {cause}", file=sys.stderr)
+    if load.warnings > len(load.first_warnings):
+        print(f"warning: ... and {load.warnings - len(load.first_warnings)} more",
+              file=sys.stderr)
     if report.thread_count == 0:
         print("warning: corpus produced an empty index", file=sys.stderr)
     print(f"threads indexed: {report.thread_count}")
     print(f"vocabulary size: {report.vocab_size}")
-    for stage, stats in (("load", report.load_stats), ("build", report.build_stats)):
+    for stage, stats in (("load", load), ("build", report.build_stats)):
         for name, value in asdict(stats).items():
-            print(f"{stage} {name.replace('_', ' ')}: {value}")
+            if isinstance(value, int):  # the counts
+                print(f"{stage} {name.replace('_', ' ')}: {value}")
     return EXIT_OK
 
 

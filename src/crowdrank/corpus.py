@@ -21,7 +21,7 @@ import html
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from itertools import filterfalse
 from pathlib import Path
@@ -136,17 +136,35 @@ def _text(value, field: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{field} must be a string, not {type(value).__name__}")
     if not value.isascii():
-        value.encode("utf-8")  # UnicodeEncodeError, a ValueError
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{field} holds a lone surrogate, which UTF-8 cannot encode"
+                             ) from None
     return value
+
+
+# The (line, cause) pairs of a load's warnings that LoadStats keeps.
+KEPT_WARNINGS = 10
 
 
 @dataclass
 class LoadStats:
+    """A load's counts; beside them, its first KEPT_WARNINGS warnings, each
+    the dump's line number (from 1) and the cause, which are not counts and
+    take no part in comparisons."""
     warnings: int = 0
     questions: int = 0
     answers: int = 0
     dropped_questions: int = 0
     dropped_answers: int = 0
+    first_warnings: list[tuple[int, str]] = field(default_factory=list, compare=False,
+                                                  repr=False)
+
+    def warn(self, line: int, cause: str) -> None:
+        self.warnings += 1
+        if len(self.first_warnings) < KEPT_WARNINGS:
+            self.first_warnings.append((line, cause))
 
 
 def load_dump(path: str | Path, tag_filter: TagFilter | None = None,
@@ -158,31 +176,29 @@ def load_dump(path: str | Path, tag_filter: TagFilter | None = None,
     (`RawPost.from_json`: a float, bool or string id or score, such as 1e999,
     true or "7", or tags that are not a list of strings) are skipped and
     counted in ``stats.warnings``, as is a post whose id an earlier post of
-    either kind holds: the first line with an id counts. An unreadable file
-    raises OSError.
+    either kind holds: the first line with an id counts. `stats.warn` keeps
+    each warning's line number and cause. An unreadable file raises OSError.
     """
     tag_filter = tag_filter or TagFilter()
     stats = stats if stats is not None else LoadStats()
     parsed: list[RawPost] = []
-    seen: set[int] = set()
+    seen: dict[int, int] = {}  # post id -> the line that holds it
     # A byte that is not UTF-8 reads as a lone surrogate, which no UTF-8 text
     # holds, so that it spoils its own line only.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                if not line.isascii():
-                    line.encode("utf-8")  # UnicodeEncodeError, a ValueError
-                post = RawPost.from_json(json.loads(line))
-            except (ValueError, KeyError, TypeError):
-                stats.warnings += 1
+                post = _post_of_line(line)
+            except ValueError as exc:
+                stats.warn(number, str(exc))
                 continue
             if post.id in seen:
-                stats.warnings += 1
+                stats.warn(number, f"id {post.id} repeats line {seen[post.id]}")
                 continue
-            seen.add(post.id)
+            seen[post.id] = number
             parsed.append(post)
 
     accepted_questions = {
@@ -203,6 +219,27 @@ def load_dump(path: str | Path, tag_filter: TagFilter | None = None,
             else:
                 stats.dropped_answers += 1
     return kept
+
+
+def _post_of_line(line: str) -> RawPost:
+    """The post of a dump line; ValueError says why the line holds none."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("not UTF-8") from None
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    try:
+        return RawPost.from_json(obj)
+    except KeyError as exc:
+        raise ValueError(f"no {exc.args[0]} field") from None
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def separate_code(body_html: str) -> tuple[str, str]:
@@ -323,14 +360,23 @@ def select_threads(posts: Iterable[RawPost], process_answer: Callable[[RawPost],
     `process_answer` is called on each positive-score answer of a
     positive-score question and returns the answer as the caller keeps it
     and the words of its code; an answer is kept when those are not empty,
-    and a question when it keeps an answer. Of questions that share an id
-    the last one counts. `stats` counts the answers of absent questions and
-    the dropped posts.
+    and a question when it keeps an answer. Of posts of either kind that
+    share an id the first one counts, as in `load_dump`, and each later one
+    is a dropped question or answer. `stats` counts the answers of absent
+    questions and the dropped posts.
     """
     stats = stats if stats is not None else BuildStats()
     questions: dict[int, RawPost] = {}
     answers_by_parent: dict[int, list[RawPost]] = {}
+    seen: set[int] = set()
     for post in posts:
+        if post.id in seen:
+            if post.post_kind == "question":
+                stats.dropped_questions += 1
+            else:
+                stats.dropped_answers += 1
+            continue
+        seen.add(post.id)
         if post.post_kind == "question":
             questions[post.id] = post
         else:

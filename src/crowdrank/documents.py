@@ -19,21 +19,23 @@ a part over their own sorted words (answer titles are not in idf.json, and
 the stopwords a build used are not recorded, so they cannot be
 re-preprocessed). `ThreadMap` builds a `Thread` from these, its posts' word
 bags included, whenever one is read; the question code is stored for that
-alone.
+alone. A post's code text is not stored: `ThreadMap` takes it from the body,
+with the `separate_code` call the build made.
 
 `build_store` makes the arrays from a post stream in one pass: each kept
 post is tokenized once, straight into flat rows of word ids numbered as
 they come, which are renumbered over the sorted vocabulary and counted at
 the end, so a build holds no word bag, `ProcessedPost` or `Thread` per post.
-`build-index` saves them as fixed-dtype `.npy` files (DOCS_ARRAYS), and
-`load_documents` checks them with array-wide tests and names the file at
-fault. The text that each feature and filter reads is a view, declared once
-in VIEWS, and `entries` is the one gather of a view's candidates: the thread
-BM25 index (its transpose, made at load), the asym segments (each thread's
-asym_body target is united once, when a store is made), the answers'
-query-term counts, the tf-idf norms and the antonym filters are built on
-it. A search reads these gathers, not the threads' word bags, and decodes
-the text of the answers it returns only.
+`build-index` saves them as `.npy` files (DOCS_ARRAYS), each integer array in
+the narrowest integer dtype that holds its values (`narrowest`), and
+`load_documents` widens each to its DOCS_ARRAYS dtype, checks them with
+array-wide tests and names the file at fault. The text that each feature and
+filter reads is a view, declared once in VIEWS, and `entries` is the one
+gather of a view's candidates: the thread BM25 index (its transpose, made at
+load), the asym segments (each thread's asym_body target is united once, when
+a store is made), the answers' query-term counts, the tf-idf norms and the
+antonym filters are built on it. A search reads these gathers, not the
+threads' word bags, and decodes the text of the answers it returns only.
 """
 
 from __future__ import annotations
@@ -83,7 +85,9 @@ UNITED_VIEWS = ("thread_bodies",)
 
 # The arrays of a saved part, by dtype.
 _PART_ARRAYS = (("ptr", np.int64), ("ids", np.int32), ("counts", np.int32))
-# The saved store, one array per file, by dtype.
+# The saved store, one array per file, by the dtype it has in memory; a file
+# holds an integer array in the narrowest integer dtype that holds its values
+# (`narrowest`), which a load widens to this one.
 DOCS_ARRAYS = {
     **{f"{part}_{name}": dtype for part in STORED_PARTS for name, dtype in _PART_ARRAYS},
     "answer_ids": np.int64,
@@ -105,8 +109,9 @@ DOCS_ARRAYS = {
     "answer_title_words": np.uint8,  # the sorted answer title words' UTF-8 bytes
     "answer_title_word_ptr": np.int64,
 }
-# A post's display text, three strings per post in this order.
-POST_TEXT = ("original_title", "original_body", "code_text")
+# A post's display text, two strings per post in this order; its code text
+# is `separate_code` of its body.
+POST_TEXT = ("original_title", "original_body")
 
 
 def docs_file(directory: str | Path, name: str) -> Path:
@@ -162,13 +167,13 @@ class TextPart:
 @dataclass
 class PostText:
     """Each post's POST_TEXT strings as UTF-8 bytes back to back: string i is
-    `data[ptr[i]:ptr[i + 1]]`, and post r's strings are 3r, 3r + 1 and 3r + 2."""
+    `data[ptr[i]:ptr[i + 1]]`, and post r's strings are 2r and 2r + 1."""
     data: np.ndarray
     ptr: np.ndarray
 
     def get(self, row: int, name: str) -> str:
         """The POST_TEXT string `name` of post `row`, decoded."""
-        i = 3 * row + POST_TEXT.index(name)
+        i = len(POST_TEXT) * row + POST_TEXT.index(name)
         lo, hi = self.ptr[i:i + 2].tolist()
         return self.data[lo:hi].tobytes().decode("utf-8")
 
@@ -326,9 +331,9 @@ class ThreadMap(Mapping):
     """A store's threads by question id, ascending: a read-only mapping.
 
     Each read builds the `Thread` from the store, its posts' word bags over
-    the sorted vocabulary `words` included. No thread is kept, so reading
-    threads holds no memory; a built thread and one read here are `==` and
-    share one `repr`.
+    the sorted vocabulary `words` included, and each post's code text from
+    its body. No thread is kept, so reading threads holds no memory; a built
+    thread and one read here are `==` and share one `repr`.
     """
 
     def __init__(self, docs: DocumentStore, words: Sequence[str]):
@@ -355,13 +360,10 @@ class ThreadMap(Mapping):
         docs, posts = self.docs, self.docs.posts
         answers = range(*docs.answer_ptr[row:row + 2].tolist())
         return Thread(
-            question=ProcessedPost(
-                int(posts.question_ids[row]), int(posts.question_score[row]),
-                *self._question_bags(row),
-                **{name: posts.question_text.get(row, name) for name in POST_TEXT}),
-            answers=[ProcessedPost(
-                int(docs.answer_ids[a]), int(posts.answer_score[a]), *self._answer_bags(a),
-                **{name: posts.answer_text.get(a, name) for name in POST_TEXT}) for a in answers])
+            question=_post(int(posts.question_ids[row]), int(posts.question_score[row]),
+                           self._question_bags(row), posts.question_text, row),
+            answers=[_post(int(docs.answer_ids[a]), int(posts.answer_score[a]),
+                           self._answer_bags(a), posts.answer_text, a) for a in answers])
 
     @staticmethod
     def _bag(part: TextPart, row: int, words: Sequence[str]) -> Counter:
@@ -379,6 +381,14 @@ class ThreadMap(Mapping):
         posts = self.docs.posts
         return (self._bag(posts.answer_title, row, posts.answer_title_words),
                 *(self._bag(self.docs.parts[name], row, self.words) for name in ANSWER_ROW_PARTS))
+
+
+def _post(post_id: int, score: int, bags: tuple[Counter, ...], text: PostText,
+          row: int) -> ProcessedPost:
+    """A post read from the store, with the code text of its body."""
+    title, body = (text.get(row, name) for name in POST_TEXT)
+    return ProcessedPost(post_id, score, *bags, code_text=separate_code(body)[1],
+                         original_title=title, original_body=body)
 
 
 class _Rows:
@@ -471,7 +481,7 @@ def build_store(posts: Iterable[RawPost], stopwords: frozenset[str] | None = Non
         rows["question_code"].add(question_code)
         question_ids.append(question.id)
         question_score.append(question.score)
-        question_text.add(question.title, question.body_html, code)
+        question_text.add(question.title, question.body_html)
         for answer, answer_title, answer_body, answer_code, code_text in answers:
             seen.update(answer_body, answer_code)
             rows["answer_title"].add(answer_title)
@@ -481,7 +491,7 @@ def build_store(posts: Iterable[RawPost], stopwords: frozenset[str] | None = Non
             answer_ids.append(answer.id)
             answer_score.append(answer.score)
             answer_thread.append(row)
-            answer_text.add(answer.title, answer.body_html, code_text)
+            answer_text.add(answer.title, answer.body_html)
         thread_words.extend(seen)
 
     provisional = list(word_id)
@@ -549,9 +559,25 @@ def decode_strings(data: np.ndarray, ptr: np.ndarray, name: str,
     return strings
 
 
+def narrowest(array: np.ndarray) -> np.ndarray:
+    """`array` in the narrowest integer dtype that holds its values:
+    `np.result_type` of `np.min_scalar_type` of its least and greatest value
+    (of 0 when it is empty). An array that is not of an integer dtype, or
+    whose dtype that one is not narrower than, is returned as it is."""
+    if array.dtype.kind not in "iu":
+        return array
+    lo, hi = (array.min(), array.max()) if len(array) else (0, 0)
+    dtype = np.result_type(np.min_scalar_type(lo), np.min_scalar_type(hi))
+    # A dtype narrower than the array's is an integer one that casts safely
+    # back to it, as a load requires (`_read_array`).
+    return array.astype(dtype) if dtype.itemsize < array.dtype.itemsize else array
+
+
 def _read_array(path: Path, dtype) -> np.ndarray:
-    """One `.npy` array; numpy's `.npy` reader (`np.load` calls it for a `.npy`
-    file) refuses a zip or a pickle, which `np.load` would open."""
+    """One `.npy` array in `dtype`; an integer one held in an integer dtype
+    that casts safely to `dtype` (`narrowest`) is widened to it. numpy's
+    `.npy` reader (`np.load` calls it for a `.npy` file) refuses a zip or a
+    pickle, which `np.load` would open."""
     try:
         with open(path, "rb") as fh:
             array = np.lib.format.read_array(fh, allow_pickle=False)
@@ -559,10 +585,13 @@ def _read_array(path: Path, dtype) -> np.ndarray:
         raise ValueError(f"{path}: missing; rerun `crowdrank build-index`") from None
     except (ValueError, EOFError) as exc:
         raise ValueError(f"{path}: not a readable .npy array: {exc}") from None
-    if array.dtype != np.dtype(dtype) or array.ndim != 1:
+    dtype = np.dtype(dtype)
+    widens = (dtype.kind in "iu" and array.dtype.kind in "iu"
+              and np.can_cast(array.dtype, dtype, "safe"))
+    if not (array.dtype == dtype or widens) or array.ndim != 1:
         raise ValueError(f"{path}: holds a {array.ndim}-d {array.dtype} array, "
-                         f"not a 1-d {np.dtype(dtype)} one")
-    return array
+                         f"not a 1-d {dtype} one")
+    return array.astype(dtype, copy=False)
 
 
 def _is_pointer(ptr: np.ndarray, end: int) -> bool:
@@ -571,8 +600,9 @@ def _is_pointer(ptr: np.ndarray, end: int) -> bool:
 
 
 def save_documents(docs: DocumentStore, directory: str | Path) -> None:
-    """Write the store into `directory` as DOCS_ARRAYS `.npy` files; fixed
-    dtypes keep the bytes deterministic."""
+    """Write the store into `directory` as DOCS_ARRAYS `.npy` files, each
+    integer array in its `narrowest` dtype; a dtype fixed by the values
+    keeps the bytes deterministic."""
     posts = docs.posts
     parts = {**docs.parts, "answer_title": posts.answer_title}
     arrays = {f"{name}_{field}": getattr(part, field) for name, part in parts.items()
@@ -589,7 +619,7 @@ def save_documents(docs: DocumentStore, directory: str | Path) -> None:
                   answer_text=posts.answer_text.data, answer_text_ptr=posts.answer_text.ptr)
     for name, dtype in DOCS_ARRAYS.items():
         with open(docs_file(directory, name), "wb") as fh:
-            np.save(fh, np.asarray(arrays[name], dtype=dtype), allow_pickle=False)
+            np.save(fh, narrowest(np.asarray(arrays[name], dtype=dtype)), allow_pickle=False)
 
 
 def load_documents(directory: str | Path, vocab_size: int) -> DocumentStore:
@@ -628,7 +658,7 @@ def load_documents(directory: str | Path, vocab_size: int) -> DocumentStore:
 
     def post_text(name: str, rows: int) -> PostText:
         data, ptr = a[name], a[f"{name}_ptr"]
-        if len(ptr) != 3 * rows + 1 or not _is_pointer(ptr, len(data)):
+        if len(ptr) != len(POST_TEXT) * rows + 1 or not _is_pointer(ptr, len(data)):
             raise fault(f"{name}_ptr", f"offsets do not cover the {len(data)} text bytes of "
                                        f"{rows} posts")
         try:

@@ -2,7 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import shutil
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 import synth
 from crowdrank.artifacts import load_engine, thread_content_tokens
 from crowdrank.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
-from crowdrank.corpus import build_threads, load_dump, preprocess
-from crowdrank.documents import DOCS_ARRAYS, docs_file
+from crowdrank.corpus import build_threads, load_dump, preprocess, separate_code
+from crowdrank.documents import DOCS_ARRAYS, docs_file, encode_strings
 from crowdrank.embeddings import cosine, fallback_embed, save_vectors, sentence_embed
 from crowdrank.features import WeightConfig
 
@@ -166,7 +168,7 @@ class TestBuildIndex:
         captured = capsys.readouterr()
         assert "threads indexed: 30" in captured.out
         assert "load warnings: 1" in captured.out.splitlines()
-        assert captured.err == ""
+        assert captured.err == f"warning: {corpus}:{_line_count(corpus)}: not UTF-8\n"
 
     # JSON reads 1e999 as an infinite float, which int() cannot take.
     @pytest.mark.parametrize("line", [
@@ -176,6 +178,7 @@ class TestBuildIndex:
         '{"id": 9, "post_kind": "answer", "parent_id": 1e999, "body_html": "b", "score": 1}',
     ])
     def test_an_infinite_number_is_a_load_warning(self, workspace, tmp_path, capsys, line):
+        field = next(k for k, v in json.loads(line).items() if isinstance(v, float))
         corpus = tmp_path / "dump.jsonl"
         corpus.write_bytes(workspace["corpus"].read_bytes() + f"{line}\n".encode())
         assert main(["build-index", "--corpus", str(corpus),
@@ -183,7 +186,8 @@ class TestBuildIndex:
         captured = capsys.readouterr()
         assert "threads indexed: 30" in captured.out
         assert "load warnings: 1" in captured.out.splitlines()
-        assert captured.err == ""
+        assert captured.err == (f"warning: {corpus}:{_line_count(corpus)}: {field} must be an "
+                                f"integer, not float\n")
 
     # Each line was loaded with a coerced field and no warning: a bool, a
     # numeric string or a float as an int, a non-string as text, a string's
@@ -214,7 +218,10 @@ class TestBuildIndex:
         captured = capsys.readouterr()
         assert "threads indexed: 30" in captured.out
         assert "load warnings: 1" in captured.out.splitlines()
-        assert captured.err == ""
+        # One warning, on the appended line, that names the field.
+        assert re.fullmatch(rf"warning: {re.escape(str(corpus))}:{_line_count(corpus)}: "
+                            r"(id|score|parent_id|title|body_html|tags) must be [^\n]+\n",
+                            captured.err)
 
     def test_a_bool_id_replaces_no_question(self, tmp_path, capsys):
         """`"id": true` was read as a second question 1, which replaced the
@@ -269,6 +276,25 @@ class TestBuildIndex:
                      "--json"]) == EXIT_OK
         found = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [(r["answer_id"], r["title"]) for r in found] == [(2, "alpha beta")]
+
+    def test_warnings_past_the_first_ten_are_counted(self, tmp_path, capsys):
+        # Twelve bad lines after a thread: the first ten are printed with
+        # their line and cause, and the other two are counted.
+        lines = [json.dumps(synth.question(1, "alpha", "beta", 3)),
+                 json.dumps(synth.answer(2, 1, "<code>gamma()</code>", 2))]
+        lines += ["[1]", "{broken"] * 6
+        corpus = tmp_path / "dump.jsonl"
+        corpus.write_text("\n".join(lines) + "\n")
+        assert main(["build-index", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "idx")]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "load warnings: 12" in captured.out.splitlines()
+        err = captured.err.splitlines()
+        assert len(err) == 11 and err[-1] == "warning: ... and 2 more"
+        assert err[0] == f"warning: {corpus}:3: not a JSON object"
+        assert err[1].startswith(f"warning: {corpus}:4: not JSON: ")
+        assert all(line.startswith(f"warning: {corpus}:{n}: ")
+                   for n, line in zip(range(3, 13), err))
 
     def test_out_that_is_a_file_names_the_index_directory(self, workspace, tmp_path, capsys):
         out = tmp_path / "afile"
@@ -448,14 +474,18 @@ BAD_FIELD_ST = st.tuples(st.sampled_from(["id", "post_kind", "score", "title", "
     and not (fv[0] == "tags" and fv[1] == []))
 
 
+def _line_count(path):
+    return len(path.read_bytes().splitlines())
+
+
 def _index_bytes(index_dir):
     return {p.name: p.read_bytes() for p in sorted(index_dir.iterdir())}
 
 
 class TestDumpProperties:
     """Any field of the wrong JSON type in a dump line, or a later line with a
-    post id already read: a counted load warning, never a traceback, a
-    coerced post or a post that replaces or repeats another."""
+    post id already read: a counted load warning that names its line, never
+    a traceback, a coerced post or a post that replaces or repeats another."""
 
     @pytest.fixture(scope="class")
     def small(self, tmp_path_factory):
@@ -482,17 +512,35 @@ class TestDumpProperties:
         # Later lines that repeat a post's id with other text and score.
         repeats = data.draw(st.lists(st.tuples(st.integers(0, len(posts) - 1),
                                                st.integers(-5, 50)), max_size=2))
+        repeated = {}  # a repeating line -> the id it repeats
         for source, score in repeats:
             after = lines.index(json.dumps(posts[source])) + 1
-            lines.insert(data.draw(st.integers(after, len(lines))), json.dumps(
-                {**posts[source], "score": score, "body_html": "again <code>x.y()</code>"}))
-        (root / "bad.jsonl").write_text("\n".join(lines) + "\n", "utf-8")
+            line = json.dumps({**posts[source], "score": score,
+                               "body_html": "again <code>x.y()</code>"})
+            lines.insert(data.draw(st.integers(after, len(lines))), line)
+            repeated[line] = posts[source]["id"]
+        dump = root / "bad.jsonl"
+        dump.write_text("\n".join(lines) + "\n", "utf-8")
         shutil.rmtree(root / "bad", ignore_errors=True)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["build-index", "--corpus", str(root / "bad.jsonl"),
-                         "--out", str(root / "bad")])
-        assert (code, err.getvalue()) == (EXIT_OK, "")
+            code = main(["build-index", "--corpus", str(dump), "--out", str(root / "bad")])
+        assert code == EXIT_OK
+        # One warning line per bad line (at most six, all printed), in dump
+        # order, naming its line; a repeat names the line that first held
+        # the id.
+        kept = {json.dumps(p) for p in posts}
+        first_line = {p["id"]: lines.index(json.dumps(p)) + 1 for p in posts}
+        warned = [(number, line) for number, line in enumerate(lines, start=1)
+                  if line not in kept]
+        assert len(warned) == len(bad) + len(repeats)
+        printed = err.getvalue().splitlines()
+        assert len(printed) == len(warned)
+        for text, (number, line) in zip(printed, warned):
+            assert text.startswith(f"warning: {dump}:{number}: ")
+            if line in repeated:
+                post_id = repeated[line]
+                assert text.endswith(f": id {post_id} repeats line {first_line[post_id]}")
         assert out.getvalue() == report.replace("load warnings: 0",
                                                 f"load warnings: {len(bad) + len(repeats)}")
         assert _index_bytes(root / "bad") == clean
@@ -516,9 +564,11 @@ def _edit_json(name, edit):
 
 
 def _save_array(name, edit):
+    """Save a store array edited in its DOCS_ARRAYS dtype, which a build may
+    have narrowed: a value the narrow dtype cannot hold stays as written."""
     def damage(index_dir):
         path = docs_file(index_dir, name)
-        array = edit(np.load(path))
+        array = edit(np.load(path).astype(DOCS_ARRAYS[name]))
         with open(path, "wb") as fh:
             np.save(fh, array)
     return damage
@@ -553,6 +603,25 @@ def _old_format(index_dir):
         docs_file(index_dir, name).unlink()
 
 
+def _parent_layout(index_dir):
+    """The directory as builds wrote it before the code text left the store:
+    three strings a post (title, body and code text), every array in its
+    DOCS_ARRAYS dtype, and meta.json version 1."""
+    for name in ("question_text", "answer_text"):
+        data, ptr = np.load(docs_file(index_dir, name)), np.load(docs_file(index_dir,
+                                                                          f"{name}_ptr"))
+        bounds = ptr.tolist()
+        strings = [data[lo:hi].tobytes().decode() for lo, hi in zip(bounds, bounds[1:])]
+        three = [(title, body, separate_code(body)[1])
+                 for title, body in zip(strings[0::2], strings[1::2])]
+        for array_name, array in zip((name, f"{name}_ptr"),
+                                     encode_strings(list(chain.from_iterable(three)))):
+            np.save(docs_file(index_dir, array_name), array)
+    for name, dtype in DOCS_ARRAYS.items():
+        np.save(docs_file(index_dir, name), np.load(docs_file(index_dir, name)).astype(dtype))
+    _edit_json("meta.json", lambda m: dict(m, version=1))(index_dir)
+
+
 def _other_thread_count(threads):
     """meta.json and idf.json of a build of `threads` threads, beside the store."""
     def damage(index_dir):
@@ -575,9 +644,11 @@ BAD_INDEX_DIRS = {
                       "docs.title_ptr.npy: missing; rerun `crowdrank build-index`"),
     "json-index-v2": (_json_index_only({"format": "crowdrank-index", "version": 2}),
                       "docs.title_ptr.npy: missing; rerun `crowdrank build-index`"),
-    "header-version-2": (_edit_json("meta.json", lambda m: dict(m, version=2)),
+    "header-version-0": (_edit_json("meta.json", lambda m: dict(m, version=0)),
                          "meta.json: unsupported index directory format; rerun "
                          "`crowdrank build-index`"),
+    "parent-layout": (_parent_layout, "meta.json: unsupported index directory format; rerun "
+                                      "`crowdrank build-index`"),
     "idf-lacks-df": (_edit_json("idf.json", _without("df")), "idf.json: df"),
     "idf-not-an-object": (_edit_json("idf.json", lambda _: [1]),
                           "idf.json: not a JSON object"),
@@ -620,8 +691,12 @@ BAD_INDEX_DIRS = {
     "array-needs-pickle": (_save_array("answer_ids", lambda a: a.astype(object)),
                            "docs.answer_ids.npy: not a readable .npy array"),
     "docs-missing": (lambda d: docs_file(d, "code_ids").unlink(), "docs.code_ids.npy: missing"),
+    # Integer arrays that do not cast safely to their DOCS_ARRAYS dtype.
     "docs-wrong-dtype": (_save_array("title_counts", lambda a: a.astype(np.int64)),
-                         "docs.title_counts.npy: holds a 1-d int64 array"),
+                         "docs.title_counts.npy: holds a 1-d int64 array, not a 1-d int32 one"),
+    "thread-row-uint32": (_save_array("answer_thread", lambda a: a.astype(np.uint32)),
+                          "docs.answer_thread.npy: holds a 1-d uint32 array, not a 1-d int32 "
+                          "one"),
     "docs-wrong-ndim": (_save_array("tfidf_norm", lambda a: a[None, :]),
                         "docs.tfidf_norm.npy: holds a 2-d float64 array"),
     "docs-offsets-short": (_save_array("body_ptr", _set(-1, 0)),

@@ -58,6 +58,38 @@ class TestLoadDump:
         assert len(posts) == 2
         assert stats.warnings == 1
 
+    def test_each_warning_keeps_its_line_and_cause(self, tmp_path):
+        question = {"id": 1, "post_kind": "question", "title": "t", "body_html": "b",
+                    "score": 1, "tags": ["java"]}
+        lines = [json.dumps(question), "", "[1]", '"text"',
+                 json.dumps({"id": 2, "post_kind": "answer", "body_html": "a", "score": 1}),
+                 json.dumps({"post_kind": "question", "body_html": "b", "score": 1}),
+                 json.dumps(dict(question, title="again")),
+                 json.dumps(dict(question, id=3, score=1.5)),
+                 json.dumps(dict(question, id=4, title="\ud800")),
+                 "{not json"]
+        path = tmp_path / "dump.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        stats = LoadStats()
+        assert [p.id for p in load_dump(path, stats=stats)] == [1]
+        assert stats.first_warnings[:7] == [
+            (3, "not a JSON object"), (4, "not a JSON object"), (5, "answer without parent_id"),
+            (6, "no id field"), (7, "id 1 repeats line 1"),
+            (8, "score must be an integer, not float"),
+            (9, "title holds a lone surrogate, which UTF-8 cannot encode")]
+        assert stats.first_warnings[7][0] == 10
+        assert stats.first_warnings[7][1].startswith("not JSON: ")
+        # The kept warnings take no part in comparisons: the counts do.
+        assert stats == LoadStats(warnings=8, questions=1)
+
+    def test_a_load_keeps_its_first_ten_warnings(self, tmp_path):
+        path = tmp_path / "dump.jsonl"
+        path.write_text("[1]\n" * 12)
+        stats = LoadStats()
+        assert load_dump(path, stats=stats) == []
+        assert stats.warnings == 12
+        assert stats.first_warnings == [(n, "not a JSON object") for n in range(1, 11)]
+
     def test_missing_required_field_counted(self, tmp_path):
         path = make_posts([{"id": 5, "post_kind": "answer", "body_html": "a", "score": 1}],
                           tmp_path / "dump.jsonl")
@@ -106,6 +138,8 @@ class TestLoadDump:
         assert [p.id for p in posts] == [1, 2, 3]
         assert posts[0].title == "Ünïcode"
         assert stats.warnings == 2
+        # The lone CR ends line 3.
+        assert stats.first_warnings == [(2, "not UTF-8"), (5, "not UTF-8")]
 
     @pytest.mark.parametrize("field", ["title", "body_html"])
     def test_lone_surrogate_escape_is_a_warning(self, tmp_path, field):
@@ -267,6 +301,34 @@ class TestBuildThreads:
                           body_html="x <code>work()</code>")]
         assert build_threads(posts, stats=stats) == []
         assert stats.orphan_answers == 1
+
+    def test_a_repeated_id_keeps_its_first_post(self):
+        # Questions 1 and 5 each with an answer 2, an answer 5 and a later
+        # question 1: of posts that share an id the first one counts, as in
+        # load_dump, and each later one is dropped. Question 5 then keeps no
+        # answer.
+        posts = [
+            self.raw(id=1, post_kind="question", score=5, body_html="b", title="first"),
+            self.raw(id=2, post_kind="answer", score=3, parent_id=1,
+                     body_html="<code>one()</code>"),
+            self.raw(id=5, post_kind="question", score=4, body_html="b", title="five"),
+            self.raw(id=2, post_kind="answer", score=3, parent_id=5,
+                     body_html="<code>two()</code>"),
+            self.raw(id=5, post_kind="answer", score=3, parent_id=1,
+                     body_html="<code>three()</code>"),
+            self.raw(id=1, post_kind="question", score=9, body_html="b", title="later"),
+        ]
+        want = BuildStats(orphan_answers=0, dropped_questions=2, dropped_answers=2)
+        stats = BuildStats()
+        threads = build_threads(posts, stats=stats)
+        assert [(t.question.original_title, [a.code_text for a in t.answers])
+                for t in threads] == [("first", ["one()"])]
+        assert stats == want
+        stats = BuildStats()
+        idf, docs = build_store(posts, stats=stats)
+        assert docs.posts.question_ids.tolist() == [1] and docs.answer_ids.tolist() == [2]
+        assert list(ThreadMap(docs, sorted(idf.df)).values()) == threads
+        assert stats == want
 
     def test_thread_invariants(self):
         posts = [

@@ -12,8 +12,8 @@ from crowdrank import embeddings
 from crowdrank.antonyms import default_dictionary
 from crowdrank.artifacts import build_artifacts, load_engine
 from crowdrank.corpus import ProcessedPost, RawPost, Thread, build_threads, load_dump, preprocess
-from crowdrank.documents import (VIEWS, DocumentStore, ThreadMap, build_store, load_documents,
-                                 save_documents)
+from crowdrank.documents import (VIEWS, DocumentStore, ThreadMap, _read_array, build_store,
+                                 docs_file, load_documents, narrowest, save_documents)
 from crowdrank.embeddings import (EmbeddingStore, cosine, fallback_embed, save_vectors,
                                   sentence_embed, sentence_vectors)
 from crowdrank.evaluation import GroundTruth, run_ablation_grid
@@ -277,6 +277,75 @@ def test_loaded_threads_equal_built_ones(tmp_path, make):
     built = build_threads(load_dump(tmp_path / "dump.jsonl"))
     assert loaded == built
     assert repr(loaded) == repr(built)
+
+
+@pytest.mark.parametrize("values, dtype, saved", [
+    ([], np.int64, np.uint8),
+    ([1, 255], np.int32, np.uint8),
+    ([0, 256], np.int32, np.uint16),
+    ([-1, 127], np.int64, np.int16),   # int8 and uint8 unite to int16
+    ([-1, -128], np.int64, np.int8),
+    ([-1, 300], np.int64, np.int32),   # int8 and uint16 unite to int32
+    ([0, 70_000], np.int32, np.int32),  # uint32 is not narrower
+    ([0, 2**40], np.int64, np.int64),
+    ([-5, 2**63 - 1], np.int64, np.int64),  # int8 and uint64 unite to float64
+    ([0.5, 1.0], np.float64, np.float64),
+    ([0, 200], np.uint8, np.uint8),
+])
+def test_narrowest(values, dtype, saved):
+    array = np.array(values, dtype=dtype)
+    narrow = narrowest(array)
+    assert narrow.dtype == saved
+    assert np.array_equal(narrow, array)
+
+
+@pytest.mark.parametrize("stored, declared, widens", [
+    (np.uint8, np.int32, True), (np.int16, np.int64, True), (np.uint32, np.int64, True),
+    (np.int32, np.int32, True), (np.uint32, np.int32, False), (np.int64, np.int32, False),
+    (np.uint64, np.int64, False), (np.bool_, np.int32, False), (np.float32, np.int64, False),
+    (np.int32, np.float64, False), (np.int8, np.uint8, False),
+])
+def test_a_load_widens_only_a_safe_integer_cast(tmp_path, stored, declared, widens):
+    path = tmp_path / "a.npy"
+    np.save(path, np.array([0, 1], dtype=stored))
+    if widens:
+        got = _read_array(path, declared)
+        assert got.dtype == declared and got.tolist() == [0, 1]
+    else:
+        with pytest.raises(ValueError, match=f"holds a 1-d {np.dtype(stored)} array, "
+                                             f"not a 1-d {np.dtype(declared)} one"):
+            _read_array(path, declared)
+
+
+def test_counts_and_ids_past_one_byte_round_trip(tmp_path):
+    # One word 300 times in an answer's code, and a vocabulary of more than
+    # 255 words: the build saves the counts and term ids as uint16, and a
+    # load widens them back to their DOCS_ARRAYS dtypes.
+    words = [f"w{i:03d}x" for i in range(300)]
+    posts = [synth.question(1, "wide counts", " ".join(words[:150]), 3),
+             synth.answer(2, 1, f"see <code>{' '.join(['repeat'] * 300)}</code>", 2),
+             synth.question(3, "wide ids", " ".join(words[150:]), 1),
+             synth.answer(4, 3, f"{words[0]} <code>run(repeat, {words[299]})</code>", 1)]
+    dump, index_dir = tmp_path / "dump.jsonl", tmp_path / "index"
+    synth.write_jsonl(dump, posts)
+    build_artifacts(dump, index_dir)
+    for name in ("code_counts", "code_ids", "body_ids"):
+        assert np.load(docs_file(index_dir, name)).dtype == np.uint16, name
+    engine = load_engine(index_dir)
+    for name in ("code", "body"):
+        part = engine.docs.parts[name]
+        assert part.ids.dtype == part.counts.dtype == np.int32
+    assert engine.docs.parts["code"].counts.max() == 300
+    idf, docs = build_store(load_dump(dump))
+    built = SearchEngine(docs, EmbeddingStore(dim=engine.store.dim, fallback=True,
+                                              seed=engine.store.seed), idf, default_dictionary())
+    for query in ("wide counts repeat", "w001x w002x", "run w200x w299x"):
+        got = engine.search(query)
+        assert got.entries
+        assert repr(got.entries) == repr(built.search(query).entries)
+    threads = build_threads(load_dump(dump))
+    assert list(engine.threads.values()) == threads
+    assert repr(list(engine.threads.values())) == repr(threads)
 
 
 def test_the_preset_grid_builds_no_bag(planted_index, monkeypatch):

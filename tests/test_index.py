@@ -337,7 +337,7 @@ class TestPersistence:
     def test_other_header_version_says_to_rebuild(self, tmp_path):
         index_dir = build_planted_dir(tmp_path)
         meta = json.loads((index_dir / "meta.json").read_text())
-        meta["version"] = 2
+        meta["version"] = 0  # a version no build writes
         (index_dir / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=re.escape(
                 "meta.json: unsupported index directory format; rerun `crowdrank build-index`")):
