@@ -39,39 +39,18 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .antonyms import AntonymDictionary, default_dictionary, merge_lists
-from .corpus import (BuildStats, LoadStats, TagFilter, Thread, load_dump, read_json_object,
+from .corpus import (BuildStats, LoadStats, TagFilter, load_dump, read_json_object,
                      PREPROCESS_VERSION)
-from .documents import DocumentStore, ThreadMap, build_store, load_documents, save_documents
+from .documents import DocumentStore, TextPart, build_store, load_documents, save_documents
 from .embeddings import (DEFAULT_DIM, DEFAULT_SEED, EmbeddingStore, IdfMap,
                          load_sentence_vectors, load_word_vectors)
 from .pipeline import SearchEngine
 
 META_FORMAT = "crowdrank-meta"
 META_VERSION = 2
-
-
-def _bag_tokens(bag) -> list[str]:
-    out: list[str] = []
-    for word in sorted(bag):
-        out.extend([word] * bag[word])
-    return out
-
-
-def thread_content_tokens(thread: Thread) -> list[str]:
-    """Words of a thread for idf.json and contents.txt, question code included.
-
-    The thread's indexed text (BM25 and tf) is the "thread_text" view of
-    `documents.VIEWS`, which leaves question code out;
-    the BM25 and tf oracles in `perfbench/checks.py` assume this split.
-    """
-    tokens = _bag_tokens(thread.question.title_bag)
-    tokens += _bag_tokens(thread.question.body_bag)
-    tokens += _bag_tokens(thread.question.code_bag)
-    for answer in thread.answers:
-        tokens += _bag_tokens(answer.body_bag)
-        tokens += _bag_tokens(answer.code_bag)
-    return tokens
 
 
 @dataclass
@@ -130,17 +109,37 @@ def write_index(out_dir: str | Path, idf: IdfMap, docs: DocumentStore) -> None:
 
 def export_text(index_dir: str | Path, out_dir: str | Path) -> int:
     """Write titles.txt and contents.txt of an index directory's threads into
-    `out_dir`, by ascending question id; returns the thread count. The bags
-    are read from the document store."""
+    `out_dir`, by ascending question id; returns the thread count. Each line
+    is made from the document store's part rows, whose term ids ascend: the
+    sorted words of each bag, each repeated by its count, so that no post's
+    text is read."""
     idf, docs, _ = load_corpus(index_dir)
-    ordered = list(ThreadMap(docs, sorted(idf.df)).values())
-    titles = [" ".join(_bag_tokens(t.question.title_bag)) for t in ordered]
-    contents = [" ".join(thread_content_tokens(t)) for t in ordered]
+    words = sorted(idf.df)
+    titles, bodies, codes, answer_bodies, answer_codes = (
+        _row_text(docs.parts[name], words)
+        for name in ("title", "body", "question_code", "answer_body", "code"))
+    answers = docs.answer_ptr.tolist()
+    contents = []
+    for r in range(docs.n_threads):
+        texts = [titles[r], bodies[r], codes[r]]
+        for a in range(answers[r], answers[r + 1]):
+            texts += (answer_bodies[a], answer_codes[a])
+        contents.append(" ".join(filter(None, texts)))  # an empty bag adds no space
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "titles.txt").write_text("\n".join(titles) + ("\n" if titles else ""), "utf-8")
     (out / "contents.txt").write_text("\n".join(contents) + ("\n" if contents else ""), "utf-8")
-    return len(ordered)
+    return docs.n_threads
+
+
+def _row_text(part: TextPart, words: list[str]) -> list[str]:
+    """Each row of a part as its words, ascending, each repeated by its
+    count and joined by spaces."""
+    tokens = list(map(words.__getitem__, np.repeat(part.ids, part.counts).tolist()))
+    ends = np.zeros(len(part.counts) + 1, dtype=np.int64)
+    np.cumsum(part.counts, out=ends[1:])
+    bounds = ends[part.ptr].tolist()
+    return [" ".join(tokens[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _is_count(value, least: int = 1) -> bool:

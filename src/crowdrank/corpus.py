@@ -20,8 +20,10 @@ from __future__ import annotations
 import html
 import json
 import re
+import string
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from itertools import filterfalse
 from pathlib import Path
@@ -31,10 +33,13 @@ PREPROCESS_VERSION = 1
 # The range of a post id or score: the document store holds them as int64.
 _INT64 = range(-2**63, 2**63)
 
-# A kept word of lowercased text: a maximal run of [a-z0-9] that is at least
-# two characters long and holds a letter, so that pure numbers and one-letter
-# words never match.
-_WORD_RE = re.compile(r"(?<![a-z0-9])(?=[0-9]*[a-z])[a-z0-9]{2,}")
+# A word of lowercased text is a maximal run of [a-z0-9]. `kept_words`
+# encodes the text to ASCII, each other character as "?", and this table
+# makes every byte outside [a-z0-9] a space, so that `split` cuts the runs.
+# `tests/synth.py`'s `preprocess_reference`, a loop over the runs of one
+# regular expression, is the oracle that the tests hold it to.
+_WORD_BYTES = frozenset(b"abcdefghijklmnopqrstuvwxyz0123456789")
+_SEPARATORS = bytes(c if c in _WORD_BYTES else 0x20 for c in range(256))
 _TAG_RE = re.compile(r"<[^>]*>")
 _CODE_TAG_RE = re.compile(r"<(/?)(code|pre)(?:\s[^>]*)?>", re.IGNORECASE)
 
@@ -184,8 +189,9 @@ def load_dump(path: str | Path, tag_filter: TagFilter | None = None,
     parsed: list[RawPost] = []
     seen: dict[int, int] = {}  # post id -> the line that holds it
     # A byte that is not UTF-8 reads as a lone surrogate, which no UTF-8 text
-    # holds, so that it spoils its own line only.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    # holds, so that it spoils its own line only. Only LF ends a line, as for
+    # `wc -l` and `sed -n`; `strip` drops the CR of a CRLF.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -286,9 +292,19 @@ def preprocess(text: str, mode: str = "corpus",
 
 
 def kept_words(text: str, stopwords: frozenset[str] | None) -> Iterator[str]:
-    """The words of `text` that its bag counts, in order, repeats included."""
-    stopwords = stopwords if stopwords is not None else default_stopwords()
-    return filterfalse(stopwords.__contains__, _WORD_RE.findall(text.lower()))
+    """The words of `text` that its bag counts, in order, repeats included:
+    its [a-z0-9] runs once lowercased, less stopwords, one-letter words and
+    pure numbers."""
+    words = text.lower().encode("ascii", "replace").translate(_SEPARATORS).decode("ascii").split()
+    dropped = _dropped(stopwords if stopwords is not None else default_stopwords())
+    return filterfalse(str.isdigit, filterfalse(dropped.__contains__, words))
+
+
+@lru_cache(maxsize=8)
+def _dropped(stopwords: frozenset[str]) -> frozenset[str]:
+    """The words a bag drops besides pure numbers: the stopwords and the
+    one-letter words (a one-digit word is a pure number)."""
+    return stopwords | frozenset(string.ascii_lowercase)
 
 
 @dataclass

@@ -18,14 +18,18 @@ text (`POST_TEXT`) as UTF-8 bytes with offsets, and the answers' title bags,
 a part over their own sorted words (answer titles are not in idf.json, and
 the stopwords a build used are not recorded, so they cannot be
 re-preprocessed). `ThreadMap` builds a `Thread` from these, its posts' word
-bags included, whenever one is read; the question code is stored for that
-alone. A post's code text is not stored: `ThreadMap` takes it from the body,
-with the `separate_code` call the build made.
+bags included, whenever one is read; the question code, which no view
+reads, is stored for that, for the document frequencies and for
+`export-text`. A post's code text is not stored: `ThreadMap` takes it from
+the body, with the `separate_code` call the build made.
 
 `build_store` makes the arrays from a post stream in one pass: each kept
 post is tokenized once, straight into flat rows of word ids numbered as
 they come, which are renumbered over the sorted vocabulary and counted at
-the end, so a build holds no word bag, `ProcessedPost` or `Thread` per post.
+the end, so a build holds no word bag, `ProcessedPost` or `Thread` per post;
+the document frequencies are then counted from the stored parts. Every
+count and union of distinct ids here, at build and at load, is the one
+packed-key merge `index.merge_entries`.
 `build-index` saves them as `.npy` files (DOCS_ARRAYS), each integer array in
 the narrowest integer dtype that holds its values (`narrowest`), and
 `load_documents` widens each to its DOCS_ARRAYS dtype, checks them with
@@ -53,7 +57,7 @@ from .corpus import (BuildStats, ProcessedPost, RawPost, Thread, kept_words, sel
                      separate_code)
 from .embeddings import IdfMap
 from .features import extract_methods, tfidf_norms
-from .index import InvertedIndex, assemble_index
+from .index import InvertedIndex, assemble_index, merge_entries
 
 # The stored parts with a row per thread, and with a row per answer.
 THREAD_ROW_PARTS = ("title", "body", "question_code")
@@ -129,33 +133,6 @@ def take(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths), offsets
 
 
-def _merge(ids: np.ndarray, owner: np.ndarray, n: int, size: int,
-           counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The distinct term ids of each of `n` candidates, ascending, as one flat
-    array and offsets, from entries with those ids (below `size`) and owners;
-    with `counts`, also the summed count of each distinct id (else None). The
-    keys are made in `owner`'s memory, which it overwrites."""
-    # A key is owner * size + id; int32 keys, which sort faster, hold every
-    # key below n * size.
-    dtype = np.int32 if n * size < 2**31 else np.int64
-    keys = owner.astype(dtype, copy=False)
-    keys *= dtype(size)
-    keys += ids
-    # A sort and a neighbour test (np.unique hashes first, which is slower
-    # here); the counts are summed over each run of equal keys.
-    if counts is None:
-        keys.sort()
-    else:
-        order = keys.argsort()
-        keys, counts = keys[order], counts[order]
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    sums = None if counts is None else np.add.reduceat(counts, np.flatnonzero(first))
-    keys = keys[first]
-    ptr = np.searchsorted(keys, np.arange(n + 1, dtype=dtype) * dtype(size))
-    return (keys % dtype(size)).astype(np.int32, copy=False), ptr, sums
-
-
 @dataclass
 class TextPart:
     """One text part of every thread or answer, in CSR form (module docstring)."""
@@ -224,7 +201,7 @@ class DocumentStore:
         self.unions = {}
         for view in UNITED_VIEWS:
             ids, _, owner, _ = self.entries(view)
-            self.unions[view] = _merge(ids, owner, self.n_threads, self.vocab_size)[:2]
+            self.unions[view] = merge_entries(ids, owner, self.n_threads, self.vocab_size)[:2]
         self.tfidf_norm = self._tfidf_norms(idf) if tfidf_norm is None else tfidf_norm
 
     def thread_index(self, words: Sequence[str]) -> InvertedIndex:
@@ -287,7 +264,7 @@ class DocumentStore:
                                       else rows)
             return part.ids[positions], offsets
         ids, _, owner, _ = self.entries(view, rows)
-        return _merge(ids, owner, len(rows), self.vocab_size)[:2]
+        return merge_entries(ids, owner, len(rows), self.vocab_size)[:2]
 
     def holds_any(self, view: str, rows: np.ndarray, term_ids: np.ndarray) -> np.ndarray:
         """Whether each candidate's text in a view holds any of `term_ids`."""
@@ -317,7 +294,7 @@ class DocumentStore:
         for lo in range(0, n, 2048):
             answers = np.arange(lo, min(lo + 2048, n))
             ids, counts, owner, _ = self.entries("answer_text", answers)
-            flat, ptr, sums = _merge(ids, owner, len(answers), self.vocab_size, counts)
+            flat, ptr, sums = merge_entries(ids, owner, len(answers), self.vocab_size, counts)
             norms.append(tfidf_norms(sums, idf[flat], ptr))
         return np.concatenate(norms)
 
@@ -409,9 +386,9 @@ class _Rows:
         how often each occurs."""
         ptr = np.frombuffer(self.ptr, dtype=np.int64)
         owner = np.repeat(np.arange(len(ptr) - 1, dtype=np.int32), np.diff(ptr))
-        ids, ptr, counts = _merge(new_id[np.frombuffer(self.ids, dtype=np.int32)], owner,
-                                  len(ptr) - 1, size, np.ones(len(owner), dtype=np.int32))
-        return TextPart(ptr, ids, counts.astype(np.int32, copy=False))
+        ids, ptr, counts = merge_entries(new_id[np.frombuffer(self.ids, dtype=np.int32)], owner,
+                                         len(ptr) - 1, size, np.ones(len(owner), dtype=np.int32))
+        return TextPart(ptr, ids, counts.astype(np.int32))
 
 
 class _Text:
@@ -431,15 +408,44 @@ class _Text:
                         np.frombuffer(self.ptr, dtype=np.int64))
 
 
-def _renumber(names: Sequence[str], ids: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The sorted distinct names of the provisional ids `ids`, and each
+def _renumber(names: Sequence[str], *ids: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct names of the provisional ids in `ids`, and each
     provisional id's place among them."""
     used = np.zeros(len(names), dtype=bool)
-    used[ids] = True
+    for some in ids:
+        used[some] = True
     order = np.array(sorted(np.flatnonzero(used).tolist(), key=names.__getitem__), dtype=np.intp)
     new_id = np.zeros(len(names), dtype=np.int32)
     new_id[order] = np.arange(len(order))
     return [names[i] for i in order.tolist()], new_id
+
+
+def _document_frequencies(parts: Mapping[str, TextPart], answer_thread: np.ndarray,
+                          size: int, block: int = 2048) -> np.ndarray:
+    """Each term id's document frequency (below `size`): the number of
+    threads whose stored parts hold it, a thread's answers' parts included.
+    A block of threads at a time is merged, which bounds the memory."""
+    n = len(parts["title"].ptr) - 1
+    answer_ptr = np.searchsorted(answer_thread, np.arange(n + 1))
+    df = np.zeros(size, dtype=np.int64)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        ids, owners = [], []
+        for name in STORED_PARTS:
+            # The block's rows of a part are consecutive, and so are their
+            # entries; each is owned by its thread's place in the block.
+            if name in THREAD_ROW_PARTS:
+                first, last, owner = lo, hi, np.arange(hi - lo, dtype=np.int32)
+            else:
+                first, last = answer_ptr[lo], answer_ptr[hi]
+                owner = answer_thread[first:last] - np.int32(lo)
+            part = parts[name]
+            ptr = part.ptr[first:last + 1]
+            ids.append(part.ids[ptr[0]:ptr[-1]])
+            owners.append(np.repeat(owner, np.diff(ptr)))
+        flat, _, _ = merge_entries(np.concatenate(ids), np.concatenate(owners), hi - lo, size)
+        df += np.bincount(flat, minlength=size)
+    return df
 
 
 def build_store(posts: Iterable[RawPost], stopwords: frozenset[str] | None = None,
@@ -451,9 +457,10 @@ def build_store(posts: Iterable[RawPost], stopwords: frozenset[str] | None = Non
 
     One pass tokenizes each kept post once, straight into the rows of flat
     arrays of provisional word ids, numbered in order of first sight by one
-    dict for the whole build, and counts each thread's distinct ids for the
-    document frequencies. At the end the vocabulary is sorted and the ids
-    renumbered and counted per row. No post's word bag is made.
+    dict for the whole build. At the end the vocabulary is sorted, the ids
+    renumbered and counted per row, and the document frequencies counted
+    from the stored parts (`_document_frequencies`). No post's word bag is
+    made.
     """
     word_id: defaultdict[str, int] = defaultdict(count().__next__)
     method_id: defaultdict[str, int] = defaultdict(count().__next__)
@@ -467,23 +474,18 @@ def build_store(posts: Iterable[RawPost], stopwords: frozenset[str] | None = Non
         return (answer, words(answer.title), words(prose), code_ids, code), code_ids
 
     rows = {name: _Rows() for name in (*STORED_PARTS, "answer_title", "methods")}
-    thread_words = array("i")  # each thread's distinct word ids, thread after thread
     question_ids, question_score, answer_ids, answer_score = (array("q") for _ in range(4))
     answer_thread = array("i")
     question_text, answer_text = _Text(), _Text()
     for row, (question, answers) in enumerate(select_threads(posts, process, stats)):
         prose, code = separate_code(question.body_html)
-        title, body, question_code = words(question.title), words(prose), words(code)
-        seen = set(title)
-        seen.update(body, question_code)
-        rows["title"].add(title)
-        rows["body"].add(body)
-        rows["question_code"].add(question_code)
+        rows["title"].add(words(question.title))
+        rows["body"].add(words(prose))
+        rows["question_code"].add(words(code))
         question_ids.append(question.id)
         question_score.append(question.score)
         question_text.add(question.title, question.body_html)
         for answer, answer_title, answer_body, answer_code, code_text in answers:
-            seen.update(answer_body, answer_code)
             rows["answer_title"].add(answer_title)
             rows["answer_body"].add(answer_body)
             rows["code"].add(answer_code)
@@ -492,14 +494,14 @@ def build_store(posts: Iterable[RawPost], stopwords: frozenset[str] | None = Non
             answer_score.append(answer.score)
             answer_thread.append(row)
             answer_text.add(answer.title, answer.body_html)
-        thread_words.extend(seen)
 
     provisional = list(word_id)
-    thread_words = np.frombuffer(thread_words, dtype=np.int32)
-    vocab, new_id = _renumber(provisional, thread_words)
-    df = np.bincount(new_id[thread_words], minlength=len(vocab))
-    idf_map = IdfMap(dict(zip(vocab, df.tolist())), max(len(question_ids), 1))
+    vocab, new_id = _renumber(provisional, *(np.frombuffer(rows[name].ids, dtype=np.int32)
+                                             for name in STORED_PARTS))
     parts = {name: rows[name].counted(new_id, len(vocab)) for name in STORED_PARTS}
+    answer_thread = np.frombuffer(answer_thread, dtype=np.int32)
+    df = _document_frequencies(parts, answer_thread, len(vocab))
+    idf_map = IdfMap(dict(zip(vocab, df.tolist())), max(len(question_ids), 1))
     title_ids = np.frombuffer(rows["answer_title"].ids, dtype=np.int32)
     title_words, new_title_id = _renumber(provisional, title_ids)
     methods = rows["methods"]
@@ -514,8 +516,7 @@ def build_store(posts: Iterable[RawPost], stopwords: frozenset[str] | None = Non
         answer_title=rows["answer_title"].counted(new_title_id, len(title_words)),
         answer_title_words=title_words,
     )
-    docs = DocumentStore(parts, np.frombuffer(answer_ids, dtype=np.int64),
-                         np.frombuffer(answer_thread, dtype=np.int32), None,
+    docs = DocumentStore(parts, np.frombuffer(answer_ids, dtype=np.int64), answer_thread, None,
                          np.frombuffer(methods.ptr, dtype=np.int64), new_method_id[method_ids],
                          method_names, len(vocab), posts,
                          idf=np.array([idf_map.idf(word) for word in vocab], dtype=np.float64))

@@ -11,7 +11,9 @@ squared term frequencies `doc_sumsq[r]`, the norm of the `tf` feature.
 No index is kept on disk. The thread index is the inverted file of the
 forward store `documents.DocumentStore`, made at load by
 `DocumentStore.thread_index`; it and `build_index` (from word bags) share
-one assembly from (row, term id, count) entries, `assemble_index`. An index
+one assembly from (row, term id, count) entries, `assemble_index`, which is
+`merge_entries` with the terms as owners: the one merge of (owner, id,
+count) entries into CSR rows, which the document store uses too. An index
 computes every posting's BM25 term once (`InvertedIndex.impacts`), and
 `bm25_rows` sums them per document. The answer stage builds no index: it
 scores the surviving answers' table of query-term counts, which the store
@@ -117,39 +119,59 @@ def gather(values: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
     return np.concatenate([values[lo:hi] for lo, hi in spans] or [values[:0]])
 
 
+def merge_entries(ids: np.ndarray, owner: np.ndarray, n: int, size: int,
+                  counts: np.ndarray | None = None,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The distinct ids of each of `n` owners, ascending, as one flat int32
+    array and offsets, from entries with those ids (below `size`) and owners
+    (below `n`), in any order; with `counts` (at least 0), also the summed
+    count of each distinct id, as int64 (else None). The keys are made in
+    `owner`'s memory when it has their dtype, and it is overwritten."""
+    # A key is (owner * size + id) << bits | count, so that one plain sort
+    # orders the entries by owner and id; every key, and `size`, is below
+    # `span`. int32 keys sort faster than int64 ones.
+    bits = 0 if counts is None else int(counts.max(initial=0)).bit_length()
+    size = max(size, 1)
+    span = max(n, 1) * size << bits
+    if span >= 2**63:
+        raise OverflowError(f"{n} owners x {size} ids x {bits}-bit counts exceed 64-bit keys")
+    dtype = np.int32 if span < 2**31 else np.int64
+    keys = owner.astype(dtype, copy=False)
+    keys *= dtype(size)
+    keys += ids
+    sums = None
+    if counts is not None:
+        keys <<= bits
+        keys |= counts
+    keys.sort()
+    if counts is not None:
+        # The counts' running sums; a run of equal (owner, id) sums to the
+        # difference between those at its last entry and at the run before.
+        sums = (keys & dtype((1 << bits) - 1)).astype(np.int64, copy=False)
+        np.cumsum(sums, out=sums)
+        keys >>= bits
+    last = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    keys = keys[last]
+    if sums is not None:
+        sums = np.diff(sums[last], prepend=0)
+    ptr = np.searchsorted(keys, np.arange(n + 1, dtype=dtype) * dtype(size))
+    keys %= dtype(size)
+    return keys.astype(np.int32, copy=False), ptr, sums
+
+
 def assemble_index(terms: Sequence[str], rows: np.ndarray, term_ids: np.ndarray,
                    counts: np.ndarray, doc_ids: np.ndarray) -> InvertedIndex:
     """The index of (document row, term id, count) entries, in any order.
     `term_ids` index the sorted `terms`, and row r is the document `doc_ids[r]`
     (ascending). The counts of equal (term, row) entries are summed, and
-    terms no entry holds are left out."""
+    terms no entry holds are left out. `term_ids` may be overwritten."""
     n_docs = len(doc_ids)
-    # Each entry as one int64, (term, row) above its count, so that a plain
-    # sort orders them; this holds while terms x documents x the largest count
-    # stays below 2**63. In-place arithmetic and `del` bound the memory.
-    shift = int(counts.max(initial=0)).bit_length()
-    keys = term_ids.astype(np.int64)
-    keys *= n_docs
-    keys += rows
-    keys <<= shift
-    keys |= counts
-    keys.sort()
-    sums = keys & ((1 << shift) - 1)
-    keys >>= shift
-    np.cumsum(sums, out=sums)
-    # The last entry of each (term, row) holds the running sum of its counts.
-    last = np.flatnonzero(np.append(keys[1:] != keys[:-1], len(keys) > 0))
-    sums, keys = sums[last], keys[last]
-    del last
-    tfs = np.diff(sums, prepend=0)
-    del sums
-    dfs = np.bincount(keys // max(n_docs, 1), minlength=len(terms))
-    keys %= max(n_docs, 1)
-    posting_rows = keys.astype(np.int32)
-    del keys
-    held = np.flatnonzero(dfs)
+    # Each term's postings are its distinct rows: the merge with terms as owners.
+    posting_rows, ptr, tfs = merge_entries(rows, term_ids, len(terms), n_docs, counts)
+    held = np.flatnonzero(ptr[1:] > ptr[:-1])
     indptr = np.zeros(len(held) + 1, dtype=np.int64)
-    np.cumsum(dfs[held], out=indptr[1:])
+    indptr[1:] = ptr[held + 1]
     # Sums of integers, exact in float64 below 2**53.
     doc_len, doc_sumsq = (np.bincount(posting_rows, weights=w, minlength=n_docs).astype(np.int64)
                           for w in (tfs, tfs * tfs))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from crowdrank.artifacts import BuildReport, thread_content_tokens, write_index
+from crowdrank.artifacts import BuildReport, write_index
 from crowdrank.corpus import BuildStats, LoadStats, build_threads, default_stopwords, load_dump
 from crowdrank.documents import POST_TEXT, DocumentStore, Posts, PostText, TextPart, encode_strings
 from crowdrank.embeddings import IdfMap
@@ -341,9 +341,21 @@ def sorted_bag_reference(text, stopwords):
     return Counter({word: bag[word] for word in sorted(bag)})
 
 
+def thread_content_tokens(thread):
+    """The words of a thread as a line of contents.txt and as one document
+    of idf.json: each bag of its question (title, body, code) and of each
+    answer (body, code), in that order, its words sorted and each repeated
+    by its count. The thread's indexed text (BM25 and tf) is the
+    "thread_text" view of `documents.VIEWS`, which leaves question code out."""
+    bags = [thread.question.title_bag, thread.question.body_bag, thread.question.code_bag]
+    for answer in thread.answers:
+        bags += [answer.body_bag, answer.code_bag]
+    return [word for bag in bags for word in sorted(bag.elements())]
+
+
 def build_idf(threads):
     """Document frequencies over the threads: each thread's content tokens
-    (`artifacts.thread_content_tokens`) one document, and a word's document
+    (`thread_content_tokens`) one document, and a word's document
     frequency the number of documents that hold it; no threads count as one
     empty document."""
     df = Counter()

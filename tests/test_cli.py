@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import synth
-from crowdrank.artifacts import load_engine, thread_content_tokens
+from crowdrank.artifacts import load_engine
 from crowdrank.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
 from crowdrank.corpus import build_threads, load_dump, preprocess, separate_code
 from crowdrank.documents import DOCS_ARRAYS, docs_file, encode_strings
@@ -965,7 +965,7 @@ class TestExportText:
         assert main(["export-text", str(workspace["index"]), str(out)]) == EXIT_OK
         built = build_threads(load_dump(workspace["corpus"]))
         want = {"titles.txt": [" ".join(sorted(t.question.title_bag.elements())) for t in built],
-                "contents.txt": [" ".join(thread_content_tokens(t)) for t in built]}
+                "contents.txt": [" ".join(synth.thread_content_tokens(t)) for t in built]}
         for name, lines in want.items():
             data = (out / name).read_bytes()
             assert data == "".join(line + "\n" for line in lines).encode()

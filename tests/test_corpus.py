@@ -127,19 +127,35 @@ class TestLoadDump:
                             "score": 1, "tags": ["java"]})
         path = tmp_path / "dump.jsonl"
         # A post whose one bad byte is in a field it does not keep, and a
-        # line of bad bytes; the lines around them split as before, a lone
-        # CR included.
+        # line of bad bytes; the lines around them split as before. A lone CR
+        # between JSON tokens ends no line, and a CRLF ends one.
         bad = other.encode().replace(b'"id": 3', b'"id": 4').replace(b"}", b', "note": "\xe9"}')
         path.write_bytes(question.encode() + b"\n" + bad + b"\n"
-                         + answer.encode() + b"\r" + other.encode() + b"\r\n"
-                         + b"\xff\xfe\n")
+                         + answer.encode().replace(b", ", b",\r ", 1) + b"\n"
+                         + other.encode() + b"\r\n" + b"\xff\xfe\n")
         stats = LoadStats()
         posts = load_dump(path, stats=stats)
         assert [p.id for p in posts] == [1, 2, 3]
         assert posts[0].title == "Ünïcode"
         assert stats.warnings == 2
-        # The lone CR ends line 3.
         assert stats.first_warnings == [(2, "not UTF-8"), (5, "not UTF-8")]
+
+    def test_only_lf_ends_a_line(self, tmp_path):
+        # Line numbers count LF alone, as `wc -l` and `sed -n` do: a lone CR
+        # between the tokens of a post is JSON whitespace, and a lone CR
+        # between two posts leaves one line that is not JSON.
+        question = json.dumps({"id": 1, "post_kind": "question", "title": "t",
+                               "body_html": "b", "score": 1, "tags": ["java"]})
+        answer = json.dumps({"id": 2, "post_kind": "answer", "parent_id": 1,
+                             "body_html": "a", "score": 1})
+        lines = [question.replace(", ", ",\r"), answer + "\r" + answer, "{", answer + "\r"]
+        path = tmp_path / "dump.jsonl"
+        path.write_bytes("\n".join(lines).encode() + b"\n")
+        stats = LoadStats()
+        posts = load_dump(path, stats=stats)
+        assert [p.id for p in posts] == [1, 2]
+        assert [line for line, _ in stats.first_warnings] == [2, 3]
+        assert stats.first_warnings[0][1].startswith("not JSON: Extra data")
 
     @pytest.mark.parametrize("field", ["title", "body_html"])
     def test_lone_surrogate_escape_is_a_warning(self, tmp_path, field):
@@ -185,10 +201,14 @@ class TestSeparateCode:
 
 # Text for the tokenizer, its pieces joined without separators so that runs
 # merge: letters of both cases, digits, separators, stopwords, characters that
-# lowercase to ASCII (the Kelvin sign) or to two characters (İ), and others.
+# lowercase to ASCII (the Kelvin sign) or to two characters (İ), digits and
+# letters outside ASCII (an Arabic-Indic three, a fullwidth one, the fi
+# ligature, capital sharp s, sigma), a lone surrogate, control characters
+# and others.
 TOKENIZER_TEXT_ST = st.lists(st.one_of(
     st.sampled_from(["the", "And", "is", "x86", "2d", "0x1f", "42", "a", "K", "\u212a", "İ",
-                     "&amp;", "é", "ß", " ", "\n", "-", "_"]),
+                     "&amp;", "é", "ß", " ", "\n", "-", "_", "٣", "１", "ﬁ", "ẞ", "Σ", "\ud800",
+                     "\x00", "\t", "\r"]),
     st.text(alphabet="abkzAKZ0189 _-.\u212aİé", max_size=8)), max_size=12).map("".join)
 
 

@@ -13,7 +13,7 @@ from crowdrank.artifacts import build_artifacts, load_engine
 from crowdrank.corpus import RawPost, build_threads
 from crowdrank.documents import DOCS_ARRAYS, build_store, docs_file, load_documents, save_documents
 from crowdrank.index import (assemble_index, bm25_rows, bm25_search, bm25_table,
-                             build_index)
+                             build_index, merge_entries)
 from synth import thread_document_bag
 
 
@@ -91,6 +91,85 @@ def small_index():
         2: Counter({"parse": 1, "xml": 3}),
         3: Counter({"date": 1}),
     })
+
+
+@st.composite
+def merge_inputs(draw):
+    """`merge_entries` arguments: n owners, int32 ids below `size` (a size of
+    2**31 forces int64 keys) and counts of up to `bits` bits, or None."""
+    n = draw(st.integers(0, 5))
+    size = draw(st.one_of(st.integers(0, 6), st.sampled_from([2**16, 2**31])))
+    bits = draw(st.sampled_from([0, 1, 3, 20, 40]))
+    entries = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, size - 1),
+                                      st.integers(0, 2**bits - 1)), max_size=30)
+                   ) if n and size else []
+    with_counts = draw(st.booleans())
+    return n, size, entries, with_counts
+
+
+class TestMergeEntries:
+    """The packed-key merge against a `Counter` of (owner, id) entries."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_inputs())
+    @example((0, 5, [], True)).via("no owners")
+    @example((3, 4, [], True)).via("owners without entries")
+    @example((2, 0, [], False)).via("no ids")
+    @example((2, 3, [(1, 2, 2**40 - 1), (1, 2, 2**40 - 1), (0, 0, 0)], True)
+             ).via("counts of many bits, summed past them")
+    @example((1, 2**31, [(0, 2**31 - 1, 1), (0, 0, 1), (0, 2**31 - 1, 1)], False)
+             ).via("a size that takes int64 keys")
+    @example((4, 2**31, [(3, 2**31 - 1, 7), (3, 2**31 - 1, 1)], True)
+             ).via("int64 keys with counts")
+    def test_matches_a_counter(self, case):
+        n, size, entries, with_counts = case
+        owner, ids, counts = (np.array([e[i] for e in entries], dtype=np.int64)
+                              for i in range(3))
+        sums = Counter()
+        for o, i, c in entries:
+            sums[o, i] += c
+        try:
+            flat, ptr, got = merge_entries(ids, owner, n, size, counts if with_counts else None)
+        except OverflowError:
+            bits = int(counts.max(initial=0)).bit_length() if with_counts else 0
+            assert max(n, 1) * max(size, 1) << bits >= 2**63
+            return
+        keys = sorted(sums)
+        assert flat.dtype == np.int32 and flat.tolist() == [i for _, i in keys]
+        assert ptr.tolist() == [sum(o < bound for o, _ in keys) for bound in range(n + 1)]
+        if with_counts:
+            assert got.dtype == np.int64 and got.tolist() == [sums[k] for k in keys]
+        else:
+            assert got is None
+
+    def test_keys_beyond_64_bits_are_refused(self):
+        with pytest.raises(OverflowError):
+            merge_entries(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), 2**20,
+                          2**20, np.array([2**30]))
+
+
+class TestAssembleIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(docs=DOCS_ST, data=st.data())
+    def test_equals_build_index_of_the_bags(self, docs, data):
+        """The entries of random bags, each count split in pieces and in any
+        order, assemble to the index `build_index` makes of the bags."""
+        doc_ids = sorted(docs)
+        terms = sorted({term for bag in docs.values() for term in bag})
+        entries = []
+        for row, doc_id in enumerate(doc_ids):
+            for term, tf in docs[doc_id].items():
+                cut = data.draw(st.integers(0, tf - 1))
+                entries += [(row, terms.index(term), piece) for piece in (tf - cut, cut) if piece]
+        entries = data.draw(st.permutations(entries))
+        rows, term_ids, counts = (np.array([e[i] for e in entries], dtype=np.int64)
+                                  for i in range(3))
+        got = assemble_index(terms, rows, term_ids, counts, np.array(doc_ids, dtype=np.int64))
+        want = build_index(docs)
+        assert got.terms == want.terms
+        for name in ("indptr", "rows", "tfs", "doc_ids", "doc_len", "doc_sumsq", "impacts"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestBuildIndex:
