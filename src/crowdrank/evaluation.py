@@ -121,7 +121,8 @@ def evaluate(results: Mapping[int, Sequence[int]], truth: GroundTruth,
 
 
 # The most truth entries the grid searches in one shared scope, which holds
-# each one's query terms and thread stage until every baseline has searched it.
+# each one's query terms, thread stage and answer asym until every baseline
+# has searched it.
 GRID_BLOCK = 64
 
 
@@ -138,7 +139,10 @@ def run_ablation_grid(engine: SearchEngine, baseline_names: Sequence[str],
     Every baseline's config is built before the first search. The truth
     entries are searched in blocks of `GRID_BLOCK`, every baseline over one
     block before the next; with two or more baselines, each block's searches
-    run in one `SearchEngine.shared_queries` scope.
+    run in one `SearchEngine.shared_queries` scope. There a query's terms and
+    thread stage are computed by its first search, and each of its answers'
+    asym by the first search that reaches the answer; later baselines reuse
+    them.
     """
     names = list(baseline_names)
     configs = [configure_ablation(name) for name in names]

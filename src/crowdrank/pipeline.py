@@ -22,10 +22,13 @@ the word, and the answer stage's targets hold only words stage 1 scored.
 
 The thread BM25 rows and their asym_title, asym_body and tf columns depend
 on the query and the clamp alone, and the thread antonym filter masks them.
+So does the asym of each answer of those threads, which a search scores
+when its answer stage first reaches the row (`SearchEngine._answer_asym`).
 In a `SearchEngine.shared_queries` scope, which the ablation grid opens,
-the searches of one query share its terms, and so its similarity table and
-those columns, across presets; the sentence column and the answer stage
-are computed per search.
+the searches of one query share its terms, and so its similarity table,
+those columns and the answer asym scored so far, across presets. The
+sentence column, and the answer stage's other features and cuts, are
+computed per search.
 
 The sentence column reads each thread's title vector, which the first search
 that scores the thread's row makes (`SearchEngine._fill_titles`), so a load
@@ -53,6 +56,20 @@ from .index import bm25_rows, bm25_table, gather
 
 
 @dataclass
+class ThreadStage:
+    """What `SearchEngine._thread_stage` makes once per query terms and
+    bm25_top: every value of a row depends on the row alone."""
+    # The rows of the BM25 top threads, and their asym_title, asym_body and tf
+    # columns.
+    rows: np.ndarray
+    columns: dict[str, np.ndarray]
+    # The answer rows of those threads, ascending, and their asym: NaN until
+    # an answer stage first scores the row.
+    answers: np.ndarray
+    answer_asym: np.ndarray
+
+
+@dataclass
 class QueryTerms:
     """What a search computes from the query text and `clamp_negative_cosine`
     alone. Searches in a `SearchEngine.shared_queries` scope share it."""
@@ -68,10 +85,8 @@ class QueryTerms:
     # holds their fallback vectors for one search only, and these terms keep
     # them in `words`.
     novel_words: list[str]
-    # By bm25_top: the thread BM25 rows, and their asym_title, asym_body and
-    # tf columns.
-    thread_stages: dict[int, tuple[np.ndarray, dict[str, np.ndarray]]] = field(
-        default_factory=dict)
+    # By bm25_top: the thread stage those terms make.
+    thread_stages: dict[int, ThreadStage] = field(default_factory=dict)
 
 
 @dataclass
@@ -177,7 +192,8 @@ class SearchEngine:
     def shared_queries(self) -> Iterator[None]:
         """A scope whose searches share each query's `QueryTerms`, by query
         text and `clamp_negative_cosine`, and with them the thread stage
-        (`_thread_stage`). All of it is dropped when the scope closes."""
+        (`_thread_stage`) and the answer asym it keeps. All of it is dropped
+        when the scope closes."""
         outer, self._shared = self._shared, {}
         try:
             yield
@@ -238,20 +254,34 @@ class SearchEngine:
         sumsq_q = sum(c * c for c in terms.bag.values())
         return ft.cosines(dots[rows], np.sqrt(sumsq_q), np.sqrt(index.doc_sumsq[rows]))
 
-    def _thread_stage(self, terms: QueryTerms,
-                      bm25_top: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """The rows of the query's BM25 top `bm25_top` threads, and their
-        asym_title, asym_body and tf columns: each row's values depend on the
-        row alone, so an antonym filter masks them. Made once per terms."""
+    def _thread_stage(self, terms: QueryTerms, bm25_top: int) -> ThreadStage:
+        """The rows of the query's BM25 top `bm25_top` threads, their
+        asym_title, asym_body and tf columns, and their answer rows with no
+        asym yet: each row's values depend on the row alone, so an antonym
+        filter masks them. Made once per terms."""
         stage = terms.thread_stages.get(bm25_top)
         if stage is None:
             rows, _ = bm25_rows(self.thread_index, terms.bag, bm25_top)
-            stage = terms.thread_stages[bm25_top] = rows, {
+            # Ascending threads hold ascending runs of answer rows.
+            answers = self.docs.answer_rows(np.sort(rows))[0]
+            stage = terms.thread_stages[bm25_top] = ThreadStage(rows, {
                 "asym_title": terms.similarities.scores(*self.docs.segments("thread_title", rows)),
                 "asym_body": terms.similarities.scores(*self.docs.segments("thread_bodies", rows)),
                 "tf": self._tf(terms, rows),
-            }
+            }, answers, np.full(len(answers), np.nan))
         return stage
+
+    def _answer_asym(self, terms: QueryTerms, stage: ThreadStage,
+                     rows: np.ndarray) -> np.ndarray:
+        """The asym of each of the stage's answer `rows`. The rows no search of
+        these terms has scored yet are scored in one call and kept: a
+        segment's score does not depend on the segments scored with it."""
+        at = np.searchsorted(stage.answers, rows)
+        new = at[np.isnan(stage.answer_asym[at])]
+        if new.size:
+            stage.answer_asym[new] = terms.similarities.scores(
+                *self.docs.segments("answer_asym", stage.answers[new]))
+        return stage.answer_asym[at]
 
     def _tfidf(self, terms: QueryTerms, counts: np.ndarray, held: np.ndarray,
                answer_rows: np.ndarray) -> np.ndarray:
@@ -296,7 +326,8 @@ class SearchEngine:
         # Lexical thread retrieval and three of the four similarity features,
         # then the thread-level antonym filter. Thread rows ascend with
         # question ids, so a row breaks a tie as the id would.
-        rows, columns = self._thread_stage(terms, config.bm25_top)
+        stage = self._thread_stage(terms, config.bm25_top)
+        rows, columns = stage.rows, stage.columns
         counts["bm25_threads"] = len(rows)
         if config.filter_threads:
             free = self._antonym_free(qc, rows, "thread_antonym")
@@ -349,7 +380,7 @@ class SearchEngine:
         # Answer features, fusion and the final cut
         rows = answer_rows[positions]
         table = {
-            "asym": terms.similarities.scores(*self.docs.segments("answer_asym", rows)),
+            "asym": self._answer_asym(terms, stage, rows),
             "tfidf": self._tfidf(terms, term_counts[positions], held, rows),
             "top_method": ft.top_method_scores(*self.docs.methods(rows), config.method_scale),
             "thread_score": thread_score[positions],

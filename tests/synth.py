@@ -52,8 +52,8 @@ def planted_corpus(n_threads=200, n_queries=20, seed=7):
 
     Returns (posts, queries, relevant) where queries is {query_id: text} and
     relevant is {query_id: answer_id}. Distractor threads each share exactly
-    one term with one query so no query term saturates the ephemeral answer
-    collection's document frequencies.
+    one term with one query, in their titles only, so no query term is in
+    every answer that reaches the answer BM25, whose idf would then be 0.
     """
     rng = random.Random(seed)
     posts, queries, relevant = [], {}, {}
@@ -113,8 +113,9 @@ def social_corpus(n_queries=5, distractors=12, seed=11):
     Per query: one relevant thread with maximal counters plus `distractors`
     threads with byte-identical text but minimal counters and smaller answer
     ids, so with social features disabled the relevant answer ties and loses
-    every tie-break. A one-term partial thread keeps ephemeral document
-    frequencies below the collection size.
+    every tie-break. A one-term partial thread brings an answer that holds
+    no query term to the answer BM25, so no query term is in every answer it
+    scores.
     """
     posts, queries, relevant = [], {}, {}
     for j in range(n_queries):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import crowdrank
 import synth
@@ -445,6 +445,12 @@ def antonym_filter():
     return make_engine(synth.antonym_filter_corpus()[0])
 
 
+@pytest.fixture(scope="module")
+def funnel():
+    posts, query = synth.funnel_corpus()
+    return make_engine(posts), query
+
+
 def bag_filter(engine):
     """`SearchEngine._antonym_free` as the bag-walking reference."""
     def antonym_free(qc, rows, view):
@@ -550,19 +556,45 @@ def tables_made(monkeypatch):
     return made
 
 
-class TestSharedQueries:
-    """The ablation grid shares each query's terms and thread stage across
-    presets, within one block of truth entries."""
+# The engines the grid tests search. On funnel_corpus the funnel's cuts bite,
+# so the presets' survivors differ.
+GRID_ENGINES = ["planted", "antonym_filter", "funnel"]
 
-    @pytest.mark.parametrize("engine_fixture", ["planted", "antonym_filter"])
+
+def grid_case(request, engine_fixture):
+    """A `GRID_ENGINES` engine and the distinct query texts searched on it."""
+    if engine_fixture == "planted":
+        engine, queries, _ = request.getfixturevalue("planted")
+        return engine, list(queries.values())
+    if engine_fixture == "antonym_filter":
+        return request.getfixturevalue("antonym_filter"), list(dict.fromkeys(
+            synth.ANTONYM_FILTER_QUERIES + tuple(synth.antonym_corpus()[1].values())))
+    engine, query = request.getfixturevalue("funnel")
+    return engine, [query, " ".join(query.split()[1:])]
+
+
+def answer_asym_rows(engine, monkeypatch, recorder):
+    """The rows of every `segments("answer_asym", rows)` call from now on, as
+    (position in `recorder.calls` of the search that made it, rows)."""
+    made = []
+    segments = engine.docs.segments
+
+    def recorded(view, rows):
+        if view == "answer_asym":
+            made.append((len(recorder.calls), rows.tolist()))
+        return segments(view, rows)
+
+    monkeypatch.setattr(engine.docs, "segments", recorded)
+    return made
+
+
+class TestSharedQueries:
+    """The ablation grid shares each query's terms, thread stage and answer
+    asym across presets, within one block of truth entries."""
+
+    @pytest.mark.parametrize("engine_fixture", GRID_ENGINES)
     def test_every_preset_equals_its_own_searches(self, request, monkeypatch, engine_fixture):
-        if engine_fixture == "planted":
-            engine, queries, _ = request.getfixturevalue("planted")
-            texts = list(queries.values())
-        else:
-            engine = request.getfixturevalue("antonym_filter")
-            texts = list(dict.fromkeys(synth.ANTONYM_FILTER_QUERIES
-                                       + tuple(synth.antonym_corpus()[1].values())))
+        engine, texts = grid_case(request, engine_fixture)
         recorder = Recorder(engine, monkeypatch)
         run_ablation_grid(engine, BASELINE_NAMES, truth_of(texts))
         monkeypatch.undo()
@@ -577,10 +609,11 @@ class TestSharedQueries:
             if config.filter_threads and "empty_query" not in result.diagnostics:
                 counts = result.diagnostics["stage_counts"]
                 dropped += counts["bm25_threads"] > counts["after_thread_filter"]
-                # The sentence product's last bits depend on its rows: each
-                # search computes it over the rows its filter kept.
+                # Each search reports a thread's own sentence value, the one
+                # `_sentence` gives it in any row set, here the rows the thread
+                # filter kept: sharing the column across presets must keep it.
                 qc = engine.make_query_context(query, config)
-                rows = engine._thread_stage(qc.terms, config.bm25_top)[0]
+                rows = engine._thread_stage(qc.terms, config.bm25_top).rows
                 rows = rows[engine._antonym_free(qc, rows, "thread_antonym")]
                 want = dict(zip(engine.thread_index.doc_ids[rows].tolist(),
                                 engine._sentence(qc.terms, rows).tolist()))
@@ -589,6 +622,60 @@ class TestSharedQueries:
                     <= want.items(), (query, config)
         # The thread-antonym presets mask rows out of the shared thread stage.
         assert (dropped > 0) == (engine_fixture == "antonym_filter")
+
+    @pytest.mark.parametrize("engine_fixture", GRID_ENGINES)
+    def test_a_lone_search_scores_the_asym_of_its_own_answers(self, request, monkeypatch,
+                                                              engine_fixture):
+        engine, texts = grid_case(request, engine_fixture)
+        recorder = Recorder(engine, monkeypatch)
+        scored = answer_asym_rows(engine, monkeypatch, recorder)
+        for name in BASELINE_NAMES:
+            for text in texts:
+                engine.search(text, configure_ablation(name))
+        for n, (_, _, result) in enumerate(recorder.calls):
+            calls = [rows for at, rows in scored if at == n]
+            # At most one call, which an answer stage with no rows skips.
+            assert len(calls) <= 1
+            assert sum(map(len, calls)) == \
+                result.diagnostics["stage_counts"]["after_answer_filter"]
+
+    @pytest.mark.parametrize("engine_fixture", GRID_ENGINES)
+    def test_a_grid_scores_each_answer_asym_once_per_query(self, request, monkeypatch,
+                                                           engine_fixture):
+        engine, texts = grid_case(request, engine_fixture)
+        recorder = Recorder(engine, monkeypatch)
+        scored = answer_asym_rows(engine, monkeypatch, recorder)
+        run_ablation_grid(engine, BASELINE_NAMES, truth_of(texts))
+        by_query = {text: [] for text in texts}
+        for n, rows in scored:
+            by_query[recorder.calls[n][0]] += rows
+        assert all(len(rows) == len(set(rows)) for rows in by_query.values())
+        wanted = sum(result.diagnostics["stage_counts"]["after_answer_filter"]
+                     for _, _, result in recorder.calls)
+        assert 0 < sum(map(len, by_query.values())) < wanted
+        if engine_fixture == "funnel":
+            # The presets' survivors differ, so later presets reach rows the
+            # earlier ones did not score.
+            assert len(scored) > len(texts)
+
+    @pytest.mark.parametrize("engine_fixture", GRID_ENGINES)
+    def test_the_cache_holds_the_answers_of_the_bm25_threads(self, request, engine_fixture):
+        engine, texts = grid_case(request, engine_fixture)
+        row_of = {answer_id: row for row, answer_id in enumerate(engine.docs.answer_ids.tolist())}
+        with engine.shared_queries():
+            for text in texts:
+                for name in ("crar", "template", "answer-asym"):
+                    config = configure_ablation(name)
+                    result = engine.search(text, config)
+                    terms = engine._shared[(text, config.clamp_negative_cosine)]
+                    stage = terms.thread_stages[config.bm25_top]
+                    answers = engine.docs.answer_rows(stage.rows)[0]
+                    assert stage.answers.tolist() == sorted(answers.tolist())
+                    assert len(stage.answer_asym) == len(answers) == \
+                        np.diff(engine.docs.answer_ptr)[stage.rows].sum()
+                    for entry in result.entries:
+                        at = np.searchsorted(stage.answers, row_of[entry.answer_id])
+                        assert stage.answer_asym[at] == entry.features.raw["asym"]
 
     def test_nothing_is_shared_after_the_grid(self, planted, monkeypatch):
         engine, queries, _ = planted
@@ -653,6 +740,38 @@ class TestSharedQueries:
             run_ablation_grid(engine, ["crar", "template", "no-such-baseline"],
                               truth_of(queries.values()))
         assert recorder.calls == []
+
+
+def similarity_table(engine, text, clamp):
+    """A fresh similarity table of the query's terms; the store keeps none of
+    its novel words' vectors, as after a search."""
+    terms = engine.make_query_context(text, WeightConfig(clamp_negative_cosine=clamp)).terms
+    for word in terms.novel_words:
+        engine.store.word_vecs.pop(word, None)
+    return terms.similarities
+
+
+class TestAnswerAsymPerRow:
+    """What the shared answer asym relies on: an answer row's asym has the
+    same bits whichever rows are scored with it, in whatever order."""
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    @pytest.mark.parametrize("engine_fixture", ["planted", "antonym_filter"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_each_row_scores_the_bits_it_scores_alone(self, request, engine_fixture, clamp,
+                                                      data):
+        engine, texts = grid_case(request, engine_fixture)
+        text = data.draw(st.sampled_from(texts))
+        rows = np.array(data.draw(st.lists(st.integers(0, len(engine.docs.answer_ids) - 1),
+                                           min_size=1, unique=True)), dtype=np.intp)
+        table = similarity_table(engine, text, clamp)
+        together = table.scores(*engine.docs.segments("answer_asym", rows))
+        # Alone: with the same table, or with a fresh one for each row.
+        fresh = data.draw(st.booleans())
+        alone = [(similarity_table(engine, text, clamp) if fresh else table).scores(
+            *engine.docs.segments("answer_asym", rows[i:i + 1]))[0] for i in range(len(rows))]
+        assert [x.hex() for x in together.tolist()] == [x.hex() for x in alone]
 
 
 # Every preset as built before the presets became one table: the features
