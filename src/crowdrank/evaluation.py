@@ -56,7 +56,9 @@ class GroundTruth:
         return truth
 
 
-@dataclass
+# Slotted: a grid keeps a report, with a QueryMetrics per query, for every
+# baseline, and its caller may keep the reports of many grids.
+@dataclass(slots=True)
 class QueryMetrics:
     hit: float
     rr: float
@@ -64,7 +66,7 @@ class QueryMetrics:
     recall: float
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricsReport:
     k: int
     per_query: dict[int, QueryMetrics]
@@ -121,8 +123,8 @@ def evaluate(results: Mapping[int, Sequence[int]], truth: GroundTruth,
 
 
 # The most truth entries the grid searches in one shared scope, which holds
-# each one's query terms, thread stage and answer asym until every baseline
-# has searched it.
+# each one's query terms and thread stage, with the stage's answer values,
+# until every baseline has searched it.
 GRID_BLOCK = 64
 
 
@@ -140,9 +142,12 @@ def run_ablation_grid(engine: SearchEngine, baseline_names: Sequence[str],
     entries are searched in blocks of `GRID_BLOCK`, every baseline over one
     block before the next; with two or more baselines, each block's searches
     run in one `SearchEngine.shared_queries` scope. There a query's terms and
-    thread stage are computed by its first search, and each of its answers'
-    asym by the first search that reaches the answer; later baselines reuse
-    them.
+    thread stage (its sentence, asym_title, asym_body and tf columns) are
+    computed by its first search. Each of its answers' term counts and tfidf
+    are computed by the first search whose answer BM25 reaches the answer,
+    and its asym by the first whose answer stage scores it. Later baselines
+    reuse them; each search still makes its own answer BM25, top_method,
+    thread_score and cuts.
     """
     names = list(baseline_names)
     configs = [configure_ablation(name) for name in names]

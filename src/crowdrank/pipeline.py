@@ -20,21 +20,25 @@ answer stage) read one `SimilarityTable` per search, held by its
 vocabulary word is computed once, by the first stage whose targets hold
 the word, and the answer stage's targets hold only words stage 1 scored.
 
-The thread BM25 rows and their asym_title, asym_body and tf columns depend
-on the query and the clamp alone, and the thread antonym filter masks them.
-So does the asym of each answer of those threads, which a search scores
-when its answer stage first reaches the row (`SearchEngine._answer_asym`).
-In a `SearchEngine.shared_queries` scope, which the ablation grid opens,
-the searches of one query share its terms, and so its similarity table,
-those columns and the answer asym scored so far, across presets. The
-sentence column, and the answer stage's other features and cuts, are
-computed per search.
+The thread BM25 rows and their sentence, asym_title, asym_body and tf
+columns depend on the query and the clamp alone, and the thread antonym
+filter masks them. So do the values of each answer of those threads: its
+counts of the query's vocabulary terms and its tfidf, made when a search's
+answer BM25 first reaches the row, and its asym, made when an answer stage
+first scores the row (`SearchEngine._answer_counts`, `_answer_asym`). In a
+`SearchEngine.shared_queries` scope, which the ablation grid opens, the
+searches of one query share its terms, and so its similarity table, those
+columns and the answer values made so far, across presets. The answer BM25
+(its N and avgdl over each search's surviving answers), top_method,
+thread_score and every cut are computed per search.
 
 The sentence column reads each thread's title vector, which the first search
 that scores the thread's row makes (`SearchEngine._fill_titles`), so a load
 embeds no word. A row's vector, its norm and its dot product with the
 query's vector are each computed in one fixed order, so a thread's sentence
 value does not depend on which rows are scored with it, or when it was made.
+An answer's tfidf is summed in one fixed order too (`SearchEngine._tfidf`),
+so the search that makes it does not change its bits.
 """
 
 from __future__ import annotations
@@ -59,25 +63,32 @@ from .index import bm25_rows, bm25_table, gather
 class ThreadStage:
     """What `SearchEngine._thread_stage` makes once per query terms and
     bm25_top: every value of a row depends on the row alone."""
-    # The rows of the BM25 top threads, and their asym_title, asym_body and tf
-    # columns.
+    # The rows of the BM25 top threads, and their sentence, asym_title,
+    # asym_body and tf columns.
     rows: np.ndarray
     columns: dict[str, np.ndarray]
-    # The answer rows of those threads, ascending, and their asym: NaN until
-    # an answer stage first scores the row.
+    # The answer rows of those threads, ascending. By answer row: its asym,
+    # NaN until an answer stage first scores the row; its tfidf, NaN until an
+    # answer BM25 first reaches the row, and its counts of the query's
+    # vocabulary terms (a column per term, in sorted order), made with it.
     answers: np.ndarray
     answer_asym: np.ndarray
+    answer_tfidf: np.ndarray
+    answer_counts: np.ndarray
 
 
 @dataclass
 class QueryTerms:
     """What a search computes from the query text and `clamp_negative_cosine`
-    alone. Searches in a `SearchEngine.shared_queries` scope share it."""
+    alone, with the thread stages it makes and the answer values they keep.
+    Searches in a `SearchEngine.shared_queries` scope share it."""
     bag: Counter
     sentence_vec: np.ndarray
-    # The query words, and their ids in the engine vocabulary (-1: none).
+    # The query words, and their ids in the engine vocabulary (-1: none);
+    # `held` marks the words the vocabulary holds.
     words: WordMatrix
     vocab_ids: np.ndarray
+    held: np.ndarray
     # The query words against the engine vocabulary, clamped as the search's
     # config says; every asym target of the search reads it.
     similarities: SimilarityTable
@@ -85,7 +96,7 @@ class QueryTerms:
     # holds their fallback vectors for one search only, and these terms keep
     # them in `words`.
     novel_words: list[str]
-    # By bm25_top: the thread stage those terms make.
+    # By bm25_top: the thread stage those terms make, with its answer values.
     thread_stages: dict[int, ThreadStage] = field(default_factory=dict)
 
 
@@ -192,8 +203,8 @@ class SearchEngine:
     def shared_queries(self) -> Iterator[None]:
         """A scope whose searches share each query's `QueryTerms`, by query
         text and `clamp_negative_cosine`, and with them the thread stage
-        (`_thread_stage`) and the answer asym it keeps. All of it is dropped
-        when the scope closes."""
+        (`_thread_stage`): its four columns, and the answer asym, term counts
+        and tfidf it keeps. All of it is dropped when the scope closes."""
         outer, self._shared = self._shared, {}
         try:
             yield
@@ -221,7 +232,7 @@ class SearchEngine:
         vocab_ids = np.array([self.vocab.index.get(w, -1) for w in words.words], dtype=np.intp)
         similarities = SimilarityTable(words, self.vocab, vocab_ids, clamp_negative)
         return QueryTerms(bag=bag, sentence_vec=vec, words=words, vocab_ids=vocab_ids,
-                          similarities=similarities, novel_words=novel)
+                          held=vocab_ids >= 0, similarities=similarities, novel_words=novel)
 
     def _sentence(self, terms: QueryTerms, rows: np.ndarray) -> np.ndarray:
         """`cosine` of the query's sentence vector and each thread's title vector;
@@ -256,42 +267,58 @@ class SearchEngine:
 
     def _thread_stage(self, terms: QueryTerms, bm25_top: int) -> ThreadStage:
         """The rows of the query's BM25 top `bm25_top` threads, their
-        asym_title, asym_body and tf columns, and their answer rows with no
-        asym yet: each row's values depend on the row alone, so an antonym
-        filter masks them. Made once per terms."""
+        sentence, asym_title, asym_body and tf columns, and their answer rows
+        with no answer values yet: each row's values depend on the row alone,
+        so an antonym filter masks them. Made once per terms."""
         stage = terms.thread_stages.get(bm25_top)
         if stage is None:
             rows, _ = bm25_rows(self.thread_index, terms.bag, bm25_top)
             # Ascending threads hold ascending runs of answer rows.
             answers = self.docs.answer_rows(np.sort(rows))[0]
+            n, k = len(answers), np.count_nonzero(terms.held)
             stage = terms.thread_stages[bm25_top] = ThreadStage(rows, {
+                "sentence": self._sentence(terms, rows),
                 "asym_title": terms.similarities.scores(*self.docs.segments("thread_title", rows)),
                 "asym_body": terms.similarities.scores(*self.docs.segments("thread_bodies", rows)),
                 "tf": self._tf(terms, rows),
-            }, answers, np.full(len(answers), np.nan))
+            }, answers, answer_asym=np.full(n, np.nan), answer_tfidf=np.full(n, np.nan),
+                answer_counts=np.zeros((n, k), dtype=np.int64))
         return stage
 
-    def _answer_asym(self, terms: QueryTerms, stage: ThreadStage,
-                     rows: np.ndarray) -> np.ndarray:
-        """The asym of each of the stage's answer `rows`. The rows no search of
-        these terms has scored yet are scored in one call and kept: a
-        segment's score does not depend on the segments scored with it."""
-        at = np.searchsorted(stage.answers, rows)
+    def _answer_asym(self, terms: QueryTerms, stage: ThreadStage, at: np.ndarray) -> None:
+        """Score the asym of the stage's answers at positions `at` that no
+        search of these terms has scored yet, in one call: a segment's score
+        does not depend on the segments scored with it."""
         new = at[np.isnan(stage.answer_asym[at])]
         if new.size:
             stage.answer_asym[new] = terms.similarities.scores(
                 *self.docs.segments("answer_asym", stage.answers[new]))
-        return stage.answer_asym[at]
 
-    def _tfidf(self, terms: QueryTerms, counts: np.ndarray, held: np.ndarray,
+    def _answer_counts(self, terms: QueryTerms, stage: ThreadStage, at: np.ndarray) -> None:
+        """Count the query's vocabulary terms in the stage's answers at
+        positions `at` that no search of these terms has reached yet, and make
+        their tfidf, in one call each: a row's counts and tfidf depend on the
+        row alone."""
+        new = at[np.isnan(stage.answer_tfidf[at])]
+        if new.size:
+            rows = stage.answers[new]
+            counts = stage.answer_counts[new] = self.docs.term_counts(
+                "answer_text", rows, terms.vocab_ids[terms.held])
+            stage.answer_tfidf[new] = self._tfidf(terms, counts, rows)
+
+    def _tfidf(self, terms: QueryTerms, counts: np.ndarray,
                answer_rows: np.ndarray) -> np.ndarray:
         """`tfidf_score` of the query against each answer's indexed text, from
-        its counts of the query words `held` in the vocabulary (a row per
-        answer) and its stored norm."""
-        words = terms.words
+        its counts of the query words the vocabulary holds (a row per answer)
+        and its stored norm.
+
+        Each row's dot product is summed by `einsum` in one fixed order, not by
+        a BLAS product whose last bits depend on the other rows, so an
+        answer's value is the same in every row set that holds it."""
+        words, held = terms.words, terms.held
         counts_q = np.array([terms.bag[w] for w in words.words], dtype=np.int64)
         norm_q = ft.tfidf_norms(counts_q, words.idf, np.array([0, len(counts_q)]))[0]
-        dots = (counts * words.idf[held]) @ (counts_q * words.idf)[held]
+        dots = np.einsum("ij,j->i", counts * words.idf[held], (counts_q * words.idf)[held])
         return ft.cosines(dots, norm_q, self.docs.tfidf_norm[answer_rows])
 
     def search(self, query: str, config: ft.WeightConfig | None = None,
@@ -323,20 +350,19 @@ class SearchEngine:
             diagnostics["empty_query"] = True
             return SearchResult(entries=[], diagnostics=diagnostics)
 
-        # Lexical thread retrieval and three of the four similarity features,
-        # then the thread-level antonym filter. Thread rows ascend with
-        # question ids, so a row breaks a tie as the id would.
+        # Lexical thread retrieval and the four similarity features, then the
+        # thread-level antonym filter. Thread rows ascend with question ids,
+        # so a row breaks a tie as the id would.
         stage = self._thread_stage(terms, config.bm25_top)
-        rows, columns = stage.rows, stage.columns
+        rows, table = stage.rows, stage.columns
         counts["bm25_threads"] = len(rows)
         if config.filter_threads:
             free = self._antonym_free(qc, rows, "thread_antonym")
             rows = rows[free]
-            columns = {name: column[free] for name, column in columns.items()}
+            table = {name: column[free] for name, column in table.items()}
         counts["after_thread_filter"] = len(rows)
 
         # Stage 1: the four similarity features; stage 2 reuses them.
-        table = {"sentence": self._sentence(terms, rows), **columns}
         weights = {f: config.thread_weights[f] for f in ft.THREAD_SIMILARITY_FEATURES}
         kept, _, _ = _rank(rows, table, weights, config.stage1_keep)
         counts["stage1_kept"] = len(kept)
@@ -355,9 +381,11 @@ class SearchEngine:
         # sorted order). The answer rows run thread after thread, in stage-2
         # order, and each carries its thread's stage-2 score.
         rows = rows[kept]
-        held = terms.vocab_ids >= 0
         answer_rows, offsets = self.docs.answer_rows(rows)
-        term_counts = self.docs.term_counts("answer_text", answer_rows, terms.vocab_ids[held])
+        # The answer rows' positions in the stage's per-answer arrays.
+        at = np.searchsorted(stage.answers, answer_rows)
+        self._answer_counts(terms, stage, at)
+        term_counts = stage.answer_counts[at]
         thread_score = np.repeat(fused[kept], np.diff(offsets))
         answer_ids = self.docs.answer_ids[answer_rows]
         # Positions index answer_rows.
@@ -378,10 +406,11 @@ class SearchEngine:
         counts["after_answer_filter"] = len(positions)
 
         # Answer features, fusion and the final cut
-        rows = answer_rows[positions]
+        rows, at = answer_rows[positions], at[positions]
+        self._answer_asym(terms, stage, at)
         table = {
-            "asym": self._answer_asym(terms, stage, rows),
-            "tfidf": self._tfidf(terms, term_counts[positions], held, rows),
+            "asym": stage.answer_asym[at],
+            "tfidf": stage.answer_tfidf[at],
             "top_method": ft.top_method_scores(*self.docs.methods(rows), config.method_scale),
             "thread_score": thread_score[positions],
         }

@@ -21,7 +21,7 @@ from crowdrank.features import (ANTONYM_TARGET_MODES, SOCIAL_FEATURES, THREAD_FE
                                 WeightConfig, question_score_value, tf_score)
 from crowdrank.documents import build_store
 from crowdrank.evaluation import GRID_BLOCK, GroundTruth, run_ablation_grid
-from crowdrank.index import bm25_search, bm25_table, build_index
+from crowdrank.index import bm25_rows, bm25_search, bm25_table, build_index
 from crowdrank.pipeline import BASELINE_NAMES, SearchEngine, _rank, configure_ablation
 
 
@@ -313,10 +313,14 @@ class TestOneTablePerSearch:
 
         monkeypatch.setattr(SimilarityTable, "__init__", recorded)
         before = dict(vars(engine))
+        stages = stages_made(engine, monkeypatch)
         for text in queries.values():
             assert engine.search(text, WeightConfig()).entries
+        monkeypatch.undo()
         gc.collect()
         assert len(made) == len(queries) and all(ref() is None for ref in made)
+        # Nor a thread stage, or any of its columns and answer values.
+        assert len(stages) > len(queries) and all(ref() is None for ref in stages)
         assert vars(engine).keys() == before.keys()
         assert all(vars(engine)[name] is value for name, value in before.items())
 
@@ -446,6 +450,12 @@ def antonym_filter():
 
 
 @pytest.fixture(scope="module")
+def social():
+    posts, queries, _ = synth.social_corpus()
+    return make_engine(posts), list(queries.values())
+
+
+@pytest.fixture(scope="module")
 def funnel():
     posts, query = synth.funnel_corpus()
     return make_engine(posts), query
@@ -557,8 +567,9 @@ def tables_made(monkeypatch):
 
 
 # The engines the grid tests search. On funnel_corpus the funnel's cuts bite,
-# so the presets' survivors differ.
-GRID_ENGINES = ["planted", "antonym_filter", "funnel"]
+# so the presets' survivors differ; social_corpus plants ties in every thread
+# feature but the social ones.
+GRID_ENGINES = ["planted", "antonym_filter", "funnel", "social"]
 
 
 def grid_case(request, engine_fixture):
@@ -569,28 +580,57 @@ def grid_case(request, engine_fixture):
     if engine_fixture == "antonym_filter":
         return request.getfixturevalue("antonym_filter"), list(dict.fromkeys(
             synth.ANTONYM_FILTER_QUERIES + tuple(synth.antonym_corpus()[1].values())))
+    if engine_fixture == "social":
+        return request.getfixturevalue("social")
     engine, query = request.getfixturevalue("funnel")
     return engine, [query, " ".join(query.split()[1:])]
 
 
-def answer_asym_rows(engine, monkeypatch, recorder):
-    """The rows of every `segments("answer_asym", rows)` call from now on, as
-    (position in `recorder.calls` of the search that made it, rows)."""
+def rows_of_calls(engine, monkeypatch, recorder, method, view):
+    """The rows of every `engine.docs.<method>(view, rows, ...)` call from now
+    on, as (position in `recorder.calls` of the search that made it, rows)."""
     made = []
-    segments = engine.docs.segments
+    call = getattr(engine.docs, method)
 
-    def recorded(view, rows):
-        if view == "answer_asym":
+    def recorded(called_view, rows, *args):
+        if called_view == view:
             made.append((len(recorder.calls), rows.tolist()))
-        return segments(view, rows)
+        return call(called_view, rows, *args)
 
-    monkeypatch.setattr(engine.docs, "segments", recorded)
+    monkeypatch.setattr(engine.docs, method, recorded)
+    return made
+
+
+def stage2_answers(engine, result):
+    """The answer rows of a search's stage-2 threads, thread after thread in
+    stage-2 order: the rows its answer BM25 counts."""
+    ids = list(result.diagnostics.get("thread_features", ()))
+    rows = np.searchsorted(engine.thread_index.doc_ids, np.array(ids, dtype=np.int64))
+    return engine.docs.answer_rows(rows.astype(np.intp))[0].tolist()
+
+
+def stages_made(engine, monkeypatch):
+    """Weak references to every thread stage made from now on and to each of
+    its arrays, the per-answer ones included."""
+    made = []
+    make = SearchEngine._thread_stage
+
+    def recorded(self, terms, bm25_top):
+        stage = make(self, terms, bm25_top)
+        if self is engine:
+            arrays = [v for v in vars(stage).values() if isinstance(v, np.ndarray)]
+            made.extend(map(weakref.ref, [stage, *arrays, *stage.columns.values()]))
+        return stage
+
+    # On the class: an instance attribute would outlive the test.
+    monkeypatch.setattr(SearchEngine, "_thread_stage", recorded)
     return made
 
 
 class TestSharedQueries:
-    """The ablation grid shares each query's terms, thread stage and answer
-    asym across presets, within one block of truth entries."""
+    """The ablation grid shares each query's terms, its thread stage's four
+    columns and the answer asym, term counts and tfidf that stage keeps,
+    across presets, within one block of truth entries."""
 
     @pytest.mark.parametrize("engine_fixture", GRID_ENGINES)
     def test_every_preset_equals_its_own_searches(self, request, monkeypatch, engine_fixture):
@@ -628,7 +668,7 @@ class TestSharedQueries:
                                                               engine_fixture):
         engine, texts = grid_case(request, engine_fixture)
         recorder = Recorder(engine, monkeypatch)
-        scored = answer_asym_rows(engine, monkeypatch, recorder)
+        scored = rows_of_calls(engine, monkeypatch, recorder, "segments", "answer_asym")
         for name in BASELINE_NAMES:
             for text in texts:
                 engine.search(text, configure_ablation(name))
@@ -644,7 +684,7 @@ class TestSharedQueries:
                                                            engine_fixture):
         engine, texts = grid_case(request, engine_fixture)
         recorder = Recorder(engine, monkeypatch)
-        scored = answer_asym_rows(engine, monkeypatch, recorder)
+        scored = rows_of_calls(engine, monkeypatch, recorder, "segments", "answer_asym")
         run_ablation_grid(engine, BASELINE_NAMES, truth_of(texts))
         by_query = {text: [] for text in texts}
         for n, rows in scored:
@@ -657,6 +697,65 @@ class TestSharedQueries:
             # The presets' survivors differ, so later presets reach rows the
             # earlier ones did not score.
             assert len(scored) > len(texts)
+
+    @pytest.mark.parametrize("engine_fixture", GRID_ENGINES)
+    def test_a_lone_search_counts_its_stage2_answers(self, request, monkeypatch,
+                                                     engine_fixture):
+        engine, texts = grid_case(request, engine_fixture)
+        recorder = Recorder(engine, monkeypatch)
+        counted = rows_of_calls(engine, monkeypatch, recorder, "term_counts",
+                                "answer_text")
+        for name in BASELINE_NAMES:
+            for text in texts:
+                engine.search(text, configure_ablation(name))
+        for n, (_, _, result) in enumerate(recorder.calls):
+            # One call with exactly the rows the answer BM25 reads, or none
+            # when there are no such rows.
+            want = stage2_answers(engine, result)
+            assert [rows for at, rows in counted if at == n] == ([want] if want else [])
+
+    @pytest.mark.parametrize("engine_fixture", GRID_ENGINES)
+    def test_a_grid_counts_each_answer_once_per_query(self, request, monkeypatch,
+                                                      engine_fixture):
+        engine, texts = grid_case(request, engine_fixture)
+        recorder = Recorder(engine, monkeypatch)
+        counted = rows_of_calls(engine, monkeypatch, recorder, "term_counts",
+                                "answer_text")
+        run_ablation_grid(engine, BASELINE_NAMES, truth_of(texts))
+        by_query = {text: [] for text in texts}
+        for n, rows in counted:
+            by_query[recorder.calls[n][0]] += rows
+        assert all(len(rows) == len(set(rows)) for rows in by_query.values())
+        wanted = sum(len(stage2_answers(engine, result)) for _, _, result in recorder.calls)
+        assert 0 < sum(map(len, by_query.values())) < wanted
+        if engine_fixture == "funnel":
+            # Later presets' stage 2 keeps threads the earlier ones cut.
+            assert len(counted) > len(texts)
+
+    @pytest.mark.parametrize("engine_fixture", GRID_ENGINES)
+    def test_a_grid_makes_each_sentence_column_once_per_query(self, request, monkeypatch,
+                                                              engine_fixture):
+        engine, texts = grid_case(request, engine_fixture)
+        recorder = Recorder(engine, monkeypatch)
+        made = []
+        sentence = SearchEngine._sentence
+
+        def recorded(self, terms, rows):
+            made.append((len(recorder.calls), rows.tolist()))
+            return sentence(self, terms, rows)
+
+        monkeypatch.setattr(SearchEngine, "_sentence", recorded)
+        run_ablation_grid(engine, BASELINE_NAMES, truth_of(texts))
+        # Every preset searches with one bm25_top, so one call per query, by
+        # its first search, over its BM25 rows.
+        assert len({config.bm25_top for _, config, _ in recorder.calls}) == 1
+        queries = [q for q, _, _ in recorder.calls]
+        assert [queries[n] for n, _ in made] == texts
+        for n, rows in made:
+            assert n == queries.index(queries[n])
+            config = recorder.calls[n][1]
+            bag = engine.make_query_context(queries[n], config).terms.bag
+            assert rows == bm25_rows(engine.thread_index, bag, config.bm25_top)[0].tolist()
 
     @pytest.mark.parametrize("engine_fixture", GRID_ENGINES)
     def test_the_cache_holds_the_answers_of_the_bm25_threads(self, request, engine_fixture):
@@ -673,21 +772,30 @@ class TestSharedQueries:
                     assert stage.answers.tolist() == sorted(answers.tolist())
                     assert len(stage.answer_asym) == len(answers) == \
                         np.diff(engine.docs.answer_ptr)[stage.rows].sum()
+                    assert len(stage.answer_tfidf) == len(stage.answer_counts) == len(answers)
                     for entry in result.entries:
-                        at = np.searchsorted(stage.answers, row_of[entry.answer_id])
+                        row = row_of[entry.answer_id]
+                        at = np.searchsorted(stage.answers, row)
                         assert stage.answer_asym[at] == entry.features.raw["asym"]
+                        assert stage.answer_tfidf[at] == entry.features.raw["tfidf"]
+                        assert stage.answer_counts[at].tolist() == engine.docs.term_counts(
+                            "answer_text", np.array([row]),
+                            terms.vocab_ids[terms.held])[0].tolist()
 
     def test_nothing_is_shared_after_the_grid(self, planted, monkeypatch):
         engine, queries, _ = planted
         made = tables_made(monkeypatch)
+        stages = stages_made(engine, monkeypatch)
         run_ablation_grid(engine, ["crar", "template"], truth_of(queries.values()))
         gc.collect()
         assert engine._shared is None
         assert len(made) == len(queries) and all(ref() is None for ref in made)
+        assert stages and all(ref() is None for ref in stages)
 
     def test_nothing_is_shared_after_a_search_raises(self, planted, monkeypatch):
         engine, queries, _ = planted
         made = tables_made(monkeypatch)
+        stages = stages_made(engine, monkeypatch)
 
         def fail(n):
             if n == len(queries) + 1:
@@ -699,6 +807,7 @@ class TestSharedQueries:
         gc.collect()
         assert engine._shared is None
         assert len(made) == len(queries) and all(ref() is None for ref in made)
+        assert stages and all(ref() is None for ref in stages)
 
     def test_a_block_bounds_what_is_shared(self, planted, monkeypatch):
         engine, _, _ = planted
@@ -772,6 +881,32 @@ class TestAnswerAsymPerRow:
         alone = [(similarity_table(engine, text, clamp) if fresh else table).scores(
             *engine.docs.segments("answer_asym", rows[i:i + 1]))[0] for i in range(len(rows))]
         assert [x.hex() for x in together.tolist()] == [x.hex() for x in alone]
+
+
+class TestAnswerCountsPerRow:
+    """What the shared answer term counts and tfidf rely on: an answer row's
+    counts and tfidf have the same bits whichever rows are computed with it,
+    in whatever order."""
+
+    @pytest.mark.parametrize("engine_fixture", ["planted", "antonym_filter"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_each_row_counts_the_bits_it_counts_alone(self, request, engine_fixture, data):
+        engine, texts = grid_case(request, engine_fixture)
+        terms = engine.make_query_context(data.draw(st.sampled_from(texts)), WeightConfig()).terms
+        for word in terms.novel_words:
+            engine.store.word_vecs.pop(word, None)
+        rows = np.array(data.draw(st.lists(st.integers(0, len(engine.docs.answer_ids) - 1),
+                                           min_size=1, unique=True)), dtype=np.intp)
+
+        def values(rows):
+            counts = engine.docs.term_counts("answer_text", rows, terms.vocab_ids[terms.held])
+            return counts.tolist(), [x.hex() for x in engine._tfidf(terms, counts, rows).tolist()]
+
+        counts, tfidf = values(rows)
+        alone = [values(rows[i:i + 1]) for i in range(len(rows))]
+        assert counts == [c[0] for c, _ in alone]
+        assert tfidf == [t[0] for _, t in alone]
 
 
 # Every preset as built before the presets became one table: the features
